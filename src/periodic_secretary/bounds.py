@@ -10,11 +10,12 @@ full-selection bound, and an expected-success factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .kv import format_kv, write_kv_file
 from .stream import ObservationStream
 from .utility import UtilityFunction
 
@@ -32,8 +33,6 @@ __all__ = [
     "write_bound_report",
     "estimate_utility_noise",
 ]
-
-_FLOAT_FMT = "%.12g"
 
 
 @dataclass(frozen=True)
@@ -167,18 +166,11 @@ def bound_report(inputs: BoundInputs, q_denominator: str = "variance") -> BoundR
 
 def format_bound_report(report: BoundReport) -> str:
     """Key-value text block (consumed by the CLI bounds subcommand)."""
-    lines = [
-        "per_step_gap = " + _FLOAT_FMT % report.per_step_gap,
-        "full_selection_bound = " + _FLOAT_FMT % report.full_selection_bound,
-        "expected_successes = " + _FLOAT_FMT % report.expected_successes,
-        "utility_lower_bound = " + _FLOAT_FMT % report.utility_lower_bound,
-        "vacuous = " + ("true" if report.vacuous else "false"),
-    ]
-    return "\n".join(lines) + "\n"
+    return format_kv(asdict(report))
 
 
 def write_bound_report(report: BoundReport, path: "str | Path") -> None:
-    Path(path).write_text(format_bound_report(report), encoding="utf-8")
+    write_kv_file(asdict(report), path)
 
 
 def estimate_utility_noise(

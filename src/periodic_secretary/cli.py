@@ -19,6 +19,7 @@ import numpy as np
 from .bounds import BoundInputs, bound_report, format_bound_report, write_bound_report
 from .gp import load_hyperparams
 from .harness import (
+    ALGORITHM_NAMES,
     AlgorithmSpec,
     ExperimentConfig,
     run_comparison,
@@ -26,17 +27,8 @@ from .harness import (
     write_comparison_report,
     write_tuning_csv,
 )
-from .kv import read_kv_file, write_kv_file
-from .selectors import (
-    PeriodicSecretaryConfig,
-    offline_greedy,
-    periodic_secretary,
-    random_sampler,
-    scheduled_sampler,
-    submodular_secretary,
-    utility_trace_for,
-    write_selection_csv,
-)
+from .kv import format_value, read_kv_file, write_kv_file
+from .selectors import utility_trace_for, write_selection_csv
 from .stream import (
     CsvSchema,
     PeriodicStreamSpec,
@@ -106,18 +98,8 @@ def _float_list(raw: str) -> list[float]:
     return [float(v) for v in str(raw).replace(",", " ").split()]
 
 
-def _two_sine_spec(period: int, periods: int, noise: float, amplitude: float) -> PeriodicStreamSpec:
-    return PeriodicStreamSpec(
-        period_T=period,
-        noise_cov=np.array([[noise]]),
-        length_N=period * periods,
-        base_waveform=two_sine_waveform(period, amplitude=amplitude),
-    )
-
-
-def _cmd_generate(parser: _Parser, args: argparse.Namespace) -> int:
-    args = _resolve(parser, args, {"noise": 0.0, "amplitude": 1.0, "seed": 0, "out": "."})
-    _require(parser, args, "period", "periods")
+def _two_sine_spec(parser: _Parser, args: argparse.Namespace) -> PeriodicStreamSpec:
+    """The synthetic stream that generate and tune share, from checked options."""
     period, periods, noise = int(args.period), int(args.periods), float(args.noise)
     if period < 1:
         parser.error(f"--period must be >= 1, got {period}")
@@ -125,8 +107,18 @@ def _cmd_generate(parser: _Parser, args: argparse.Namespace) -> int:
         parser.error(f"--periods must be >= 1, got {periods}")
     if noise < 0:
         parser.error(f"--noise must be >= 0, got {noise}")
-    spec = _two_sine_spec(period, periods, noise, float(args.amplitude))
-    stream = generate_periodic_stream(spec, int(args.seed))
+    return PeriodicStreamSpec(
+        period_T=period,
+        noise_cov=np.array([[noise]]),
+        length_N=period * periods,
+        base_waveform=two_sine_waveform(period, amplitude=float(args.amplitude)),
+    )
+
+
+def _cmd_generate(parser: _Parser, args: argparse.Namespace) -> int:
+    args = _resolve(parser, args, {"noise": 0.0, "amplitude": 1.0, "seed": 0, "out": "."})
+    _require(parser, args, "period", "periods")
+    stream = generate_periodic_stream(_two_sine_spec(parser, args), int(args.seed))
     out = _outdir(args)
     write_stream_csv(stream, out / "stream.csv")
     _write_manifest(out, "generate", args)
@@ -140,19 +132,22 @@ def _cmd_select(parser: _Parser, args: argparse.Namespace) -> int:
         {"seed": 0, "out": ".", "utility": "entropy", "index_col": "t", "feature_cols": "x0"},
     )
     _require(parser, args, "input", "algo", "k")
-    if args.algo not in ("periodic", "submodular", "scheduled", "random", "greedy"):
-        parser.error(f"unknown algorithm {args.algo!r}")
+    slack = float(args.threshold_slack) if args.threshold_slack is not None else None
+    try:
+        algo = AlgorithmSpec(args.algo, threshold_slack=slack)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.utility not in ("entropy", "modular"):
         parser.error(f"unknown utility {args.utility!r}")
     k = int(args.k)
-    slack = float(args.threshold_slack) if args.threshold_slack is not None else None
     if slack is not None and slack < 0:
         parser.error(f"--lambda must be >= 0, got {slack}")
+    if algo.needs_period:
+        _require(parser, args, "period")
     stream = ingest_csv(args.input, _schema_from_args(args))
 
-    needs_utility = args.algo in ("periodic", "submodular", "greedy")
     f = None
-    if needs_utility or args.utility == "modular" or args.hyper is not None:
+    if algo.reads_utility or args.utility == "modular" or args.hyper is not None:
         if args.utility == "modular":
             f = UtilityFunction.modular(stream.feature_matrix[:, 0])
         else:
@@ -160,34 +155,20 @@ def _cmd_select(parser: _Parser, args: argparse.Namespace) -> int:
                 parser.error("--hyper config file is required for the entropy utility")
             f = UtilityFunction.entropy(load_hyperparams(args.hyper))
 
-    view = stream.observations
-    if args.algo == "periodic":
-        _require(parser, args, "period")
-        if slack is None:
-            parser.error("--lambda is required for the periodic algorithm")
-        cfg = PeriodicSecretaryConfig(k=k, period_T=int(args.period), threshold_slack=slack)
-        result = periodic_secretary(view, f, cfg)
-    elif args.algo == "submodular":
-        result = submodular_secretary(view, f, k)
-    elif args.algo == "scheduled":
-        result = scheduled_sampler(view, k)
-    elif args.algo == "random":
-        result = random_sampler(view, k, int(args.seed))
-    else:
-        result = offline_greedy(view, f, k)
-
+    period = int(args.period) if args.period is not None else None
+    result = algo.run(stream.observations, f, k, period, int(args.seed))
     trace = result.utility_trace
     if not trace and f is not None and result.chosen:
         trace = utility_trace_for(f, [stream.observations[i] for i in result.chosen])
 
     out = _outdir(args)
     write_selection_csv(result, out / "selection.csv")
-    final = "%.12g" % trace[-1] if trace else "n/a"
+    final = format_value(trace[-1]) if trace else "n/a"
     write_kv_file(
         {
             "algorithm": args.algo,
-            "selected": str(len(result.chosen)),
-            "k": str(k),
+            "selected": len(result.chosen),
+            "k": k,
             "final_utility": final,
             "terminated": result.terminated,
         },
@@ -204,20 +185,17 @@ def _cmd_tune(parser: _Parser, args: argparse.Namespace) -> int:
         {"noise": 0.0, "amplitude": 1.0, "runs": 50, "seed": 0, "out": "."},
     )
     _require(parser, args, "period", "periods", "k", "grid", "hyper")
-    period, periods = int(args.period), int(args.periods)
-    if period < 1 or periods < 1:
-        parser.error("--period and --periods must be >= 1")
+    spec = _two_sine_spec(parser, args)
     grid = _float_list(args.grid)
     if any(s < 0 for s in grid):
         parser.error("slack grid values must be >= 0")
-    spec = _two_sine_spec(period, periods, float(args.noise), float(args.amplitude))
     utility = UtilityFunction.entropy(load_hyperparams(args.hyper))
     result = tune_threshold_slack(
         spec, utility, int(args.k), grid, runs=int(args.runs), seed=int(args.seed)
     )
     out = _outdir(args)
     write_tuning_csv(result, out / "tuning.csv")
-    write_kv_file({"best_lambda": "%.12g" % result.best_slack}, out / "summary.txt")
+    write_kv_file({"best_lambda": result.best_slack}, out / "summary.txt")
     _write_manifest(out, "tune", args)
     print(
         f"best lambda {result.best_slack:g} "
@@ -250,10 +228,14 @@ def _cmd_evaluate(parser: _Parser, args: argparse.Namespace) -> int:
         parser, args,
         {
             "runs": 50, "seed": 0, "out": ".", "test_fraction": 0.2,
-            "index_col": "t", "feature_cols": "x0",
+            "index_col": "t", "feature_cols": "x0", "no_mse": False,
         },
     )
     _require(parser, args, "input", "k", "period", "algos", "hyper")
+    no_mse = str(args.no_mse).lower()  # a flag, or true/false from a config file
+    if no_mse not in ("true", "false"):
+        parser.error(f"no_mse must be true or false, got {args.no_mse!r}")
+    args.no_mse = no_mse == "true"
     mse = not args.no_mse
     if mse and args.qoi_col is None:
         parser.error("MSE evaluation requested but no --qoi-col names the qoi column")
@@ -329,8 +311,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("select", help="run one selector over an ingested stream")
     _add_schema_flags(p)
-    p.add_argument("--algo", default=None,
-                   help="periodic | submodular | scheduled | random | greedy")
+    p.add_argument("--algo", default=None, help=" | ".join(ALGORITHM_NAMES))
     p.add_argument("--k", default=None, type=int, help="sampling capacity")
     p.add_argument("--period", default=None, type=int, help="data period (periodic algorithm)")
     p.add_argument("--lambda", dest="threshold_slack", default=None, type=float,
@@ -363,7 +344,8 @@ def build_parser() -> _Parser:
     p.add_argument("--block-len", default=None, type=int,
                    help="block length for trial permutations (default: period)")
     p.add_argument("--test-fraction", default=None, type=float, help="held-out fraction (default 0.2)")
-    p.add_argument("--no-mse", action="store_true", help="skip held-out MSE evaluation")
+    p.add_argument("--no-mse", action="store_true", default=None,
+                   help="skip held-out MSE evaluation")
     p.add_argument("--hyper", default=None, help="GP hyperparameter config file")
     _add_common(p)
     p.set_defaults(func=_cmd_evaluate)

@@ -20,6 +20,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist
 
+from .kv import format_value, read_kv_file, write_kv_file
+
 __all__ = [
     "GPHyperparams",
     "PosteriorPrediction",
@@ -49,8 +51,6 @@ GAUSSIAN_ENTROPY_CONST = 0.5 * math.log(2 * math.pi * math.e)
 
 # Diagonal jitter ladder tried before declaring a Gram matrix unfactorizable.
 _JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
-
-_FLOAT_FMT = "%.12g"
 
 
 class FactorizationError(RuntimeError):
@@ -337,25 +337,19 @@ def fit_hyperparameters(
 
 def save_hyperparams(hyper: GPHyperparams, path: "str | Path") -> None:
     """Write hyperparameters as a key-value config file (12 significant digits)."""
-    lines = [
-        "lengthscales = " + ", ".join(_FLOAT_FMT % v for v in hyper.lengthscales),
-        "signal_variance = " + _FLOAT_FMT % hyper.signal_variance,
-        "noise_variance = " + _FLOAT_FMT % hyper.noise_variance,
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_kv_file(
+        {
+            "lengthscales": ", ".join(format_value(v) for v in hyper.lengthscales),
+            "signal_variance": hyper.signal_variance,
+            "noise_variance": hyper.noise_variance,
+        },
+        path,
+    )
 
 
 def load_hyperparams(path: "str | Path") -> GPHyperparams:
     """Read hyperparameters from a key-value config file."""
-    entries: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}: malformed line {raw!r}, expected 'key = value'")
-        key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
+    entries = read_kv_file(path)
     missing = {"lengthscales", "signal_variance", "noise_variance"} - entries.keys()
     if missing:
         raise ValueError(f"{path}: missing keys {sorted(missing)}")

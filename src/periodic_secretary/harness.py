@@ -10,16 +10,15 @@ bit for bit.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
 from . import gp
-from .kv import write_kv_file
+from .kv import write_csv, write_kv_file
 from .bounds import (
     BoundInputs,
     estimate_utility_noise,
@@ -49,6 +48,7 @@ from .stream import (
 from .utility import UtilityFunction
 
 __all__ = [
+    "ALGORITHM_NAMES",
     "AlgorithmSpec",
     "ExperimentConfig",
     "ComparisonReport",
@@ -65,8 +65,6 @@ __all__ = [
     "write_bound_validation_csv",
     "derive_seeds",
 ]
-
-_FLOAT_FMT = "%.12g"
 
 UtilityOrFactory = Union[UtilityFunction, Callable[[ObservationStream], UtilityFunction]]
 
@@ -94,38 +92,57 @@ def _final_utility(result: SelectionResult) -> float:
     return result.utility_trace[-1] if result.utility_trace else 0.0
 
 
+# The algorithm registry: name -> (reads the utility, needs a period and a
+# threshold slack, run). Each run names its selector at call time, so a
+# rebound module attribute (as a tracer installs) is the one that runs.
+_REGISTRY = {
+    "periodic": (True, True, lambda a, view, f, k, T, seed: periodic_secretary(
+        view, f, PeriodicSecretaryConfig(k=k, period_T=T, threshold_slack=a.threshold_slack))),
+    "submodular": (True, False, lambda a, view, f, k, T, seed: submodular_secretary(view, f, k)),
+    "scheduled": (False, False, lambda a, view, f, k, T, seed: scheduled_sampler(view, k)),
+    "random": (False, False, lambda a, view, f, k, T, seed: random_sampler(view, k, seed)),
+    "greedy": (True, False, lambda a, view, f, k, T, seed: offline_greedy(view, f, k)),
+}
+ALGORITHM_NAMES = tuple(_REGISTRY)
+
+
 @dataclass(frozen=True)
 class AlgorithmSpec:
-    """One selector in a comparison: name plus its parameters.
-
-    Known names: periodic (needs threshold_slack), submodular, scheduled,
-    random, greedy.
-    """
+    """One selector from the registry: a name in ``ALGORITHM_NAMES`` plus its
+    parameters. The periodic secretary needs a threshold_slack."""
 
     name: str
     threshold_slack: float | None = None
 
     def __post_init__(self) -> None:
-        known = ("periodic", "submodular", "scheduled", "random", "greedy")
-        if self.name not in known:
-            raise ValueError(f"unknown algorithm {self.name!r}; known: {known}")
-        if self.name == "periodic" and self.threshold_slack is None:
-            raise ValueError("periodic algorithm needs a threshold_slack")
+        if self.name not in _REGISTRY:
+            raise ValueError(f"unknown algorithm {self.name!r}; known: {ALGORITHM_NAMES}")
+        if self.needs_period and self.threshold_slack is None:
+            raise ValueError(f"{self.name} algorithm needs a threshold_slack")
+
+    @property
+    def reads_utility(self) -> bool:
+        return _REGISTRY[self.name][0]
+
+    @property
+    def needs_period(self) -> bool:
+        return _REGISTRY[self.name][1]
 
     @property
     def label(self) -> str:
-        if self.name == "periodic":
-            return f"periodic:{self.threshold_slack:g}"
-        return self.name
+        return f"{self.name}:{self.threshold_slack:g}" if self.needs_period else self.name
+
+    def run(
+        self, view: Sequence[Observation], f: UtilityFunction | None, k: int,
+        period_T: int | None, seed: int,
+    ) -> SelectionResult:
+        """Run this selector over ``view``; ``seed`` drives the random sampler."""
+        return _REGISTRY[self.name][2](self, view, f, k, period_T, seed)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Comparison protocol parameters.
-
-    ``slack_grid`` and ``output_dir`` are carried for workflows that tune
-    before comparing or write reports; the run itself does not require them.
-    """
+    """Comparison protocol parameters."""
 
     algorithms: tuple[AlgorithmSpec, ...]
     k: int
@@ -133,8 +150,6 @@ class ExperimentConfig:
     runs: int
     seed: int
     test_fraction: float = 0.2
-    slack_grid: tuple[float, ...] = ()
-    output_dir: "Path | None" = None
 
     def __post_init__(self) -> None:
         if not self.algorithms:
@@ -151,11 +166,6 @@ class ExperimentConfig:
             raise ValueError(f"runs must be positive, got {self.runs}")
         if not 0 < self.test_fraction < 1:
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
-        object.__setattr__(self, "slack_grid", tuple(float(s) for s in self.slack_grid))
-        if any(s < 0 for s in self.slack_grid):
-            raise ValueError("slack_grid values must be non-negative")
-        if self.output_dir is not None:
-            object.__setattr__(self, "output_dir", Path(self.output_dir))
 
 
 @dataclass(frozen=True)
@@ -190,6 +200,8 @@ def tune_threshold_slack(
     """
     if len(slack_grid) == 0:
         raise ValueError("slack grid is empty")
+    if runs < 1:
+        raise ValueError(f"runs must be positive, got {runs}")
     slacks = tuple(sorted(float(s) for s in slack_grid))
     trial_seeds = derive_seeds(seed, _TAG_TUNE, runs)
     streams = [generate_periodic_stream(spec, s) for s in trial_seeds]
@@ -230,7 +242,6 @@ def evaluate_prediction(
     stream: ObservationStream,
     test_indices: Sequence[int],
     hyper: GPHyperparams,
-    center_qoi: bool = False,
 ) -> np.ndarray:
     """Held-out MSE after each prefix of the selection (length len(chosen)+1).
 
@@ -256,10 +267,8 @@ def evaluate_prediction(
     if np.any(np.isnan(train_y)):
         raise ValueError("some selected indices have no qoi value")
     for m in range(1, len(selection.chosen) + 1):
-        ym = train_y[:m]
-        shift = ym.mean() if center_qoi else 0.0
-        means, _ = gp.predict_many(train_x[:m], ym - shift, X_test, hyper)
-        mse[m] = float(np.mean((means + shift - y_test) ** 2))
+        means, _ = gp.predict_many(train_x[:m], train_y[:m], X_test, hyper)
+        mse[m] = float(np.mean((means - y_test) ** 2))
     return mse
 
 
@@ -291,26 +300,6 @@ def _pad_trace(values: Sequence[float], length: int, initial: float) -> np.ndarr
     out = np.full(length, initial if len(values) == 0 else values[-1])
     out[: len(values)] = values
     return out
-
-
-def _run_algorithm(
-    algo: AlgorithmSpec,
-    view: Sequence[Observation],
-    f: UtilityFunction,
-    k: int,
-    period_T: int,
-    seed: int,
-) -> SelectionResult:
-    if algo.name == "periodic":
-        cfg = PeriodicSecretaryConfig(k=k, period_T=period_T, threshold_slack=algo.threshold_slack)
-        return periodic_secretary(view, f, cfg)
-    if algo.name == "submodular":
-        return submodular_secretary(view, f, k)
-    if algo.name == "scheduled":
-        return scheduled_sampler(view, k)
-    if algo.name == "random":
-        return random_sampler(view, k, seed)
-    return offline_greedy(view, f, k)
 
 
 def run_comparison(
@@ -374,9 +363,7 @@ def run_comparison(
             view = list(trial.observations)
 
         for algo in cfg.algorithms:
-            result = _run_algorithm(
-                algo, view, f, cfg.k, cfg.period_T, algo_seeds[algo.label][r]
-            )
+            result = algo.run(view, f, cfg.k, cfg.period_T, algo_seeds[algo.label][r])
             trace = result.utility_trace
             if not trace:
                 trace = utility_trace_for(f, [trial.observations[i] for i in result.chosen])
@@ -406,7 +393,8 @@ def run_comparison(
 
 @dataclass(frozen=True)
 class BoundValidationCell:
-    """Empirical vs theoretical numbers for one (k, slack) grid cell."""
+    """Empirical vs theoretical numbers for one (k, slack) grid cell; the
+    fields, in order, are the columns of the bound-validation CSV."""
 
     k: int
     threshold_slack: float
@@ -527,72 +515,47 @@ def validate_bounds(
 
 
 def write_tuning_csv(result: SlackTuningResult, path: "str | Path") -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold_slack", "mean_utility", "sd_utility", "mean_fill"])
-        for i, s in enumerate(result.slacks):
-            writer.writerow(
-                [
-                    _FLOAT_FMT % s,
-                    _FLOAT_FMT % result.mean_utility[i],
-                    _FLOAT_FMT % result.sd_utility[i],
-                    _FLOAT_FMT % result.mean_fill[i],
-                ]
-            )
+    write_csv(
+        path,
+        ["threshold_slack", "mean_utility", "sd_utility", "mean_fill"],
+        zip(result.slacks, result.mean_utility, result.sd_utility, result.mean_fill),
+    )
 
 
 def write_comparison_report(report: ComparisonReport, outdir: "str | Path") -> list[Path]:
     """Emit one CSV per panel (utility, MSE) plus a key-value summary."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    paths = []
-
-    path = outdir / "utility_curves.csv"
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "algorithm", "mean", "sd"])
-        for lab in report.labels:
-            for m in range(report.k):
-                writer.writerow(
-                    [
-                        str(m + 1),
-                        lab,
-                        _FLOAT_FMT % report.utility_mean[lab][m],
-                        _FLOAT_FMT % report.utility_sd[lab][m],
-                    ]
-                )
-    paths.append(path)
-
+    panels = [("utility_curves.csv", 1, report.utility_mean, report.utility_sd)]
     if report.mse_mean is not None:
-        path = outdir / "mse_curves.csv"
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "algorithm", "mean", "sd"])
-            for lab in report.labels:
-                for m in range(report.k + 1):
-                    writer.writerow(
-                        [
-                            str(m),
-                            lab,
-                            _FLOAT_FMT % report.mse_mean[lab][m],
-                            _FLOAT_FMT % report.mse_sd[lab][m],
-                        ]
-                    )
+        panels.append(("mse_curves.csv", 0, report.mse_mean, report.mse_sd))
+    paths = []
+    for name, first_step, means, sds in panels:
+        path = outdir / name
+        write_csv(
+            path,
+            ["step", "algorithm", "mean", "sd"],
+            (
+                [step, lab, mean, sd]
+                for lab in report.labels
+                for step, (mean, sd) in enumerate(zip(means[lab], sds[lab]), first_step)
+            ),
+        )
         paths.append(path)
 
     summary = {
-        "k": str(report.k),
-        "runs": str(report.runs),
-        "seed": str(report.seed),
+        "k": report.k,
+        "runs": report.runs,
+        "seed": report.seed,
         "algorithms": ", ".join(report.labels),
     }
     for lab in report.labels:
         prefix = lab.replace(":", "_").replace(" ", "_")
-        summary[f"{prefix}.final_utility_mean"] = _FLOAT_FMT % report.utility_mean[lab][-1]
-        summary[f"{prefix}.final_utility_sd"] = _FLOAT_FMT % report.utility_sd[lab][-1]
-        summary[f"{prefix}.fill_mean"] = _FLOAT_FMT % report.fill_mean[lab]
+        summary[f"{prefix}.final_utility_mean"] = report.utility_mean[lab][-1]
+        summary[f"{prefix}.final_utility_sd"] = report.utility_sd[lab][-1]
+        summary[f"{prefix}.fill_mean"] = report.fill_mean[lab]
         if report.mse_mean is not None:
-            summary[f"{prefix}.final_mse_mean"] = _FLOAT_FMT % report.mse_mean[lab][-1]
+            summary[f"{prefix}.final_mse_mean"] = report.mse_mean[lab][-1]
     path = outdir / "summary.txt"
     write_kv_file(summary, path)
     paths.append(path)
@@ -600,40 +563,8 @@ def write_comparison_report(report: ComparisonReport, outdir: "str | Path") -> l
 
 
 def write_bound_validation_csv(report: BoundValidationReport, path: "str | Path") -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "k",
-                "threshold_slack",
-                "runs",
-                "mean_utility",
-                "se_utility",
-                "mean_successes",
-                "se_successes",
-                "utility_bound",
-                "success_bound",
-                "vacuous",
-                "informational",
-                "utility_violation",
-                "success_violation",
-            ]
-        )
-        for c in report.cells:
-            writer.writerow(
-                [
-                    str(c.k),
-                    _FLOAT_FMT % c.threshold_slack,
-                    str(c.runs),
-                    _FLOAT_FMT % c.mean_utility,
-                    _FLOAT_FMT % c.se_utility,
-                    _FLOAT_FMT % c.mean_successes,
-                    _FLOAT_FMT % c.se_successes,
-                    _FLOAT_FMT % c.utility_bound,
-                    _FLOAT_FMT % c.success_bound,
-                    str(c.vacuous).lower(),
-                    str(c.informational).lower(),
-                    str(c.utility_violation).lower(),
-                    str(c.success_violation).lower(),
-                ]
-            )
+    write_csv(
+        path,
+        [f.name for f in fields(BoundValidationCell)],
+        (astuple(c) for c in report.cells),
+    )

@@ -1,10 +1,28 @@
-"""Minimal key = value config file reading and writing."""
+"""File I/O: key = value files and CSV tables with one float format.
+
+Every float written by the library goes through ``format_value``: 12
+significant digits, which round-trip within reader tolerance and keep
+reruns byte-identical.
+"""
 
 from __future__ import annotations
 
+import csv
 from pathlib import Path
+from typing import Iterable
 
-__all__ = ["read_kv_file", "write_kv_file", "format_kv"]
+import numpy as np
+
+__all__ = ["format_value", "read_kv_file", "write_kv_file", "format_kv", "write_csv"]
+
+def format_value(value: object) -> str:
+    """Text of one written value: floats with 12 significant digits,
+    booleans as true/false, anything else as ``str``."""
+    if isinstance(value, float):  # numpy float64 included
+        return "%.12g" % value
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    return str(value)
 
 
 def read_kv_file(path: "str | Path") -> dict[str, str]:
@@ -21,9 +39,17 @@ def read_kv_file(path: "str | Path") -> dict[str, str]:
     return entries
 
 
-def format_kv(entries: dict[str, str]) -> str:
-    return "".join(f"{k} = {v}\n" for k, v in entries.items())
+def format_kv(entries: dict[str, object]) -> str:
+    return "".join(f"{k} = {format_value(v)}\n" for k, v in entries.items())
 
 
-def write_kv_file(entries: dict[str, str], path: "str | Path") -> None:
+def write_kv_file(entries: dict[str, object], path: "str | Path") -> None:
     Path(path).write_text(format_kv(entries), encoding="utf-8")
+
+
+def write_csv(path: "str | Path", header: Iterable[str], rows: Iterable[Iterable[object]]) -> None:
+    """Write a header row and data rows as UTF-8 CSV, cells via ``format_value``."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([format_value(v) for v in row] for row in rows)

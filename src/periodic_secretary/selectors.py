@@ -7,7 +7,6 @@ revisited. Offline selectors (greedy, exhaustive) see the whole ground set.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from itertools import combinations, islice
@@ -16,6 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .kv import write_csv
 from .stream import Observation
 from .utility import UtilityFunction
 
@@ -32,8 +32,6 @@ __all__ = [
     "utility_trace_for",
     "write_selection_csv",
 ]
-
-_FLOAT_FMT = "%.12g"
 
 
 @dataclass(frozen=True)
@@ -296,16 +294,10 @@ def utility_trace_for(f: UtilityFunction, observations: Sequence[Observation]) -
 
 def write_selection_csv(result: SelectionResult, path: "str | Path") -> None:
     """Serialize a selection as CSV: step, stream_index, utility_after, threshold."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "stream_index", "utility_after", "threshold"])
-        for step, idx in enumerate(result.chosen, start=1):
-            util = (
-                _FLOAT_FMT % result.utility_trace[step - 1] if result.utility_trace else ""
-            )
-            thr = (
-                _FLOAT_FMT % result.threshold_trace[step - 1]
-                if result.threshold_trace is not None
-                else ""
-            )
-            writer.writerow([str(step), str(idx), util, thr])
+    utils = result.utility_trace or ("",) * len(result.chosen)
+    thresholds = result.threshold_trace or ("",) * len(result.chosen)
+    write_csv(
+        path,
+        ["step", "stream_index", "utility_after", "threshold"],
+        zip(range(1, len(result.chosen) + 1), result.chosen, utils, thresholds),
+    )

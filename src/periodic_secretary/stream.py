@@ -16,6 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .kv import write_csv
+
 __all__ = [
     "Observation",
     "QoiSample",
@@ -30,9 +32,6 @@ __all__ = [
     "two_sine_waveform",
     "seasonal_waveform",
 ]
-
-# CSV writer precision: 12 significant digits round-trip within reader tolerance.
-_FLOAT_FMT = "%.12g"
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -295,19 +294,14 @@ def write_stream_csv(
         )
     if schema.qoi_col is not None and stream.qoi is None:
         raise ValueError(f"schema names qoi column '{schema.qoi_col}' but stream has no qoi")
-    qvals = stream.qoi_values() if schema.qoi_col is not None else None
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        header = [schema.index_col, *schema.feature_cols]
-        if schema.qoi_col is not None:
-            header.append(schema.qoi_col)
-        writer.writerow(header)
-        for o in stream.observations:
-            row = [str(o.index)] + [_FLOAT_FMT % v for v in o.features]
-            if qvals is not None:
-                row.append(_FLOAT_FMT % qvals[o.index])
-            writer.writerow(row)
+    header = [schema.index_col, *schema.feature_cols]
+    rows = [[o.index, *o.features] for o in stream.observations]
+    if schema.qoi_col is not None:
+        header.append(schema.qoi_col)
+        qvals = stream.qoi_values()
+        for row in rows:
+            row.append(qvals[row[0]])
+    write_csv(path, header, rows)
     return schema
 
 

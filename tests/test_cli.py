@@ -2,8 +2,20 @@ import numpy as np
 import pytest
 
 from periodic_secretary.cli import main
-from periodic_secretary.gp import save_hyperparams
-from periodic_secretary import GPHyperparams
+from periodic_secretary.gp import load_hyperparams, save_hyperparams
+from periodic_secretary import (
+    CsvSchema,
+    GPHyperparams,
+    PeriodicSecretaryConfig,
+    UtilityFunction,
+    ingest_csv,
+    offline_greedy,
+    periodic_secretary,
+    random_sampler,
+    scheduled_sampler,
+    submodular_secretary,
+)
+from periodic_secretary.harness import ALGORITHM_NAMES
 from periodic_secretary.kv import read_kv_file
 
 
@@ -113,6 +125,33 @@ class TestSelect:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("utility", ["entropy", "modular"])
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    def test_registry_selector_matches_library(self, name, utility, stream_csv, hyper_file,
+                                               tmp_path):
+        k, period, slack, seed = 4, 10, 0.05, 3
+        out = tmp_path / "sel"
+        rc = run_cli("select", "--input", stream_csv, "--algo", name, "--k", k,
+                     "--period", period, "--lambda", slack, "--utility", utility,
+                     "--hyper", hyper_file, "--seed", seed, "--out", out)
+        assert rc == 0
+        rows = (out / "selection.csv").read_text().strip().splitlines()[1:]
+
+        obs = ingest_csv(stream_csv, CsvSchema(index_col="t", feature_cols=("x0",))).observations
+        if utility == "modular":
+            f = UtilityFunction.modular(np.array([o.features[0] for o in obs]))
+        else:
+            f = UtilityFunction.entropy(load_hyperparams(hyper_file))
+        direct = {
+            "periodic": lambda: periodic_secretary(
+                obs, f, PeriodicSecretaryConfig(k=k, period_T=period, threshold_slack=slack)),
+            "submodular": lambda: submodular_secretary(obs, f, k),
+            "scheduled": lambda: scheduled_sampler(obs, k),
+            "random": lambda: random_sampler(obs, k, seed),
+            "greedy": lambda: offline_greedy(obs, f, k),
+        }[name]()
+        assert [int(r.split(",")[1]) for r in rows] == list(direct.chosen)
+
     def test_modular_utility_uses_first_feature(self, stream_csv, tmp_path):
         out = tmp_path / "sel"
         rc = run_cli("select", "--input", stream_csv, "--algo", "greedy", "--k", 3,
@@ -122,7 +161,26 @@ class TestSelect:
         assert float(summary["final_utility"]) > 0
 
 
+@pytest.mark.parametrize("subcommand", ["generate", "tune"])
+def test_negative_noise_is_same_usage_error(subcommand, hyper_file, tmp_path, capsys):
+    extra = ["--k", 2, "--grid", "0", "--runs", 2, "--hyper", hyper_file] if subcommand == "tune" else []
+    with pytest.raises(SystemExit) as exc:
+        run_cli(subcommand, "--period", 10, "--periods", 2, "--noise", -1, *extra,
+                "--out", tmp_path / "out")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: --noise must be >= 0, got -1.0\n"
+
+
 class TestTune:
+    def test_zero_runs_is_error(self, hyper_file, tmp_path, capsys):
+        out = tmp_path / "tune"
+        rc = run_cli("tune", "--period", 8, "--periods", 2, "--k", 2, "--grid", "0,0.5",
+                     "--runs", 0, "--hyper", hyper_file, "--out", out)
+        assert rc != 0
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert not (out / "tuning.csv").exists()
+
     def test_summary_names_best_slack(self, hyper_file, tmp_path):
         out = tmp_path / "tune"
         rc = run_cli("tune", "--period", 8, "--periods", 6, "--noise", 0.2, "--k", 4,
@@ -209,6 +267,44 @@ class TestEvaluate:
         assert rc == 0
         assert (out / "utility_curves.csv").exists()
         assert not (out / "mse_curves.csv").exists()
+
+
+    @pytest.mark.parametrize("value", ["False", "true", "TRUE"])
+    def test_no_mse_config_values(self, qoi_csv, hyper_file, tmp_path, value):
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text(f"no_mse = {value}\n")
+        out = tmp_path / "eval"
+        assert run_cli("evaluate", "--config", cfg, "--input", qoi_csv, "--qoi-col", "qoi",
+                       "--algos", "scheduled", "--k", 2, "--period", 8, "--runs", 2,
+                       "--hyper", hyper_file, "--out", out) == 0
+        no_mse = value.lower() == "true"
+        assert (out / "mse_curves.csv").exists() != no_mse
+        assert read_kv_file(out / "manifest.txt")["no_mse"] == str(no_mse)
+
+    def test_bad_no_mse_config_value_is_usage_error(self, qoi_csv, hyper_file, tmp_path, capsys):
+        cfg = tmp_path / "eval.cfg"
+        cfg.write_text("no_mse = yes\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("evaluate", "--config", cfg, "--input", qoi_csv, "--algos", "scheduled",
+                    "--k", 2, "--period", 8, "--runs", 2, "--hyper", hyper_file,
+                    "--out", tmp_path)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_no_mse_run_replays_from_manifest(self, qoi_csv, hyper_file, tmp_path):
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        assert run_cli("evaluate", "--input", qoi_csv, "--no-mse",
+                       "--algos", "periodic:0.4,scheduled,random", "--k", 3, "--period", 8,
+                       "--runs", 2, "--seed", 5, "--hyper", hyper_file, "--out", first) == 0
+        assert run_cli("evaluate", "--config", first / "manifest.txt", "--out", replay) == 0
+        assert not (replay / "mse_curves.csv").exists()
+        for name in ("utility_curves.csv", "summary.txt"):
+            assert (first / name).read_bytes() == (replay / name).read_bytes()
+        strip_out = [line for line in (first / "manifest.txt").read_text().splitlines()
+                     if not line.startswith("out = ")]
+        assert [line for line in (replay / "manifest.txt").read_text().splitlines()
+                if not line.startswith("out = ")] == strip_out
 
 
 class TestBounds:

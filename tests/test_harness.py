@@ -99,6 +99,14 @@ class TestTuneThresholdSlack:
                 small_spec, UtilityFunction.entropy(wide_hyper), k=4, slack_grid=[], runs=2, seed=0
             )
 
+    @pytest.mark.parametrize("runs", [0, -1])
+    def test_nonpositive_runs_rejected(self, small_spec, wide_hyper, runs):
+        with pytest.raises(ValueError, match="runs must be positive"):
+            tune_threshold_slack(
+                small_spec, UtilityFunction.entropy(wide_hyper), k=4, slack_grid=[0.3],
+                runs=runs, seed=0,
+            )
+
     def test_accepts_utility_factory(self, small_spec):
         result = tune_threshold_slack(
             small_spec, modular_factory, k=4, slack_grid=[0.0, 0.5], runs=3, seed=9
