@@ -72,7 +72,6 @@ from .utility import (
     check_submodular_monotone,
     entropy_criterion,
     marginal_gain,
-    mutual_information_criterion,
 )
 
 __version__ = "0.1.0"

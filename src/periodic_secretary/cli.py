@@ -140,8 +140,6 @@ def _cmd_select(parser: _Parser, args: argparse.Namespace) -> int:
     if args.utility not in ("entropy", "modular"):
         parser.error(f"unknown utility {args.utility!r}")
     k = int(args.k)
-    if slack is not None and slack < 0:
-        parser.error(f"--lambda must be >= 0, got {slack}")
     if algo.needs_period:
         _require(parser, args, "period")
     stream = ingest_csv(args.input, _schema_from_args(args))
@@ -239,10 +237,11 @@ def _cmd_evaluate(parser: _Parser, args: argparse.Namespace) -> int:
     mse = not args.no_mse
     if mse and args.qoi_col is None:
         parser.error("MSE evaluation requested but no --qoi-col names the qoi column")
+    algorithms = tuple(_parse_algos(parser, args.algos))
     stream = ingest_csv(args.input, _schema_from_args(args))
     hyper = load_hyperparams(args.hyper)
     cfg = ExperimentConfig(
-        algorithms=tuple(_parse_algos(parser, args.algos)),
+        algorithms=algorithms,
         k=int(args.k),
         period_T=int(args.period),
         runs=int(args.runs),

@@ -133,12 +133,10 @@ def se_cross_covariance(X: np.ndarray, Z: np.ndarray, hyper: GPHyperparams) -> n
     return hyper.signal_variance * np.exp(-0.5 * d2)
 
 
-def se_gram(X: np.ndarray, hyper: GPHyperparams, noisy: bool = True) -> np.ndarray:
-    """SE Gram matrix of X, with noise_variance on the diagonal when noisy."""
+def se_gram(X: np.ndarray, hyper: GPHyperparams) -> np.ndarray:
+    """Noisy SE Gram matrix of X: noise_variance on the diagonal."""
     K = se_cross_covariance(X, X, hyper)
-    if noisy:
-        K = K + hyper.noise_variance * np.eye(K.shape[0])
-    return K
+    return K + hyper.noise_variance * np.eye(K.shape[0])
 
 
 def _factor(X: np.ndarray, hyper: GPHyperparams, start_level: int = 0) -> tuple[np.ndarray, int]:
@@ -173,10 +171,6 @@ class GPConditioner:
 
     def __len__(self) -> int:
         return self._X.shape[0]
-
-    @property
-    def points(self) -> np.ndarray:
-        return self._X.copy()
 
     @classmethod
     def from_points(cls, X: np.ndarray, hyper: GPHyperparams) -> "GPConditioner":

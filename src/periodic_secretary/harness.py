@@ -1,11 +1,12 @@
 """Experiment harness: threshold tuning, multi-algorithm comparison, bound validation.
 
-Reproduces the evaluation protocol end to end: seeded trial streams (fresh
-synthetic draws or block permutations of a base stream), a held-out test
-split for prediction error, per-step utility and MSE curves aggregated over
-repeated runs, and Monte-Carlo validation of the theoretical guarantees.
-All randomness derives from one experiment seed, so reports are reproducible
-bit for bit.
+Reproduces the evaluation protocol end to end: the comparison runs every
+algorithm over seeded block permutations of a base stream, with a held-out
+test split for prediction error, and aggregates per-step utility and MSE
+curves over the repeated runs; threshold tuning and the Monte-Carlo
+validation of the theoretical guarantees run the periodic secretary over
+fresh seeded synthetic draws. All randomness derives from one experiment
+seed, so reports are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -19,12 +20,7 @@ import numpy as np
 
 from . import gp
 from .kv import write_csv, write_kv_file
-from .bounds import (
-    BoundInputs,
-    estimate_utility_noise,
-    expected_successes,
-    per_step_gap,
-)
+from .bounds import BoundInputs, bound_report, estimate_utility_noise
 from .gp import GPHyperparams
 from .selectors import (
     PeriodicSecretaryConfig,
@@ -68,9 +64,12 @@ __all__ = [
 
 UtilityOrFactory = Union[UtilityFunction, Callable[[ObservationStream], UtilityFunction]]
 
+# Bound validation enumerates the exact optimum only for instances this small.
+_EXACT_MAX_K = 4
+_EXACT_MAX_SUBSETS = 10**6
+
 # Fixed tags keep every stage of an experiment on its own seed stream.
 _TAG_TRIAL = 1
-_TAG_QOI = 2
 _TAG_TEST = 3
 _TAG_ALGO = 4
 _TAG_TUNE = 5
@@ -119,6 +118,8 @@ class AlgorithmSpec:
             raise ValueError(f"unknown algorithm {self.name!r}; known: {ALGORITHM_NAMES}")
         if self.needs_period and self.threshold_slack is None:
             raise ValueError(f"{self.name} algorithm needs a threshold_slack")
+        if self.threshold_slack is not None and self.threshold_slack < 0:
+            raise ValueError(f"threshold_slack must be non-negative, got {self.threshold_slack}")
 
     @property
     def reads_utility(self) -> bool:
@@ -185,6 +186,32 @@ class SlackTuningResult:
         return self.slacks.index(self.best_slack)
 
 
+def _seeded_trials(
+    spec: PeriodicStreamSpec, utility: UtilityOrFactory, seed: int, tag: int, runs: int
+) -> tuple[list[ObservationStream], list[UtilityFunction]]:
+    """``runs`` seeded synthetic streams and the utility resolved on each."""
+    streams = [generate_periodic_stream(spec, s) for s in derive_seeds(seed, tag, runs)]
+    return streams, [_resolve_utility(utility, s) for s in streams]
+
+
+def _periodic_runs(
+    streams: Sequence[ObservationStream],
+    utilities: Sequence[UtilityFunction],
+    k: int,
+    period_T: int,
+    slack: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Final utility and fill of one periodic-secretary run per trial."""
+    cfg = PeriodicSecretaryConfig(k=k, period_T=period_T, threshold_slack=slack)
+    finals = np.empty(len(streams))
+    fills = np.empty(len(streams))
+    for r, (stream, f) in enumerate(zip(streams, utilities)):
+        result = periodic_secretary(stream.observations, f, cfg)
+        finals[r] = _final_utility(result)
+        fills[r] = len(result.chosen)
+    return finals, fills
+
+
 def tune_threshold_slack(
     spec: PeriodicStreamSpec,
     utility: UtilityOrFactory,
@@ -203,17 +230,10 @@ def tune_threshold_slack(
     if runs < 1:
         raise ValueError(f"runs must be positive, got {runs}")
     slacks = tuple(sorted(float(s) for s in slack_grid))
-    trial_seeds = derive_seeds(seed, _TAG_TUNE, runs)
-    streams = [generate_periodic_stream(spec, s) for s in trial_seeds]
-    utilities = [_resolve_utility(utility, s) for s in streams]
-    finals = np.zeros((len(slacks), runs))
-    fills = np.zeros((len(slacks), runs))
-    for i, slack in enumerate(slacks):
-        cfg = PeriodicSecretaryConfig(k=k, period_T=spec.period_T, threshold_slack=slack)
-        for r, stream in enumerate(streams):
-            result = periodic_secretary(stream.observations, utilities[r], cfg)
-            finals[i, r] = _final_utility(result)
-            fills[i, r] = len(result.chosen)
+    streams, utilities = _seeded_trials(spec, utility, seed, _TAG_TUNE, runs)
+    finals, fills = np.swapaxes(
+        [_periodic_runs(streams, utilities, k, spec.period_T, slack) for slack in slacks], 0, 1
+    )
     mean_u = finals.mean(axis=1)
     ddof = 1 if runs > 1 else 0
     best = int(np.argmax(mean_u))  # first max = smallest slack on ties
@@ -303,32 +323,29 @@ def _pad_trace(values: Sequence[float], length: int, initial: float) -> np.ndarr
 
 
 def run_comparison(
-    stream_source: "ObservationStream | PeriodicStreamSpec",
+    base: ObservationStream,
     cfg: ExperimentConfig,
     hyper: GPHyperparams,
     utility: UtilityOrFactory | None = None,
     block_len: int | None = None,
     compute_mse: bool = True,
 ) -> ComparisonReport:
-    """Run every configured algorithm over seeded trial streams and aggregate.
+    """Run every configured algorithm over block-permuted trials of ``base``.
 
-    A base ObservationStream source yields one block-permuted trial per run;
-    a PeriodicStreamSpec source yields a fresh synthetic stream per run (with
-    a GP-drawn qoi attached when MSE is requested). The held-out test split
-    is drawn per trial from positions at or beyond one period, and those
-    positions are removed from the selectors' view (they are never part of
-    the reference period, so the selection context is unchanged).
+    Each run permutes blocks of ``block_len`` observations (default: one
+    period) under its own seed. The held-out test split is drawn per trial
+    from positions at or beyond one period, and those positions are removed
+    from the selectors' view (they are never part of the reference period,
+    so the selection context is unchanged).
     """
     if utility is None:
         utility = UtilityFunction.entropy(hyper)
-    synthetic = isinstance(stream_source, PeriodicStreamSpec)
-    if not synthetic and compute_mse and stream_source.qoi is None:
+    if compute_mse and base.qoi is None:
         raise ValueError("MSE requested but the stream has no qoi column")
-    if not synthetic and block_len is None:
+    if block_len is None:
         block_len = cfg.period_T
 
     trial_seeds = derive_seeds(cfg.seed, _TAG_TRIAL, cfg.runs)
-    qoi_seeds = derive_seeds(cfg.seed, _TAG_QOI, cfg.runs)
     test_seeds = derive_seeds(cfg.seed, _TAG_TEST, cfg.runs)
     algo_seeds = {
         a.label: derive_seeds(cfg.seed, _TAG_ALGO + 100 * i, cfg.runs)
@@ -341,12 +358,7 @@ def run_comparison(
     fills = {lab: np.zeros(cfg.runs) for lab in labels}
 
     for r in range(cfg.runs):
-        if synthetic:
-            trial = generate_periodic_stream(stream_source, trial_seeds[r])
-            if compute_mse:
-                trial = attach_gp_qoi(trial, hyper, qoi_seeds[r])
-        else:
-            trial = block_permute(stream_source, block_len, trial_seeds[r])
+        trial = block_permute(base, block_len, trial_seeds[r])
         f = _resolve_utility(utility, trial)
 
         if compute_mse:
@@ -428,66 +440,46 @@ def validate_bounds(
     slack_values: Sequence[float],
     runs: int,
     seed: int,
-    q_denominator: str = "variance",
-    gap_scale: float = 1.0,
-    exhaustive_max_k: int = 4,
-    exhaustive_cap: int = 10**6,
 ) -> BoundValidationReport:
     """Monte-Carlo check of the utility and success-count guarantees.
 
     Per (k, slack) cell: run the periodic secretary over seeded streams and
     compare mean final utility and mean acceptance count against the
-    theoretical lower bounds, flagging any non-vacuous bound the empirical
-    mean (minus three standard errors) falls below. The optimum f(A*) is
-    exact (full enumeration) when the instance is small enough; otherwise
-    the greedy value substitutes as a lower estimate and the utility check
-    is reported as informational rather than pass/fail. ``gap_scale``
-    deliberately rescales the per-step gap so detector tests can corrupt the
-    bound.
+    theoretical lower bounds of ``bounds.bound_report``, flagging any
+    non-vacuous bound the empirical mean (minus three standard errors) falls
+    below. The optimum f(A*) is exact (full enumeration) when k <= 4 and
+    C(N, k) <= 10**6; otherwise the greedy value substitutes as a lower
+    estimate and the utility check is reported as informational rather than
+    pass/fail.
     """
     if runs < 2:
         raise ValueError("bound validation needs runs >= 2 for standard errors")
-    trial_seeds = derive_seeds(seed, _TAG_TRIAL, runs)
-    streams = [generate_periodic_stream(spec, s) for s in trial_seeds]
-    utilities = [_resolve_utility(utility, s) for s in streams]
-
+    streams, utilities = _seeded_trials(spec, utility, seed, _TAG_TRIAL, runs)
     noise_est = float(
         np.mean([estimate_utility_noise(s, u) for s, u in zip(streams, utilities)])
     )
 
     cells: list[BoundValidationCell] = []
     for k in k_values:
-        exact = k <= exhaustive_max_k and math.comb(spec.length_N, k) <= exhaustive_cap
-        f_opts = np.empty(runs)
-        for r, (stream, f) in enumerate(zip(streams, utilities)):
-            if exact:
-                opt = exhaustive_optimum(stream.observations, f, k, max_subsets=exhaustive_cap)
-            else:
-                opt = offline_greedy(stream.observations, f, k)
-            f_opts[r] = _final_utility(opt)
+        exact = k <= _EXACT_MAX_K and math.comb(spec.length_N, k) <= _EXACT_MAX_SUBSETS
+        oracle = exhaustive_optimum if exact else offline_greedy
+        f_opt = float(np.mean(
+            [_final_utility(oracle(s.observations, f, k)) for s, f in zip(streams, utilities)]
+        ))
         for slack in slack_values:
-            finals = np.empty(runs)
-            succ = np.empty(runs)
-            cfg = PeriodicSecretaryConfig(k=k, period_T=spec.period_T, threshold_slack=slack)
-            for r, (stream, f) in enumerate(zip(streams, utilities)):
-                result = periodic_secretary(stream.observations, f, cfg)
-                finals[r] = _final_utility(result)
-                succ[r] = len(result.chosen)
-            gap = gap_scale * per_step_gap(slack, noise_est, spec.length_N, spec.period_T)
-            inputs = BoundInputs(
-                k=k,
-                threshold_slack=slack,
-                utility_noise=noise_est,
-                stream_len_N=spec.length_N,
-                period_T=spec.period_T,
-                f_opt=float(f_opts.mean()),
-            )
-            success_bound = expected_successes(inputs, q_denominator)
-            factor = success_bound / k
+            finals, succ = _periodic_runs(streams, utilities, k, spec.period_T, slack)
             # Linear in f_opt, so the mean per-trial bound equals the bound at
             # the mean optimum.
-            utility_bound = factor * (1.0 - 1.0 / math.e) * (float(f_opts.mean()) - k * gap)
-            vacuous = utility_bound <= 0
+            bound = bound_report(
+                BoundInputs(
+                    k=k,
+                    threshold_slack=slack,
+                    utility_noise=noise_est,
+                    stream_len_N=spec.length_N,
+                    period_T=spec.period_T,
+                    f_opt=f_opt,
+                )
+            )
             se_u = float(finals.std(ddof=1) / math.sqrt(runs))
             se_s = float(succ.std(ddof=1) / math.sqrt(runs))
             cells.append(
@@ -499,16 +491,16 @@ def validate_bounds(
                     se_utility=se_u,
                     mean_successes=float(succ.mean()),
                     se_successes=se_s,
-                    utility_bound=float(utility_bound),
-                    success_bound=float(success_bound),
-                    vacuous=vacuous,
+                    utility_bound=bound.utility_lower_bound,
+                    success_bound=bound.expected_successes,
+                    vacuous=bound.vacuous,
                     informational=not exact,
                     utility_violation=(
-                        not vacuous
+                        not bound.vacuous
                         and exact
-                        and finals.mean() - 3 * se_u < utility_bound
+                        and finals.mean() - 3 * se_u < bound.utility_lower_bound
                     ),
-                    success_violation=succ.mean() - 3 * se_s < success_bound,
+                    success_violation=succ.mean() - 3 * se_s < bound.expected_successes,
                 )
             )
     return BoundValidationReport(cells=tuple(cells), utility_noise_estimate=noise_est)

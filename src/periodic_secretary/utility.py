@@ -1,26 +1,19 @@
 """Set utility functions over observation samples.
 
-Three kinds are provided: the GP entropy criterion (joint differential
-entropy of the selected locations, computed by the chain rule), the mutual
-information criterion (offline use only; needs a model of the whole
-observation space), and a modular weighted sum. All kinds share the
-convention f(empty set) = 0 so marginal gains telescope cleanly.
+Two kinds are provided: the GP entropy criterion (joint differential
+entropy of the selected locations, computed by the chain rule through
+``GPConditioner``) and a modular weighted sum. Both share the convention
+f(empty set) = 0 so marginal gains telescope cleanly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .gp import (
-    FactorizationError,
-    GPConditioner,
-    GPHyperparams,
-    se_gram,
-)
+from .gp import GPConditioner, GPHyperparams
 from .stream import Observation
 
 __all__ = [
@@ -29,13 +22,9 @@ __all__ = [
     "SubmodularityReport",
     "Counterexample",
     "entropy_criterion",
-    "mutual_information_criterion",
     "marginal_gain",
     "check_submodular_monotone",
-    "DEFAULT_MI_CAP",
 ]
-
-DEFAULT_MI_CAP = 2000
 
 SetFunction = Callable[[Sequence[Observation]], float]
 
@@ -65,54 +54,6 @@ def entropy_criterion(points: np.ndarray, hyper: GPHyperparams) -> float:
     return total
 
 
-def _joint_entropy_det(points: np.ndarray, hyper: GPHyperparams) -> float:
-    """Joint entropy via the log-determinant of the noisy Gram matrix."""
-    m = points.shape[0]
-    if m == 0:
-        return 0.0
-    sign, logdet = np.linalg.slogdet(se_gram(points, hyper))
-    if sign <= 0:
-        raise FactorizationError(f"Gram matrix of {m} points has non-positive determinant")
-    return 0.5 * (m * math.log(2 * math.pi * math.e) + logdet)
-
-
-def mutual_information_criterion(
-    A: np.ndarray,
-    V: np.ndarray,
-    hyper: GPHyperparams,
-    cap: int = DEFAULT_MI_CAP,
-) -> float:
-    """Mutual information between the sampled locations A and the rest of V.
-
-    Requires A to be a literal subset of the rows of V. The O(|V|^3)
-    determinant evaluation is refused above ``cap`` points; this criterion is
-    for offline evaluation, not streaming selection.
-    """
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    if V.shape[0] > cap:
-        raise ValueError(
-            f"observation space has {V.shape[0]} points, above the configured cap {cap}"
-        )
-    A = np.asarray(A, dtype=float)
-    if A.size == 0:
-        return 0.0
-    A = np.atleast_2d(A)
-    rows = {np.ascontiguousarray(r).tobytes(): i for i, r in enumerate(V)}
-    members: list[int] = []
-    for r in A:
-        key = np.ascontiguousarray(r).tobytes()
-        if key not in rows:
-            raise ValueError("sample set is not a subset of the observation space")
-        members.append(rows[key])
-    member_set = set(members)
-    rest = V[[i for i in range(V.shape[0]) if i not in member_set]]
-    return (
-        _joint_entropy_det(rest, hyper)
-        + _joint_entropy_det(A, hyper)
-        - _joint_entropy_det(V, hyper)
-    )
-
-
 class UtilityEvaluator:
     """Stateful marginal-gain accumulator for one selector run.
 
@@ -135,7 +76,7 @@ class UtilityEvaluator:
         raise NotImplementedError
 
     def gains(self, observations: Sequence[Observation]) -> np.ndarray:
-        return np.array([self.gain(o) for o in observations])
+        raise NotImplementedError
 
     def accept(self, obs: Observation) -> float:
         if obs.index in self._indices:
@@ -186,64 +127,33 @@ class _ModularEvaluator(UtilityEvaluator):
         pass
 
 
-class _RecomputeEvaluator(UtilityEvaluator):
-    """Fallback evaluator: gains by evaluating f twice. Used for MI."""
-
-    def __init__(self, fn: SetFunction):
-        super().__init__()
-        self._fn = fn
-        self._members: list[Observation] = []
-
-    def gain(self, obs: Observation) -> float:
-        return self._fn([*self._members, obs]) - self._value
-
-    def _register(self, obs: Observation) -> None:
-        self._members.append(obs)
-        self._value = self._fn(self._members)  # keep exact, not accumulated
-
-
 @dataclass(frozen=True)
 class UtilityFunction:
     """A monotone set utility over observations, evaluated by kind.
 
     Use the factories: ``UtilityFunction.entropy(hyper)``,
-    ``UtilityFunction.mutual_information(hyper, full_space)``,
     ``UtilityFunction.modular(weights)``.
     """
 
     kind: str
     hyper: GPHyperparams | None = None
-    full_space: np.ndarray | None = None
     weights: np.ndarray | None = None
-    mi_cap: int = DEFAULT_MI_CAP
 
     def __post_init__(self) -> None:
-        if self.kind not in ("entropy", "mutual_information", "modular_sum"):
+        if self.kind not in ("entropy", "modular_sum"):
             raise ValueError(f"unknown utility kind {self.kind!r}")
-        if self.kind in ("entropy", "mutual_information") and self.hyper is None:
-            raise ValueError(f"{self.kind} utility requires GP hyperparameters")
-        if self.kind == "mutual_information" and self.full_space is None:
-            raise ValueError("mutual_information utility requires the full observation space")
+        if self.kind == "entropy" and self.hyper is None:
+            raise ValueError("entropy utility requires GP hyperparameters")
         if self.kind == "modular_sum":
             if self.weights is None:
                 raise ValueError("modular_sum utility requires per-index weights")
             w = np.asarray(self.weights, dtype=float).ravel()
             w.flags.writeable = False
             object.__setattr__(self, "weights", w)
-        if self.full_space is not None:
-            fs = np.atleast_2d(np.asarray(self.full_space, dtype=float))
-            fs.flags.writeable = False
-            object.__setattr__(self, "full_space", fs)
 
     @classmethod
     def entropy(cls, hyper: GPHyperparams) -> "UtilityFunction":
         return cls(kind="entropy", hyper=hyper)
-
-    @classmethod
-    def mutual_information(
-        cls, hyper: GPHyperparams, full_space: np.ndarray, cap: int = DEFAULT_MI_CAP
-    ) -> "UtilityFunction":
-        return cls(kind="mutual_information", hyper=hyper, full_space=full_space, mi_cap=cap)
 
     @classmethod
     def modular(cls, weights: np.ndarray) -> "UtilityFunction":
@@ -253,10 +163,6 @@ class UtilityFunction:
         """f(A) for an explicit sample set."""
         if self.kind == "entropy":
             return entropy_criterion(_features_of(observations), self.hyper)
-        if self.kind == "mutual_information":
-            return mutual_information_criterion(
-                _features_of(observations), self.full_space, self.hyper, cap=self.mi_cap
-            )
         return float(sum(self.weights[o.index] for o in observations))
 
     __call__ = value
@@ -265,9 +171,7 @@ class UtilityFunction:
         """Fresh stateful evaluator; one per selector run."""
         if self.kind == "entropy":
             return _EntropyEvaluator(self.hyper)
-        if self.kind == "modular_sum":
-            return _ModularEvaluator(self.weights)
-        return _RecomputeEvaluator(self.value)
+        return _ModularEvaluator(self.weights)
 
 
 def marginal_gain(f: UtilityFunction, A: Sequence[Observation], x: Observation) -> float:

@@ -292,6 +292,17 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
+    def test_negative_slack_is_usage_error(self, qoi_csv, hyper_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("evaluate", "--input", qoi_csv, "--qoi-col", "qoi",
+                    "--algos", "periodic:-1,scheduled", "--k", 2, "--period", 8,
+                    "--runs", 2, "--hyper", hyper_file, "--out", tmp_path / "eval")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "threshold_slack" in err
+        assert not (tmp_path / "eval").exists()
+
     def test_no_mse_run_replays_from_manifest(self, qoi_csv, hyper_file, tmp_path):
         first, replay = tmp_path / "first", tmp_path / "replay"
         assert run_cli("evaluate", "--input", qoi_csv, "--no-mse",

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import periodic_secretary.bounds
 from periodic_secretary import (
     AlgorithmSpec,
     ExperimentConfig,
@@ -39,6 +40,11 @@ def small_spec():
 @pytest.fixture
 def wide_hyper():
     return GPHyperparams(lengthscales=np.array([0.5]), signal_variance=1.0, noise_variance=0.1)
+
+
+@pytest.fixture
+def base_stream(small_spec, wide_hyper):
+    return attach_gp_qoi(generate_periodic_stream(small_spec, seed=5), wide_hyper, seed=6)
 
 
 def modular_factory(stream):
@@ -176,8 +182,8 @@ class TestRunComparison:
             seed=seed,
         )
 
-    def test_synthetic_source_shapes(self, small_spec, wide_hyper):
-        report = run_comparison(small_spec, self._config(), wide_hyper)
+    def test_synthetic_source_shapes(self, base_stream, wide_hyper):
+        report = run_comparison(base_stream, self._config(), wide_hyper)
         assert report.labels == ("periodic:0.3", "greedy", "scheduled", "random")
         for lab in report.labels:
             assert report.utility_mean[lab].shape == (5,)
@@ -192,9 +198,9 @@ class TestRunComparison:
         report = run_comparison(stream, self._config(), wide_hyper, compute_mse=False)
         assert report.mse_mean is None
 
-    def test_reproducible_bit_for_bit(self, small_spec, wide_hyper, tmp_path):
-        a = run_comparison(small_spec, self._config(), wide_hyper)
-        b = run_comparison(small_spec, self._config(), wide_hyper)
+    def test_reproducible_bit_for_bit(self, base_stream, wide_hyper, tmp_path):
+        a = run_comparison(base_stream, self._config(), wide_hyper)
+        b = run_comparison(base_stream, self._config(), wide_hyper)
         for lab in a.labels:
             assert np.array_equal(a.utility_runs[lab], b.utility_runs[lab])
             assert np.array_equal(a.mse_runs[lab], b.mse_runs[lab])
@@ -204,22 +210,22 @@ class TestRunComparison:
         for name in ("utility_curves.csv", "mse_curves.csv", "summary.txt"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    def test_greedy_mean_dominates_streaming(self, small_spec, wide_hyper):
-        report = run_comparison(small_spec, self._config(runs=8, seed=21), wide_hyper)
+    def test_greedy_mean_dominates_streaming(self, base_stream, wide_hyper):
+        report = run_comparison(base_stream, self._config(runs=8, seed=21), wide_hyper)
         greedy_final = report.utility_mean["greedy"][-1]
         for lab in report.labels:
             assert greedy_final >= report.utility_mean[lab][-1] - 1e-9
 
-    def test_utility_curves_non_decreasing(self, small_spec, wide_hyper):
-        report = run_comparison(small_spec, self._config(), wide_hyper)
+    def test_utility_curves_non_decreasing(self, base_stream, wide_hyper):
+        report = run_comparison(base_stream, self._config(), wide_hyper)
         for lab in report.labels:
             curve = report.utility_mean[lab]
             assert np.all(np.diff(curve) >= -1e-9)
 
-    def test_test_split_disjoint_from_selection(self, small_spec, wide_hyper):
+    def test_test_split_disjoint_from_selection(self, base_stream, wide_hyper):
         # Selections must avoid the held-out indices in every run; this is
         # implied by evaluate_prediction not raising inside run_comparison.
-        report = run_comparison(small_spec, self._config(runs=5, seed=33), wide_hyper)
+        report = run_comparison(base_stream, self._config(runs=5, seed=33), wide_hyper)
         assert report.runs == 5
 
     def test_unknown_algorithm_rejected(self):
@@ -229,6 +235,10 @@ class TestRunComparison:
     def test_periodic_requires_slack(self):
         with pytest.raises(ValueError, match="threshold_slack"):
             AlgorithmSpec("periodic")
+
+    def test_negative_slack_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            AlgorithmSpec("periodic", threshold_slack=-1.0)
 
 
 class TestValidateBounds:
@@ -246,8 +256,8 @@ class TestValidateBounds:
         assert report.violations == ()
         assert all(not c.informational for c in report.cells)
 
-    def test_corrupted_gap_is_flagged(self):
-        # A negative gap scale pushes the bound above the optimum itself, so
+    def test_corrupted_gap_is_flagged(self, monkeypatch):
+        # A gap scaled by -20 pushes the bound above the optimum itself, so
         # a sound detector must flag it (plain halving cannot force a
         # violation here: the true bound is loose by the 1-1/e factor).
         spec = PeriodicStreamSpec(
@@ -260,14 +270,12 @@ class TestValidateBounds:
             spec, modular_factory, k_values=[2], slack_values=[0.3], runs=6, seed=4
         )
         assert honest.violations == ()
+        true_gap = periodic_secretary.bounds.per_step_gap
+        monkeypatch.setattr(
+            periodic_secretary.bounds, "per_step_gap", lambda *a: -20.0 * true_gap(*a)
+        )
         corrupted = validate_bounds(
-            spec,
-            modular_factory,
-            k_values=[2],
-            slack_values=[0.3],
-            runs=6,
-            seed=4,
-            gap_scale=-20.0,
+            spec, modular_factory, k_values=[2], slack_values=[0.3], runs=6, seed=4
         )
         assert any(c.utility_violation for c in corrupted.cells)
 
@@ -278,14 +286,9 @@ class TestValidateBounds:
             length_N=32,
             base_waveform=np.array([[0.0], [3.0], [1.0], [2.0]]),
         )
+        # k = 5 is above the largest k whose optimum is enumerated exactly.
         report = validate_bounds(
-            spec,
-            modular_factory,
-            k_values=[3],
-            slack_values=[0.2],
-            runs=3,
-            seed=5,
-            exhaustive_max_k=2,
+            spec, modular_factory, k_values=[5], slack_values=[0.2], runs=3, seed=5
         )
         assert all(c.informational for c in report.cells)
         assert all(not c.utility_violation for c in report.cells)

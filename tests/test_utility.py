@@ -9,7 +9,6 @@ from periodic_secretary import (
     check_submodular_monotone,
     entropy_criterion,
     marginal_gain,
-    mutual_information_criterion,
 )
 
 from conftest import make_observations, random_hyper
@@ -30,18 +29,6 @@ def oracle_joint_entropy(points, hyper):
                 K[i, j] += hyper.noise_variance
     _, logdet = np.linalg.slogdet(K)
     return 0.5 * (m * math.log(2 * math.pi * math.e) + logdet)
-
-
-def oracle_mutual_information(A, V, hyper):
-    """Independent oracle: H(V minus A) - (H(V) - H(A)) from joint entropies."""
-    V = np.atleast_2d(V)
-    keys_a = {tuple(r) for r in np.atleast_2d(A)} if np.size(A) else set()
-    rest = np.array([r for r in V if tuple(r) not in keys_a])
-    return (
-        oracle_joint_entropy(rest, hyper)
-        + oracle_joint_entropy(np.atleast_2d(A) if np.size(A) else np.empty((0, V.shape[1])), hyper)
-        - oracle_joint_entropy(V, hyper)
-    )
 
 
 class TestEntropyCriterion:
@@ -77,41 +64,6 @@ class TestEntropyCriterion:
         for _ in range(5):
             perm = rng.permutation(6)
             assert entropy_criterion(pts[perm], hyper) == pytest.approx(base, abs=1e-8)
-
-
-class TestMutualInformation:
-    def test_empty_sample_set(self, unit_hyper):
-        V = np.array([[0.0], [1.0], [2.0]])
-        assert mutual_information_criterion(np.empty((0, 1)), V, unit_hyper) == 0.0
-
-    def test_full_space_sampled(self, unit_hyper):
-        V = np.array([[0.0], [1.0], [2.0]])
-        assert mutual_information_criterion(V, V, unit_hyper) == pytest.approx(0.0, abs=1e-9)
-
-    def test_matches_brute_force_oracle(self):
-        rng = np.random.default_rng(13)
-        for _ in range(10):
-            hyper = random_hyper(rng)
-            V = rng.normal(size=(4, 1))
-            A = V[rng.choice(4, size=2, replace=False)]
-            assert mutual_information_criterion(A, V, hyper) == pytest.approx(
-                oracle_mutual_information(A, V, hyper), abs=1e-8
-            )
-
-    def test_cap_refusal_names_cap(self, unit_hyper):
-        V = np.zeros((11, 1)) + np.arange(11)[:, None]
-        with pytest.raises(ValueError, match="cap 10"):
-            mutual_information_criterion(V[:2], V, unit_hyper, cap=10)
-
-    def test_non_subset_rejected(self, unit_hyper):
-        V = np.array([[0.0], [1.0]])
-        with pytest.raises(ValueError, match="subset"):
-            mutual_information_criterion(np.array([[5.0]]), V, unit_hyper)
-
-    def test_nonnegative_on_proper_subsets(self, unit_hyper):
-        V = np.linspace(0, 3, 5)[:, None]
-        mi = mutual_information_criterion(V[:2], V, unit_hyper)
-        assert mi > 0
 
 
 class TestMarginalGain:
@@ -237,10 +189,6 @@ class TestSubmodularityCheck:
 
 
 class TestUtilityFunctionValidation:
-    def test_mi_requires_full_space(self, unit_hyper):
-        with pytest.raises(ValueError, match="full observation space"):
-            UtilityFunction(kind="mutual_information", hyper=unit_hyper)
-
     def test_entropy_requires_hyper(self):
         with pytest.raises(ValueError, match="hyperparameters"):
             UtilityFunction(kind="entropy")
@@ -252,12 +200,3 @@ class TestUtilityFunctionValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown"):
             UtilityFunction(kind="variance")
-
-    def test_mi_utility_value_uses_evaluator_path(self, unit_hyper):
-        V = np.linspace(0, 2, 4)[:, None]
-        f = UtilityFunction.mutual_information(unit_hyper, V)
-        obs = make_observations(V[:2, 0])
-        ev = f.evaluator()
-        ev.accept(obs[0])
-        ev.accept(obs[1])
-        assert ev.value == pytest.approx(f.value(obs), abs=1e-10)
