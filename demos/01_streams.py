@@ -7,6 +7,9 @@ empirically, round-trips it through CSV, and builds permuted evaluation
 trials.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from periodic_secretary import (
@@ -42,9 +45,11 @@ again = generate_periodic_stream(spec, seed=7)
 print("regenerating with the same seed is identical:",
       bool(np.array_equal(again.feature_matrix, stream.feature_matrix)))
 
-# CSV round trip at 12 significant digits.
-schema = write_stream_csv(stream, "/tmp/demo_stream.csv")
-back = ingest_csv("/tmp/demo_stream.csv", schema)
+# CSV round trip at 12 significant digits, in a private temporary directory.
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "demo_stream.csv"
+    schema = write_stream_csv(stream, path)
+    back = ingest_csv(path, schema)
 err = np.abs(back.feature_matrix - stream.feature_matrix).max()
 print(f"CSV round-trip max error {err:.2e}")
 

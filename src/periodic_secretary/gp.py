@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrsv
 from scipy.spatial.distance import cdist
 
 from .kv import format_value, read_kv_file, write_kv_file
@@ -125,12 +126,25 @@ def se_kernel(x: np.ndarray, x2: np.ndarray, hyper: GPHyperparams) -> float:
     return hyper.signal_variance * math.exp(-0.5 * float(z @ z))
 
 
+def _se_scaled(A: np.ndarray, B: np.ndarray, signal_variance: float) -> np.ndarray:
+    """SE covariances between rows of A and B, both already divided by the lengthscales."""
+    return signal_variance * np.exp(-0.5 * cdist(A, B, "sqeuclidean"))
+
+
+def _se_column(A: np.ndarray, b: np.ndarray, signal_variance: float) -> np.ndarray:
+    """SE covariances between the rows of A and one point b, both scaled.
+
+    Same arithmetic as ``_se_scaled`` without its per-call overhead; this is
+    the kernel on the per-arrival path.
+    """
+    return signal_variance * np.exp(-0.5 * np.square(A - b).sum(axis=1))
+
+
 def se_cross_covariance(X: np.ndarray, Z: np.ndarray, hyper: GPHyperparams) -> np.ndarray:
     """(n, m) matrix of SE covariances between rows of X and rows of Z (no noise)."""
     X = _check_dim(X, hyper, "X")
     Z = _check_dim(Z, hyper, "Z")
-    d2 = cdist(X / hyper.lengthscales, Z / hyper.lengthscales, "sqeuclidean")
-    return hyper.signal_variance * np.exp(-0.5 * d2)
+    return _se_scaled(X / hyper.lengthscales, Z / hyper.lengthscales, hyper.signal_variance)
 
 
 def se_gram(X: np.ndarray, hyper: GPHyperparams) -> np.ndarray:
@@ -139,9 +153,8 @@ def se_gram(X: np.ndarray, hyper: GPHyperparams) -> np.ndarray:
     return K + hyper.noise_variance * np.eye(K.shape[0])
 
 
-def _factor(X: np.ndarray, hyper: GPHyperparams, start_level: int = 0) -> tuple[np.ndarray, int]:
-    """Cholesky of the noisy Gram matrix, escalating jitter until it succeeds."""
-    K = se_gram(X, hyper)
+def _cholesky(K: np.ndarray, start_level: int = 0) -> tuple[np.ndarray, int]:
+    """Lower Cholesky factor of K, escalating diagonal jitter until it succeeds."""
     eye = np.eye(K.shape[0])
     for level in range(start_level, len(_JITTER_LADDER)):
         try:
@@ -154,43 +167,95 @@ def _factor(X: np.ndarray, hyper: GPHyperparams, start_level: int = 0) -> tuple[
     )
 
 
-class GPConditioner:
-    """Incrementally factorized conditioning set.
+def _factor(X: np.ndarray, hyper: GPHyperparams, start_level: int = 0) -> tuple[np.ndarray, int]:
+    """Cholesky of the noisy Gram matrix, escalating jitter until it succeeds."""
+    return _cholesky(se_gram(X, hyper), start_level)
 
-    Owns the Cholesky factor of the noisy Gram matrix over the accepted
-    locations. Extending by one point and evaluating one candidate both cost
-    O(m^2), which is what makes streaming entropy evaluation affordable.
-    A conditioner belongs to a single selector run; it is not thread-safe.
+
+def _with_capacity(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``buf`` if it holds ``shape``, else a larger copy (doubling each short axis)."""
+    if all(n <= c for n, c in zip(shape, buf.shape)):
+        return buf
+    grown = np.empty(tuple(max(n, 2 * c) if n > c else c for n, c in zip(shape, buf.shape)))
+    grown[tuple(slice(0, c) for c in buf.shape)] = buf
+    return grown
+
+
+class GPConditioner:
+    """Incrementally factorized conditioning set with a tracked candidate pool.
+
+    Owns the lower Cholesky factor L of the noisy Gram matrix over the
+    accepted locations S, kept Fortran-ordered so that single-vector solves
+    go straight to BLAS ``dtrsv``. Evaluating one candidate costs O(m^2).
+
+    It can also track a pool P of candidate locations (``track``/``untrack``):
+    it keeps Z = L^-1 K(S, P) and the pool's conditional variances, and
+    ``extend`` appends one row to Z and subtracts that row's square from the
+    variances, so after each acceptance every tracked variance is current at
+    O(m |P|) cost. Extending by the pool's largest-variance point is one step
+    of pivoted Cholesky, which is greedy entropy maximisation (Krause, Singh &
+    Guestrin, JMLR 2008). A conditioner belongs to a single selector run; it
+    is not thread-safe.
     """
 
     def __init__(self, hyper: GPHyperparams):
         self.hyper = hyper
-        self._X = np.empty((0, hyper.dim))
-        self._L = np.empty((0, 0))
+        self._Xs = np.empty((0, hyper.dim))  # accepted locations / lengthscales
+        self._L = np.empty((0, 0), order="F")
         self._level = 0  # current position in the jitter ladder
+        # Tracked pool, in buffers with spare capacity: scaled locations
+        # _Ps[:p], _Z[:m, :p] and unclamped variances _v[:p] are live.
+        self._p = 0
+        self._Ps = np.empty((0, hyper.dim))
+        self._Z = np.empty((0, 0))
+        self._v = np.empty(0)
 
     def __len__(self) -> int:
-        return self._X.shape[0]
+        return self._Xs.shape[0]
 
     @classmethod
     def from_points(cls, X: np.ndarray, hyper: GPHyperparams) -> "GPConditioner":
         cond = cls(hyper)
         X = _check_dim(X, hyper, "conditioning set")
         if X.shape[0]:
-            cond._L, cond._level = _factor(X, hyper)
-            cond._X = X.copy()
+            cond._refactor(X / hyper.lengthscales, 0)
         return cond
+
+    def _refactor(self, Xs: np.ndarray, start_level: int) -> None:
+        """Make Xs the set, factored afresh from ``start_level``, and rebuild the pool's Z."""
+        K = _se_scaled(Xs, Xs, self.hyper.signal_variance)
+        L, self._level = _cholesky(K + self.hyper.noise_variance * np.eye(len(Xs)), start_level)
+        self._Xs = Xs
+        self._L = np.asfortranarray(L)
+        p = self._p
+        if p:
+            self._reserve(len(self), p)
+            Z = self._Z[: len(self), :p]
+            Z[...] = self._solve(self._Ps[:p])
+            self._v[:p] = self.hyper.prior_variance - np.einsum("ij,ij->j", Z, Z)
+
+    def _reserve(self, m: int, p: int) -> None:
+        """Grow the pool buffers, if needed, to hold m set rows and p pool points."""
+        if m > self._Z.shape[0] or p > self._v.shape[0]:
+            self._Z = _with_capacity(self._Z, (m, p))
+            self._Ps = _with_capacity(self._Ps, (p, self.hyper.dim))
+            self._v = _with_capacity(self._v, (p,))
+
+    def _solve(self, Qs: np.ndarray) -> np.ndarray:
+        """L^-1 K(S, Q) for scaled query rows Qs; a single row goes through ``dtrsv``."""
+        sv = self.hyper.signal_variance
+        if len(self) == 0:
+            return np.empty((0, Qs.shape[0]))
+        if Qs.shape[0] == 1:
+            return dtrsv(self._L, _se_column(self._Xs, Qs[0], sv), lower=1)[:, None]
+        return solve_triangular(self._L, _se_scaled(self._Xs, Qs, sv), lower=True, check_finite=False)
 
     def conditional_variances(self, Q: np.ndarray) -> np.ndarray:
         """Noisy-observable conditional variance at each row of Q given the current set."""
         Q = _check_dim(Q, self.hyper, "query")
         prior = self.hyper.prior_variance
-        if len(self) == 0:
-            return np.full(Q.shape[0], prior)
-        B = se_cross_covariance(self._X, Q, self.hyper)
-        Z = solve_triangular(self._L, B, lower=True, check_finite=False)
-        v = prior - np.einsum("ij,ij->j", Z, Z)
-        return np.clip(v, VARIANCE_FLOOR, prior)
+        Z = self._solve(Q / self.hyper.lengthscales)
+        return np.clip(prior - np.einsum("ij,ij->j", Z, Z), VARIANCE_FLOOR, prior)
 
     def conditional_variance(self, x: np.ndarray) -> float:
         return float(self.conditional_variances(np.atleast_2d(x))[0])
@@ -202,33 +267,65 @@ class GPConditioner:
     def entropy(self, x: np.ndarray) -> float:
         return float(self.entropies(np.atleast_2d(x))[0])
 
-    def extend(self, x: np.ndarray) -> None:
-        """Add one location to the conditioning set, updating the factor in place."""
+    def track(self, Q: np.ndarray) -> None:
+        """Append the rows of Q to the tracked pool, after any already tracked."""
+        Qs = _check_dim(Q, self.hyper, "pool") / self.hyper.lengthscales
+        m, p, b = len(self), self._p, Qs.shape[0]
+        self._reserve(m, p + b)
+        self._Ps[p : p + b] = Qs
+        Z = self._solve(Qs)
+        self._Z[:m, p : p + b] = Z
+        self._v[p : p + b] = self.hyper.prior_variance - np.einsum("ij,ij->j", Z, Z)
+        self._p = p + b
+
+    def untrack(self, n: int) -> None:
+        """Drop the n most recently tracked pool points."""
+        if not 0 <= n <= self._p:
+            raise ValueError(f"cannot untrack {n} of {self._p} tracked points")
+        self._p -= n
+
+    def tracked_variances(self) -> np.ndarray:
+        """Conditional variance of each tracked point given the current set, in pool order."""
+        # np.minimum/np.maximum clamp as np.clip does at about half its call overhead.
+        return np.minimum(np.maximum(self._v[: self._p], VARIANCE_FLOOR), self.hyper.prior_variance)
+
+    def extend(self, x: np.ndarray) -> float:
+        """Add one location to the conditioning set, updating the factor and the pool.
+
+        Returns the conditional variance of x given the set before the update,
+        clamped like ``conditional_variances``: the squared Cholesky pivot
+        less the jitter in force, so summing the entropies of these values
+        gives the joint entropy by the chain rule.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape[0] != self.hyper.dim:
+        if x.shape != (self.hyper.dim,):
             raise ValueError(f"point dimension {x.shape[0]} != {self.hyper.dim}")
-        m = len(self)
-        diag = self.hyper.prior_variance + _JITTER_LADDER[self._level]
-        if m == 0:
-            self._L = np.array([[math.sqrt(diag)]])
-            self._X = x[None, :].copy()
-            return
-        b = se_cross_covariance(self._X, x[None, :], self.hyper)[:, 0]
-        a = solve_triangular(self._L, b, lower=True, check_finite=False)
-        pivot_sq = diag - float(a @ a)
+        xs = x / self.hyper.lengthscales
+        m, p = len(self), self._p
+        prior = self.hyper.prior_variance
+        a = self._solve(xs[None, :])[:, 0]
+        aa = float(a @ a)
+        pivot_sq = prior + _JITTER_LADDER[self._level] - aa
+        Xs = np.vstack([self._Xs, xs[None, :]])
         if pivot_sq <= 0:
             # Near-duplicate location defeated the border update; refactor the
             # whole set with more jitter.
-            X_new = np.vstack([self._X, x[None, :]])
-            self._L, self._level = _factor(X_new, self.hyper, start_level=self._level + 1)
-            self._X = X_new
-            return
-        grown = np.zeros((m + 1, m + 1))
-        grown[:m, :m] = self._L
-        grown[m, :m] = a
-        grown[m, m] = math.sqrt(pivot_sq)
-        self._L = grown
-        self._X = np.vstack([self._X, x[None, :]])
+            self._refactor(Xs, self._level + 1)
+        else:
+            self._Xs = Xs
+            pivot = math.sqrt(pivot_sq)
+            grown = np.zeros((m + 1, m + 1), order="F")
+            grown[:m, :m] = self._L
+            grown[m, :m] = a
+            grown[m, m] = pivot
+            self._L = grown
+            if p:
+                self._reserve(m + 1, p)
+                k = _se_column(self._Ps[:p], xs, self.hyper.signal_variance)
+                row = (k - a @ self._Z[:m, :p]) / pivot
+                self._Z[m, :p] = row
+                self._v[:p] -= row * row
+        return min(max(prior - aa, VARIANCE_FLOOR), prior)
 
 
 def conditional_variance(

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from functools import lru_cache
+from itertools import chain, combinations, islice
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -110,33 +111,52 @@ def periodic_secretary(
     observation meeting it is accepted, after which the reference utilities
     and threshold are recomputed against the grown set. Stops after k
     acceptances or at end of stream, whichever comes first.
+
+    The scan reads the stream in arrived batches: a ``Sequence`` is already
+    all there, so it is read one period at a time; any other iterable yields
+    only the observation that has just arrived, and nothing is read past the
+    last decision. The reference set and the current batch are the
+    evaluator's tracked pool, so every gain and every recalibration is a
+    vector read. Gains depend only on the accepted set, so the decisions are
+    those of a one-at-a-time scan.
     """
+    T = cfg.period_T
     it = iter(stream)
-    reference = list(islice(it, cfg.period_T))
-    if len(reference) < cfg.period_T:
+    reference = list(islice(it, T))
+    if len(reference) < T:
         raise ValueError(
-            f"stream ended after {len(reference)} observations, before one full period ({cfg.period_T})"
+            f"stream ended after {len(reference)} observations, before one full period ({T})"
         )
     ev = f.evaluator()
-    threshold_gain = float(np.max(ev.gains(reference))) - cfg.threshold_slack
+    ev.track(reference)
+    threshold_gain = float(np.max(ev.tracked_gains())) - cfg.threshold_slack
     chosen: list[int] = []
     trace: list[float] = []
     thresholds: list[float] = []
-    terminated = "end_of_stream"
-    for obs in it:
-        if ev.gain(obs) >= threshold_gain:
+    batch_size = T if isinstance(stream, Sequence) else 1
+    for batch in iter(lambda: list(islice(it, batch_size)), []):
+        ev.track(batch)
+        gains = ev.tracked_gains()
+        start = 0
+        while len(chosen) < cfg.k:
+            hits = np.flatnonzero(gains[T + start :] >= threshold_gain)
+            if hits.size == 0:
+                break
+            obs = batch[start + int(hits[0])]
             thresholds.append(ev.value + threshold_gain)
             ev.accept(obs)
             chosen.append(obs.index)
             trace.append(ev.value)
-            if len(chosen) == cfg.k:
-                terminated = "filled_k"
-                break
-            threshold_gain = float(np.max(ev.gains(reference))) - cfg.threshold_slack
+            gains = ev.tracked_gains()
+            threshold_gain = float(np.max(gains[:T])) - cfg.threshold_slack
+            start += int(hits[0]) + 1
+        if len(chosen) == cfg.k:
+            break
+        ev.untrack(len(batch))
     return SelectionResult(
         chosen=tuple(chosen),
         utility_trace=tuple(trace),
-        terminated=terminated,
+        terminated="filled_k" if len(chosen) == cfg.k else "end_of_stream",
         threshold_trace=tuple(thresholds),
     )
 
@@ -228,22 +248,36 @@ def offline_greedy(
     Ties break to the lowest observation index. ``chosen`` is in selection
     order, which is generally not index order.
     """
-    remaining = sorted(ground, key=lambda o: o.index)
+    items = sorted(ground, key=lambda o: o.index)
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    if k > len(remaining):
-        raise ValueError(f"k ({k}) exceeds ground set size ({len(remaining)})")
+    if k > len(items):
+        raise ValueError(f"k ({k}) exceeds ground set size ({len(items)})")
     ev = f.evaluator()
+    ev.track(items)
+    taken = np.zeros(len(items), dtype=bool)
     chosen: list[int] = []
     trace: list[float] = []
     for _ in range(k):
-        gains = ev.gains(remaining)
-        pos = int(np.argmax(gains))  # first max = lowest index after the sort
-        obs = remaining.pop(pos)
-        ev.accept(obs)
-        chosen.append(obs.index)
+        pos = int(np.argmax(np.where(taken, -np.inf, ev.tracked_gains())))  # first max = lowest index
+        taken[pos] = True
+        ev.accept(items[pos])
+        chosen.append(items[pos].index)
         trace.append(ev.value)
     return SelectionResult(chosen=tuple(chosen), utility_trace=tuple(trace), terminated="filled_k")
+
+
+@lru_cache(maxsize=8)
+def _k_subsets(n: int, k: int) -> np.ndarray:
+    """Every k-subset of range(n) as rows in lexicographic order (read-only)."""
+    flat = np.fromiter(
+        chain.from_iterable(combinations(range(n), k)),
+        dtype=np.min_scalar_type(n),
+        count=math.comb(n, k) * k,
+    )
+    combos = flat.reshape(-1, k)
+    combos.flags.writeable = False
+    return combos
 
 
 def exhaustive_optimum(
@@ -269,7 +303,7 @@ def exhaustive_optimum(
 
     if f.kind == "modular_sum":
         # Still full enumeration; the subset sums are just evaluated in bulk.
-        combos = np.array(list(combinations(range(n), k)), dtype=np.intp)
+        combos = _k_subsets(n, k)
         w = np.array([f.weights[o.index] for o in items])
         best_pos = int(np.argmax(w[combos].sum(axis=1)))  # first max = lex smallest
         best = [items[i] for i in combos[best_pos]]

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gp import GPConditioner, GPHyperparams
+from .gp import GAUSSIAN_ENTROPY_CONST, GPConditioner, GPHyperparams
 from .stream import Observation
 
 __all__ = [
@@ -32,33 +32,37 @@ SetFunction = Callable[[Sequence[Observation]], float]
 def _features_of(observations: Sequence[Observation]) -> np.ndarray:
     if len(observations) == 0:
         return np.empty((0, 0))
-    return np.vstack([o.features for o in observations])
+    return np.array([o.features for o in observations], dtype=float)
+
+
+def _entropy_of(variance):
+    """Differential entropy of a scalar Gaussian with the given variance(s)."""
+    return GAUSSIAN_ENTROPY_CONST + 0.5 * np.log(variance)
 
 
 def entropy_criterion(points: np.ndarray, hyper: GPHyperparams) -> float:
     """Joint differential entropy of a set of locations under the GP model.
 
-    Computed by the chain rule: each point contributes its conditional
-    entropy given the points before it, so the result is order-independent
+    Computed by the chain rule: each point contributes the entropy of its
+    conditional variance given the points before it, which is the squared
+    pivot of that point's Cholesky step, so the result is order-independent
     up to floating-point roundoff. The empty set evaluates to 0.
     """
     points = np.asarray(points, dtype=float)
     if points.size == 0:
         return 0.0
-    points = np.atleast_2d(points)
     cond = GPConditioner(hyper)
-    total = 0.0
-    for x in points:
-        total += cond.entropy(x)
-        cond.extend(x)
-    return total
+    return float(sum(_entropy_of(cond.extend(x)) for x in np.atleast_2d(points)))
 
 
 class UtilityEvaluator:
     """Stateful marginal-gain accumulator for one selector run.
 
     Tracks the running utility value f(A) and answers gain queries against
-    the current set. ``accept`` is irrevocable: re-adding an index raises.
+    the current set, either for given observations (``gain``, ``gains``) or
+    for a tracked pool of observations (``track``, ``untrack``,
+    ``tracked_gains``) whose gains stay current as the set grows. ``accept``
+    is irrevocable: re-adding an index raises.
     """
 
     def __init__(self) -> None:
@@ -78,15 +82,27 @@ class UtilityEvaluator:
     def gains(self, observations: Sequence[Observation]) -> np.ndarray:
         raise NotImplementedError
 
+    def track(self, observations: Sequence[Observation]) -> None:
+        """Append observations to the tracked pool."""
+        raise NotImplementedError
+
+    def untrack(self, n: int) -> None:
+        """Drop the n most recently tracked observations from the pool."""
+        raise NotImplementedError
+
+    def tracked_gains(self) -> np.ndarray:
+        """Marginal gain of each tracked observation against the current set, in pool order."""
+        raise NotImplementedError
+
     def accept(self, obs: Observation) -> float:
         if obs.index in self._indices:
             raise ValueError(f"observation {obs.index} is already in the sample set")
-        self._value += self.gain(obs)
+        self._value += self._register(obs)
         self._indices.add(obs.index)
-        self._register(obs)
         return self._value
 
-    def _register(self, obs: Observation) -> None:
+    def _register(self, obs: Observation) -> float:
+        """Add obs to the set; return its marginal gain against the set before."""
         raise NotImplementedError
 
 
@@ -103,14 +119,25 @@ class _EntropyEvaluator(UtilityEvaluator):
             return np.empty(0)
         return self._cond.entropies(_features_of(observations))
 
-    def _register(self, obs: Observation) -> None:
-        self._cond.extend(obs.features)
+    def track(self, observations: Sequence[Observation]) -> None:
+        if len(observations):
+            self._cond.track(_features_of(observations))
+
+    def untrack(self, n: int) -> None:
+        self._cond.untrack(n)
+
+    def tracked_gains(self) -> np.ndarray:
+        return _entropy_of(self._cond.tracked_variances())
+
+    def _register(self, obs: Observation) -> float:
+        return float(_entropy_of(self._cond.extend(obs.features)))
 
 
 class _ModularEvaluator(UtilityEvaluator):
     def __init__(self, weights: np.ndarray):
         super().__init__()
         self._w = weights
+        self._pool = np.empty(0)
 
     def _weight(self, obs: Observation) -> float:
         if obs.index >= self._w.shape[0]:
@@ -123,8 +150,19 @@ class _ModularEvaluator(UtilityEvaluator):
     def gains(self, observations: Sequence[Observation]) -> np.ndarray:
         return np.array([self._weight(o) for o in observations])
 
-    def _register(self, obs: Observation) -> None:
-        pass
+    def track(self, observations: Sequence[Observation]) -> None:
+        self._pool = np.concatenate([self._pool, [self._weight(o) for o in observations]])
+
+    def untrack(self, n: int) -> None:
+        if not 0 <= n <= len(self._pool):
+            raise ValueError(f"cannot untrack {n} of {len(self._pool)} tracked points")
+        self._pool = self._pool[: len(self._pool) - n]
+
+    def tracked_gains(self) -> np.ndarray:
+        return self._pool.copy()
+
+    def _register(self, obs: Observation) -> float:
+        return self._weight(obs)
 
 
 @dataclass(frozen=True)

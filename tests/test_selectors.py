@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from periodic_secretary import (
+    GPHyperparams,
     PeriodicSecretaryConfig,
     PeriodicStreamSpec,
     UtilityFunction,
@@ -15,6 +16,7 @@ from periodic_secretary import (
     random_sampler,
     scheduled_sampler,
     submodular_secretary,
+    two_sine_waveform,
 )
 from periodic_secretary.selectors import utility_trace_for, write_selection_csv
 
@@ -106,6 +108,29 @@ class TestPeriodicSecretary:
         cfg = PeriodicSecretaryConfig(k=1, period_T=4, threshold_slack=0.0)
         result = periodic_secretary((o for o in stream.observations), f, cfg)
         assert result.chosen == (5,)
+
+    @pytest.mark.parametrize("slack", [0.05, 0.35, 2.0])
+    def test_generator_is_not_read_past_last_decision(self, slack):
+        # A live stream hands over one arrival at a time; a selector that has
+        # filled k must not have asked for anything after its last pick.
+        spec = PeriodicStreamSpec(
+            period_T=24, noise_cov=np.array([[0.35]]), length_N=24 * 20,
+            base_waveform=two_sine_waveform(24),
+        )
+        stream = generate_periodic_stream(spec, seed=11)
+        hyper = GPHyperparams(lengthscales=np.array([0.3]), signal_variance=1.0, noise_variance=0.1)
+        pulled = 0
+
+        def arrivals():
+            nonlocal pulled
+            for obs in stream.observations:
+                pulled += 1
+                yield obs
+
+        cfg = PeriodicSecretaryConfig(k=10, period_T=24, threshold_slack=slack)
+        result = periodic_secretary(arrivals(), UtilityFunction.entropy(hyper), cfg)
+        assert result.terminated == "filled_k"
+        assert pulled == result.chosen[-1] + 1
 
     def test_indices_strictly_increasing(self):
         spec = PeriodicStreamSpec(
