@@ -53,6 +53,11 @@ GAUSSIAN_ENTROPY_CONST = 0.5 * math.log(2 * math.pi * math.e)
 # Diagonal jitter ladder tried before declaring a Gram matrix unfactorizable.
 _JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 
+# A squared pivot at or below this share of the prior variance is roundoff,
+# not information (about 450 ulps, above the error of a dot product of a few
+# hundred terms): ``extend`` treats it as a breakdown and escalates jitter.
+_PIVOT_RTOL = 1e-13
+
 
 class FactorizationError(RuntimeError):
     """Gram matrix could not be Cholesky-factorized even with maximum jitter."""
@@ -258,14 +263,26 @@ class GPConditioner:
         return np.clip(prior - np.einsum("ij,ij->j", Z, Z), VARIANCE_FLOOR, prior)
 
     def conditional_variance(self, x: np.ndarray) -> float:
-        return float(self.conditional_variances(np.atleast_2d(x))[0])
+        """Conditional variance at one (d,) float point x: the per-arrival path.
+
+        One ``dtrsv`` and the arithmetic of ``track`` plus ``tracked_variances``,
+        so the result equals the tracked variance of x bit for bit. x is not
+        checked; ``conditional_variances`` is the checked path.
+        """
+        prior = self.hyper.prior_variance
+        if not len(self):
+            return prior
+        a = dtrsv(self._L, _se_column(self._Xs, x / self.hyper.lengthscales,
+                                      self.hyper.signal_variance), lower=1)
+        return min(max(prior - np.einsum("i,i->", a, a), VARIANCE_FLOOR), prior)
 
     def entropies(self, Q: np.ndarray) -> np.ndarray:
         """Differential entropy of the scalar prediction at each row of Q."""
         return GAUSSIAN_ENTROPY_CONST + 0.5 * np.log(self.conditional_variances(Q))
 
     def entropy(self, x: np.ndarray) -> float:
-        return float(self.entropies(np.atleast_2d(x))[0])
+        """Differential entropy at one (d,) float point x, as ``conditional_variance``."""
+        return float(GAUSSIAN_ENTROPY_CONST + 0.5 * np.log(self.conditional_variance(x)))
 
     def track(self, Q: np.ndarray) -> None:
         """Append the rows of Q to the tracked pool, after any already tracked."""
@@ -307,7 +324,7 @@ class GPConditioner:
         aa = float(a @ a)
         pivot_sq = prior + _JITTER_LADDER[self._level] - aa
         Xs = np.vstack([self._Xs, xs[None, :]])
-        if pivot_sq <= 0:
+        if pivot_sq <= _PIVOT_RTOL * prior:
             # Near-duplicate location defeated the border update; refactor the
             # whole set with more jitter.
             self._refactor(Xs, self._level + 1)
@@ -340,7 +357,7 @@ def conditional_variance(
     if conditioning.size == 0:
         return hyper.prior_variance
     cond = GPConditioner.from_points(np.atleast_2d(conditioning), hyper)
-    return cond.conditional_variance(x)
+    return cond.conditional_variance(_check_dim(x, hyper, "query")[0])
 
 
 def differential_entropy(

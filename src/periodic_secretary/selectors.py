@@ -112,13 +112,14 @@ def periodic_secretary(
     and threshold are recomputed against the grown set. Stops after k
     acceptances or at end of stream, whichever comes first.
 
-    The scan reads the stream in arrived batches: a ``Sequence`` is already
-    all there, so it is read one period at a time; any other iterable yields
-    only the observation that has just arrived, and nothing is read past the
-    last decision. The reference set and the current batch are the
-    evaluator's tracked pool, so every gain and every recalibration is a
-    vector read. Gains depend only on the accepted set, so the decisions are
-    those of a one-at-a-time scan.
+    The reference set is the evaluator's tracked pool, so every
+    recalibration is a vector read. A ``Sequence`` is already all there, so
+    it is scanned a period at a time, tracked alongside the reference set,
+    and each acceptance is the first tracked gain to meet the threshold. Any
+    other iterable yields only the observation that has just arrived; that
+    one is decided by its own gain, is never tracked, and nothing is read
+    past the last decision. Gains depend only on the accepted set, so both
+    scans make the decisions of a one-at-a-time scan.
     """
     T = cfg.period_T
     it = iter(stream)
@@ -133,26 +134,36 @@ def periodic_secretary(
     chosen: list[int] = []
     trace: list[float] = []
     thresholds: list[float] = []
-    batch_size = T if isinstance(stream, Sequence) else 1
-    for batch in iter(lambda: list(islice(it, batch_size)), []):
-        ev.track(batch)
-        gains = ev.tracked_gains()
-        start = 0
-        while len(chosen) < cfg.k:
-            hits = np.flatnonzero(gains[T + start :] >= threshold_gain)
-            if hits.size == 0:
-                break
-            obs = batch[start + int(hits[0])]
-            thresholds.append(ev.value + threshold_gain)
-            ev.accept(obs)
-            chosen.append(obs.index)
-            trace.append(ev.value)
+
+    def accept(obs: Observation, threshold_gain: float) -> np.ndarray:
+        """Take obs; return the tracked gains against the grown set."""
+        thresholds.append(ev.value + threshold_gain)
+        ev.accept(obs)
+        chosen.append(obs.index)
+        trace.append(ev.value)
+        return ev.tracked_gains()
+
+    if not isinstance(stream, Sequence):
+        for obs in it:
+            if ev.gain(obs) >= threshold_gain:
+                threshold_gain = float(np.max(accept(obs, threshold_gain))) - cfg.threshold_slack
+                if len(chosen) == cfg.k:
+                    break
+    else:
+        for batch in iter(lambda: list(islice(it, T)), []):
+            ev.track(batch)
             gains = ev.tracked_gains()
-            threshold_gain = float(np.max(gains[:T])) - cfg.threshold_slack
-            start += int(hits[0]) + 1
-        if len(chosen) == cfg.k:
-            break
-        ev.untrack(len(batch))
+            start = 0
+            while len(chosen) < cfg.k:
+                hits = np.flatnonzero(gains[T + start :] >= threshold_gain)
+                if hits.size == 0:
+                    break
+                gains = accept(batch[start + int(hits[0])], threshold_gain)
+                threshold_gain = float(np.max(gains[:T])) - cfg.threshold_slack
+                start += int(hits[0]) + 1
+            if len(chosen) == cfg.k:
+                break
+            ev.untrack(len(batch))
     return SelectionResult(
         chosen=tuple(chosen),
         utility_trace=tuple(trace),

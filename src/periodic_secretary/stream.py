@@ -11,12 +11,13 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .kv import write_csv
+from .kv import write_columns
 
 __all__ = [
     "Observation",
@@ -187,6 +188,37 @@ class ObservationStream:
         return vals
 
 
+def _stream(
+    feats: np.ndarray,
+    qoi: "tuple[QoiSample, ...] | None" = None,
+    spec: PeriodicStreamSpec | None = None,
+) -> ObservationStream:
+    """Stream of Observation i over row i of an (N, d) feature matrix.
+
+    The matrix is checked once as a whole, with ``Observation``'s messages,
+    and made read-only; each observation's features are a view of its row,
+    and the matrix itself is the stream's ``feature_matrix``.
+    """
+    feats = _readonly(feats)
+    if feats.ndim != 2:
+        raise ValueError("feature matrix must be 2-d")
+    finite = np.isfinite(feats).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite feature value at index {int(np.argmin(finite))}")
+    make, put = Observation.__new__, object.__setattr__
+    obs = []
+    for i, row in enumerate(feats):
+        # Observation's fields without its per-row checks, made above on the
+        # matrix; __dict__.update would cost a dict per observation.
+        o = make(Observation)
+        put(o, "index", i)
+        put(o, "features", row)
+        obs.append(o)
+    stream = ObservationStream(observations=tuple(obs), qoi=qoi, spec=spec)
+    stream.__dict__["feature_matrix"] = feats  # where the cached_property keeps its value
+    return stream
+
+
 def two_sine_waveform(period_T: int, amplitude: float = 1.0) -> np.ndarray:
     """One-dimensional waveform amplitude*(sin(2*pi*t) + sin(3*pi*t)), t = phase/period."""
     t = np.arange(period_T) / period_T
@@ -216,8 +248,7 @@ def generate_periodic_stream(spec: PeriodicStreamSpec, seed: int) -> Observation
         factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
         rng = np.random.default_rng(seed)
         feats[T:] += rng.standard_normal((N - T, d)) @ factor.T
-    obs = tuple(Observation(i, feats[i]) for i in range(N))
-    return ObservationStream(observations=obs, spec=spec)
+    return _stream(feats, spec=spec)
 
 
 @dataclass(frozen=True)
@@ -234,48 +265,61 @@ class CsvSchema:
         object.__setattr__(self, "feature_cols", tuple(self.feature_cols))
 
 
+def _cell(path: Path, lineno: int, col: str, raw: str | None) -> float:
+    """One CSV cell as a float; a missing, blank or non-numeric cell is an error."""
+    if raw is None or raw.strip() == "":
+        raise ValueError(f"{path}: line {lineno}: empty cell in column '{col}'")
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(
+            f"{path}: line {lineno}: non-numeric value {raw!r} in column '{col}'"
+        ) from None
+
+
 def ingest_csv(path: "str | Path", schema: CsvSchema) -> ObservationStream:
     """Read a stream from CSV.
 
     Rows are sorted by the index/time column (treated as an opaque ordering
-    key) and re-indexed 0..N-1. Malformed cells are reported with their file
-    line number and column name.
+    key; equal keys keep file order) and re-indexed 0..N-1. Malformed cells
+    are reported with their line number, counting the header as line 1 and
+    skipping blank lines, and their column name.
     """
     path = Path(path)
+    cols = [schema.index_col, *schema.feature_cols]
+    if schema.qoi_col is not None:
+        cols.append(schema.qoi_col)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: empty file, expected a header row")
-        missing = [c for c in (schema.index_col, *schema.feature_cols) if c not in reader.fieldnames]
-        if schema.qoi_col is not None and schema.qoi_col not in reader.fieldnames:
-            missing.append(schema.qoi_col)
+        missing = [c for c in cols if c not in header]
         if missing:
-            raise ValueError(f"{path}: missing columns {missing}; header has {reader.fieldnames}")
-        rows: list[tuple[float, np.ndarray, float | None]] = []
-        for lineno, row in enumerate(reader, start=2):
-            def cell(col: str) -> float:
-                raw = row.get(col)
-                if raw is None or raw.strip() == "":
-                    raise ValueError(f"{path}: line {lineno}: empty cell in column '{col}'")
-                try:
-                    return float(raw)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: line {lineno}: non-numeric value {raw!r} in column '{col}'"
-                    ) from None
+            raise ValueError(f"{path}: missing columns {missing}; header has {header}")
+        where = {name: j for j, name in enumerate(header)}  # a repeated name means its last column
+        positions = [where[c] for c in cols]
 
-            key = cell(schema.index_col)
-            feats = np.array([cell(c) for c in schema.feature_cols])
-            q = cell(schema.qoi_col) if schema.qoi_col is not None else None
-            rows.append((key, feats, q))
-    if not rows:
+        def values():
+            for lineno, row in enumerate(filter(None, reader), start=2):
+                try:
+                    yield [float(row[j]) for j in positions]
+                except (ValueError, IndexError):
+                    for col, j in zip(cols, positions):
+                        _cell(path, lineno, col, row[j] if j < len(row) else None)
+                    raise
+
+        table = np.fromiter(chain.from_iterable(values()), dtype=float).reshape(-1, len(cols))
+    if not len(table):
         raise ValueError(f"{path}: no data rows")
-    rows.sort(key=lambda r: r[0])
-    obs = tuple(Observation(i, feats) for i, (_, feats, _) in enumerate(rows))
+    keys = table[:, 0]
+    if np.isnan(keys).any():
+        raise ValueError(f"{path}: NaN in index column '{schema.index_col}'")
+    table = table[np.argsort(keys, kind="stable")]
     qoi = None
     if schema.qoi_col is not None:
-        qoi = tuple(QoiSample(i, q) for i, (_, _, q) in enumerate(rows))
-    return ObservationStream(observations=obs, qoi=qoi)
+        qoi = tuple(QoiSample(i, q) for i, q in enumerate(table[:, -1].tolist()))
+    return _stream(table[:, 1 : 1 + len(schema.feature_cols)], qoi)
 
 
 def write_stream_csv(
@@ -295,13 +339,11 @@ def write_stream_csv(
     if schema.qoi_col is not None and stream.qoi is None:
         raise ValueError(f"schema names qoi column '{schema.qoi_col}' but stream has no qoi")
     header = [schema.index_col, *schema.feature_cols]
-    rows = [[o.index, *o.features] for o in stream.observations]
+    columns = [np.arange(len(stream)), *stream.feature_matrix.T]  # indices run 0..N-1
     if schema.qoi_col is not None:
         header.append(schema.qoi_col)
-        qvals = stream.qoi_values()
-        for row in rows:
-            row.append(qvals[row[0]])
-    write_csv(path, header, rows)
+        columns.append(stream.qoi_values())
+    write_columns(path, header, columns)
     return schema
 
 
@@ -317,20 +359,15 @@ def block_permute(stream: ObservationStream, block_len: int, seed: int) -> Obser
         raise ValueError(f"block_len must be in 1..{n}, got {block_len}")
     n_blocks = n // block_len
     order = np.random.default_rng(seed).permutation(n_blocks)
-    old_positions: list[int] = []
-    for b in order:
-        old_positions.extend(range(b * block_len, (b + 1) * block_len))
-    old_positions.extend(range(n_blocks * block_len, n))
-
-    qvals = stream.qoi_values() if stream.qoi is not None else None
-    obs = tuple(
-        Observation(new, stream.observations[old].features)
-        for new, old in enumerate(old_positions)
-    )
+    old_positions = np.concatenate([
+        (order[:, None] * block_len + np.arange(block_len)).ravel(),
+        np.arange(n_blocks * block_len, n),
+    ])
     qoi = None
-    if qvals is not None:
-        qoi = tuple(QoiSample(new, float(qvals[old])) for new, old in enumerate(old_positions))
-    return ObservationStream(observations=obs, qoi=qoi, spec=stream.spec)
+    if stream.qoi is not None:
+        qvals = stream.qoi_values()[old_positions].tolist()
+        qoi = tuple(QoiSample(new, q) for new, q in enumerate(qvals))
+    return _stream(stream.feature_matrix[old_positions], qoi, stream.spec)
 
 
 def standardize_stream(stream: ObservationStream, period_T: int | None = None) -> ObservationStream:
@@ -352,8 +389,6 @@ def standardize_stream(stream: ObservationStream, period_T: int | None = None) -
     std = ref.std(axis=0)
     std = np.where(std > 0, std, 1.0)
 
-    feats = (stream.feature_matrix - mean) / std
-    obs = tuple(Observation(i, feats[i]) for i in range(len(stream)))
     spec = stream.spec
     if spec is not None:
         scale = np.diag(1.0 / std)
@@ -363,4 +398,4 @@ def standardize_stream(stream: ObservationStream, period_T: int | None = None) -
             length_N=spec.length_N,
             base_waveform=(spec.base_waveform - mean) / std,
         )
-    return ObservationStream(observations=obs, qoi=stream.qoi, spec=spec)
+    return _stream((stream.feature_matrix - mean) / std, stream.qoi, spec)

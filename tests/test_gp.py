@@ -210,6 +210,27 @@ class TestGramFactorization:
         v = cond.conditional_variance(np.array([0.5]))
         assert VARIANCE_FLOOR <= v < 1e-5
 
+    @pytest.mark.parametrize("signal_variance", [1.0, 2.0, 1e-3, 1e4])
+    def test_roundoff_pivot_escalates_jitter(self, signal_variance):
+        # At zero noise a duplicate's squared pivot is 0 in exact arithmetic
+        # but can round to +1 ulp of the prior (signal variance 2 gives
+        # 4.4e-16, a pivot of 2.1e-8); that is a breakdown too.
+        hyper = GPHyperparams(
+            lengthscales=np.array([1.0]), signal_variance=signal_variance, noise_variance=0.0
+        )
+        cond = GPConditioner(hyper)
+        cond.extend(np.array([0.5]))
+        cond.extend(np.array([0.5]))
+        assert cond._level == 1
+        assert cond._L[1, 1] > 1e-6
+
+    def test_noisy_duplicates_keep_jitter_off(self):
+        hyper = GPHyperparams(lengthscales=np.array([0.3]), signal_variance=2.0, noise_variance=0.1)
+        cond = GPConditioner(hyper)
+        for _ in range(5):
+            cond.extend(np.array([0.5]))
+        assert cond._level == 0
+
 
 class TestFitHyperparameters:
     def test_singleton_grid_returned(self, unit_hyper):

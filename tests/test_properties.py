@@ -1,23 +1,34 @@
-"""Property tests of the tracked-pool engine over random streams and inputs.
+"""Property tests over random streams and inputs: the tracked-pool engine,
+the one-point path, the periodic scan, CSV round trips and block permutation.
 
 Features are drawn from seeded normal distributions, so candidates are in
 general position: ties between gains are exact (such as two points at the
 prior variance) or far apart, and no decision turns on roundoff.
 """
 
+import re
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periodic_secretary import (
+    CsvSchema,
     GPConditioner,
     GPHyperparams,
     Observation,
+    ObservationStream,
     PeriodicSecretaryConfig,
+    QoiSample,
     UtilityFunction,
+    block_permute,
+    ingest_csv,
     offline_greedy,
     periodic_secretary,
+    write_stream_csv,
 )
+from periodic_secretary.kv import write_csv
 
 from conftest import random_hyper
 
@@ -126,3 +137,180 @@ def test_offline_greedy_matches_reference_argmax(seed, d, n, data):
         pos = [o.index for o in remaining].index(pick)
         assert pos == best or gains[pos] >= gains[best] - 1e-12
         chosen.append(remaining.pop(pos))
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    noise=st.sampled_from([0.0, 0.01, 0.3]),
+    m=st.integers(0, 30),
+    duplicate=st.booleans(),
+)
+def test_one_point_path_equals_batched_and_tracked(seed, d, noise, m, duplicate):
+    # The one-point conditional_variance/entropy must give the bits of the
+    # batched path on that one point and of the point tracked alone, for the
+    # empty set too.
+    rng = np.random.default_rng(seed)
+    hyper = GPHyperparams(
+        lengthscales=rng.uniform(0.3, 2.0, size=d), signal_variance=rng.uniform(0.5, 2.0),
+        noise_variance=noise,
+    )
+    cond = GPConditioner(hyper)
+    points = rng.normal(size=(m, d))
+    for x in points:
+        cond.extend(x)
+    queries = rng.normal(size=(6, d))
+    if duplicate and m:
+        queries[0] = points[-1]  # a point of the set itself
+    for q in queries:
+        v = cond.conditional_variances(q[None, :])[0]
+        assert cond.conditional_variance(q) == v
+        assert cond.entropy(q) == cond.entropies(q[None, :])[0]
+        cond.track(q[None, :])
+        assert cond.tracked_variances()[-1] == v
+        cond.untrack(1)
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 2),
+    T=st.integers(1, 12),
+    extra=st.integers(0, 60),
+    k=st.integers(1, 20),
+    slack=st.floats(0.0, 1.0),
+    modular=st.booleans(),
+    as_list=st.booleans(),
+)
+def test_periodic_picks_lie_after_the_reference_period(seed, d, T, extra, k, slack, modular, as_list):
+    rng = np.random.default_rng(seed)
+    obs = random_observations(rng, T + extra, d)
+    if modular:
+        f = UtilityFunction.modular(rng.normal(size=len(obs)))
+    else:
+        f = UtilityFunction.entropy(random_hyper(rng, d))
+    cfg = PeriodicSecretaryConfig(k=k, period_T=T, threshold_slack=slack)
+    result = periodic_secretary(obs if as_list else iter(obs), f, cfg)
+    assert all(i >= T for i in result.chosen)
+    assert len(result.chosen) <= k
+    assert list(result.chosen) == sorted(set(result.chosen))
+    assert (result.terminated == "filled_k") == (len(result.chosen) == k)
+
+
+def twelve_digit(values):
+    """Values that the 12-significant-digit CSV format writes exactly."""
+    return np.array([float("%.12g" % v) for v in np.ravel(values)]).reshape(np.shape(values))
+
+
+def random_stream(rng, n, d, with_qoi):
+    feats = twelve_digit(rng.normal(scale=rng.choice([1e-3, 1.0, 1e4]), size=(n, d)))
+    obs = tuple(Observation(i, x) for i, x in enumerate(feats))
+    qoi = None
+    if with_qoi:
+        qoi = tuple(QoiSample(i, float(q)) for i, q in enumerate(twelve_digit(rng.normal(size=n))))
+    return ObservationStream(observations=obs, qoi=qoi)
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    d=st.integers(1, 3),
+    with_qoi=st.booleans(),
+    shuffled=st.booleans(),
+)
+def test_csv_round_trip_gives_back_the_stream(tmp_path_factory, seed, n, d, with_qoi, shuffled):
+    rng = np.random.default_rng(seed)
+    stream = random_stream(rng, n, d, with_qoi)
+    path = tmp_path_factory.mktemp("csv") / "stream.csv"
+    schema = write_stream_csv(stream, path)
+    expected = stream.feature_matrix
+    if shuffled:
+        # Rewrite the rows in a random order under random keys, some equal.
+        # Ingest must order them as a stable sort by key, which is what
+        # Python's list.sort gives.
+        keys = twelve_digit(rng.integers(0, max(1, n // 2), size=n) * rng.uniform(0.5, 2.0))
+        order = rng.permutation(n)
+        qvals = stream.qoi_values() if with_qoi else np.empty(n)
+        rows = [[keys[i], *expected[j], *([qvals[j]] if with_qoi else [])]
+                for i, j in enumerate(order)]
+        header = [schema.index_col, *schema.feature_cols, *([schema.qoi_col] if with_qoi else [])]
+        write_csv(path, header, rows)
+        ranked = sorted(range(n), key=lambda i: keys[i])
+        expected = expected[order[ranked]]
+        expected_qoi = qvals[order[ranked]]
+    else:
+        expected_qoi = stream.qoi_values() if with_qoi else None
+    back = ingest_csv(path, schema)
+    assert [o.index for o in back.observations] == list(range(n))
+    assert np.array_equal(back.feature_matrix, expected)
+    assert all(np.array_equal(o.features, row) for o, row in zip(back.observations, expected))
+    if with_qoi:
+        assert np.array_equal(back.qoi_values(), expected_qoi)
+    else:
+        assert back.qoi is None
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    d=st.integers(1, 2),
+    with_qoi=st.booleans(),
+    fault=st.sampled_from(["empty", "blank", "short", "non-numeric"]),
+    data=st.data(),
+)
+def test_ingest_names_the_bad_cell(tmp_path_factory, seed, n, d, with_qoi, fault, data):
+    rng = np.random.default_rng(seed)
+    stream = random_stream(rng, n, d, with_qoi)
+    path = tmp_path_factory.mktemp("csv") / "stream.csv"
+    schema = write_stream_csv(stream, path)
+    lines = path.read_text().splitlines()
+    row = data.draw(st.integers(0, n - 1))
+    cols = [schema.index_col, *schema.feature_cols, *([schema.qoi_col] if with_qoi else [])]
+    # A row cut before its first cell is blank, and blank rows are skipped.
+    col = data.draw(st.integers(1 if fault == "short" else 0, len(cols) - 1))
+    cells = lines[row + 1].split(",")
+    if fault == "short":
+        cells = cells[:col]
+    else:
+        cells[col] = {"empty": "", "blank": "  ", "non-numeric": "1.2.3"}[fault]
+    lines[row + 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    if fault == "non-numeric":
+        what = f"non-numeric value '1.2.3' in column '{cols[col]}'"
+    else:
+        what = f"empty cell in column '{cols[col]}'"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line {row + 2}: {what}")):
+        ingest_csv(path, schema)
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 50),
+    d=st.integers(1, 2),
+    with_qoi=st.booleans(),
+    data=st.data(),
+)
+def test_block_permute_keeps_pairs_and_blocks(seed, n, d, with_qoi, data):
+    rng = np.random.default_rng(seed)
+    stream = random_stream(rng, n, d, with_qoi)
+    block_len = data.draw(st.integers(1, n))
+    out = block_permute(stream, block_len, seed)
+    # Normal draws are distinct, so each output row names its source row.
+    source = {row.tobytes(): i for i, row in enumerate(stream.feature_matrix)}
+    moved = [source[row.tobytes()] for row in out.feature_matrix]
+    assert sorted(moved) == list(range(n))
+    assert [o.index for o in out.observations] == list(range(n))
+    n_blocks = n // block_len
+    for b in range(n_blocks):
+        block = moved[b * block_len : (b + 1) * block_len]
+        assert block[0] % block_len == 0
+        assert block == list(range(block[0], block[0] + block_len))
+    assert moved[n_blocks * block_len :] == list(range(n_blocks * block_len, n))
+    if with_qoi:
+        assert np.array_equal(out.qoi_values(), stream.qoi_values()[moved])
+    else:
+        assert out.qoi is None

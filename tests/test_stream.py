@@ -168,6 +168,19 @@ class TestCsv:
         with pytest.raises(ValueError, match=r"line 3.*column 'x'"):
             ingest_csv(path, CsvSchema(index_col="t", feature_cols=("x",)))
 
+    def test_non_finite_feature_names_sorted_index(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("t,x\n5,nan\n1,1.0\n9,3.0\n")
+        with pytest.raises(ValueError, match="non-finite feature value at index 1"):
+            ingest_csv(path, CsvSchema(index_col="t", feature_cols=("x",)))
+
+    def test_nan_key_rejected(self, tmp_path):
+        # NaN has no place in an ordering, so the row order would be arbitrary.
+        path = tmp_path / "s.csv"
+        path.write_text("t,x\n5,2.0\nnan,1.0\n")
+        with pytest.raises(ValueError, match="NaN in index column 't'"):
+            ingest_csv(path, CsvSchema(index_col="t", feature_cols=("x",)))
+
     def test_missing_column_reported(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("t,x\n0,1.0\n")
