@@ -28,6 +28,7 @@ from .gp import (
     load_hyperparams,
     predict,
     predict_many,
+    prefix_means,
     save_hyperparams,
     se_kernel,
 )

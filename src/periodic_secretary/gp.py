@@ -35,6 +35,7 @@ __all__ = [
     "differential_entropy",
     "predict",
     "predict_many",
+    "prefix_means",
     "log_marginal_likelihood",
     "fit_hyperparameters",
     "load_hyperparams",
@@ -367,18 +368,26 @@ def differential_entropy(
     return GAUSSIAN_ENTROPY_CONST + 0.5 * math.log(conditional_variance(x, conditioning, hyper))
 
 
-def predict_many(
-    train_x: np.ndarray, train_y: np.ndarray, query_x: np.ndarray, hyper: GPHyperparams
+def _training_data(
+    train_x: np.ndarray, train_y: np.ndarray, hyper: GPHyperparams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means and noisy-observable variances at each query row."""
+    """Checked training locations and values: dimension, count and finiteness."""
     train_x = _check_dim(train_x, hyper, "train_x")
     train_y = np.asarray(train_y, dtype=float).ravel()
-    if train_x.shape[0] == 0:
-        raise ValueError("predict requires a non-empty training set")
     if train_y.shape[0] != train_x.shape[0]:
         raise ValueError(f"{train_x.shape[0]} training points but {train_y.shape[0]} values")
     if not (np.all(np.isfinite(train_x)) and np.all(np.isfinite(train_y))):
         raise ValueError("training data contain non-finite values")
+    return train_x, train_y
+
+
+def predict_many(
+    train_x: np.ndarray, train_y: np.ndarray, query_x: np.ndarray, hyper: GPHyperparams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior means and noisy-observable variances at each query row."""
+    train_x, train_y = _training_data(train_x, train_y, hyper)
+    if train_x.shape[0] == 0:
+        raise ValueError("predict requires a non-empty training set")
     Q = _check_dim(query_x, hyper, "query_x")
     L, _ = _factor(train_x, hyper)
     Ks = se_cross_covariance(train_x, Q, hyper)
@@ -392,6 +401,35 @@ def predict_many(
         hyper.prior_variance - np.einsum("ij,ij->j", Z, Z), VARIANCE_FLOOR, hyper.prior_variance
     )
     return means, variances
+
+
+def prefix_means(
+    train_x: np.ndarray, train_y: np.ndarray, query_x: np.ndarray, hyper: GPHyperparams
+) -> np.ndarray:
+    """Posterior means at each query row after each prefix of the training set.
+
+    Row m - 1 of the (n, |Q|) result holds the means when trained on the
+    first m points. The Cholesky factor of a prefix's Gram matrix is the
+    leading block of the full factor L, and likewise for Z = L^-1 K(S, Q) and
+    w = L^-1 y (Rasmussen & Williams 2006, Alg. 2.1), so the mean after m
+    points is Z[:m]^T w[:m] and the rows are one cumulative sum: one
+    factorisation for the whole curve.
+
+    Every prefix is therefore factored at the jitter level the full set
+    needs. At ``noise_variance = 0`` that can be higher than the level
+    ``predict_many`` picks for the prefix alone, and where the prefix's Gram
+    matrix is near-singular (such as a near-duplicate location) the two
+    answers can differ by O(1): both come from a near-singular system.
+    Where the full set needs no jitter, the two agree to roundoff.
+    """
+    train_x, train_y = _training_data(train_x, train_y, hyper)
+    Q = _check_dim(query_x, hyper, "query_x")
+    if train_x.shape[0] == 0:
+        return np.empty((0, Q.shape[0]))
+    L, _ = _factor(train_x, hyper)
+    Z = solve_triangular(L, se_cross_covariance(train_x, Q, hyper), lower=True, check_finite=False)
+    w = solve_triangular(L, train_y, lower=True, check_finite=False)
+    return np.cumsum(Z * w[:, None], axis=0)
 
 
 def predict(

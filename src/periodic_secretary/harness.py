@@ -267,7 +267,8 @@ def evaluate_prediction(
 
     Entry m is the mean squared error of posterior-mean predictions at the
     test indices when trained on the first m selected (location, qoi) pairs;
-    entry 0 is the error of the prior mean.
+    entry 0 is the error of the prior mean. The whole curve costs one GP
+    factorisation of the selection (``gp.prefix_means``).
     """
     if stream.qoi is None:
         raise ValueError("prediction evaluation requires a stream with a qoi series")
@@ -286,9 +287,8 @@ def evaluate_prediction(
     train_y = y_all[list(selection.chosen)]
     if np.any(np.isnan(train_y)):
         raise ValueError("some selected indices have no qoi value")
-    for m in range(1, len(selection.chosen) + 1):
-        means, _ = gp.predict_many(train_x[:m], train_y[:m], X_test, hyper)
-        mse[m] = float(np.mean((means - y_test) ** 2))
+    means = gp.prefix_means(train_x, train_y, X_test, hyper)
+    mse[1:] = np.mean((means - y_test) ** 2, axis=1)
     return mse
 
 

@@ -281,9 +281,9 @@ def ingest_csv(path: "str | Path", schema: CsvSchema) -> ObservationStream:
     """Read a stream from CSV.
 
     Rows are sorted by the index/time column (treated as an opaque ordering
-    key; equal keys keep file order) and re-indexed 0..N-1. Malformed cells
-    are reported with their line number, counting the header as line 1 and
-    skipping blank lines, and their column name.
+    key; equal keys keep file order) and re-indexed 0..N-1. Blank lines are
+    skipped. Malformed cells are reported with their column name and the
+    line of the file they are on (the header is line 1; blank lines count).
     """
     path = Path(path)
     cols = [schema.index_col, *schema.feature_cols]
@@ -301,12 +301,12 @@ def ingest_csv(path: "str | Path", schema: CsvSchema) -> ObservationStream:
         positions = [where[c] for c in cols]
 
         def values():
-            for lineno, row in enumerate(filter(None, reader), start=2):
+            for row in filter(None, reader):
                 try:
                     yield [float(row[j]) for j in positions]
                 except (ValueError, IndexError):
                     for col, j in zip(cols, positions):
-                        _cell(path, lineno, col, row[j] if j < len(row) else None)
+                        _cell(path, reader.line_num, col, row[j] if j < len(row) else None)
                     raise
 
         table = np.fromiter(chain.from_iterable(values()), dtype=float).reshape(-1, len(cols))

@@ -11,6 +11,8 @@ from periodic_secretary import (
     fit_hyperparameters,
     load_hyperparams,
     predict,
+    predict_many,
+    prefix_means,
     save_hyperparams,
     se_kernel,
 )
@@ -176,6 +178,20 @@ class TestPredict:
     def test_empty_training_set_rejected(self, unit_hyper):
         with pytest.raises(ValueError, match="non-empty"):
             predict(np.empty((0, 1)), np.empty(0), np.array([0.0]), unit_hyper)
+
+    @pytest.mark.parametrize("fn", [predict_many, prefix_means])
+    @pytest.mark.parametrize(
+        "X, y, match",
+        [
+            (np.zeros((2, 2)), np.zeros(2), "dimension 2"),
+            (np.zeros((2, 1)), np.zeros(3), "2 training points but 3 values"),
+            (np.array([[0.0], [np.inf]]), np.zeros(2), "non-finite"),
+            (np.zeros((2, 1)), np.array([0.0, np.nan]), "non-finite"),
+        ],
+    )
+    def test_bad_training_data_rejected(self, unit_hyper, fn, X, y, match):
+        with pytest.raises(ValueError, match=match):
+            fn(X, y, np.array([[0.0]]), unit_hyper)
 
 
 class TestGramFactorization:

@@ -14,6 +14,7 @@ from periodic_secretary import (
     attach_gp_qoi,
     evaluate_prediction,
     generate_periodic_stream,
+    predict,
     run_comparison,
     tune_threshold_slack,
     validate_bounds,
@@ -141,6 +142,23 @@ class TestEvaluatePrediction:
         y = stream.qoi_values()[test_idx]
         assert mse.shape == (3,)
         assert mse[0] == pytest.approx(float(np.mean(y**2)), abs=1e-12)
+
+    def test_empty_selection_gives_the_prior_row_only(self, small_spec, wide_hyper):
+        stream = attach_gp_qoi(generate_periodic_stream(small_spec, seed=4), wide_hyper, seed=5)
+        sel = SelectionResult(chosen=(), utility_trace=(), terminated="filled_k")
+        test_idx = [30, 40, 50]
+        mse = evaluate_prediction(sel, stream, test_idx, wide_hyper)
+        assert mse.tolist() == [float(np.mean(stream.qoi_values()[test_idx] ** 2))]
+
+    def test_one_point_selection_matches_predict(self, small_spec, wide_hyper):
+        stream = attach_gp_qoi(generate_periodic_stream(small_spec, seed=4), wide_hyper, seed=5)
+        sel = SelectionResult(chosen=(10,), utility_trace=(), terminated="filled_k")
+        test_idx = [30, 40, 50]
+        mse = evaluate_prediction(sel, stream, test_idx, wide_hyper)
+        X, y = stream.feature_matrix, stream.qoi_values()
+        errors = [predict(X[[10]], y[[10]], X[t], wide_hyper).mean - y[t] for t in test_idx]
+        assert mse.shape == (2,)
+        assert mse[1] == pytest.approx(float(np.mean(np.square(errors))), rel=1e-12)
 
     def test_duplicate_training_point_drives_error_down(self):
         hyper = GPHyperparams(lengthscales=np.array([1.0]), signal_variance=1.0, noise_variance=1e-6)

@@ -1,5 +1,6 @@
 """Property tests over random streams and inputs: the tracked-pool engine,
-the one-point path, the periodic scan, CSV round trips and block permutation.
+the one-point path, the prefix-means curve, the periodic scan, CSV round
+trips and block permutation.
 
 Features are drawn from seeded normal distributions, so candidates are in
 general position: ties between gains are exact (such as two points at the
@@ -26,6 +27,8 @@ from periodic_secretary import (
     ingest_csv,
     offline_greedy,
     periodic_secretary,
+    predict_many,
+    prefix_means,
     write_stream_csv,
 )
 from periodic_secretary.kv import write_csv
@@ -170,6 +173,51 @@ def test_one_point_path_equals_batched_and_tracked(seed, d, noise, m, duplicate)
         cond.track(q[None, :])
         assert cond.tracked_variances()[-1] == v
         cond.untrack(1)
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 2),
+    n=st.integers(0, 30),
+    q=st.integers(1, 40),
+)
+def test_prefix_means_match_predict_many_on_each_prefix(seed, d, n, q):
+    rng = np.random.default_rng(seed)
+    hyper = random_hyper(rng, d)  # noise_variance >= 0.01
+    X, y, Q = rng.normal(size=(n, d)), rng.normal(size=n), rng.normal(size=(q, d))
+    means = prefix_means(X, y, Q, hyper)
+    assert means.shape == (n, q)
+    for m in range(1, n + 1):
+        expected, _ = predict_many(X[:m], y[:m], Q, hyper)
+        np.testing.assert_allclose(means[m - 1], expected, rtol=1e-9, atol=1e-9 * np.abs(y).max())
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 2),
+    n=st.integers(1, 29),
+    q=st.integers(1, 40),
+)
+def test_prefix_means_at_zero_noise_with_an_exact_duplicate(seed, d, n, q):
+    # Distinct points at least 2.5 lengthscales apart in every coordinate,
+    # then an exact copy (location and value) of one of them: only the pair
+    # is singular. The full set may need jitter its prefixes do not; every
+    # row is factored at the full set's level, so the last row is
+    # predict_many's answer for the full set.
+    rng = np.random.default_rng(seed)
+    ls = rng.uniform(0.3, 2.0, size=d)
+    hyper = GPHyperparams(lengthscales=ls, signal_variance=rng.uniform(0.5, 2.0), noise_variance=0.0)
+    X = ls * (3.0 * rng.permutation(n)[:, None] + rng.uniform(0.0, 0.5, size=(n, d)))
+    y = rng.normal(size=n)
+    i = rng.integers(n)
+    X, y = np.vstack([X, X[i]]), np.append(y, y[i])
+    Q = ls * rng.uniform(0.0, 3.0 * n, size=(q, d))
+    means = prefix_means(X, y, Q, hyper)
+    assert np.all(np.isfinite(means))
+    expected, _ = predict_many(X, y, Q, hyper)
+    np.testing.assert_allclose(means[-1], expected, rtol=1e-9, atol=1e-9 * np.abs(y).max())
 
 
 @SETTINGS

@@ -168,6 +168,13 @@ class TestCsv:
         with pytest.raises(ValueError, match=r"line 3.*column 'x'"):
             ingest_csv(path, CsvSchema(index_col="t", feature_cols=("x",)))
 
+    def test_bad_cell_after_a_blank_line_names_its_file_line(self, tmp_path):
+        # The blank line 3 is skipped but still counted: the short row is line 4.
+        path = tmp_path / "s.csv"
+        path.write_text("t,x\n1,2\n\n0\n")
+        with pytest.raises(ValueError, match=r": line 4: empty cell in column 'x'"):
+            ingest_csv(path, CsvSchema(index_col="t", feature_cols=("x",)))
+
     def test_non_finite_feature_names_sorted_index(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("t,x\n5,nan\n1,1.0\n9,3.0\n")
