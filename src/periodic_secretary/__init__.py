@@ -24,7 +24,6 @@ from .gp import (
     PosteriorPrediction,
     conditional_variance,
     differential_entropy,
-    fit_hyperparameters,
     load_hyperparams,
     predict,
     predict_many,

@@ -17,9 +17,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dtrsv
-from scipy.spatial.distance import cdist
 
 from .kv import format_value, read_kv_file, write_kv_file
 
@@ -36,8 +33,6 @@ __all__ = [
     "predict",
     "predict_many",
     "prefix_means",
-    "log_marginal_likelihood",
-    "fit_hyperparameters",
     "load_hyperparams",
     "save_hyperparams",
     "VARIANCE_FLOOR",
@@ -56,7 +51,8 @@ _JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 
 # A squared pivot at or below this share of the prior variance is roundoff,
 # not information (about 450 ulps, above the error of a dot product of a few
-# hundred terms): ``extend`` treats it as a breakdown and escalates jitter.
+# hundred terms): both ``extend`` and the batch factorisation treat it as a
+# breakdown and escalate jitter.
 _PIVOT_RTOL = 1e-13
 
 
@@ -133,17 +129,26 @@ def se_kernel(x: np.ndarray, x2: np.ndarray, hyper: GPHyperparams) -> float:
 
 
 def _se_scaled(A: np.ndarray, B: np.ndarray, signal_variance: float) -> np.ndarray:
-    """SE covariances between rows of A and B, both already divided by the lengthscales."""
-    return signal_variance * np.exp(-0.5 * cdist(A, B, "sqeuclidean"))
+    """SE covariances between the rows of A and the rows of B, or one point B.
 
-
-def _se_column(A: np.ndarray, b: np.ndarray, signal_variance: float) -> np.ndarray:
-    """SE covariances between the rows of A and one point b, both scaled.
-
-    Same arithmetic as ``_se_scaled`` without its per-call overhead; this is
-    the kernel on the per-arrival path.
+    A and B are already divided by the lengthscales. An (m, d) B gives the
+    (n, m) matrix; a (d,) point B gives the (n,) column, the kernel on the
+    per-arrival path. Squared distances add the coordinates one at a time in
+    order for both shapes, so a column of the matrix equals the one-point
+    column bit for bit.
     """
-    return signal_variance * np.exp(-0.5 * np.square(A - b).sum(axis=1))
+    At = A.T[:, :, None] if B.ndim == 2 else A.T
+    Bt = B.T
+    sq = At[0] - Bt[0]
+    np.square(sq, out=sq)
+    for j in range(1, Bt.shape[0]):
+        diff = At[j] - Bt[j]
+        np.square(diff, out=diff)
+        sq += diff
+    sq *= -0.5
+    np.exp(sq, out=sq)
+    sq *= signal_variance
+    return sq
 
 
 def se_cross_covariance(X: np.ndarray, Z: np.ndarray, hyper: GPHyperparams) -> np.ndarray:
@@ -160,13 +165,21 @@ def se_gram(X: np.ndarray, hyper: GPHyperparams) -> np.ndarray:
 
 
 def _cholesky(K: np.ndarray, start_level: int = 0) -> tuple[np.ndarray, int]:
-    """Lower Cholesky factor of K, escalating diagonal jitter until it succeeds."""
+    """Lower Cholesky factor of K, escalating diagonal jitter until it succeeds.
+
+    A factor with a squared pivot at roundoff level (``_PIVOT_RTOL`` of K's
+    diagonal) counts as a failure too: at zero noise an exactly singular
+    Gram matrix can factor with such a pivot instead of raising.
+    """
     eye = np.eye(K.shape[0])
+    floor = _PIVOT_RTOL * np.diagonal(K)
     for level in range(start_level, len(_JITTER_LADDER)):
         try:
-            return np.linalg.cholesky(K + _JITTER_LADDER[level] * eye), level
+            L = np.linalg.cholesky(K + _JITTER_LADDER[level] * eye)
         except np.linalg.LinAlgError:
             continue
+        if np.all(np.square(np.diagonal(L)) > floor):
+            return L, level
     raise FactorizationError(
         f"Gram matrix of {K.shape[0]} points is singular at maximum jitter {_JITTER_LADDER[-1]:g}",
         condition_estimate=float(np.linalg.cond(K)),
@@ -178,11 +191,16 @@ def _factor(X: np.ndarray, hyper: GPHyperparams, start_level: int = 0) -> tuple[
     return _cholesky(se_gram(X, hyper), start_level)
 
 
+def _inverse_factor(L: np.ndarray) -> np.ndarray:
+    """W = L^-1 of a lower Cholesky factor, kept lower-triangular."""
+    return np.tril(np.linalg.inv(L))
+
+
 def _with_capacity(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """``buf`` if it holds ``shape``, else a larger copy (doubling each short axis)."""
+    """``buf`` if it holds ``shape``, else a larger zero-filled copy (doubling each short axis)."""
     if all(n <= c for n, c in zip(shape, buf.shape)):
         return buf
-    grown = np.empty(tuple(max(n, 2 * c) if n > c else c for n, c in zip(shape, buf.shape)))
+    grown = np.zeros(tuple(max(n, 2 * c) if n > c else c for n, c in zip(shape, buf.shape)))
     grown[tuple(slice(0, c) for c in buf.shape)] = buf
     return grown
 
@@ -190,12 +208,13 @@ def _with_capacity(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 class GPConditioner:
     """Incrementally factorized conditioning set with a tracked candidate pool.
 
-    Owns the lower Cholesky factor L of the noisy Gram matrix over the
-    accepted locations S, kept Fortran-ordered so that single-vector solves
-    go straight to BLAS ``dtrsv``. Evaluating one candidate costs O(m^2).
+    Owns W = L^-1, the inverse of the lower Cholesky factor L of the noisy
+    Gram matrix over the accepted locations S. Every solve L^-1 K(S, Q) is
+    then one product W K(S, Q), and evaluating one candidate costs O(m^2).
+    Adding a point borders W with one row, so ``extend`` is O(m^2) too.
 
     It can also track a pool P of candidate locations (``track``/``untrack``):
-    it keeps Z = L^-1 K(S, P) and the pool's conditional variances, and
+    it keeps Z = W K(S, P) and the pool's conditional variances, and
     ``extend`` appends one row to Z and subtracts that row's square from the
     variances, so after each acceptance every tracked variance is current at
     O(m |P|) cost. Extending by the pool's largest-variance point is one step
@@ -207,7 +226,10 @@ class GPConditioner:
     def __init__(self, hyper: GPHyperparams):
         self.hyper = hyper
         self._Xs = np.empty((0, hyper.dim))  # accepted locations / lengthscales
-        self._L = np.empty((0, 0), order="F")
+        # W lives in a buffer with spare capacity; _W is its live (m, m) block
+        # and everything above its diagonal is zero.
+        self._Wbuf = np.zeros((0, 0))
+        self._W = self._Wbuf
         self._level = 0  # current position in the jitter ladder
         # Tracked pool, in buffers with spare capacity: scaled locations
         # _Ps[:p], _Z[:m, :p] and unclamped variances _v[:p] are live.
@@ -232,7 +254,7 @@ class GPConditioner:
         K = _se_scaled(Xs, Xs, self.hyper.signal_variance)
         L, self._level = _cholesky(K + self.hyper.noise_variance * np.eye(len(Xs)), start_level)
         self._Xs = Xs
-        self._L = np.asfortranarray(L)
+        self._W = self._Wbuf = _inverse_factor(L)
         p = self._p
         if p:
             self._reserve(len(self), p)
@@ -248,13 +270,8 @@ class GPConditioner:
             self._v = _with_capacity(self._v, (p,))
 
     def _solve(self, Qs: np.ndarray) -> np.ndarray:
-        """L^-1 K(S, Q) for scaled query rows Qs; a single row goes through ``dtrsv``."""
-        sv = self.hyper.signal_variance
-        if len(self) == 0:
-            return np.empty((0, Qs.shape[0]))
-        if Qs.shape[0] == 1:
-            return dtrsv(self._L, _se_column(self._Xs, Qs[0], sv), lower=1)[:, None]
-        return solve_triangular(self._L, _se_scaled(self._Xs, Qs, sv), lower=True, check_finite=False)
+        """L^-1 K(S, Q) = W K(S, Q) for scaled query rows Qs."""
+        return self._W @ _se_scaled(self._Xs, Qs, self.hyper.signal_variance)
 
     def conditional_variances(self, Q: np.ndarray) -> np.ndarray:
         """Noisy-observable conditional variance at each row of Q given the current set."""
@@ -266,15 +283,15 @@ class GPConditioner:
     def conditional_variance(self, x: np.ndarray) -> float:
         """Conditional variance at one (d,) float point x: the per-arrival path.
 
-        One ``dtrsv`` and the arithmetic of ``track`` plus ``tracked_variances``,
-        so the result equals the tracked variance of x bit for bit. x is not
-        checked; ``conditional_variances`` is the checked path.
+        One product W k and the arithmetic of ``track`` plus
+        ``tracked_variances``, so the result equals the tracked variance of x
+        bit for bit. x is not checked; ``conditional_variances`` is the
+        checked path, and selectors check a stream's dimension once.
         """
         prior = self.hyper.prior_variance
         if not len(self):
             return prior
-        a = dtrsv(self._L, _se_column(self._Xs, x / self.hyper.lengthscales,
-                                      self.hyper.signal_variance), lower=1)
+        a = self._solve(x / self.hyper.lengthscales)
         return min(max(prior - np.einsum("i,i->", a, a), VARIANCE_FLOOR), prior)
 
     def entropies(self, Q: np.ndarray) -> np.ndarray:
@@ -321,7 +338,7 @@ class GPConditioner:
         xs = x / self.hyper.lengthscales
         m, p = len(self), self._p
         prior = self.hyper.prior_variance
-        a = self._solve(xs[None, :])[:, 0]
+        a = self._solve(xs)
         aa = float(a @ a)
         pivot_sq = prior + _JITTER_LADDER[self._level] - aa
         Xs = np.vstack([self._Xs, xs[None, :]])
@@ -330,16 +347,18 @@ class GPConditioner:
             # whole set with more jitter.
             self._refactor(Xs, self._level + 1)
         else:
+            # L gains the row [a^T, pivot], so W = L^-1 gains [-a^T W, 1] / pivot.
             self._Xs = Xs
             pivot = math.sqrt(pivot_sq)
-            grown = np.zeros((m + 1, m + 1), order="F")
-            grown[:m, :m] = self._L
-            grown[m, :m] = a
-            grown[m, m] = pivot
-            self._L = grown
+            if m == self._Wbuf.shape[0]:
+                self._Wbuf = _with_capacity(self._Wbuf, (m + 1, m + 1))
+            W = self._Wbuf
+            W[m, :m] = (a @ self._W) / -pivot
+            W[m, m] = 1.0 / pivot
+            self._W = W[: m + 1, : m + 1]
             if p:
                 self._reserve(m + 1, p)
-                k = _se_column(self._Ps[:p], xs, self.hyper.signal_variance)
+                k = _se_scaled(self._Ps[:p], xs, self.hyper.signal_variance)
                 row = (k - a @ self._Z[:m, :p]) / pivot
                 self._Z[m, :p] = row
                 self._v[:p] -= row * row
@@ -381,26 +400,29 @@ def _training_data(
     return train_x, train_y
 
 
+def _posterior_solves(
+    train_x: np.ndarray, train_y: np.ndarray, Q: np.ndarray, hyper: GPHyperparams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Z = W K(S, Q) and w = W y, with W the inverse factor of the training Gram matrix."""
+    W = _inverse_factor(_factor(train_x, hyper)[0])
+    return W @ se_cross_covariance(train_x, Q, hyper), W @ train_y
+
+
 def predict_many(
     train_x: np.ndarray, train_y: np.ndarray, query_x: np.ndarray, hyper: GPHyperparams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior means and noisy-observable variances at each query row."""
+    """Posterior means and noisy-observable variances at each query row.
+
+    The mean is Z^T w = K(Q, S) K^-1 y and the variance prior - |Z_j|^2.
+    """
     train_x, train_y = _training_data(train_x, train_y, hyper)
     if train_x.shape[0] == 0:
         raise ValueError("predict requires a non-empty training set")
-    Q = _check_dim(query_x, hyper, "query_x")
-    L, _ = _factor(train_x, hyper)
-    Ks = se_cross_covariance(train_x, Q, hyper)
-    alpha = solve_triangular(
-        L.T, solve_triangular(L, train_y, lower=True, check_finite=False),
-        lower=False, check_finite=False,
-    )
-    means = Ks.T @ alpha
-    Z = solve_triangular(L, Ks, lower=True, check_finite=False)
+    Z, w = _posterior_solves(train_x, train_y, _check_dim(query_x, hyper, "query_x"), hyper)
     variances = np.clip(
         hyper.prior_variance - np.einsum("ij,ij->j", Z, Z), VARIANCE_FLOOR, hyper.prior_variance
     )
-    return means, variances
+    return w @ Z, variances
 
 
 def prefix_means(
@@ -409,9 +431,9 @@ def prefix_means(
     """Posterior means at each query row after each prefix of the training set.
 
     Row m - 1 of the (n, |Q|) result holds the means when trained on the
-    first m points. The Cholesky factor of a prefix's Gram matrix is the
-    leading block of the full factor L, and likewise for Z = L^-1 K(S, Q) and
-    w = L^-1 y (Rasmussen & Williams 2006, Alg. 2.1), so the mean after m
+    first m points. The inverse Cholesky factor W of a prefix's Gram matrix
+    is the leading block of the full one, and likewise for Z = W K(S, Q) and
+    w = W y (Rasmussen & Williams 2006, Alg. 2.1), so the mean after m
     points is Z[:m]^T w[:m] and the rows are one cumulative sum: one
     factorisation for the whole curve.
 
@@ -420,15 +442,14 @@ def prefix_means(
     ``predict_many`` picks for the prefix alone, and where the prefix's Gram
     matrix is near-singular (such as a near-duplicate location) the two
     answers can differ by O(1): both come from a near-singular system.
-    Where the full set needs no jitter, the two agree to roundoff.
+    Where the full set needs no jitter, the two agree to roundoff; the last
+    row is ``predict_many``'s answer for the full set.
     """
     train_x, train_y = _training_data(train_x, train_y, hyper)
     Q = _check_dim(query_x, hyper, "query_x")
     if train_x.shape[0] == 0:
         return np.empty((0, Q.shape[0]))
-    L, _ = _factor(train_x, hyper)
-    Z = solve_triangular(L, se_cross_covariance(train_x, Q, hyper), lower=True, check_finite=False)
-    w = solve_triangular(L, train_y, lower=True, check_finite=False)
+    Z, w = _posterior_solves(train_x, train_y, Q, hyper)
     return np.cumsum(Z * w[:, None], axis=0)
 
 
@@ -438,47 +459,6 @@ def predict(
     """Standard GP posterior at one query location."""
     means, variances = predict_many(train_x, train_y, np.atleast_2d(query), hyper)
     return PosteriorPrediction(mean=float(means[0]), variance=float(variances[0]))
-
-
-def log_marginal_likelihood(train_x: np.ndarray, train_y: np.ndarray, hyper: GPHyperparams) -> float:
-    """Exact GP log marginal likelihood of the training values."""
-    train_x = _check_dim(train_x, hyper, "train_x")
-    train_y = np.asarray(train_y, dtype=float).ravel()
-    L, _ = _factor(train_x, hyper)
-    z = solve_triangular(L, train_y, lower=True, check_finite=False)
-    n = train_y.shape[0]
-    return float(-0.5 * (z @ z) - np.sum(np.log(np.diag(L))) - 0.5 * n * math.log(2 * math.pi))
-
-
-def fit_hyperparameters(
-    train_x: np.ndarray, train_y: np.ndarray, grid: Sequence[GPHyperparams]
-) -> GPHyperparams:
-    """Pick the grid candidate with the highest exact log marginal likelihood.
-
-    Ties break to the first occurrence; candidates whose Gram matrix cannot
-    be factorized are skipped, and it is an error for all of them to fail.
-    """
-    if len(grid) == 0:
-        raise ValueError("hyperparameter grid is empty")
-    train_y = np.asarray(train_y, dtype=float).ravel()
-    if train_y.shape[0] < 2:
-        raise ValueError("hyperparameter fitting needs at least 2 training points")
-    best: GPHyperparams | None = None
-    best_lml = -math.inf
-    failures: list[str] = []
-    for cand in grid:
-        try:
-            lml = log_marginal_likelihood(train_x, train_y, cand)
-        except FactorizationError as exc:
-            failures.append(str(exc))
-            continue
-        if lml > best_lml:
-            best, best_lml = cand, lml
-    if best is None:
-        raise FactorizationError(
-            f"all {len(grid)} hyperparameter candidates failed factorization: {failures[-1]}"
-        )
-    return best
 
 
 def save_hyperparams(hyper: GPHyperparams, path: "str | Path") -> None:

@@ -213,6 +213,7 @@ def submodular_secretary(
     if k > n:
         raise ValueError(f"k ({k}) exceeds stream length ({n})")
     ev = f.evaluator()
+    ev.check(items)
     chosen: list[int] = []
     trace: list[float] = []
     for j in range(k):

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gp import GAUSSIAN_ENTROPY_CONST, GPConditioner, GPHyperparams
+from .gp import GAUSSIAN_ENTROPY_CONST, GPConditioner, GPHyperparams, _check_dim
 from .stream import Observation
 
 __all__ = [
@@ -76,6 +76,14 @@ class UtilityEvaluator:
     def __len__(self) -> int:
         return len(self._indices)
 
+    def check(self, observations: Sequence[Observation]) -> None:
+        """Raise ValueError if the utility cannot evaluate these observations.
+
+        Selectors check a stream once, where their evaluator first meets it;
+        ``gain``, the per-arrival path, does not check. ``track`` checks what
+        it tracks.
+        """
+
     def gain(self, obs: Observation) -> float:
         raise NotImplementedError
 
@@ -110,6 +118,10 @@ class _EntropyEvaluator(UtilityEvaluator):
     def __init__(self, hyper: GPHyperparams):
         super().__init__()
         self._cond = GPConditioner(hyper)
+
+    def check(self, observations: Sequence[Observation]) -> None:
+        if len(observations):
+            _check_dim(_features_of(observations), self._cond.hyper, "stream")
 
     def gain(self, obs: Observation) -> float:
         return self._cond.entropy(obs.features)

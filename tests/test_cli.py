@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -355,3 +360,18 @@ def test_missing_required_option_reports_single_line(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: missing required option")
     assert len(err.splitlines()) == 1
+
+
+def test_runtime_imports_no_scipy():
+    # The library and its command line run on numpy alone; scipy is a test
+    # dependency only.
+    code = (
+        "import sys, periodic_secretary, periodic_secretary.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "[]"

@@ -8,7 +8,6 @@ from periodic_secretary import (
     GPHyperparams,
     conditional_variance,
     differential_entropy,
-    fit_hyperparameters,
     load_hyperparams,
     predict,
     predict_many,
@@ -19,7 +18,7 @@ from periodic_secretary import (
 from periodic_secretary.gp import (
     GAUSSIAN_ENTROPY_CONST,
     VARIANCE_FLOOR,
-    log_marginal_likelihood,
+    _factor,
     se_gram,
 )
 
@@ -237,8 +236,12 @@ class TestGramFactorization:
         cond = GPConditioner(hyper)
         cond.extend(np.array([0.5]))
         cond.extend(np.array([0.5]))
-        assert cond._level == 1
-        assert cond._L[1, 1] > 1e-6
+        # The refactor takes the first jitter level whose squared pivot
+        # (about twice the jitter) is above roundoff of the prior variance:
+        # 1e-10 in every case but 1e4, where 2e-10 <= 1e-13 * 1e4.
+        assert cond._level == (2 if signal_variance == 1e4 else 1)
+        pivot = 1.0 / cond._W[1, 1]  # W = L^-1 has the reciprocal pivots on its diagonal
+        assert pivot > 1e-6
 
     def test_noisy_duplicates_keep_jitter_off(self):
         hyper = GPHyperparams(lengthscales=np.array([0.3]), signal_variance=2.0, noise_variance=0.1)
@@ -248,51 +251,28 @@ class TestGramFactorization:
         assert cond._level == 0
 
 
-class TestFitHyperparameters:
-    def test_singleton_grid_returned(self, unit_hyper):
-        X = np.array([[0.0], [1.0]])
-        y = np.array([0.5, -0.5])
-        assert fit_hyperparameters(X, y, [unit_hyper]) is unit_hyper
-
-    def test_recovers_truth_against_decoys(self):
-        truth = GPHyperparams(lengthscales=np.array([1.0]), signal_variance=1.0, noise_variance=0.05)
-        decoys = [
-            GPHyperparams(lengthscales=np.array([0.02]), signal_variance=1.0, noise_variance=0.05),
-            GPHyperparams(lengthscales=np.array([40.0]), signal_variance=1.0, noise_variance=0.05),
-            GPHyperparams(lengthscales=np.array([1.0]), signal_variance=90.0, noise_variance=4.0),
-        ]
-        rng = np.random.default_rng(31)
-        wins = 0
-        for trial in range(10):
-            X = rng.uniform(-3, 3, size=(40, 1))
-            K = se_gram(X, truth)
-            y = np.linalg.cholesky(K) @ rng.standard_normal(40)
-            best = fit_hyperparameters(X, y, [truth, *decoys])
-            wins += best is truth
-        assert wins >= 8
-
-    def test_tiny_lengthscale_scores_worse_on_smooth_data(self):
-        X = np.linspace(0, 3, 25)[:, None]
-        y = np.sin(X[:, 0])
-        good = GPHyperparams(lengthscales=np.array([1.0]), signal_variance=1.0, noise_variance=0.01)
-        bad = GPHyperparams(lengthscales=np.array([0.01]), signal_variance=1.0, noise_variance=0.01)
-        assert log_marginal_likelihood(X, y, good) > log_marginal_likelihood(X, y, bad)
-
-    def test_tie_breaks_to_first_candidate(self, unit_hyper):
-        twin = GPHyperparams(
-            lengthscales=unit_hyper.lengthscales.copy(),
-            signal_variance=unit_hyper.signal_variance,
-            noise_variance=unit_hyper.noise_variance,
-        )
-        X = np.array([[0.0], [2.0], [4.0]])
-        y = np.array([1.0, 0.0, -1.0])
-        assert fit_hyperparameters(X, y, [unit_hyper, twin]) is unit_hyper
-
-    def test_requires_two_points_and_nonempty_grid(self, unit_hyper):
-        with pytest.raises(ValueError, match="at least 2"):
-            fit_hyperparameters(np.array([[0.0]]), np.array([1.0]), [unit_hyper])
-        with pytest.raises(ValueError, match="empty"):
-            fit_hyperparameters(np.array([[0.0], [1.0]]), np.array([1.0, 2.0]), [])
+    def test_singular_gram_at_zero_noise_escalates_batch_jitter(self):
+        # 4 points in 1-D, one location repeated under two different values:
+        # the Gram matrix is exactly singular, and np.linalg.cholesky can
+        # still succeed with a roundoff pivot (seeds 6 and 11 do). That pivot
+        # escalates the ladder, and every prefix mean comes from one jittered
+        # factor, so the last row equals predict_many on the full set.
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            hyper = GPHyperparams(
+                lengthscales=rng.uniform(0.3, 2.0, size=1),
+                signal_variance=rng.uniform(0.5, 2.0),
+                noise_variance=0.0,
+            )
+            X = rng.normal(size=(3, 1))
+            X = np.vstack([X, X[1]])
+            y = rng.normal(size=4)
+            Q = rng.normal(size=(5, 1))
+            assert _factor(X, hyper)[1] >= 1
+            expected, _ = predict_many(X, y, Q, hyper)
+            np.testing.assert_allclose(
+                prefix_means(X, y, Q, hyper)[-1], expected, rtol=1e-9, atol=1e-12
+            )
 
 
 class TestHyperparamsConfig:

@@ -1,6 +1,6 @@
-"""Property tests over random streams and inputs: the tracked-pool engine,
-the one-point path, the prefix-means curve, the periodic scan, CSV round
-trips and block permutation.
+"""Property tests over random streams and inputs: the SE kernel, the
+tracked-pool engine, the one-point path, the prefix-means curve, the
+periodic scan, CSV round trips and block permutation.
 
 Features are drawn from seeded normal distributions, so candidates are in
 general position: ties between gains are exact (such as two points at the
@@ -31,6 +31,7 @@ from periodic_secretary import (
     prefix_means,
     write_stream_csv,
 )
+from periodic_secretary.gp import _se_scaled
 from periodic_secretary.kv import write_csv
 
 from conftest import random_hyper
@@ -140,6 +141,27 @@ def test_offline_greedy_matches_reference_argmax(seed, d, n, data):
         pos = [o.index for o in remaining].index(pick)
         assert pos == best or gains[pos] >= gains[best] - 1e-12
         chosen.append(remaining.pop(pos))
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 9),
+    n=st.integers(0, 50),
+    m=st.integers(1, 40),
+)
+def test_se_matrix_columns_equal_one_point_columns(seed, d, n, m):
+    # The batched kernel and the one-point kernel of the per-arrival path
+    # share one squared-distance reduction, so they round alike at every d
+    # (a pairwise sum over coordinates would differ from a sequential one
+    # from d = 8 on).
+    rng = np.random.default_rng(seed)
+    A, B = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+    sv = rng.uniform(0.5, 2.0)
+    K = _se_scaled(A, B, sv)
+    assert K.shape == (n, m)
+    for j in range(m):
+        assert np.array_equal(K[:, j], _se_scaled(A, B[j], sv))
 
 
 @SETTINGS

@@ -351,6 +351,35 @@ class TestSerialization:
         assert trace[-1] == pytest.approx(f.value(obs), abs=1e-8)
 
 
+class TestStreamDimension:
+    """A 2-d entropy utility fed a 1-d stream is refused where the selector
+    first meets the stream, naming both dimensions."""
+
+    def setup_method(self):
+        self.f = UtilityFunction.entropy(
+            GPHyperparams(lengthscales=np.array([0.5, 0.5]), signal_variance=1.0, noise_variance=0.1)
+        )
+        self.obs = make_observations(np.linspace(0.0, 1.0, 12))
+
+    def test_periodic_sequence(self):
+        cfg = PeriodicSecretaryConfig(k=2, period_T=4, threshold_slack=0.1)
+        with pytest.raises(ValueError, match="dimension 1, lengthscales have 2"):
+            periodic_secretary(self.obs, self.f, cfg)
+
+    def test_periodic_iterator(self):
+        cfg = PeriodicSecretaryConfig(k=2, period_T=4, threshold_slack=0.1)
+        with pytest.raises(ValueError, match="dimension 1, lengthscales have 2"):
+            periodic_secretary(iter(self.obs), self.f, cfg)
+
+    def test_submodular(self):
+        with pytest.raises(ValueError, match="dimension 1, lengthscales have 2"):
+            submodular_secretary(self.obs, self.f, 3)
+
+    def test_greedy(self):
+        with pytest.raises(ValueError, match="dimension 1, lengthscales have 2"):
+            offline_greedy(self.obs, self.f, 3)
+
+
 def test_selectors_are_deterministic(unit_hyper):
     spec = PeriodicStreamSpec(
         period_T=5,
