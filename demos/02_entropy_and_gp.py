@@ -9,12 +9,11 @@ time even though the quantity of interest is only measured in the lab later.
 import numpy as np
 
 from periodic_secretary import (
+    GPConditioner,
     GPHyperparams,
     Observation,
     UtilityFunction,
     check_submodular_monotone,
-    conditional_variance,
-    differential_entropy,
     entropy_criterion,
     predict,
 )
@@ -23,13 +22,13 @@ hyper = GPHyperparams(lengthscales=np.array([1.0]), signal_variance=1.0, noise_v
 x = np.array([0.0])
 
 print(f"prior variance (signal + noise): {hyper.prior_variance}")
-print(f"prior entropy at any location:   {differential_entropy(x, np.empty((0, 1)), hyper):.6f}")
+print(f"prior entropy at any location:   {GPConditioner(hyper).entropy(x):.6f}")
 
 # Conditioning on nearby locations shrinks variance and entropy; values of
 # the quantity of interest never enter.
-for cond in ([[2.0]], [[2.0], [0.5]], [[2.0], [0.5], [-0.2]]):
-    v = conditional_variance(x, np.array(cond), hyper)
-    h = differential_entropy(x, np.array(cond), hyper)
+for locations in ([[2.0]], [[2.0], [0.5]], [[2.0], [0.5], [-0.2]]):
+    cond = GPConditioner.from_points(np.array(locations), hyper)
+    v, h = cond.conditional_variance(x), cond.entropy(x)
     print(f"  given {len(cond)} sample locations: variance {v:.4f}, entropy {h:+.4f}")
 
 # Joint entropy of a set = chain rule over conditionals; this is the set

@@ -22,8 +22,6 @@ from .gp import (
     GPConditioner,
     GPHyperparams,
     PosteriorPrediction,
-    conditional_variance,
-    differential_entropy,
     load_hyperparams,
     predict,
     predict_many,

@@ -14,7 +14,6 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -26,10 +25,7 @@ __all__ = [
     "FactorizationError",
     "GPConditioner",
     "se_kernel",
-    "se_cross_covariance",
     "se_gram",
-    "conditional_variance",
-    "differential_entropy",
     "predict",
     "predict_many",
     "prefix_means",
@@ -46,7 +42,8 @@ VARIANCE_FLOOR = 1e-12
 # Differential entropy of a unit-variance scalar Gaussian: 0.5*ln(2*pi*e).
 GAUSSIAN_ENTROPY_CONST = 0.5 * math.log(2 * math.pi * math.e)
 
-# Diagonal jitter ladder tried before declaring a Gram matrix unfactorizable.
+# Diagonal jitter ladder tried before declaring a Gram matrix unfactorizable,
+# as shares of the prior variance: level l adds _JITTER_LADDER[l] * prior.
 _JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 
 # A squared pivot at or below this share of the prior variance is roundoff,
@@ -151,44 +148,35 @@ def _se_scaled(A: np.ndarray, B: np.ndarray, signal_variance: float) -> np.ndarr
     return sq
 
 
-def se_cross_covariance(X: np.ndarray, Z: np.ndarray, hyper: GPHyperparams) -> np.ndarray:
-    """(n, m) matrix of SE covariances between rows of X and rows of Z (no noise)."""
-    X = _check_dim(X, hyper, "X")
-    Z = _check_dim(Z, hyper, "Z")
-    return _se_scaled(X / hyper.lengthscales, Z / hyper.lengthscales, hyper.signal_variance)
-
-
 def se_gram(X: np.ndarray, hyper: GPHyperparams) -> np.ndarray:
     """Noisy SE Gram matrix of X: noise_variance on the diagonal."""
-    K = se_cross_covariance(X, X, hyper)
-    return K + hyper.noise_variance * np.eye(K.shape[0])
+    Xs = _check_dim(X, hyper, "X") / hyper.lengthscales
+    return _se_scaled(Xs, Xs, hyper.signal_variance) + hyper.noise_variance * np.eye(len(Xs))
 
 
 def _cholesky(K: np.ndarray, start_level: int = 0) -> tuple[np.ndarray, int]:
     """Lower Cholesky factor of K, escalating diagonal jitter until it succeeds.
 
-    A factor with a squared pivot at roundoff level (``_PIVOT_RTOL`` of K's
-    diagonal) counts as a failure too: at zero noise an exactly singular
-    Gram matrix can factor with such a pivot instead of raising.
+    K's diagonal is the prior variance, so level l adds ``_JITTER_LADDER[l]``
+    times the diagonal. A factor with a squared pivot at roundoff level
+    (``_PIVOT_RTOL`` of K's diagonal) counts as a failure too: at zero noise
+    an exactly singular Gram matrix can factor with such a pivot instead of
+    raising.
     """
-    eye = np.eye(K.shape[0])
-    floor = _PIVOT_RTOL * np.diagonal(K)
+    diag = np.diagonal(K)
+    floor = _PIVOT_RTOL * diag
     for level in range(start_level, len(_JITTER_LADDER)):
         try:
-            L = np.linalg.cholesky(K + _JITTER_LADDER[level] * eye)
+            L = np.linalg.cholesky(K + np.diag(_JITTER_LADDER[level] * diag))
         except np.linalg.LinAlgError:
             continue
         if np.all(np.square(np.diagonal(L)) > floor):
             return L, level
     raise FactorizationError(
-        f"Gram matrix of {K.shape[0]} points is singular at maximum jitter {_JITTER_LADDER[-1]:g}",
+        f"Gram matrix of {K.shape[0]} points is singular at maximum jitter"
+        f" {_JITTER_LADDER[-1]:g} of the prior variance",
         condition_estimate=float(np.linalg.cond(K)),
     )
-
-
-def _factor(X: np.ndarray, hyper: GPHyperparams, start_level: int = 0) -> tuple[np.ndarray, int]:
-    """Cholesky of the noisy Gram matrix, escalating jitter until it succeeds."""
-    return _cholesky(se_gram(X, hyper), start_level)
 
 
 def _inverse_factor(L: np.ndarray) -> np.ndarray:
@@ -219,8 +207,9 @@ class GPConditioner:
     variances, so after each acceptance every tracked variance is current at
     O(m |P|) cost. Extending by the pool's largest-variance point is one step
     of pivoted Cholesky, which is greedy entropy maximisation (Krause, Singh &
-    Guestrin, JMLR 2008). A conditioner belongs to a single selector run; it
-    is not thread-safe.
+    Guestrin, JMLR 2008). Posterior prediction (``predict_many``,
+    ``prefix_means``) factors its training set through ``from_points`` too.
+    A conditioner belongs to a single selector run; it is not thread-safe.
     """
 
     def __init__(self, hyper: GPHyperparams):
@@ -243,6 +232,7 @@ class GPConditioner:
 
     @classmethod
     def from_points(cls, X: np.ndarray, hyper: GPHyperparams) -> "GPConditioner":
+        """Conditioner on the rows of X, factored in one batch."""
         cond = cls(hyper)
         X = _check_dim(X, hyper, "conditioning set")
         if X.shape[0]:
@@ -340,7 +330,7 @@ class GPConditioner:
         prior = self.hyper.prior_variance
         a = self._solve(xs)
         aa = float(a @ a)
-        pivot_sq = prior + _JITTER_LADDER[self._level] - aa
+        pivot_sq = prior + _JITTER_LADDER[self._level] * prior - aa
         Xs = np.vstack([self._Xs, xs[None, :]])
         if pivot_sq <= _PIVOT_RTOL * prior:
             # Near-duplicate location defeated the border update; refactor the
@@ -365,28 +355,6 @@ class GPConditioner:
         return min(max(prior - aa, VARIANCE_FLOOR), prior)
 
 
-def conditional_variance(
-    x: np.ndarray, conditioning: "np.ndarray | Sequence[np.ndarray]", hyper: GPHyperparams
-) -> float:
-    """Noisy-observable variance at x after conditioning on the given locations.
-
-    Uses only locations, never qoi values. An empty conditioning set returns
-    the prior variance; results are clamped to [VARIANCE_FLOOR, prior].
-    """
-    conditioning = np.asarray(conditioning, dtype=float)
-    if conditioning.size == 0:
-        return hyper.prior_variance
-    cond = GPConditioner.from_points(np.atleast_2d(conditioning), hyper)
-    return cond.conditional_variance(_check_dim(x, hyper, "query")[0])
-
-
-def differential_entropy(
-    x: np.ndarray, conditioning: "np.ndarray | Sequence[np.ndarray]", hyper: GPHyperparams
-) -> float:
-    """Differential entropy of the scalar prediction at x given the conditioning set."""
-    return GAUSSIAN_ENTROPY_CONST + 0.5 * math.log(conditional_variance(x, conditioning, hyper))
-
-
 def _training_data(
     train_x: np.ndarray, train_y: np.ndarray, hyper: GPHyperparams
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -400,14 +368,6 @@ def _training_data(
     return train_x, train_y
 
 
-def _posterior_solves(
-    train_x: np.ndarray, train_y: np.ndarray, Q: np.ndarray, hyper: GPHyperparams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Z = W K(S, Q) and w = W y, with W the inverse factor of the training Gram matrix."""
-    W = _inverse_factor(_factor(train_x, hyper)[0])
-    return W @ se_cross_covariance(train_x, Q, hyper), W @ train_y
-
-
 def predict_many(
     train_x: np.ndarray, train_y: np.ndarray, query_x: np.ndarray, hyper: GPHyperparams
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -418,11 +378,12 @@ def predict_many(
     train_x, train_y = _training_data(train_x, train_y, hyper)
     if train_x.shape[0] == 0:
         raise ValueError("predict requires a non-empty training set")
-    Z, w = _posterior_solves(train_x, train_y, _check_dim(query_x, hyper, "query_x"), hyper)
+    cond = GPConditioner.from_points(train_x, hyper)
+    Z = cond._solve(_check_dim(query_x, hyper, "query_x") / hyper.lengthscales)
     variances = np.clip(
         hyper.prior_variance - np.einsum("ij,ij->j", Z, Z), VARIANCE_FLOOR, hyper.prior_variance
     )
-    return w @ Z, variances
+    return (cond._W @ train_y) @ Z, variances
 
 
 def prefix_means(
@@ -449,8 +410,9 @@ def prefix_means(
     Q = _check_dim(query_x, hyper, "query_x")
     if train_x.shape[0] == 0:
         return np.empty((0, Q.shape[0]))
-    Z, w = _posterior_solves(train_x, train_y, Q, hyper)
-    return np.cumsum(Z * w[:, None], axis=0)
+    cond = GPConditioner.from_points(train_x, hyper)
+    Z = cond._solve(Q / hyper.lengthscales)
+    return np.cumsum(Z * (cond._W @ train_y)[:, None], axis=0)
 
 
 def predict(

@@ -23,6 +23,7 @@ from .kv import write_csv, write_kv_file
 from .bounds import BoundInputs, bound_report, estimate_utility_noise
 from .gp import GPHyperparams
 from .selectors import (
+    EXACT_MAX_SUBSETS,
     PeriodicSecretaryConfig,
     SelectionResult,
     exhaustive_optimum,
@@ -64,9 +65,9 @@ __all__ = [
 
 UtilityOrFactory = Union[UtilityFunction, Callable[[ObservationStream], UtilityFunction]]
 
-# Bound validation enumerates the exact optimum only for instances this small.
+# Bound validation enumerates the exact optimum only up to this k (and
+# EXACT_MAX_SUBSETS subsets).
 _EXACT_MAX_K = 4
-_EXACT_MAX_SUBSETS = 10**6
 
 # Fixed tags keep every stage of an experiment on its own seed stream.
 _TAG_TRIAL = 1
@@ -251,7 +252,7 @@ def tune_threshold_slack(
 def attach_gp_qoi(stream: ObservationStream, hyper: GPHyperparams, seed: int) -> ObservationStream:
     """Attach a qoi series drawn from the noisy GP prior over the stream's features."""
     X = stream.feature_matrix
-    L, _ = gp._factor(X, hyper)
+    L, _ = gp._cholesky(gp.se_gram(X, hyper))
     y = L @ np.random.default_rng(seed).standard_normal(len(stream))
     qoi = tuple(QoiSample(i, float(y[i])) for i in range(len(stream)))
     return ObservationStream(observations=stream.observations, qoi=qoi, spec=stream.spec)
@@ -461,7 +462,7 @@ def validate_bounds(
 
     cells: list[BoundValidationCell] = []
     for k in k_values:
-        exact = k <= _EXACT_MAX_K and math.comb(spec.length_N, k) <= _EXACT_MAX_SUBSETS
+        exact = k <= _EXACT_MAX_K and math.comb(spec.length_N, k) <= EXACT_MAX_SUBSETS
         oracle = exhaustive_optimum if exact else offline_greedy
         f_opt = float(np.mean(
             [_final_utility(oracle(s.observations, f, k)) for s, f in zip(streams, utilities)]

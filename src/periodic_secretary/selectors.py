@@ -32,7 +32,11 @@ __all__ = [
     "exhaustive_optimum",
     "utility_trace_for",
     "write_selection_csv",
+    "EXACT_MAX_SUBSETS",
 ]
+
+# Exhaustive enumeration refuses instances with more k-subsets than this.
+EXACT_MAX_SUBSETS = 10**6
 
 
 @dataclass(frozen=True)
@@ -293,12 +297,12 @@ def _k_subsets(n: int, k: int) -> np.ndarray:
 
 
 def exhaustive_optimum(
-    ground: Sequence[Observation], f: UtilityFunction, k: int, max_subsets: int = 10**6
+    ground: Sequence[Observation], f: UtilityFunction, k: int
 ) -> SelectionResult:
     """Enumerate every k-subset and return the utility maximizer.
 
     Among ties the lexicographically smallest index set wins. Instances with
-    more than ``max_subsets`` subsets are refused outright.
+    more than ``EXACT_MAX_SUBSETS`` subsets are refused outright.
     """
     items = sorted(ground, key=lambda o: o.index)
     n = len(items)
@@ -306,9 +310,10 @@ def exhaustive_optimum(
         raise ValueError(f"k must be non-negative, got {k}")
     if k > n:
         raise ValueError(f"k ({k}) exceeds ground set size ({n})")
-    if math.comb(n, k) > max_subsets:
+    if math.comb(n, k) > EXACT_MAX_SUBSETS:
         raise ValueError(
-            f"C({n}, {k}) = {math.comb(n, k)} subsets exceeds the enumeration cap {max_subsets}"
+            f"C({n}, {k}) = {math.comb(n, k)} subsets exceeds the enumeration cap"
+            f" {EXACT_MAX_SUBSETS}"
         )
     if k == 0:
         return SelectionResult(chosen=(), utility_trace=(), terminated="filled_k")

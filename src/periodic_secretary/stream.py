@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -120,19 +119,6 @@ class PeriodicStreamSpec:
     @property
     def dim(self) -> int:
         return self.base_waveform.shape[1]
-
-    @classmethod
-    def from_function(
-        cls,
-        fn: Callable[[int], "np.ndarray | float | Sequence[float]"],
-        period_T: int,
-        noise_cov: "np.ndarray | float",
-        length_N: int,
-    ) -> "PeriodicStreamSpec":
-        """Build a spec by tabulating a phase -> feature-vector function."""
-        table = np.array([np.atleast_1d(fn(p)) for p in range(period_T)], dtype=float)
-        return cls(period_T=period_T, noise_cov=np.asarray(noise_cov, dtype=float),
-                   length_N=length_N, base_waveform=table)
 
 
 @dataclass(frozen=True)

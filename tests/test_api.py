@@ -1,0 +1,81 @@
+"""The public surface: exported names resolve, and the benchmark's bindings exist.
+
+A deletion that leaves a stale ``__all__`` entry, or removes a name the
+benchmark tracer (``bench/tracer.py``) rebinds, fails here in well under a
+second instead of in a benchmark run.
+"""
+
+import importlib
+import pkgutil
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import periodic_secretary
+from periodic_secretary import GPHyperparams, UtilityFunction
+
+from conftest import make_observations
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+MODULES = [
+    importlib.import_module(f"periodic_secretary.{info.name}")
+    for info in pkgutil.iter_modules(periodic_secretary.__path__)
+]
+
+
+def test_every_module_all_resolves():
+    for module in MODULES:
+        names = getattr(module, "__all__", [])
+        assert len(set(names)) == len(names), f"{module.__name__}: duplicate __all__ entries"
+        missing = [name for name in names if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names missing attributes: {missing}"
+
+
+def test_package_exports_are_module_exports():
+    # Every class and function the package re-exports is in the __all__ of
+    # the module that defines it.
+    exported = {
+        name: obj
+        for name, obj in vars(periodic_secretary).items()
+        if not name.startswith("_") and hasattr(obj, "__module__") and callable(obj)
+    }
+    assert exported
+    for name, obj in exported.items():
+        home = sys.modules[obj.__module__]
+        assert name in getattr(home, "__all__", ()), f"{name} is not in {home.__name__}.__all__"
+
+
+def _bindings():
+    """Identity snapshot of every package-module attribute and traced class attribute."""
+    owners = [m for n, m in sys.modules.items() if n.split(".")[0] == "periodic_secretary"]
+    owners += [periodic_secretary.gp.GPConditioner, UtilityFunction]
+    return {id(owner): dict(vars(owner)) for owner in owners}
+
+
+def test_tracer_install_binds_and_uninstall_restores(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    from tracer import Tracer
+
+    before = _bindings()
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert tracer._patches
+        # The evaluator wrappers are bound when an evaluator is made with
+        # tracing on; exercise the batched gains the tracer wraps by name.
+        tracer.enabled = True
+        hyper = GPHyperparams(lengthscales=np.array([1.0]), signal_variance=1.0, noise_variance=0.1)
+        ev = UtilityFunction.entropy(hyper).evaluator()
+        assert ev.gains(make_observations([0.0, 0.5])).shape == (2,)
+        assert "utility.gains" in {span[3] for span in tracer.spans}
+    finally:
+        tracer.enabled = False
+        tracer.uninstall()
+        sys.modules.pop("tracer", None)
+    after = _bindings()
+    for key, attrs in before.items():
+        changed = [k for k, v in attrs.items() if after[key].get(k) is not v]
+        assert not changed, f"not restored: {changed}"

@@ -6,8 +6,6 @@ import pytest
 from periodic_secretary import (
     GPConditioner,
     GPHyperparams,
-    conditional_variance,
-    differential_entropy,
     load_hyperparams,
     predict,
     predict_many,
@@ -18,7 +16,6 @@ from periodic_secretary import (
 from periodic_secretary.gp import (
     GAUSSIAN_ENTROPY_CONST,
     VARIANCE_FLOOR,
-    _factor,
     se_gram,
 )
 
@@ -62,15 +59,17 @@ class TestSeKernel:
 
 class TestConditionalVariance:
     def test_empty_conditioning_returns_prior(self, unit_hyper):
-        assert conditional_variance(np.array([0.3]), np.empty((0, 1)), unit_hyper) == 1.01
+        assert GPConditioner(unit_hyper).conditional_variance(np.array([0.3])) == 1.01
 
     def test_conditioning_on_query_point_noiseless(self):
         hyper = GPHyperparams(lengthscales=np.array([1.0]), signal_variance=1.0, noise_variance=0.0)
-        v = conditional_variance(np.array([0.5]), np.array([[0.5]]), hyper)
+        cond = GPConditioner.from_points(np.array([[0.5]]), hyper)
+        v = cond.conditional_variance(np.array([0.5]))
         assert VARIANCE_FLOOR <= v < 1e-9
 
     def test_single_point_closed_form(self, unit_hyper):
-        v = conditional_variance(np.array([0.0]), np.array([[1.0]]), unit_hyper)
+        cond = GPConditioner.from_points(np.array([[1.0]]), unit_hyper)
+        v = cond.conditional_variance(np.array([0.0]))
         expected = 1.01 - math.exp(-0.5) ** 2 / 1.01
         assert v == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.6457629295332254, abs=1e-12)
@@ -83,14 +82,14 @@ class TestConditionalVariance:
             m = rng.integers(1, 7)
             X = rng.normal(size=(m, d))
             x = rng.normal(size=d)
-            v = conditional_variance(x, X, hyper)
+            v = GPConditioner.from_points(X, hyper).conditional_variance(x)
             assert v == pytest.approx(direct_conditional_variance(x, X, hyper), abs=1e-9)
 
     def test_never_exceeds_prior(self):
         rng = np.random.default_rng(7)
         hyper = random_hyper(rng)
         X = rng.normal(size=(5, 1))
-        v = conditional_variance(rng.normal(size=1), X, hyper)
+        v = GPConditioner.from_points(X, hyper).conditional_variance(rng.normal(size=1))
         assert v <= hyper.prior_variance
 
     def test_monotone_shrinkage_under_supersets(self):
@@ -103,29 +102,29 @@ class TestConditionalVariance:
             na = rng.integers(1, nb)
             A = B[:na]
             x = rng.normal(size=d)
-            vb = conditional_variance(x, B, hyper)
-            va = conditional_variance(x, A, hyper)
+            vb = GPConditioner.from_points(B, hyper).conditional_variance(x)
+            va = GPConditioner.from_points(A, hyper).conditional_variance(x)
             assert vb <= va + 1e-8
 
 
 class TestDifferentialEntropy:
     def test_unit_variance_value(self):
         hyper = GPHyperparams(lengthscales=np.array([1.0]), signal_variance=0.75, noise_variance=0.25)
-        h = differential_entropy(np.array([0.0]), np.empty((0, 1)), hyper)
+        h = GPConditioner(hyper).entropy(np.array([0.0]))
         assert h == pytest.approx(1.4189385332046727, abs=1e-12)
 
     def test_doubling_variance_adds_half_log_two(self):
         h1 = GPHyperparams(lengthscales=np.array([1.0]), signal_variance=1.0, noise_variance=0.0)
         h2 = GPHyperparams(lengthscales=np.array([1.0]), signal_variance=2.0, noise_variance=0.0)
-        x, empty = np.array([0.0]), np.empty((0, 1))
-        diff = differential_entropy(x, empty, h2) - differential_entropy(x, empty, h1)
+        x = np.array([0.0])
+        diff = GPConditioner(h2).entropy(x) - GPConditioner(h1).entropy(x)
         assert diff == pytest.approx(0.5 * math.log(2), abs=1e-14)
 
     def test_monotone_in_conditioning(self, unit_hyper):
         x = np.array([0.0])
-        h0 = differential_entropy(x, np.empty((0, 1)), unit_hyper)
-        h1 = differential_entropy(x, np.array([[0.8]]), unit_hyper)
-        h2 = differential_entropy(x, np.array([[0.8], [0.4]]), unit_hyper)
+        h0 = GPConditioner(unit_hyper).entropy(x)
+        h1 = GPConditioner.from_points(np.array([[0.8]]), unit_hyper).entropy(x)
+        h2 = GPConditioner.from_points(np.array([[0.8], [0.4]]), unit_hyper).entropy(x)
         assert h0 > h1 > h2
 
 
@@ -171,7 +170,7 @@ class TestPredict:
             for y in (rng.normal(size=6), rng.normal(size=6) * 100):
                 p = predict(X, y, q, hyper)
                 assert p.variance == pytest.approx(
-                    conditional_variance(q, X, hyper), abs=1e-10
+                    GPConditioner.from_points(X, hyper).conditional_variance(q), abs=1e-10
                 )
 
     def test_empty_training_set_rejected(self, unit_hyper):
@@ -225,7 +224,9 @@ class TestGramFactorization:
         v = cond.conditional_variance(np.array([0.5]))
         assert VARIANCE_FLOOR <= v < 1e-5
 
-    @pytest.mark.parametrize("signal_variance", [1.0, 2.0, 1e-3, 1e4])
+    @pytest.mark.parametrize(
+        "signal_variance", [1.0, 2.0, 1e-3, 1e4] + [10.0**e for e in (-2, -1, 1, 2, 3, 5, 6, 7, 8)]
+    )
     def test_roundoff_pivot_escalates_jitter(self, signal_variance):
         # At zero noise a duplicate's squared pivot is 0 in exact arithmetic
         # but can round to +1 ulp of the prior (signal variance 2 gives
@@ -236,12 +237,13 @@ class TestGramFactorization:
         cond = GPConditioner(hyper)
         cond.extend(np.array([0.5]))
         cond.extend(np.array([0.5]))
-        # The refactor takes the first jitter level whose squared pivot
-        # (about twice the jitter) is above roundoff of the prior variance:
-        # 1e-10 in every case but 1e4, where 2e-10 <= 1e-13 * 1e4.
-        assert cond._level == (2 if signal_variance == 1e4 else 1)
+        # The refactor takes the first jitter level, 1e-10 of the prior
+        # variance, at any prior scale: its squared pivot is twice that
+        # jitter, above roundoff of the prior.
+        assert cond._level == 1
         pivot = 1.0 / cond._W[1, 1]  # W = L^-1 has the reciprocal pivots on its diagonal
-        assert pivot > 1e-6
+        assert pivot > 1e-6 * math.sqrt(hyper.prior_variance)
+        assert pivot**2 / hyper.prior_variance == pytest.approx(2e-10, rel=1e-4)
 
     def test_noisy_duplicates_keep_jitter_off(self):
         hyper = GPHyperparams(lengthscales=np.array([0.3]), signal_variance=2.0, noise_variance=0.1)
@@ -268,7 +270,7 @@ class TestGramFactorization:
             X = np.vstack([X, X[1]])
             y = rng.normal(size=4)
             Q = rng.normal(size=(5, 1))
-            assert _factor(X, hyper)[1] >= 1
+            assert GPConditioner.from_points(X, hyper)._level >= 1
             expected, _ = predict_many(X, y, Q, hyper)
             np.testing.assert_allclose(
                 prefix_means(X, y, Q, hyper)[-1], expected, rtol=1e-9, atol=1e-12

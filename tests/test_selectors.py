@@ -309,7 +309,7 @@ class TestExhaustiveOptimum:
     def test_oversized_instance_refused(self, unit_hyper):
         obs = make_observations(np.zeros(30))
         with pytest.raises(ValueError, match="exceeds the enumeration cap"):
-            exhaustive_optimum(obs, UtilityFunction.entropy(unit_hyper), k=15, max_subsets=1000)
+            exhaustive_optimum(obs, UtilityFunction.entropy(unit_hyper), k=15)
 
     def test_entropy_instance_beats_greedy_or_ties(self, unit_hyper):
         rng = np.random.default_rng(41)

@@ -85,14 +85,6 @@ class TestGenerate:
         assert abs(emp[1, 1] - sigma2) < 3 * se_diag
         assert abs(emp[0, 1]) < 3 * se_off
 
-    def test_spec_from_phase_function(self):
-        spec = PeriodicStreamSpec.from_function(
-            lambda p: [np.sin(p), np.cos(p)], period_T=5, noise_cov=0.1, length_N=20
-        )
-        assert spec.base_waveform.shape == (5, 2)
-        assert spec.dim == 2
-        np.testing.assert_allclose(spec.base_waveform[3], [np.sin(3), np.cos(3)])
-
     def test_rejects_bad_specs(self):
         with pytest.raises(ValueError, match="at least one period"):
             four_step_spec(length=3)
