@@ -92,6 +92,16 @@ def _final_utility(result: SelectionResult) -> float:
     return result.utility_trace[-1] if result.utility_trace else 0.0
 
 
+def _spread(runs: np.ndarray, ddof: int, axis: int = 0) -> np.ndarray:
+    """Standard deviation of ``runs`` along ``axis``, exactly 0 where every run is equal.
+
+    Deviations are taken from the first run, which leaves the spread
+    unchanged in exact arithmetic; ``np.std``'s own mean subtraction leaves
+    roundoff behind when the runs are identical.
+    """
+    return np.std(runs - np.take(runs, [0], axis=axis), axis=axis, ddof=ddof)
+
+
 # The algorithm registry: name -> (reads the utility, needs a period and a
 # threshold slack, run). Each run names its selector at call time, so a
 # rebound module attribute (as a tracer installs) is the one that runs.
@@ -242,9 +252,9 @@ def tune_threshold_slack(
         best_slack=slacks[best],
         slacks=slacks,
         mean_utility=mean_u,
-        sd_utility=finals.std(axis=1, ddof=ddof),
+        sd_utility=_spread(finals, ddof, axis=1),
         mean_fill=fills.mean(axis=1),
-        sd_fill=fills.std(axis=1, ddof=ddof),
+        sd_fill=_spread(fills, ddof, axis=1),
         runs=runs,
     )
 
@@ -393,12 +403,12 @@ def run_comparison(
         runs=cfg.runs,
         seed=cfg.seed,
         utility_mean={lab: utility_runs[lab].mean(axis=0) for lab in labels},
-        utility_sd={lab: utility_runs[lab].std(axis=0, ddof=ddof) for lab in labels},
+        utility_sd={lab: _spread(utility_runs[lab], ddof) for lab in labels},
         fill_mean={lab: float(fills[lab].mean()) for lab in labels},
-        fill_sd={lab: float(fills[lab].std(ddof=ddof)) for lab in labels},
+        fill_sd={lab: float(_spread(fills[lab], ddof)) for lab in labels},
         utility_runs=utility_runs,
         mse_mean={lab: mse_runs[lab].mean(axis=0) for lab in labels} if compute_mse else None,
-        mse_sd={lab: mse_runs[lab].std(axis=0, ddof=ddof) for lab in labels} if compute_mse else None,
+        mse_sd={lab: _spread(mse_runs[lab], ddof) for lab in labels} if compute_mse else None,
         mse_runs=mse_runs,
     )
     return report
@@ -481,8 +491,8 @@ def validate_bounds(
                     f_opt=f_opt,
                 )
             )
-            se_u = float(finals.std(ddof=1) / math.sqrt(runs))
-            se_s = float(succ.std(ddof=1) / math.sqrt(runs))
+            se_u = float(_spread(finals, 1) / math.sqrt(runs))
+            se_s = float(_spread(succ, 1) / math.sqrt(runs))
             cells.append(
                 BoundValidationCell(
                     k=int(k),

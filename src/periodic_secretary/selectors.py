@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, combinations, islice
+from itertools import combinations, islice
 from pathlib import Path
 from collections.abc import Callable, Iterable, Sequence
 
@@ -283,17 +282,23 @@ def offline_greedy(
     return SelectionResult(chosen=tuple(chosen), utility_trace=tuple(trace), terminated="filled_k")
 
 
-@lru_cache(maxsize=8)
-def _k_subsets(n: int, k: int) -> np.ndarray:
-    """Every k-subset of range(n) as rows in lexicographic order (read-only)."""
-    flat = np.fromiter(
-        chain.from_iterable(combinations(range(n), k)),
-        dtype=np.min_scalar_type(n),
-        count=math.comb(n, k) * k,
-    )
-    combos = flat.reshape(-1, k)
-    combos.flags.writeable = False
-    return combos
+def _lex_subsets(m: int, j: int, dtype: np.dtype) -> np.ndarray:
+    """Every j-subset of range(m) as rows of ``dtype`` in lexicographic order.
+
+    The rows starting with i are i followed by the last C(m-1-i, j-1) rows
+    of the (j-1)-subsets of range(m-1), shifted by one.
+    """
+    if j == 0:
+        return np.zeros((1, 0), dtype=dtype)
+    tails = _lex_subsets(m - 1, j - 1, dtype) + 1
+    table = np.empty((math.comb(m, j), j), dtype=dtype)
+    row = 0
+    for i in range(m - j + 1):
+        count = math.comb(m - 1 - i, j - 1)
+        table[row:row + count, 0] = i
+        table[row:row + count, 1:] = tails[len(tails) - count:]
+        row += count
+    return table
 
 
 def exhaustive_optimum(
@@ -301,8 +306,10 @@ def exhaustive_optimum(
 ) -> SelectionResult:
     """Enumerate every k-subset and return the utility maximizer.
 
-    Among ties the lexicographically smallest index set wins. Instances with
-    more than ``EXACT_MAX_SUBSETS`` subsets are refused outright.
+    Among ties the lexicographically smallest index set wins. A modular
+    utility's subset sums add the weights left to right, in index order, so
+    ties are judged on exactly those floating-point sums. Instances with more
+    than ``EXACT_MAX_SUBSETS`` subsets are refused outright.
     """
     items = sorted(ground, key=lambda o: o.index)
     n = len(items)
@@ -319,11 +326,27 @@ def exhaustive_optimum(
         return SelectionResult(chosen=(), utility_trace=(), terminated="filled_k")
 
     if f.kind == "modular_sum":
-        # Still full enumeration; the subset sums are just evaluated in bulk.
-        combos = _k_subsets(n, k)
+        # Chunk i holds the subsets whose first element is i: i followed by the
+        # last C(n-1-i, k-1) rows of one (k-1)-subset table of range(1, n).
+        # Sums add left to right, one tail column at a time; the first
+        # maximum of the chunk maxima, in chunk order, is the first maximum
+        # overall, so ties go to the lexicographically smallest subset.
         w = np.array([f.weights[o.index] for o in items])
-        best_pos = int(np.argmax(w[combos].sum(axis=1)))  # first max = lex smallest
-        best = [items[i] for i in combos[best_pos]]
+        tails = _lex_subsets(n - 1, k - 1, np.min_scalar_type(n)) + 1
+        cols = w[tails.T]
+        buf = np.empty(len(tails))
+        tops = np.empty(n - k + 1)
+        rows = np.empty(n - k + 1, dtype=np.intp)  # winning row of tails per chunk
+        for i in range(n - k + 1):
+            start = len(tails) - math.comb(n - 1 - i, k - 1)
+            sums = buf[start:]
+            sums.fill(w[i])
+            for col in cols[:, start:]:
+                sums += col
+            rows[i] = start + np.argmax(sums)  # first max; NaN counts as the max
+            tops[i] = buf[rows[i]]
+        first = int(np.argmax(tops))
+        best = [items[first], *(items[j] for j in tails[rows[first]])]
     else:
         best = None
         best_val = -math.inf

@@ -322,6 +322,21 @@ class TestEvaluate:
         assert [line for line in (replay / "manifest.txt").read_text().splitlines()
                 if not line.startswith("out = ")] == strip_out
 
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_identical_runs_report_zero_spread(self, hyper_file, tmp_path, k):
+        # Without noise every period is the same, so every block-permuted
+        # trial is the same stream and the schedule's utility never varies.
+        gen, out = tmp_path / "gen", tmp_path / "eval"
+        assert run_cli("generate", "--period", 24, "--periods", 5, "--noise", 0,
+                       "--seed", 3, "--out", gen) == 0
+        assert run_cli("evaluate", "--input", gen / "stream.csv", "--no-mse",
+                       "--algos", "scheduled", "--k", k, "--period", 24, "--runs", 7,
+                       "--hyper", hyper_file, "--out", out) == 0
+        assert read_kv_file(out / "summary.txt")["scheduled.final_utility_sd"] == "0"
+        sds = [line.rsplit(",", 1)[1]
+               for line in (out / "utility_curves.csv").read_text().splitlines()[1:]]
+        assert sds == ["0"] * k
+
 
 class TestBounds:
     def test_noiseless_limit_value(self, tmp_path, capsys):

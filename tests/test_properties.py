@@ -1,17 +1,22 @@
 """Property tests over random streams and inputs: the SE kernel, the
 tracked-pool engine, the one-point path, the prefix-means curve, the
-periodic scan, CSV round trips and block permutation.
+periodic scan, the entropy criterion, exhaustive enumeration, CSV round
+trips and block permutation.
 
 Features are drawn from seeded normal distributions, so candidates are in
 general position: ties between gains are exact (such as two points at the
-prior variance) or far apart, and no decision turns on roundoff.
+prior variance) or far apart, and no decision turns on roundoff. The
+enumeration test makes exact ties on purpose, with weights rounded to one
+decimal.
 """
 
+import math
 import re
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from periodic_secretary import (
@@ -24,6 +29,8 @@ from periodic_secretary import (
     QoiSample,
     UtilityFunction,
     block_permute,
+    entropy_criterion,
+    exhaustive_optimum,
     ingest_csv,
     offline_greedy,
     periodic_secretary,
@@ -79,6 +86,69 @@ def test_list_and_generator_inputs_select_alike(seed, d, T, extra, k, slack, mod
         assert pulled[0] == streamed.chosen[-1] + 1
     else:
         assert pulled[0] == len(obs)
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    n=st.integers(1, 10),
+    noise=st.floats(0.01, 1.0),
+)
+def test_entropy_criterion_is_order_free_and_a_log_determinant(seed, d, n, noise):
+    # H(A) = 1/2 (n ln 2 pi e + ln det K), with K the noisy SE Gram matrix of A.
+    rng = np.random.default_rng(seed)
+    hyper = GPHyperparams(
+        lengthscales=rng.uniform(0.3, 2.0, size=d),
+        signal_variance=rng.uniform(0.5, 2.0),
+        noise_variance=noise,
+    )
+    pts = rng.normal(size=(n, d))
+    z = (pts[:, None, :] - pts[None, :, :]) / hyper.lengthscales
+    K = hyper.signal_variance * np.exp(-0.5 * (z**2).sum(axis=2)) + noise * np.eye(n)
+    sign, logdet = np.linalg.slogdet(K)
+    assert sign == 1
+    value = entropy_criterion(pts, hyper)
+    assert value == pytest.approx(0.5 * (n * math.log(2 * math.pi * math.e) + logdet), abs=1e-9)
+    assert entropy_criterion(pts[rng.permutation(n)], hyper) == pytest.approx(value, abs=1e-9)
+
+
+@st.composite
+def modular_instances(draw):
+    n = draw(st.integers(0, 14))
+    k = draw(st.integers(0, n))
+    weights = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=n)
+    if draw(st.integers(0, 2)) == 0:
+        weights = np.round(weights, 1)  # exact ties between subset sums
+    return weights, k
+
+
+def first_best_subset(weights, k):
+    """Brute-force oracle: the first subset, in lexicographic order, with the
+    largest sum, where each sum adds its weights left to right. (An explicit
+    loop, since ``sum`` over floats compensates roundoff from Python 3.12.)"""
+    best, best_val = (), -math.inf
+    for combo in combinations(range(len(weights)), k):
+        val = 0.0
+        for i in combo:
+            val += weights[i]
+        if val > best_val:
+            best, best_val = combo, val
+    return best
+
+
+@SETTINGS
+@given(instance=modular_instances())
+@example(instance=(np.round(np.linspace(-1.0, 1.0, 12), 1), 1))
+@example(instance=(np.round(np.linspace(-1.0, 1.0, 12), 1), 12))
+@example(instance=(np.round(np.linspace(-1.0, 1.0, 14), 1), 9))
+@example(instance=(np.zeros(13), 8))
+@example(instance=(np.array([0.1, 0.1, 0.4, 0.1]), 3))  # (.1 + .1) + .4 > (.1 + .4) + .1
+def test_modular_exhaustive_optimum_matches_brute_force(instance):
+    weights, k = instance
+    obs = [Observation(i, np.zeros(1)) for i in range(len(weights))]
+    result = exhaustive_optimum(obs, UtilityFunction.modular(weights), k)
+    assert result.chosen == first_best_subset(weights, k)
 
 
 @SETTINGS

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,6 +306,22 @@ class TestExhaustiveOptimum:
         obs = make_observations(np.zeros(3))
         result = exhaustive_optimum(obs, UtilityFunction.modular(weights), k=2)
         assert result.chosen == (0, 1)
+
+    def test_c60_4_peaks_below_4_mb(self):
+        # C(60, 4) = 487635 subsets: one table of them all, or their gathered
+        # weights (15.6 MB), would not fit; chunks by first element do.
+        weights = np.random.default_rng(7).normal(size=60)
+        obs = make_observations(np.zeros(60))
+        f = UtilityFunction.modular(weights)
+        exhaustive_optimum(obs, f, k=4)
+        tracemalloc.start()
+        try:
+            result = exhaustive_optimum(obs, f, k=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 10**6
+        assert result.chosen == tuple(sorted(np.argsort(weights)[-4:]))
 
     def test_oversized_instance_refused(self, unit_hyper):
         obs = make_observations(np.zeros(30))
