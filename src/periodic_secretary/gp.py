@@ -214,7 +214,10 @@ class GPConditioner:
 
     def __init__(self, hyper: GPHyperparams):
         self.hyper = hyper
-        self._Xs = np.empty((0, hyper.dim))  # accepted locations / lengthscales
+        # Accepted locations / lengthscales, in a buffer with spare capacity
+        # whose live (m, d) block is _S.
+        self._Sbuf = np.empty((0, hyper.dim))
+        self._S = self._Sbuf
         # W lives in a buffer with spare capacity; _W is its live (m, m) block
         # and everything above its diagonal is zero.
         self._Wbuf = np.zeros((0, 0))
@@ -228,7 +231,7 @@ class GPConditioner:
         self._v = np.empty(0)
 
     def __len__(self) -> int:
-        return self._Xs.shape[0]
+        return self._S.shape[0]
 
     @classmethod
     def from_points(cls, X: np.ndarray, hyper: GPHyperparams) -> "GPConditioner":
@@ -236,14 +239,16 @@ class GPConditioner:
         cond = cls(hyper)
         X = _check_dim(X, hyper, "conditioning set")
         if X.shape[0]:
-            cond._refactor(X / hyper.lengthscales, 0)
+            cond._Sbuf = X / hyper.lengthscales
+            cond._refactor(X.shape[0], 0)
         return cond
 
-    def _refactor(self, Xs: np.ndarray, start_level: int) -> None:
-        """Make Xs the set, factored afresh from ``start_level``, and rebuild the pool's Z."""
+    def _refactor(self, m: int, start_level: int) -> None:
+        """Make the first m buffered locations the set, factored afresh from
+        ``start_level``, and rebuild the pool's Z."""
+        Xs = self._S = self._Sbuf[:m]
         K = _se_scaled(Xs, Xs, self.hyper.signal_variance)
-        L, self._level = _cholesky(K + self.hyper.noise_variance * np.eye(len(Xs)), start_level)
-        self._Xs = Xs
+        L, self._level = _cholesky(K + self.hyper.noise_variance * np.eye(m), start_level)
         self._W = self._Wbuf = _inverse_factor(L)
         p = self._p
         if p:
@@ -261,7 +266,7 @@ class GPConditioner:
 
     def _solve(self, Qs: np.ndarray) -> np.ndarray:
         """L^-1 K(S, Q) = W K(S, Q) for scaled query rows Qs."""
-        return self._W @ _se_scaled(self._Xs, Qs, self.hyper.signal_variance)
+        return self._W @ _se_scaled(self._S, Qs, self.hyper.signal_variance)
 
     def conditional_variances(self, Q: np.ndarray) -> np.ndarray:
         """Noisy-observable conditional variance at each row of Q given the current set."""
@@ -275,8 +280,11 @@ class GPConditioner:
 
         One product W k and the arithmetic of ``track`` plus
         ``tracked_variances``, so the result equals the tracked variance of x
-        bit for bit. x is not checked; ``conditional_variances`` is the
-        checked path, and selectors check a stream's dimension once.
+        bit for bit when x is tracked alone against the current set. In a
+        larger pool ``einsum`` sums in another order, and after ``extend``
+        tracked variances are updated, not recomputed, so there the two can
+        differ in the last bits. x is not checked; ``conditional_variances``
+        is the checked path, and selectors check a stream's dimension once.
         """
         prior = self.hyper.prior_variance
         if not len(self):
@@ -314,13 +322,39 @@ class GPConditioner:
         # np.minimum/np.maximum clamp as np.clip does at about half its call overhead.
         return np.minimum(np.maximum(self._v[: self._p], VARIANCE_FLOOR), self.hyper.prior_variance)
 
-    def extend(self, x: np.ndarray) -> float:
+    # The scans below clamp one value rather than the pool: clamping is
+    # monotone, so they answer as ``tracked_variances`` would.
+
+    def tracked_variance(self, pos: int) -> float:
+        """Conditional variance of the tracked point at pool position ``pos``."""
+        return min(max(float(self._v[pos]), VARIANCE_FLOOR), self.hyper.prior_variance)
+
+    def max_tracked_variance(self, stop: int) -> float:
+        """Largest conditional variance among pool positions 0..stop-1 (stop >= 1)."""
+        return min(max(float(self._v[:stop].max()), VARIANCE_FLOOR), self.hyper.prior_variance)
+
+    def first_tracked_at_least(self, variance: float, start: int) -> int | None:
+        """First pool position at or after ``start`` whose conditional variance is >= variance."""
+        if start >= self._p or variance > self.hyper.prior_variance:
+            return None
+        if variance <= VARIANCE_FLOOR:
+            return start
+        hits = self._v[start : self._p] >= variance
+        i = int(hits.argmax())
+        return start + i if hits[i] else None
+
+    def extend(self, x: np.ndarray, pos: int | None = None) -> float:
         """Add one location to the conditioning set, updating the factor and the pool.
 
         Returns the conditional variance of x given the set before the update,
         clamped like ``conditional_variances``: the squared Cholesky pivot
         less the jitter in force, so summing the entropies of these values
         gives the joint entropy by the chain rule.
+
+        ``pos``, if given, is x's position in the tracked pool. Its column of
+        Z and its variance are already current, so they stand in for the
+        solve against the set: the step is one step of pivoted Cholesky on
+        the pool. The result agrees with ``extend(x)`` to roundoff.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if x.shape != (self.hyper.dim,):
@@ -328,31 +362,43 @@ class GPConditioner:
         xs = x / self.hyper.lengthscales
         m, p = len(self), self._p
         prior = self.hyper.prior_variance
-        a = self._solve(xs)
-        aa = float(a @ a)
-        pivot_sq = prior + _JITTER_LADDER[self._level] * prior - aa
-        Xs = np.vstack([self._Xs, xs[None, :]])
+        if pos is None:
+            a = self._solve(xs)
+            variance = prior - float(a @ a)
+        else:
+            a = self._Z[:m, pos]
+            variance = float(self._v[pos])
+        pivot_sq = variance + _JITTER_LADDER[self._level] * prior
+        if m == self._Sbuf.shape[0]:
+            self._Sbuf = _with_capacity(self._Sbuf, (m + 1, self.hyper.dim))
+        self._Sbuf[m] = xs
         if pivot_sq <= _PIVOT_RTOL * prior:
             # Near-duplicate location defeated the border update; refactor the
             # whole set with more jitter.
-            self._refactor(Xs, self._level + 1)
+            self._refactor(m + 1, self._level + 1)
         else:
             # L gains the row [a^T, pivot], so W = L^-1 gains [-a^T W, 1] / pivot.
-            self._Xs = Xs
             pivot = math.sqrt(pivot_sq)
             if m == self._Wbuf.shape[0]:
                 self._Wbuf = _with_capacity(self._Wbuf, (m + 1, m + 1))
             W = self._Wbuf
-            W[m, :m] = (a @ self._W) / -pivot
+            border = W[m, :m]
+            np.matmul(a, self._W, out=border)
+            border /= -pivot
             W[m, m] = 1.0 / pivot
             self._W = W[: m + 1, : m + 1]
             if p:
+                # Z gains the row (K(P, x) - a^T Z) / pivot, and each tracked
+                # variance loses that row's square.
                 self._reserve(m + 1, p)
                 k = _se_scaled(self._Ps[:p], xs, self.hyper.signal_variance)
-                row = (k - a @ self._Z[:m, :p]) / pivot
-                self._Z[m, :p] = row
-                self._v[:p] -= row * row
-        return min(max(prior - aa, VARIANCE_FLOOR), prior)
+                row = self._Z[m, :p]
+                np.matmul(a, self._Z[:m, :p], out=row)
+                np.subtract(k, row, out=row)
+                row /= pivot
+                self._v[:p] -= np.square(row, out=k)
+            self._S = self._Sbuf[: m + 1]
+        return min(max(variance, VARIANCE_FLOOR), prior)
 
 
 def _training_data(

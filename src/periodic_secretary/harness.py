@@ -69,6 +69,11 @@ UtilityOrFactory = Union[UtilityFunction, Callable[[ObservationStream], UtilityF
 # EXACT_MAX_SUBSETS subsets).
 _EXACT_MAX_K = 4
 
+# Below this noise variance an entropy gain 0.5*ln(2*pi*e*v) can be negative
+# (the conditional variance v can fall below 1/(2*pi*e)), so the entropy
+# utility is not monotone and the bounds do not apply.
+_MONOTONE_NOISE_FLOOR = 1 / (2 * math.pi * math.e)
+
 # Fixed tags keep every stage of an experiment on its own seed stream.
 _TAG_TRIAL = 1
 _TAG_TEST = 3
@@ -461,11 +466,18 @@ def validate_bounds(
     below. The optimum f(A*) is exact (full enumeration) when k <= 4 and
     C(N, k) <= 10**6; otherwise the greedy value substitutes as a lower
     estimate and the utility check is reported as informational rather than
-    pass/fail.
+    pass/fail. An entropy utility with noise_variance below 1/(2*pi*e) is
+    refused before any run: its gains can be negative.
     """
     if runs < 2:
         raise ValueError("bound validation needs runs >= 2 for standard errors")
     streams, utilities = _seeded_trials(spec, utility, seed, _TAG_TRIAL, runs)
+    for f in utilities:
+        if f.kind == "entropy" and f.hyper.noise_variance < _MONOTONE_NOISE_FLOOR:
+            raise ValueError(
+                f"entropy utility with noise_variance {f.hyper.noise_variance:g} is not"
+                f" monotone below 1/(2*pi*e) = {_MONOTONE_NOISE_FLOOR:.4g}; the bounds do not apply"
+            )
     noise_est = float(
         np.mean([estimate_utility_noise(s, u) for s, u in zip(streams, utilities)])
     )

@@ -116,13 +116,17 @@ def periodic_secretary(
     acceptances or at end of stream, whichever comes first.
 
     The reference set is the evaluator's tracked pool, so every
-    recalibration is a vector read. A ``Sequence`` is already all there, so
-    it is scanned a period at a time, tracked alongside the reference set,
-    and each acceptance is the first tracked gain to meet the threshold. Any
-    other iterable yields only the observation that has just arrived; that
-    one is decided by its own gain, is never tracked, and nothing is read
-    past the last decision. Gains depend only on the accepted set, so both
-    scans make the decisions of a one-at-a-time scan.
+    recalibration reads its largest tracked gain. A ``Sequence`` is already
+    all there, so it is scanned a period at a time, tracked alongside the
+    reference set; each acceptance is the first tracked gain to meet the
+    threshold and joins the set from its tracked state (under entropy, one
+    step of pivoted Cholesky on the pool). Any other iterable yields only
+    the observation that has just arrived; that one is decided by its own
+    gain, is never tracked, and nothing is read past the last decision.
+    Gains depend only on the accepted set, so both scans make the decisions
+    of a one-at-a-time scan, except where a gain ties the threshold within
+    roundoff: a point's tracked and one-point gains can differ in the last
+    bits.
     """
     T = cfg.period_T
     it = iter(stream)
@@ -133,37 +137,35 @@ def periodic_secretary(
         )
     ev = f.evaluator()
     ev.track(reference)
-    threshold_gain = float(np.max(ev.tracked_gains())) - cfg.threshold_slack
+    threshold_gain = ev.max_tracked_gain(T) - cfg.threshold_slack
     chosen: list[int] = []
     trace: list[float] = []
     thresholds: list[float] = []
 
-    def accept(obs: Observation, threshold_gain: float) -> np.ndarray:
-        """Take obs; return the tracked gains against the grown set."""
+    def accept(obs: Observation, threshold_gain: float, pos: int | None = None) -> float:
+        """Take obs; return the threshold recalibrated against the grown set."""
         thresholds.append(ev.value + threshold_gain)
-        ev.accept(obs)
+        ev.accept(obs, pos)
         chosen.append(obs.index)
         trace.append(ev.value)
-        return ev.tracked_gains()
+        return ev.max_tracked_gain(T) - cfg.threshold_slack
 
     if not isinstance(stream, Sequence):
         for obs in it:
             if ev.gain(obs) >= threshold_gain:
-                threshold_gain = float(np.max(accept(obs, threshold_gain))) - cfg.threshold_slack
+                threshold_gain = accept(obs, threshold_gain)
                 if len(chosen) == cfg.k:
                     break
     else:
         for batch in iter(lambda: list(islice(it, T)), []):
             ev.track(batch)
-            gains = ev.tracked_gains()
-            start = 0
+            pos = T
             while len(chosen) < cfg.k:
-                hits = np.flatnonzero(gains[T + start :] >= threshold_gain)
-                if hits.size == 0:
+                hit = ev.first_tracked_hit(threshold_gain, pos)
+                if hit is None:
                     break
-                gains = accept(batch[start + int(hits[0])], threshold_gain)
-                threshold_gain = float(np.max(gains[:T])) - cfg.threshold_slack
-                start += int(hits[0]) + 1
+                threshold_gain = accept(batch[hit - T], threshold_gain, hit)
+                pos = hit + 1
             if len(chosen) == cfg.k:
                 break
             ev.untrack(len(batch))
@@ -276,7 +278,7 @@ def offline_greedy(
     for _ in range(k):
         pos = int(np.argmax(np.where(taken, -np.inf, ev.tracked_gains())))  # first max = lowest index
         taken[pos] = True
-        ev.accept(items[pos])
+        ev.accept(items[pos], pos)
         chosen.append(items[pos].index)
         trace.append(ev.value)
     return SelectionResult(chosen=tuple(chosen), utility_trace=tuple(trace), terminated="filled_k")

@@ -165,13 +165,17 @@ class ObservationStream:
         return _readonly(np.vstack([o.features for o in self.observations]))
 
     def qoi_values(self) -> np.ndarray:
-        """qoi as an array aligned with observation indices."""
+        """qoi as a read-only array aligned with observation indices, built once per stream."""
         if self.qoi is None:
             raise ValueError("stream carries no qoi series")
+        return self._qoi_array
+
+    @cached_property
+    def _qoi_array(self) -> np.ndarray:
         vals = np.full(len(self.observations), np.nan)
         for s in self.qoi:
             vals[s.index] = s.value
-        return vals
+        return _readonly(vals)
 
 
 def _stream(

@@ -8,6 +8,7 @@ f(empty set) = 0 so marginal gains telescope cleanly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,6 +28,10 @@ __all__ = [
 ]
 
 SetFunction = Callable[[Sequence[Observation]], float]
+
+# Relative guard band on the threshold variance of the entropy scan, far
+# above the few ulps that exp and log can lose between gain and variance.
+_GUARD_RTOL = 1e-9
 
 
 def _features_of(observations: Sequence[Observation]) -> np.ndarray:
@@ -102,14 +107,27 @@ class UtilityEvaluator:
         """Marginal gain of each tracked observation against the current set, in pool order."""
         raise NotImplementedError
 
-    def accept(self, obs: Observation) -> float:
+    def max_tracked_gain(self, stop: int) -> float:
+        """Largest tracked gain among pool positions 0..stop-1."""
+        raise NotImplementedError
+
+    def first_tracked_hit(self, threshold: float, start: int) -> int | None:
+        """First pool position at or after ``start`` whose tracked gain is >= threshold."""
+        raise NotImplementedError
+
+    def accept(self, obs: Observation, pos: int | None = None) -> float:
+        """Add obs to the set irrevocably; return the utility after.
+
+        ``pos``, if given, is obs's position in the tracked pool, which an
+        evaluator may use to add it without evaluating it afresh.
+        """
         if obs.index in self._indices:
             raise ValueError(f"observation {obs.index} is already in the sample set")
-        self._value += self._register(obs)
+        self._value += self._register(obs, pos)
         self._indices.add(obs.index)
         return self._value
 
-    def _register(self, obs: Observation) -> float:
+    def _register(self, obs: Observation, pos: int | None) -> float:
         """Add obs to the set; return its marginal gain against the set before."""
         raise NotImplementedError
 
@@ -141,8 +159,25 @@ class _EntropyEvaluator(UtilityEvaluator):
     def tracked_gains(self) -> np.ndarray:
         return _entropy_of(self._cond.tracked_variances())
 
-    def _register(self, obs: Observation) -> float:
-        return float(_entropy_of(self._cond.extend(obs.features)))
+    # Entropy increases with variance, so both scans search the tracked
+    # variances and take one log per answer rather than one per point.
+
+    def max_tracked_gain(self, stop: int) -> float:
+        return float(_entropy_of(self._cond.max_tracked_variance(stop)))
+
+    def first_tracked_hit(self, threshold: float, start: int) -> int | None:
+        # Candidates have variances within a guard band below the threshold's
+        # variance, wider than the roundoff of exp and log; the first whose
+        # own gain meets the threshold is the hit, as in gain space.
+        cond = self._cond
+        floor = math.exp(2.0 * (threshold - GAUSSIAN_ENTROPY_CONST)) * (1.0 - _GUARD_RTOL)
+        pos = cond.first_tracked_at_least(floor, start)
+        while pos is not None and _entropy_of(cond.tracked_variance(pos)) < threshold:
+            pos = cond.first_tracked_at_least(floor, pos + 1)
+        return pos
+
+    def _register(self, obs: Observation, pos: int | None) -> float:
+        return float(_entropy_of(self._cond.extend(obs.features, pos)))
 
 
 class _ModularEvaluator(UtilityEvaluator):
@@ -173,7 +208,14 @@ class _ModularEvaluator(UtilityEvaluator):
     def tracked_gains(self) -> np.ndarray:
         return self._pool.copy()
 
-    def _register(self, obs: Observation) -> float:
+    def max_tracked_gain(self, stop: int) -> float:
+        return float(self._pool[:stop].max())
+
+    def first_tracked_hit(self, threshold: float, start: int) -> int | None:
+        hits = np.flatnonzero(self._pool[start:] >= threshold)
+        return start + int(hits[0]) if hits.size else None
+
+    def _register(self, obs: Observation, pos: int | None) -> float:
         return self._weight(obs)
 
 

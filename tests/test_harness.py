@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import periodic_secretary.bounds
+import periodic_secretary.harness
 from periodic_secretary import (
     AlgorithmSpec,
     ExperimentConfig,
@@ -296,6 +297,27 @@ class TestValidateBounds:
             spec, modular_factory, k_values=[2], slack_values=[0.3], runs=6, seed=4
         )
         assert any(c.utility_violation for c in corrupted.cells)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_non_monotone_entropy_refused_before_any_run(self, monkeypatch, noise):
+        # Below noise_variance = 1/(2*pi*e) an entropy gain can be negative, so
+        # the utility is not monotone and the bounds do not hold; the check
+        # must come before the first selector run.
+        def no_runs(*a, **kw):
+            raise AssertionError("a selector ran")
+
+        monkeypatch.setattr(periodic_secretary.harness, "_periodic_runs", no_runs)
+        monkeypatch.setattr(periodic_secretary.harness, "exhaustive_optimum", no_runs)
+        spec = PeriodicStreamSpec(
+            period_T=4,
+            noise_cov=np.array([[0.1]]),
+            length_N=16,
+            base_waveform=np.array([[0.0], [3.0], [1.0], [2.0]]),
+        )
+        hyper = GPHyperparams(lengthscales=np.array([0.5]), signal_variance=1.0, noise_variance=noise)
+        for utility in (UtilityFunction.entropy(hyper), lambda s: UtilityFunction.entropy(hyper)):
+            with pytest.raises(ValueError, match=r"1/\(2\*pi\*e\) = 0\.05855"):
+                validate_bounds(spec, utility, k_values=[1], slack_values=[0.0], runs=2, seed=0)
 
     def test_large_instances_marked_informational(self):
         spec = PeriodicStreamSpec(

@@ -38,7 +38,7 @@ from periodic_secretary import (
     prefix_means,
     write_stream_csv,
 )
-from periodic_secretary.gp import _se_scaled
+from periodic_secretary.gp import _JITTER_LADDER, _se_scaled
 from periodic_secretary.kv import write_csv
 
 from conftest import random_hyper
@@ -185,6 +185,112 @@ def test_tracked_variances_match_fresh_ones(seed, d, noise, steps):
     np.testing.assert_allclose(
         cond.tracked_variances(), cond.conditional_variances(pool), rtol=0, atol=1e-10
     )
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    noise=st.sampled_from([0.0, 1e-6, 0.01, 0.3]),
+    kinds=st.lists(st.sampled_from(["new", "near", "same"]), max_size=25),
+)
+def test_tracked_acceptance_matches_untracked_and_fresh(seed, d, noise, kinds):
+    # The pool holds new locations, near-duplicates (within 1e-9) and exact
+    # duplicates of earlier pool points. Its points are accepted by position,
+    # in random order, while a twin conditioner accepts the same locations
+    # without their positions. Every run opens with a location and its exact
+    # duplicate, which at zero noise forces the jitter refactor.
+    #
+    # Both paths are exact up to roundoff, and their roundoff grows as the
+    # smallest squared pivot shrinks; noise plus the jitter in force bounds
+    # that pivot below. With noise >= 0.01 the tolerances are 1e-12 and
+    # 1e-10. At zero noise (jitter 1e-10) the paths differ by up to about
+    # 3e-8, and even the untracked path differs from a fresh factor by up to
+    # about 3e-9, so there they scale as 1e-15 / (noise + jitter).
+    rng = np.random.default_rng(seed)
+    hyper = GPHyperparams(
+        lengthscales=rng.uniform(0.3, 2.0, size=d), signal_variance=1.0, noise_variance=noise
+    )
+    pool = [rng.normal(size=d)]
+    for kind in ["same", *kinds]:
+        if kind == "new":
+            pool.append(rng.normal(size=d))
+        else:
+            pool.append(pool[rng.integers(len(pool))] + (1e-9 if kind == "near" else 0.0))
+    pool = np.array(pool)
+    order = [0, 1, *(2 + rng.permutation(len(pool) - 2))][: rng.integers(2, len(pool) + 1)]
+    cond, twin = GPConditioner(hyper), GPConditioner(hyper)
+    cond.track(pool)
+    twin.track(pool)
+
+    def roundoff():
+        # 0 only for the first point, at zero noise, which the empty set makes exact.
+        floor = noise + _JITTER_LADDER[twin._level]
+        return 1e-15 / floor if floor else 0.0
+
+    for pos in order:
+        expected = twin.extend(pool[pos])
+        got = cond.extend(pool[pos], pos)
+        assert cond._level == twin._level
+        assert got == pytest.approx(expected, rel=0, abs=max(1e-12, roundoff()))
+    assert noise > 0 or cond._level >= 1
+    fresh = GPConditioner.from_points(pool[order], hyper)
+    assert fresh._level == cond._level
+    np.testing.assert_allclose(
+        cond.tracked_variances(),
+        fresh.conditional_variances(pool),
+        rtol=0,
+        atol=max(1e-10, roundoff()),
+    )
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 2),
+    n=st.integers(1, 30),
+    m=st.integers(0, 12),
+    utility=st.sampled_from(["modular", "entropy", "zero-noise entropy"]),
+    data=st.data(),
+)
+def test_tracked_scans_match_gain_space_rule(seed, d, n, m, utility, data):
+    # max_tracked_gain and first_tracked_hit, which the entropy evaluator
+    # answers from the tracked variances, give the threshold and the index
+    # of np.max and np.flatnonzero over tracked_gains. Thresholds include
+    # gains taken from the pool itself, so exact ties are tried, and the
+    # next float above the best gain still to scan, whose point lies inside
+    # the variance guard band but misses the threshold. At zero noise the
+    # accepted points repeat pool locations, whose variances then sit at
+    # the clamp floor.
+    rng = np.random.default_rng(seed)
+    obs = random_observations(rng, n + m, d)
+    if utility == "modular":
+        f = UtilityFunction.modular(np.round(rng.normal(size=n + m), 1))
+    elif utility == "entropy":
+        f = UtilityFunction.entropy(random_hyper(rng, d))
+    else:
+        f = UtilityFunction.entropy(GPHyperparams(rng.uniform(0.3, 2.0, size=d), 1.0, 0.0))
+        obs[n:] = [Observation(n + j, obs[rng.integers(n)].features) for j in range(m)]
+    ev = f.evaluator()
+    ev.track(obs[:n])
+    for o in obs[n:]:
+        ev.accept(o)
+    gains = ev.tracked_gains()
+    stop = data.draw(st.integers(1, n))
+    assert ev.max_tracked_gain(stop) == float(np.max(gains[:stop]))
+    start = data.draw(st.integers(0, n))
+    best_left = float(np.max(gains[start:], initial=-np.inf))
+    threshold = data.draw(st.sampled_from([
+        float(gains[rng.integers(n)]),
+        best_left,
+        float(np.nextafter(best_left, np.inf)),
+        float(np.max(gains)) - rng.uniform(0.0, 1.0),
+        float(np.min(gains)) - 1.0,
+        float(np.max(gains)) + 1.0,
+        -math.inf,
+    ]))
+    hits = np.flatnonzero(gains[start:] >= threshold)
+    assert ev.first_tracked_hit(threshold, start) == (start + int(hits[0]) if hits.size else None)
 
 
 @SETTINGS

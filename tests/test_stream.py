@@ -147,6 +147,15 @@ class TestCsv:
         assert stream.qoi is not None
         assert stream.qoi_values().tolist() == [3.0, 5.5]
 
+    def test_qoi_values_built_once_and_read_only(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("t,temp,cell_count\n0,14.5,3.0\n1,13.2,5.5\n")
+        stream = ingest_csv(path, CsvSchema(index_col="t", feature_cols=("temp",), qoi_col="cell_count"))
+        values = stream.qoi_values()
+        assert stream.qoi_values() is values
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+
     def test_rows_sorted_by_index_column(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("t,x\n5,2.0\n1,1.0\n9,3.0\n")
