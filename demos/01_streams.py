@@ -17,7 +17,6 @@ from periodic_secretary import (
     block_permute,
     generate_periodic_stream,
     ingest_csv,
-    standardize_stream,
     two_sine_waveform,
     write_stream_csv,
 )
@@ -60,9 +59,3 @@ print("block-permuted trial keeps the multiset of observations:",
                           np.sort(stream.feature_matrix[:, 0]))))
 print("...but reorders the periods:",
       not np.array_equal(trial.feature_matrix, stream.feature_matrix))
-
-# Before GP use, features can be standardized with statistics taken from the
-# reference period only, so no future information leaks into the transform.
-scaled = standardize_stream(stream)
-ref = scaled.feature_matrix[:100]
-print(f"standardized reference period: mean {ref.mean():+.1e}, std {ref.std():.3f}")

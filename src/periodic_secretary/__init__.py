@@ -56,12 +56,10 @@ from .stream import (
     Observation,
     ObservationStream,
     PeriodicStreamSpec,
-    QoiSample,
     block_permute,
     generate_periodic_stream,
     ingest_csv,
     seasonal_waveform,
-    standardize_stream,
     two_sine_waveform,
     write_stream_csv,
 )

@@ -180,10 +180,13 @@ def estimate_utility_noise(
 
     For each phase, the singleton utility of the observations at that phase
     across periods is collected; the pooled sample variance across phases is
-    returned. This is a pragmatic bridge from data noise to utility noise:
-    it is exact for modular utilities of 1-d streams and approximately right
-    for near-linear utility responses. Note that a stationary-kernel entropy
-    utility has constant singleton utilities, so it estimates to ~0 there.
+    returned. This is a pragmatic bridge from data noise to utility noise,
+    approximately right for near-linear utility responses. It is biased low
+    on a generated stream even for a modular utility: the stream's first
+    period is noise-free and is pooled with the rest (with ten periods the
+    estimate is about 0.9 of the noise variance). A stationary-kernel
+    entropy utility has constant singleton utilities, so it estimates to ~0
+    there.
     """
     if period_T is None:
         if stream.spec is None:

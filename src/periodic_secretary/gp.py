@@ -283,13 +283,16 @@ class GPConditioner:
         bit for bit when x is tracked alone against the current set. In a
         larger pool ``einsum`` sums in another order, and after ``extend``
         tracked variances are updated, not recomputed, so there the two can
-        differ in the last bits. x is not checked; ``conditional_variances``
-        is the checked path, and selectors check a stream's dimension once.
+        differ in the last bits. A point whose shape is not (d,) raises
+        ``ValueError``, after one shape comparison with the lengthscales.
         """
-        prior = self.hyper.prior_variance
+        hyper = self.hyper
+        if x.shape != hyper.lengthscales.shape:
+            raise ValueError(f"query has dimension {x.size}, lengthscales have {hyper.dim}")
+        prior = hyper.prior_variance
         if not len(self):
             return prior
-        a = self._solve(x / self.hyper.lengthscales)
+        a = self._solve(x / hyper.lengthscales)
         return min(max(prior - np.einsum("i,i->", a, a), VARIANCE_FLOOR), prior)
 
     def entropies(self, Q: np.ndarray) -> np.ndarray:

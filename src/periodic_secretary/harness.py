@@ -12,7 +12,7 @@ seed, so reports are reproducible bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence, Union
 
@@ -38,7 +38,6 @@ from .stream import (
     Observation,
     ObservationStream,
     PeriodicStreamSpec,
-    QoiSample,
     block_permute,
     generate_periodic_stream,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "attach_gp_qoi",
     "write_tuning_csv",
     "write_comparison_report",
-    "write_bound_validation_csv",
     "derive_seeds",
 ]
 
@@ -269,8 +267,7 @@ def attach_gp_qoi(stream: ObservationStream, hyper: GPHyperparams, seed: int) ->
     X = stream.feature_matrix
     L, _ = gp._cholesky(gp.se_gram(X, hyper))
     y = L @ np.random.default_rng(seed).standard_normal(len(stream))
-    qoi = tuple(QoiSample(i, float(y[i])) for i in range(len(stream)))
-    return ObservationStream(observations=stream.observations, qoi=qoi, spec=stream.spec)
+    return ObservationStream(X, y, stream.spec)
 
 
 def evaluate_prediction(
@@ -292,15 +289,14 @@ def evaluate_prediction(
     overlap = set(test_indices) & set(selection.chosen)
     if overlap:
         raise ValueError(f"test indices overlap the selection: {sorted(overlap)}")
-    y_all = stream.qoi_values()
-    if np.any(np.isnan(y_all[test_indices])):
+    y_test = stream.qoi[test_indices]
+    if np.any(np.isnan(y_test)):
         raise ValueError("some test indices have no qoi value")
     X_test = stream.feature_matrix[test_indices]
-    y_test = y_all[test_indices]
     mse = np.empty(len(selection.chosen) + 1)
     mse[0] = float(np.mean(y_test**2))
     train_x = stream.feature_matrix[list(selection.chosen)]
-    train_y = y_all[list(selection.chosen)]
+    train_y = stream.qoi[list(selection.chosen)]
     if np.any(np.isnan(train_y)):
         raise ValueError("some selected indices have no qoi value")
     means = gp.prefix_means(train_x, train_y, X_test, hyper)
@@ -421,8 +417,7 @@ def run_comparison(
 
 @dataclass(frozen=True)
 class BoundValidationCell:
-    """Empirical vs theoretical numbers for one (k, slack) grid cell; the
-    fields, in order, are the columns of the bound-validation CSV."""
+    """Empirical vs theoretical numbers for one (k, slack) grid cell."""
 
     k: int
     threshold_slack: float
@@ -575,11 +570,3 @@ def write_comparison_report(report: ComparisonReport, outdir: "str | Path") -> l
     write_kv_file(summary, path)
     paths.append(path)
     return paths
-
-
-def write_bound_validation_csv(report: BoundValidationReport, path: "str | Path") -> None:
-    write_csv(
-        path,
-        [f.name for f in fields(BoundValidationCell)],
-        (astuple(c) for c in report.cells),
-    )

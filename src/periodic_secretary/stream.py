@@ -9,8 +9,7 @@ alone and never see qoi values.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
@@ -20,7 +19,6 @@ from .kv import write_columns
 
 __all__ = [
     "Observation",
-    "QoiSample",
     "PeriodicStreamSpec",
     "ObservationStream",
     "CsvSchema",
@@ -28,7 +26,6 @@ __all__ = [
     "ingest_csv",
     "write_stream_csv",
     "block_permute",
-    "standardize_stream",
     "two_sine_waveform",
     "seasonal_waveform",
 ]
@@ -56,18 +53,6 @@ class Observation:
         if not np.all(np.isfinite(feats)):
             raise ValueError(f"non-finite feature value at index {self.index}")
         object.__setattr__(self, "features", feats)
-
-
-@dataclass(frozen=True)
-class QoiSample:
-    """Latent quantity-of-interest value paired with an observation index."""
-
-    index: int
-    value: float
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError(f"qoi index must be non-negative, got {self.index}")
 
 
 @dataclass(frozen=True)
@@ -121,92 +106,58 @@ class PeriodicStreamSpec:
         return self.base_waveform.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationStream:
-    """Ordered observations with optional hidden qoi series and generative spec.
+    """Ordered observations over the rows of one (N, d) feature matrix, with an
+    optional hidden qoi series and generative spec.
 
-    Selectors receive ``observations`` only; qoi stays on the stream object
-    for the evaluation harness.
+    The matrix is checked once as a whole, with ``Observation``'s messages,
+    and made read-only; observation i is index i over a view of row i, so
+    indices run 0..N-1 and the dimension is uniform by construction. ``qoi``
+    is None or a read-only float array of length N, with NaN for a missing
+    value. Selectors receive ``observations`` only; qoi stays on the stream
+    object for the evaluation harness. Streams compare by identity: array
+    fields have no single truth value.
     """
 
-    observations: tuple[Observation, ...]
-    qoi: tuple[QoiSample, ...] | None = None
+    feature_matrix: np.ndarray
+    qoi: np.ndarray | None = None
     spec: PeriodicStreamSpec | None = None
+    observations: tuple[Observation, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        obs = tuple(self.observations)
-        if not obs:
+        feats = _readonly(self.feature_matrix)
+        if feats.ndim != 2:
+            raise ValueError("feature matrix must be 2-d")
+        if not len(feats):
             raise ValueError("stream must contain at least one observation")
-        d = obs[0].features.shape[0]
-        for pos, o in enumerate(obs):
-            if o.index != pos:
-                raise ValueError(f"observation indices must run 0..N-1; position {pos} has index {o.index}")
-            if o.features.shape[0] != d:
-                raise ValueError(f"inconsistent feature dimension at index {pos}")
-        object.__setattr__(self, "observations", obs)
+        finite = np.isfinite(feats).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"non-finite feature value at index {int(np.argmin(finite))}")
+        put = object.__setattr__
+        put(self, "feature_matrix", feats)
         if self.qoi is not None:
-            q = tuple(self.qoi)
-            valid = {o.index for o in obs}
-            for s in q:
-                if s.index not in valid:
-                    raise ValueError(f"qoi index {s.index} refers to no observation")
-            object.__setattr__(self, "qoi", q)
+            qoi = _readonly(self.qoi)
+            if qoi.shape != (len(feats),):
+                raise ValueError(f"qoi has shape {qoi.shape}, the stream has {len(feats)} observations")
+            put(self, "qoi", qoi)
+        make = Observation.__new__
+        obs = []
+        for i, row in enumerate(feats):
+            # Observation's fields without its per-row checks, made above on
+            # the matrix; __dict__.update would cost a dict per observation.
+            o = make(Observation)
+            put(o, "index", i)
+            put(o, "features", row)
+            obs.append(o)
+        put(self, "observations", tuple(obs))
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return self.feature_matrix.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.observations[0].features.shape[0]
-
-    @cached_property
-    def feature_matrix(self) -> np.ndarray:
-        """(N, d) matrix of all feature vectors, read-only."""
-        return _readonly(np.vstack([o.features for o in self.observations]))
-
-    def qoi_values(self) -> np.ndarray:
-        """qoi as a read-only array aligned with observation indices, built once per stream."""
-        if self.qoi is None:
-            raise ValueError("stream carries no qoi series")
-        return self._qoi_array
-
-    @cached_property
-    def _qoi_array(self) -> np.ndarray:
-        vals = np.full(len(self.observations), np.nan)
-        for s in self.qoi:
-            vals[s.index] = s.value
-        return _readonly(vals)
-
-
-def _stream(
-    feats: np.ndarray,
-    qoi: "tuple[QoiSample, ...] | None" = None,
-    spec: PeriodicStreamSpec | None = None,
-) -> ObservationStream:
-    """Stream of Observation i over row i of an (N, d) feature matrix.
-
-    The matrix is checked once as a whole, with ``Observation``'s messages,
-    and made read-only; each observation's features are a view of its row,
-    and the matrix itself is the stream's ``feature_matrix``.
-    """
-    feats = _readonly(feats)
-    if feats.ndim != 2:
-        raise ValueError("feature matrix must be 2-d")
-    finite = np.isfinite(feats).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"non-finite feature value at index {int(np.argmin(finite))}")
-    make, put = Observation.__new__, object.__setattr__
-    obs = []
-    for i, row in enumerate(feats):
-        # Observation's fields without its per-row checks, made above on the
-        # matrix; __dict__.update would cost a dict per observation.
-        o = make(Observation)
-        put(o, "index", i)
-        put(o, "features", row)
-        obs.append(o)
-    stream = ObservationStream(observations=tuple(obs), qoi=qoi, spec=spec)
-    stream.__dict__["feature_matrix"] = feats  # where the cached_property keeps its value
-    return stream
+        return self.feature_matrix.shape[1]
 
 
 def two_sine_waveform(period_T: int, amplitude: float = 1.0) -> np.ndarray:
@@ -238,7 +189,7 @@ def generate_periodic_stream(spec: PeriodicStreamSpec, seed: int) -> Observation
         factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
         rng = np.random.default_rng(seed)
         feats[T:] += rng.standard_normal((N - T, d)) @ factor.T
-    return _stream(feats, spec=spec)
+    return ObservationStream(feats, spec=spec)
 
 
 @dataclass(frozen=True)
@@ -306,10 +257,8 @@ def ingest_csv(path: "str | Path", schema: CsvSchema) -> ObservationStream:
     if np.isnan(keys).any():
         raise ValueError(f"{path}: NaN in index column '{schema.index_col}'")
     table = table[np.argsort(keys, kind="stable")]
-    qoi = None
-    if schema.qoi_col is not None:
-        qoi = tuple(QoiSample(i, q) for i, q in enumerate(table[:, -1].tolist()))
-    return _stream(table[:, 1 : 1 + len(schema.feature_cols)], qoi)
+    qoi = table[:, -1] if schema.qoi_col is not None else None
+    return ObservationStream(table[:, 1 : 1 + len(schema.feature_cols)], qoi)
 
 
 def write_stream_csv(
@@ -332,7 +281,7 @@ def write_stream_csv(
     columns = [np.arange(len(stream)), *stream.feature_matrix.T]  # indices run 0..N-1
     if schema.qoi_col is not None:
         header.append(schema.qoi_col)
-        columns.append(stream.qoi_values())
+        columns.append(stream.qoi)
     write_columns(path, header, columns)
     return schema
 
@@ -353,39 +302,5 @@ def block_permute(stream: ObservationStream, block_len: int, seed: int) -> Obser
         (order[:, None] * block_len + np.arange(block_len)).ravel(),
         np.arange(n_blocks * block_len, n),
     ])
-    qoi = None
-    if stream.qoi is not None:
-        qvals = stream.qoi_values()[old_positions].tolist()
-        qoi = tuple(QoiSample(new, q) for new, q in enumerate(qvals))
-    return _stream(stream.feature_matrix[old_positions], qoi, stream.spec)
-
-
-def standardize_stream(stream: ObservationStream, period_T: int | None = None) -> ObservationStream:
-    """Standardize features to zero mean / unit variance per dimension.
-
-    Statistics come from the reference period only (the first ``period_T``
-    observations) so no future information leaks into the transform.
-    Constant dimensions are centered but left unscaled. The generative spec,
-    when present, is transformed consistently (waveform and noise covariance).
-    """
-    if period_T is None:
-        if stream.spec is None:
-            raise ValueError("period_T required when the stream has no spec")
-        period_T = stream.spec.period_T
-    if period_T < 1 or period_T > len(stream):
-        raise ValueError(f"period_T must be in 1..{len(stream)}, got {period_T}")
-    ref = stream.feature_matrix[:period_T]
-    mean = ref.mean(axis=0)
-    std = ref.std(axis=0)
-    std = np.where(std > 0, std, 1.0)
-
-    spec = stream.spec
-    if spec is not None:
-        scale = np.diag(1.0 / std)
-        spec = PeriodicStreamSpec(
-            period_T=spec.period_T,
-            noise_cov=scale @ spec.noise_cov @ scale,
-            length_N=spec.length_N,
-            base_waveform=(spec.base_waveform - mean) / std,
-        )
-    return _stream((stream.feature_matrix - mean) / std, stream.qoi, spec)
+    qoi = None if stream.qoi is None else stream.qoi[old_positions]
+    return ObservationStream(stream.feature_matrix[old_positions], qoi, stream.spec)

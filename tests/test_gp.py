@@ -67,6 +67,14 @@ class TestConditionalVariance:
         v = cond.conditional_variance(np.array([0.5]))
         assert VARIANCE_FLOOR <= v < 1e-9
 
+    def test_one_point_path_checks_dimension(self):
+        hyper = GPHyperparams(lengthscales=np.array([0.5, 0.5]), signal_variance=1.0, noise_variance=0.1)
+        for cond in (GPConditioner(hyper), GPConditioner.from_points(np.array([[0.3, 0.3]]), hyper)):
+            with pytest.raises(ValueError, match="query has dimension 1, lengthscales have 2"):
+                cond.conditional_variance(np.array([0.3]))
+            with pytest.raises(ValueError, match="query has dimension 1, lengthscales have 2"):
+                cond.entropy(np.array([0.3]))
+
     def test_single_point_closed_form(self, unit_hyper):
         cond = GPConditioner.from_points(np.array([[1.0]]), unit_hyper)
         v = cond.conditional_variance(np.array([0.0]))

@@ -5,16 +5,17 @@ import periodic_secretary.bounds
 import periodic_secretary.harness
 from periodic_secretary import (
     AlgorithmSpec,
+    CsvSchema,
     ExperimentConfig,
     GPHyperparams,
     ObservationStream,
     PeriodicStreamSpec,
-    QoiSample,
     SelectionResult,
     UtilityFunction,
     attach_gp_qoi,
     evaluate_prediction,
     generate_periodic_stream,
+    ingest_csv,
     predict,
     run_comparison,
     tune_threshold_slack,
@@ -22,7 +23,6 @@ from periodic_secretary import (
 )
 from periodic_secretary.harness import (
     derive_seeds,
-    write_bound_validation_csv,
     write_comparison_report,
     write_tuning_csv,
 )
@@ -128,9 +128,9 @@ class TestAttachQoi:
         a = attach_gp_qoi(stream, wide_hyper, seed=2)
         b = attach_gp_qoi(stream, wide_hyper, seed=2)
         assert a.qoi is not None and len(a.qoi) == len(stream)
-        assert np.array_equal(a.qoi_values(), b.qoi_values())
+        assert np.array_equal(a.qoi, b.qoi)
         assert not np.array_equal(
-            a.qoi_values(), attach_gp_qoi(stream, wide_hyper, seed=3).qoi_values()
+            a.qoi, attach_gp_qoi(stream, wide_hyper, seed=3).qoi
         )
 
 
@@ -140,7 +140,7 @@ class TestEvaluatePrediction:
         sel = SelectionResult(chosen=(10, 20), utility_trace=(), terminated="filled_k")
         test_idx = [30, 40, 50]
         mse = evaluate_prediction(sel, stream, test_idx, wide_hyper)
-        y = stream.qoi_values()[test_idx]
+        y = stream.qoi[test_idx]
         assert mse.shape == (3,)
         assert mse[0] == pytest.approx(float(np.mean(y**2)), abs=1e-12)
 
@@ -149,14 +149,14 @@ class TestEvaluatePrediction:
         sel = SelectionResult(chosen=(), utility_trace=(), terminated="filled_k")
         test_idx = [30, 40, 50]
         mse = evaluate_prediction(sel, stream, test_idx, wide_hyper)
-        assert mse.tolist() == [float(np.mean(stream.qoi_values()[test_idx] ** 2))]
+        assert mse.tolist() == [float(np.mean(stream.qoi[test_idx] ** 2))]
 
     def test_one_point_selection_matches_predict(self, small_spec, wide_hyper):
         stream = attach_gp_qoi(generate_periodic_stream(small_spec, seed=4), wide_hyper, seed=5)
         sel = SelectionResult(chosen=(10,), utility_trace=(), terminated="filled_k")
         test_idx = [30, 40, 50]
         mse = evaluate_prediction(sel, stream, test_idx, wide_hyper)
-        X, y = stream.feature_matrix, stream.qoi_values()
+        X, y = stream.feature_matrix, stream.qoi
         errors = [predict(X[[10]], y[[10]], X[t], wide_hyper).mean - y[t] for t in test_idx]
         assert mse.shape == (2,)
         assert mse[1] == pytest.approx(float(np.mean(np.square(errors))), rel=1e-12)
@@ -166,8 +166,7 @@ class TestEvaluatePrediction:
         wave = np.array([[0.0], [1.0], [2.0], [3.0]])
         spec = PeriodicStreamSpec(period_T=4, noise_cov=np.zeros((1, 1)), length_N=12, base_waveform=wave)
         stream = generate_periodic_stream(spec, seed=0)
-        qoi = tuple(QoiSample(i, float(stream.feature_matrix[i, 0] ** 2)) for i in range(12))
-        stream = ObservationStream(observations=stream.observations, qoi=qoi, spec=spec)
+        stream = ObservationStream(stream.feature_matrix, stream.feature_matrix[:, 0] ** 2, spec)
         # Index 5 duplicates the features (and qoi) of test index 9 exactly.
         sel = SelectionResult(chosen=(5,), utility_trace=(), terminated="filled_k")
         mse = evaluate_prediction(sel, stream, [9], hyper)
@@ -184,6 +183,20 @@ class TestEvaluatePrediction:
         sel = SelectionResult(chosen=(10,), utility_trace=(), terminated="filled_k")
         with pytest.raises(ValueError, match="qoi"):
             evaluate_prediction(sel, stream, [30], wide_hyper)
+
+    @pytest.mark.parametrize(
+        "chosen, test_idx, what",
+        [((0,), [2, 3], "test indices"), ((1, 2), [0], "selected indices")],
+    )
+    def test_missing_qoi_value_rejected(self, tmp_path, wide_hyper, chosen, test_idx, what):
+        # Row t = 2 has a nan qoi cell; ingest keeps it as NaN at index 2.
+        path = tmp_path / "s.csv"
+        path.write_text("t,x,qoi\n0,0.1,1.0\n1,0.4,2.0\n2,0.7,nan\n3,0.9,4.0\n")
+        stream = ingest_csv(path, CsvSchema(index_col="t", feature_cols=("x",), qoi_col="qoi"))
+        assert np.isnan(stream.qoi[2])
+        sel = SelectionResult(chosen=chosen, utility_trace=(), terminated="filled_k")
+        with pytest.raises(ValueError, match=f"some {what} have no qoi value"):
+            evaluate_prediction(sel, stream, test_idx, wide_hyper)
 
 
 class TestRunComparison:
@@ -332,22 +345,6 @@ class TestValidateBounds:
         )
         assert all(c.informational for c in report.cells)
         assert all(not c.utility_violation for c in report.cells)
-
-    def test_csv_writer_round_trips(self, tmp_path):
-        spec = PeriodicStreamSpec(
-            period_T=4,
-            noise_cov=np.zeros((1, 1)),
-            length_N=16,
-            base_waveform=np.array([[0.0], [3.0], [1.0], [2.0]]),
-        )
-        report = validate_bounds(
-            spec, modular_factory, k_values=[1], slack_values=[0.0, 0.5], runs=2, seed=1
-        )
-        path = tmp_path / "cells.csv"
-        write_bound_validation_csv(report, path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 1 + len(report.cells)
-        assert lines[0].startswith("k,threshold_slack")
 
 
 class TestWriters:

@@ -26,7 +26,6 @@ from periodic_secretary import (
     Observation,
     ObservationStream,
     PeriodicSecretaryConfig,
-    QoiSample,
     UtilityFunction,
     block_permute,
     entropy_criterion,
@@ -451,11 +450,8 @@ def twelve_digit(values):
 
 def random_stream(rng, n, d, with_qoi):
     feats = twelve_digit(rng.normal(scale=rng.choice([1e-3, 1.0, 1e4]), size=(n, d)))
-    obs = tuple(Observation(i, x) for i, x in enumerate(feats))
-    qoi = None
-    if with_qoi:
-        qoi = tuple(QoiSample(i, float(q)) for i, q in enumerate(twelve_digit(rng.normal(size=n))))
-    return ObservationStream(observations=obs, qoi=qoi)
+    qoi = twelve_digit(rng.normal(size=n)) if with_qoi else None
+    return ObservationStream(feats, qoi)
 
 
 @SETTINGS
@@ -478,7 +474,7 @@ def test_csv_round_trip_gives_back_the_stream(tmp_path_factory, seed, n, d, with
         # Python's list.sort gives.
         keys = twelve_digit(rng.integers(0, max(1, n // 2), size=n) * rng.uniform(0.5, 2.0))
         order = rng.permutation(n)
-        qvals = stream.qoi_values() if with_qoi else np.empty(n)
+        qvals = stream.qoi if with_qoi else np.empty(n)
         rows = [[keys[i], *expected[j], *([qvals[j]] if with_qoi else [])]
                 for i, j in enumerate(order)]
         header = [schema.index_col, *schema.feature_cols, *([schema.qoi_col] if with_qoi else [])]
@@ -487,13 +483,13 @@ def test_csv_round_trip_gives_back_the_stream(tmp_path_factory, seed, n, d, with
         expected = expected[order[ranked]]
         expected_qoi = qvals[order[ranked]]
     else:
-        expected_qoi = stream.qoi_values() if with_qoi else None
+        expected_qoi = stream.qoi if with_qoi else None
     back = ingest_csv(path, schema)
     assert [o.index for o in back.observations] == list(range(n))
     assert np.array_equal(back.feature_matrix, expected)
     assert all(np.array_equal(o.features, row) for o, row in zip(back.observations, expected))
     if with_qoi:
-        assert np.array_equal(back.qoi_values(), expected_qoi)
+        assert np.array_equal(back.qoi, expected_qoi)
     else:
         assert back.qoi is None
 
@@ -557,6 +553,6 @@ def test_block_permute_keeps_pairs_and_blocks(seed, n, d, with_qoi, data):
         assert block == list(range(block[0], block[0] + block_len))
     assert moved[n_blocks * block_len :] == list(range(n_blocks * block_len, n))
     if with_qoi:
-        assert np.array_equal(out.qoi_values(), stream.qoi_values()[moved])
+        assert np.array_equal(out.qoi, stream.qoi[moved])
     else:
         assert out.qoi is None

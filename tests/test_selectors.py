@@ -6,6 +6,7 @@ import pytest
 
 from periodic_secretary import (
     GPHyperparams,
+    Observation,
     PeriodicSecretaryConfig,
     PeriodicStreamSpec,
     UtilityFunction,
@@ -387,6 +388,15 @@ class TestStreamDimension:
         cfg = PeriodicSecretaryConfig(k=2, period_T=4, threshold_slack=0.1)
         with pytest.raises(ValueError, match="dimension 1, lengthscales have 2"):
             periodic_secretary(iter(self.obs), self.f, cfg)
+
+    def test_periodic_iterator_arrival_that_would_be_rejected(self):
+        # The 2-d stream accepts its first arrival; the 1-d arrival after it
+        # would read as that point again, gain little and be passed over.
+        feats = [[5.0, 5.0], [-5.0, -5.0], [0.3, 0.3], [0.3]]
+        obs = [Observation(i, np.array(x)) for i, x in enumerate(feats)]
+        cfg = PeriodicSecretaryConfig(k=2, period_T=2, threshold_slack=0.0)
+        with pytest.raises(ValueError, match="query has dimension 1, lengthscales have 2"):
+            periodic_secretary(iter(obs), self.f, cfg)
 
     def test_submodular(self):
         with pytest.raises(ValueError, match="dimension 1, lengthscales have 2"):

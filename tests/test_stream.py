@@ -6,11 +6,9 @@ from periodic_secretary import (
     Observation,
     ObservationStream,
     PeriodicStreamSpec,
-    QoiSample,
     block_permute,
     generate_periodic_stream,
     ingest_csv,
-    standardize_stream,
     two_sine_waveform,
     write_stream_csv,
 )
@@ -109,20 +107,25 @@ class TestTypes:
         with pytest.raises(ValueError, match="non-finite"):
             Observation(0, np.array([np.nan]))
 
-    def test_stream_requires_contiguous_indices(self):
-        obs = (Observation(0, np.array([1.0])), Observation(2, np.array([2.0])))
-        with pytest.raises(ValueError, match="indices"):
-            ObservationStream(observations=obs)
+    def test_stream_checks_its_feature_matrix(self):
+        with pytest.raises(ValueError, match="2-d"):
+            ObservationStream(np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="at least one observation"):
+            ObservationStream(np.empty((0, 2)))
+        with pytest.raises(ValueError, match="non-finite feature value at index 2"):
+            ObservationStream(np.array([[0.0], [1.0], [np.inf]]))
 
-    def test_stream_rejects_mixed_dimensions(self):
-        obs = (Observation(0, np.array([1.0])), Observation(1, np.array([2.0, 3.0])))
-        with pytest.raises(ValueError, match="dimension"):
-            ObservationStream(observations=obs)
+    def test_observations_are_the_rows(self):
+        feats = np.arange(6.0).reshape(3, 2)
+        stream = ObservationStream(feats)
+        assert [o.index for o in stream.observations] == [0, 1, 2]
+        assert all(np.shares_memory(o.features, stream.feature_matrix) for o in stream.observations)
+        assert np.array_equal(stream.feature_matrix, feats)
+        assert (len(stream), stream.dim) == (3, 2)
 
     def test_qoi_must_reference_observations(self):
-        obs = (Observation(0, np.array([1.0])),)
-        with pytest.raises(ValueError, match="qoi index"):
-            ObservationStream(observations=obs, qoi=(QoiSample(3, 1.0),))
+        with pytest.raises(ValueError, match=r"qoi has shape \(3,\), the stream has 2 observations"):
+            ObservationStream(np.zeros((2, 1)), qoi=np.zeros(3))
 
     def test_features_are_immutable(self):
         stream = generate_periodic_stream(four_step_spec(), seed=0)
@@ -145,16 +148,18 @@ class TestCsv:
         schema = CsvSchema(index_col="t", feature_cols=("temp",), qoi_col="cell_count")
         stream = ingest_csv(path, schema)
         assert stream.qoi is not None
-        assert stream.qoi_values().tolist() == [3.0, 5.5]
+        assert stream.qoi.tolist() == [3.0, 5.5]
 
     def test_qoi_values_built_once_and_read_only(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("t,temp,cell_count\n0,14.5,3.0\n1,13.2,5.5\n")
         stream = ingest_csv(path, CsvSchema(index_col="t", feature_cols=("temp",), qoi_col="cell_count"))
-        values = stream.qoi_values()
-        assert stream.qoi_values() is values
+        values = stream.qoi
+        assert stream.qoi is values
         with pytest.raises(ValueError, match="read-only"):
             values[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            block_permute(stream, block_len=1, seed=0).qoi[0] = 0.0
 
     def test_rows_sorted_by_index_column(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -235,15 +240,15 @@ class TestBlockPermute:
 
     def test_multiset_and_pairing_preserved(self):
         stream = generate_periodic_stream(four_step_spec(noise=0.2), seed=3)
-        qoi = tuple(QoiSample(i, float(i) * 10) for i in range(len(stream)))
-        stream = ObservationStream(observations=stream.observations, qoi=qoi, spec=stream.spec)
+        qoi = np.arange(len(stream)) * 10.0
+        stream = ObservationStream(stream.feature_matrix, qoi, stream.spec)
         out = block_permute(stream, block_len=4, seed=17)
         pairing = {
-            (float(o.features[0]), q.value)
+            (float(o.features[0]), float(q))
             for o, q in zip(stream.observations, stream.qoi)
         }
         pairing_out = {
-            (float(o.features[0]), q.value)
+            (float(o.features[0]), float(q))
             for o, q in zip(out.observations, out.qoi)
         }
         assert pairing == pairing_out
@@ -271,29 +276,3 @@ class TestBlockPermute:
             block_permute(stream, block_len=0, seed=0)
         with pytest.raises(ValueError):
             block_permute(stream, block_len=13, seed=0)
-
-
-class TestStandardize:
-    def test_reference_period_statistics(self):
-        spec = PeriodicStreamSpec(
-            period_T=50,
-            noise_cov=0.1 * np.eye(2),
-            length_N=500,
-            base_waveform=np.column_stack(
-                [5 + 3 * np.sin(np.arange(50)), 100 + np.cos(np.arange(50))]
-            ),
-        )
-        stream = generate_periodic_stream(spec, seed=9)
-        out = standardize_stream(stream)
-        ref = out.feature_matrix[:50]
-        np.testing.assert_allclose(ref.mean(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(ref.std(axis=0), 1.0, atol=1e-12)
-        # Spec transformed consistently with the features.
-        np.testing.assert_allclose(out.spec.base_waveform, ref, atol=1e-12)
-
-    def test_constant_dimension_center_only(self):
-        wave = np.column_stack([np.arange(4.0), np.full(4, 7.0)])
-        spec = PeriodicStreamSpec(period_T=4, noise_cov=np.zeros((2, 2)), length_N=8, base_waveform=wave)
-        stream = generate_periodic_stream(spec, seed=0)
-        out = standardize_stream(stream)
-        assert np.all(out.feature_matrix[:, 1] == 0.0)
