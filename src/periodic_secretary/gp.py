@@ -72,7 +72,7 @@ class GPHyperparams:
     noise_variance: float
 
     def __post_init__(self) -> None:
-        ls = np.atleast_1d(np.asarray(self.lengthscales, dtype=float))
+        ls = np.atleast_1d(np.array(self.lengthscales, dtype=float))  # a copy: the caller's stays writeable
         if ls.ndim != 1 or ls.size == 0:
             raise ValueError("lengthscales must be a non-empty vector")
         if not np.all(ls > 0):
@@ -125,18 +125,21 @@ def se_kernel(x: np.ndarray, x2: np.ndarray, hyper: GPHyperparams) -> float:
     return hyper.signal_variance * math.exp(-0.5 * float(z @ z))
 
 
-def _se_scaled(A: np.ndarray, B: np.ndarray, signal_variance: float) -> np.ndarray:
+def _se_scaled(
+    A: np.ndarray, B: np.ndarray, signal_variance: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """SE covariances between the rows of A and the rows of B, or one point B.
 
     A and B are already divided by the lengthscales. An (m, d) B gives the
     (n, m) matrix; a (d,) point B gives the (n,) column, the kernel on the
     per-arrival path. Squared distances add the coordinates one at a time in
     order for both shapes, so a column of the matrix equals the one-point
-    column bit for bit.
+    column bit for bit. ``out``, if given, receives the result, with the
+    same bits.
     """
     At = A.T[:, :, None] if B.ndim == 2 else A.T
     Bt = B.T
-    sq = At[0] - Bt[0]
+    sq = np.subtract(At[0], Bt[0], out=out)
     np.square(sq, out=sq)
     for j in range(1, Bt.shape[0]):
         diff = At[j] - Bt[j]
@@ -215,9 +218,11 @@ class GPConditioner:
     def __init__(self, hyper: GPHyperparams):
         self.hyper = hyper
         # Accepted locations / lengthscales, in a buffer with spare capacity
-        # whose live (m, d) block is _S.
+        # whose live (m, d) block is _S; _kbuf, as long, receives the
+        # one-point kernel column K(S, x).
         self._Sbuf = np.empty((0, hyper.dim))
         self._S = self._Sbuf
+        self._kbuf = np.empty(0)
         # W lives in a buffer with spare capacity; _W is its live (m, m) block
         # and everything above its diagonal is zero.
         self._Wbuf = np.zeros((0, 0))
@@ -238,31 +243,49 @@ class GPConditioner:
         """Conditioner on the rows of X, factored in one batch."""
         cond = cls(hyper)
         X = _check_dim(X, hyper, "conditioning set")
-        if X.shape[0]:
-            cond._Sbuf = X / hyper.lengthscales
-            cond._refactor(X.shape[0], 0)
+        m = X.shape[0]
+        if m:
+            cond.reserve(m)
+            np.divide(X, hyper.lengthscales, out=cond._Sbuf[:m])
+            cond._refactor(m, 0)
         return cond
 
-    def _refactor(self, m: int, start_level: int) -> None:
-        """Make the first m buffered locations the set, factored afresh from
-        ``start_level``, and rebuild the pool's Z."""
-        Xs = self._S = self._Sbuf[:m]
-        K = _se_scaled(Xs, Xs, self.hyper.signal_variance)
-        L, self._level = _cholesky(K + self.hyper.noise_variance * np.eye(m), start_level)
-        self._W = self._Wbuf = _inverse_factor(L)
-        p = self._p
-        if p:
-            self._reserve(len(self), p)
-            Z = self._Z[: len(self), :p]
-            Z[...] = self._solve(self._Ps[:p])
-            self._v[:p] = self.hyper.prior_variance - np.einsum("ij,ij->j", Z, Z)
+    def reserve(self, m: int, p: int = 0) -> None:
+        """Make room for m set points and p tracked points.
 
-    def _reserve(self, m: int, p: int) -> None:
-        """Grow the pool buffers, if needed, to hold m set rows and p pool points."""
-        if m > self._Z.shape[0] or p > self._v.shape[0]:
+        A capacity hint from a caller that knows its sizes: buffers that
+        already hold them are kept, shorter ones grow (to at least twice
+        their size), and no result changes. ``extend`` and ``track`` call it
+        for the sizes they reach.
+        """
+        n = len(self)
+        if m > self._Sbuf.shape[0]:
+            self._Sbuf = _with_capacity(self._Sbuf, (m, self.hyper.dim))
+            self._S = self._Sbuf[:n]
+            self._kbuf = np.empty(self._Sbuf.shape[0])
+        if m > self._Wbuf.shape[0]:
+            self._Wbuf = _with_capacity(self._Wbuf, (m, m))
+            self._W = self._Wbuf[:n, :n]
+        if p > self._v.shape[0] or (self._v.shape[0] and m > self._Z.shape[0]):
+            # Z needs a row per set point only once the pool has room.
             self._Z = _with_capacity(self._Z, (m, p))
             self._Ps = _with_capacity(self._Ps, (p, self.hyper.dim))
             self._v = _with_capacity(self._v, (p,))
+
+    def _refactor(self, m: int, start_level: int) -> None:
+        """Make the first m buffered locations the set, factored afresh from
+        ``start_level``, and rebuild the pool's Z. The buffers already hold m
+        set points."""
+        Xs = self._S = self._Sbuf[:m]
+        K = _se_scaled(Xs, Xs, self.hyper.signal_variance)
+        L, self._level = _cholesky(K + self.hyper.noise_variance * np.eye(m), start_level)
+        self._Wbuf[:m, :m] = _inverse_factor(L)
+        self._W = self._Wbuf[:m, :m]
+        p = self._p
+        if p:
+            Z = self._Z[:m, :p]
+            Z[...] = self._solve(self._Ps[:p])
+            self._v[:p] = self.hyper.prior_variance - np.einsum("ij,ij->j", Z, Z)
 
     def _solve(self, Qs: np.ndarray) -> np.ndarray:
         """L^-1 K(S, Q) = W K(S, Q) for scaled query rows Qs."""
@@ -287,13 +310,17 @@ class GPConditioner:
         ``ValueError``, after one shape comparison with the lengthscales.
         """
         hyper = self.hyper
-        if x.shape != hyper.lengthscales.shape:
+        ls = hyper.lengthscales
+        if x.shape != ls.shape:
             raise ValueError(f"query has dimension {x.size}, lengthscales have {hyper.dim}")
         prior = hyper.prior_variance
-        if not len(self):
+        S = self._S
+        m = S.shape[0]
+        if not m:
             return prior
-        a = self._solve(x / hyper.lengthscales)
-        return min(max(prior - np.einsum("i,i->", a, a), VARIANCE_FLOOR), prior)
+        a = self._W @ _se_scaled(S, x / ls, hyper.signal_variance, out=self._kbuf[:m])
+        v = float(prior - np.einsum("i,i->", a, a))
+        return prior if v > prior else VARIANCE_FLOOR if v < VARIANCE_FLOOR else v
 
     def entropies(self, Q: np.ndarray) -> np.ndarray:
         """Differential entropy of the scalar prediction at each row of Q."""
@@ -307,7 +334,7 @@ class GPConditioner:
         """Append the rows of Q to the tracked pool, after any already tracked."""
         Qs = _check_dim(Q, self.hyper, "pool") / self.hyper.lengthscales
         m, p, b = len(self), self._p, Qs.shape[0]
-        self._reserve(m, p + b)
+        self.reserve(m, p + b)
         self._Ps[p : p + b] = Qs
         Z = self._solve(Qs)
         self._Z[:m, p : p + b] = Z
@@ -372,8 +399,7 @@ class GPConditioner:
             a = self._Z[:m, pos]
             variance = float(self._v[pos])
         pivot_sq = variance + _JITTER_LADDER[self._level] * prior
-        if m == self._Sbuf.shape[0]:
-            self._Sbuf = _with_capacity(self._Sbuf, (m + 1, self.hyper.dim))
+        self.reserve(m + 1, p)
         self._Sbuf[m] = xs
         if pivot_sq <= _PIVOT_RTOL * prior:
             # Near-duplicate location defeated the border update; refactor the
@@ -382,8 +408,6 @@ class GPConditioner:
         else:
             # L gains the row [a^T, pivot], so W = L^-1 gains [-a^T W, 1] / pivot.
             pivot = math.sqrt(pivot_sq)
-            if m == self._Wbuf.shape[0]:
-                self._Wbuf = _with_capacity(self._Wbuf, (m + 1, m + 1))
             W = self._Wbuf
             border = W[m, :m]
             np.matmul(a, self._W, out=border)
@@ -393,7 +417,6 @@ class GPConditioner:
             if p:
                 # Z gains the row (K(P, x) - a^T Z) / pivot, and each tracked
                 # variance loses that row's square.
-                self._reserve(m + 1, p)
                 k = _se_scaled(self._Ps[:p], xs, self.hyper.signal_variance)
                 row = self._Z[m, :p]
                 np.matmul(a, self._Z[:m, :p], out=row)

@@ -121,12 +121,13 @@ def periodic_secretary(
     reference set; each acceptance is the first tracked gain to meet the
     threshold and joins the set from its tracked state (under entropy, one
     step of pivoted Cholesky on the pool). Any other iterable yields only
-    the observation that has just arrived; that one is decided by its own
-    gain, is never tracked, and nothing is read past the last decision.
-    Gains depend only on the accepted set, so both scans make the decisions
-    of a one-at-a-time scan, except where a gain ties the threshold within
-    roundoff: a point's tracked and one-point gains can differ in the last
-    bits.
+    the observation that has just arrived; that one is decided by the
+    evaluator's arrival test (``meets``: its own one-point gain against the
+    threshold, under entropy compared in variance space), is never tracked,
+    and nothing is read past the last decision. Gains depend only on the
+    accepted set, so both scans make the decisions of a one-at-a-time scan,
+    except where a gain ties the threshold within roundoff: a point's
+    tracked and one-point gains can differ in the last bits.
     """
     T = cfg.period_T
     it = iter(stream)
@@ -136,6 +137,8 @@ def periodic_secretary(
             f"stream ended after {len(reference)} observations, before one full period ({T})"
         )
     ev = f.evaluator()
+    if isinstance(stream, Sequence):
+        ev.reserve(min(cfg.k, len(stream) - T), 2 * T)
     ev.track(reference)
     threshold_gain = ev.max_tracked_gain(T) - cfg.threshold_slack
     chosen: list[int] = []
@@ -152,7 +155,7 @@ def periodic_secretary(
 
     if not isinstance(stream, Sequence):
         for obs in it:
-            if ev.gain(obs) >= threshold_gain:
+            if ev.meets(obs, threshold_gain):
                 threshold_gain = accept(obs, threshold_gain)
                 if len(chosen) == cfg.k:
                     break
@@ -219,6 +222,7 @@ def submodular_secretary(
         raise ValueError(f"k ({k}) exceeds stream length ({n})")
     ev = f.evaluator()
     ev.check(items)
+    ev.reserve(k)
     chosen: list[int] = []
     trace: list[float] = []
     for j in range(k):
@@ -271,6 +275,7 @@ def offline_greedy(
     if k > len(items):
         raise ValueError(f"k ({k}) exceeds ground set size ({len(items)})")
     ev = f.evaluator()
+    ev.reserve(k, len(items))
     ev.track(items)
     taken = np.zeros(len(items), dtype=bool)
     chosen: list[int] = []
@@ -365,6 +370,7 @@ def exhaustive_optimum(
 def utility_trace_for(f: UtilityFunction, observations: Sequence[Observation]) -> tuple[float, ...]:
     """Cumulative utility after each prefix of an ordered sample sequence."""
     ev = f.evaluator()
+    ev.reserve(len(observations))
     return tuple(ev.accept(o) for o in observations)
 
 

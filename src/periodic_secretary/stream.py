@@ -9,8 +9,11 @@ alone and never see qoi values.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from itertools import chain
+import io
+from collections import deque
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -32,12 +35,13 @@ __all__ = [
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+    """A read-only float copy of a that the library owns: the caller's array stays writeable."""
+    a = np.array(a, dtype=float, order="C")
     a.flags.writeable = False
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Observation:
     """One stream element: position index plus its feature vector."""
 
@@ -111,19 +115,20 @@ class ObservationStream:
     """Ordered observations over the rows of one (N, d) feature matrix, with an
     optional hidden qoi series and generative spec.
 
-    The matrix is checked once as a whole, with ``Observation``'s messages,
-    and made read-only; observation i is index i over a view of row i, so
-    indices run 0..N-1 and the dimension is uniform by construction. ``qoi``
-    is None or a read-only float array of length N, with NaN for a missing
-    value. Selectors receive ``observations`` only; qoi stays on the stream
-    object for the evaluation harness. Streams compare by identity: array
-    fields have no single truth value.
+    The matrix is copied, checked once as a whole, with ``Observation``'s
+    messages, and kept read-only; observation i is index i over a view of
+    row i, so indices run 0..N-1 and the dimension is uniform by
+    construction. The observations are built on first access, so a stream
+    whose observations are never read never builds them. ``qoi`` is None or
+    a read-only float array of length N, with NaN for a missing value.
+    Selectors receive ``observations`` only; qoi stays on the stream object
+    for the evaluation harness. Streams compare by identity: array fields
+    have no single truth value.
     """
 
     feature_matrix: np.ndarray
     qoi: np.ndarray | None = None
     spec: PeriodicStreamSpec | None = None
-    observations: tuple[Observation, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         feats = _readonly(self.feature_matrix)
@@ -141,16 +146,17 @@ class ObservationStream:
             if qoi.shape != (len(feats),):
                 raise ValueError(f"qoi has shape {qoi.shape}, the stream has {len(feats)} observations")
             put(self, "qoi", qoi)
-        make = Observation.__new__
-        obs = []
-        for i, row in enumerate(feats):
-            # Observation's fields without its per-row checks, made above on
-            # the matrix; __dict__.update would cost a dict per observation.
-            o = make(Observation)
-            put(o, "index", i)
-            put(o, "features", row)
-            obs.append(o)
-        put(self, "observations", tuple(obs))
+
+    @cached_property
+    def observations(self) -> tuple[Observation, ...]:
+        """Observation i over a view of row i, for i = 0..N-1."""
+        # Observation's slots are filled without its per-row checks, made on
+        # the matrix; each map runs its loop in C (deque(..., 0) drains it).
+        n = len(self)
+        obs = tuple(map(Observation.__new__, repeat(Observation, n)))
+        deque(map(Observation.index.__set__, obs, range(n)), 0)
+        deque(map(Observation.features.__set__, obs, self.feature_matrix), 0)
+        return obs
 
     def __len__(self) -> int:
         return self.feature_matrix.shape[0]
@@ -225,6 +231,14 @@ def ingest_csv(path: "str | Path", schema: CsvSchema) -> ObservationStream:
     key; equal keys keep file order) and re-indexed 0..N-1. Blank lines are
     skipped. Malformed cells are reported with their column name and the
     line of the file they are on (the header is line 1; blank lines count).
+
+    The header is read with ``csv.reader``. The data rows go to numpy's C
+    reader when they contain no quote character: ``csv.reader`` then only
+    splits at commas and line ends, and every cell the C reader accepts,
+    ``float`` reads as the same number. Where the C reader refuses the
+    rows (a quote, a cell only ``float`` reads such as ``1_0``, or a
+    malformed cell), they are read again row by row with ``csv.reader``,
+    which gives the table or names the bad cell.
     """
     path = Path(path)
     cols = [schema.index_col, *schema.feature_cols]
@@ -240,14 +254,28 @@ def ingest_csv(path: "str | Path", schema: CsvSchema) -> ObservationStream:
             raise ValueError(f"{path}: missing columns {missing}; header has {header}")
         where = {name: j for j, name in enumerate(header)}  # a repeated name means its last column
         positions = [where[c] for c in cols]
+        header_lines = reader.line_num
+        body = fh.read()
+    table = None
+    if '"' not in body and body.strip("\r\n"):  # no rows at all would make loadtxt warn
+        try:
+            table = np.loadtxt(
+                io.StringIO(body, newline=""), delimiter=",", usecols=positions,
+                comments=None, ndmin=2,
+            )
+        except ValueError:
+            pass
+    if table is None:
+        rows = csv.reader(io.StringIO(body, newline=""))
 
         def values():
-            for row in filter(None, reader):
+            for row in filter(None, rows):
                 try:
                     yield [float(row[j]) for j in positions]
                 except (ValueError, IndexError):
+                    line = header_lines + rows.line_num
                     for col, j in zip(cols, positions):
-                        _cell(path, reader.line_num, col, row[j] if j < len(row) else None)
+                        _cell(path, line, col, row[j] if j < len(row) else None)
                     raise
 
         table = np.fromiter(chain.from_iterable(values()), dtype=float).reshape(-1, len(cols))

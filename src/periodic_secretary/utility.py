@@ -45,6 +45,15 @@ def _entropy_of(variance):
     return GAUSSIAN_ENTROPY_CONST + 0.5 * np.log(variance)
 
 
+def _variance_of(entropy: float) -> float:
+    """The variance whose differential entropy is ``entropy``: inverse of
+    ``_entropy_of`` to the roundoff of exp, and inf past the float range."""
+    try:
+        return math.exp(2.0 * (entropy - GAUSSIAN_ENTROPY_CONST))
+    except OverflowError:
+        return math.inf
+
+
 def entropy_criterion(points: np.ndarray, hyper: GPHyperparams) -> float:
     """Joint differential entropy of a set of locations under the GP model.
 
@@ -53,11 +62,12 @@ def entropy_criterion(points: np.ndarray, hyper: GPHyperparams) -> float:
     pivot of that point's Cholesky step, so the result is order-independent
     up to floating-point roundoff. The empty set evaluates to 0.
     """
-    points = np.asarray(points, dtype=float)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.size == 0:
         return 0.0
     cond = GPConditioner(hyper)
-    return float(sum(_entropy_of(cond.extend(x)) for x in np.atleast_2d(points)))
+    cond.reserve(len(points))
+    return float(sum(_entropy_of(cond.extend(x)) for x in points))
 
 
 class UtilityEvaluator:
@@ -89,8 +99,23 @@ class UtilityEvaluator:
         it tracks.
         """
 
+    def reserve(self, k: int, pool: int = 0) -> None:
+        """Make room for k accepted and ``pool`` tracked observations.
+
+        A capacity hint from a selector that knows its sizes; it changes no
+        result.
+        """
+
     def gain(self, obs: Observation) -> float:
         raise NotImplementedError
+
+    def meets(self, obs: Observation, threshold: float) -> bool:
+        """Whether obs's marginal gain is at least threshold: the arrival test.
+
+        The decision of ``gain(obs) >= threshold`` on the same bits; an
+        evaluator may reach it without computing the gain.
+        """
+        return self.gain(obs) >= threshold
 
     def gains(self, observations: Sequence[Observation]) -> np.ndarray:
         raise NotImplementedError
@@ -141,8 +166,26 @@ class _EntropyEvaluator(UtilityEvaluator):
         if len(observations):
             _check_dim(_features_of(observations), self._cond.hyper, "stream")
 
+    def reserve(self, k: int, pool: int = 0) -> None:
+        self._cond.reserve(k, pool)
+
     def gain(self, obs: Observation) -> float:
         return self._cond.entropy(obs.features)
+
+    # Entropy increases with variance, so the arrival test and both scans
+    # compare variances with the threshold's variance. Points within a guard
+    # band of it, wider than the roundoff of exp and log, are confirmed with
+    # their exact gain, so every answer is the gain-space rule's on the same
+    # bits; the scans take one log per answer rather than one per point.
+
+    def meets(self, obs: Observation, threshold: float) -> bool:
+        variance = self._cond.conditional_variance(obs.features)
+        at = _variance_of(threshold)
+        if variance < at * (1.0 - _GUARD_RTOL):
+            return False
+        if variance >= at * (1.0 + _GUARD_RTOL):
+            return True
+        return bool(_entropy_of(variance) >= threshold)
 
     def gains(self, observations: Sequence[Observation]) -> np.ndarray:
         if len(observations) == 0:
@@ -159,18 +202,14 @@ class _EntropyEvaluator(UtilityEvaluator):
     def tracked_gains(self) -> np.ndarray:
         return _entropy_of(self._cond.tracked_variances())
 
-    # Entropy increases with variance, so both scans search the tracked
-    # variances and take one log per answer rather than one per point.
-
     def max_tracked_gain(self, stop: int) -> float:
         return float(_entropy_of(self._cond.max_tracked_variance(stop)))
 
     def first_tracked_hit(self, threshold: float, start: int) -> int | None:
-        # Candidates have variances within a guard band below the threshold's
-        # variance, wider than the roundoff of exp and log; the first whose
-        # own gain meets the threshold is the hit, as in gain space.
+        # Candidates have variances from the bottom of the guard band up; the
+        # first whose own gain meets the threshold is the hit.
         cond = self._cond
-        floor = math.exp(2.0 * (threshold - GAUSSIAN_ENTROPY_CONST)) * (1.0 - _GUARD_RTOL)
+        floor = _variance_of(threshold) * (1.0 - _GUARD_RTOL)
         pos = cond.first_tracked_at_least(floor, start)
         while pos is not None and _entropy_of(cond.tracked_variance(pos)) < threshold:
             pos = cond.first_tracked_at_least(floor, pos + 1)

@@ -261,6 +261,28 @@ class TestGramFactorization:
         assert cond._level == 0
 
 
+    def test_reserve_changes_no_result_and_stops_regrowth(self):
+        # A conditioner sized up front gives the bits of one that grows by
+        # doubling, through a jitter refactor too, and keeps its buffers.
+        rng = np.random.default_rng(29)
+        hyper = GPHyperparams(lengthscales=np.array([0.7, 1.3]), signal_variance=1.5, noise_variance=0.0)
+        X = rng.normal(size=(20, 2))
+        X[7] = X[3]  # an exact duplicate: the refactor path
+        pool, queries = rng.normal(size=(30, 2)), rng.normal(size=(4, 2))
+        grown, sized = GPConditioner(hyper), GPConditioner(hyper)
+        sized.reserve(20, 30)
+        buffers = [sized._Sbuf, sized._kbuf, sized._Wbuf, sized._Ps, sized._Z, sized._v]
+        for cond in (grown, sized):
+            cond.track(pool)
+        for x in X:
+            assert grown.extend(x) == sized.extend(x)
+            for q in queries:
+                assert grown.conditional_variance(q) == sized.conditional_variance(q)
+            assert np.array_equal(grown.tracked_variances(), sized.tracked_variances())
+        assert sized._level == grown._level == 1
+        assert all(a is b for a, b in zip(buffers, [sized._Sbuf, sized._kbuf, sized._Wbuf,
+                                                     sized._Ps, sized._Z, sized._v]))
+
     def test_singular_gram_at_zero_noise_escalates_batch_jitter(self):
         # 4 points in 1-D, one location repeated under two different values:
         # the Gram matrix is exactly singular, and np.linalg.cholesky can
@@ -304,6 +326,12 @@ class TestHyperparamsConfig:
         path.write_text("lengthscales = 1.0\nsignal_variance = 1.0\n")
         with pytest.raises(ValueError, match="noise_variance"):
             load_hyperparams(path)
+
+    def test_callers_lengthscales_stay_writeable(self):
+        ls = np.array([0.5, 2.0])
+        hyper = GPHyperparams(lengthscales=ls, signal_variance=1.0, noise_variance=0.1)
+        ls[0] = 9.0
+        assert hyper.lengthscales.tolist() == [0.5, 2.0] and not hyper.lengthscales.flags.writeable
 
     def test_validation(self):
         with pytest.raises(ValueError, match="positive"):

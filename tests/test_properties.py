@@ -1,7 +1,7 @@
 """Property tests over random streams and inputs: the SE kernel, the
-tracked-pool engine, the one-point path, the prefix-means curve, the
-periodic scan, the entropy criterion, exhaustive enumeration, CSV round
-trips and block permutation.
+tracked-pool engine, the one-point path and arrival test, the prefix-means
+curve, the periodic scan, the entropy criterion, exhaustive enumeration,
+the CSV column writer, CSV round trips and block permutation.
 
 Features are drawn from seeded normal distributions, so candidates are in
 general position: ties between gains are exact (such as two points at the
@@ -10,6 +10,8 @@ enumeration test makes exact ties on purpose, with weights rounded to one
 decimal.
 """
 
+import csv
+import io
 import math
 import re
 from itertools import combinations
@@ -38,7 +40,7 @@ from periodic_secretary import (
     write_stream_csv,
 )
 from periodic_secretary.gp import _JITTER_LADDER, _se_scaled
-from periodic_secretary.kv import write_csv
+from periodic_secretary.kv import write_columns, write_csv
 
 from conftest import random_hyper
 
@@ -246,7 +248,7 @@ def test_tracked_acceptance_matches_untracked_and_fresh(seed, d, noise, kinds):
 @SETTINGS
 @given(
     seed=st.integers(0, 2**32 - 1),
-    d=st.integers(1, 2),
+    d=st.integers(1, 3),
     n=st.integers(1, 30),
     m=st.integers(0, 12),
     utility=st.sampled_from(["modular", "entropy", "zero-noise entropy"]),
@@ -260,7 +262,10 @@ def test_tracked_scans_match_gain_space_rule(seed, d, n, m, utility, data):
     # next float above the best gain still to scan, whose point lies inside
     # the variance guard band but misses the threshold. At zero noise the
     # accepted points repeat pool locations, whose variances then sit at
-    # the clamp floor.
+    # the clamp floor. The arrival test ``meets``, which the entropy
+    # evaluator answers from the one-point variance, gives gain >= threshold
+    # for a new point or one of the stream, at its exact one-point gain, one
+    # ulp either side and the scan's threshold.
     rng = np.random.default_rng(seed)
     obs = random_observations(rng, n + m, d)
     if utility == "modular":
@@ -290,6 +295,12 @@ def test_tracked_scans_match_gain_space_rule(seed, d, n, m, utility, data):
     ]))
     hits = np.flatnonzero(gains[start:] >= threshold)
     assert ev.first_tracked_hit(threshold, start) == (start + int(hits[0]) if hits.size else None)
+    index = int(rng.integers(n + m))
+    features = data.draw(st.sampled_from([obs[index].features, rng.normal(size=d)]))
+    arrival = Observation(index, features)
+    gain = ev.gain(arrival)
+    for t in (gain, float(np.nextafter(gain, -np.inf)), float(np.nextafter(gain, np.inf)), threshold):
+        assert ev.meets(arrival, t) == (ev.gain(arrival) >= t)
 
 
 @SETTINGS
@@ -492,6 +503,40 @@ def test_csv_round_trip_gives_back_the_stream(tmp_path_factory, seed, n, d, with
         assert np.array_equal(back.qoi, expected_qoi)
     else:
         assert back.qoi is None
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 30),
+    kinds=st.lists(st.sampled_from(["int", "float"]), min_size=1, max_size=4),
+)
+def test_write_columns_bytes_match_csv_writer(tmp_path_factory, seed, n, kinds):
+    # The one-template row writer against csv.writer on the formatted cells:
+    # integers as str, floats with 12 significant digits, across magnitudes
+    # and the special values, under a header that needs quoting.
+    rng = np.random.default_rng(seed)
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1e300, 5e-324]
+    columns = []
+    for kind in kinds:
+        if kind == "int":
+            columns.append(rng.integers(-(10**15), 10**15, size=n))
+        else:
+            col = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+            special = rng.random(n) < 0.3
+            col[special] = rng.choice(specials, size=int(special.sum()))
+            columns.append(col)
+    header = ['a,"b"', *(f"c{j}" for j in range(1, len(columns)))]
+    path = tmp_path_factory.mktemp("csv") / "columns.csv"
+    write_columns(path, header, columns)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(header)
+    writer.writerows(zip(*(
+        ["%.12g" % v for v in col.tolist()] if col.dtype.kind == "f" else [str(v) for v in col.tolist()]
+        for col in columns
+    )))
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 @SETTINGS

@@ -12,6 +12,7 @@ from periodic_secretary import (
     two_sine_waveform,
     write_stream_csv,
 )
+from periodic_secretary.kv import write_columns
 
 
 def four_step_spec(noise=0.0, length=12):
@@ -123,6 +124,22 @@ class TestTypes:
         assert np.array_equal(stream.feature_matrix, feats)
         assert (len(stream), stream.dim) == (3, 2)
 
+    def test_callers_arrays_stay_writeable(self):
+        # The stream and an observation keep read-only copies of their own.
+        feats, qoi, x = np.zeros((3, 1)), np.zeros(3), np.zeros(2)
+        stream = ObservationStream(feats, qoi)
+        obs = Observation(0, x)
+        assert feats.flags.writeable and qoi.flags.writeable and x.flags.writeable
+        feats[0, 0] = qoi[0] = x[0] = 1.0
+        assert stream.feature_matrix[0, 0] == stream.qoi[0] == obs.features[0] == 0.0
+        assert not stream.feature_matrix.flags.writeable and not obs.features.flags.writeable
+
+    def test_observations_built_on_first_access(self):
+        stream = generate_periodic_stream(four_step_spec(), seed=0)
+        assert "observations" not in vars(stream)
+        observations = stream.observations
+        assert stream.observations is observations and len(observations) == len(stream)
+
     def test_qoi_must_reference_observations(self):
         with pytest.raises(ValueError, match=r"qoi has shape \(3,\), the stream has 2 observations"):
             ObservationStream(np.zeros((2, 1)), qoi=np.zeros(3))
@@ -175,11 +192,17 @@ class TestCsv:
             ingest_csv(path, CsvSchema(index_col="t", feature_cols=("x",)))
 
     def test_bad_cell_after_a_blank_line_names_its_file_line(self, tmp_path):
-        # The blank line 3 is skipped but still counted: the short row is line 4.
+        # The blank line 3 is skipped but still counted: the short row, or
+        # the row with an empty last cell, is line 4. A line of spaces is
+        # not blank: it is a row whose first cell is empty.
         path = tmp_path / "s.csv"
-        path.write_text("t,x\n1,2\n\n0\n")
-        with pytest.raises(ValueError, match=r": line 4: empty cell in column 'x'"):
-            ingest_csv(path, CsvSchema(index_col="t", feature_cols=("x",)))
+        schema = CsvSchema(index_col="t", feature_cols=("x",))
+        for text, where in [("t,x\n1,2\n\n0\n", "line 4: empty cell in column 'x'"),
+                            ("t,x\n1,2\n\n0,\n", "line 4: empty cell in column 'x'"),
+                            ("t,x\n0,1\n   \n2,3\n", "line 3: empty cell in column 't'")]:
+            path.write_text(text)
+            with pytest.raises(ValueError, match=rf": {where}$"):
+                ingest_csv(path, schema)
 
     def test_non_finite_feature_names_sorted_index(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -205,9 +228,27 @@ class TestCsv:
         path.write_text("")
         with pytest.raises(ValueError, match="empty file"):
             ingest_csv(path, CsvSchema(index_col="t", feature_cols=("x",)))
-        path.write_text("t,x\n")
-        with pytest.raises(ValueError, match="no data rows"):
-            ingest_csv(path, CsvSchema(index_col="t", feature_cols=("x",)))
+        for text in [b"t,x\n", b"t,x\r\n\r\n\n"]:  # and no numpy warning (an error here)
+            path.write_bytes(text)
+            with pytest.raises(ValueError, match="no data rows"):
+                ingest_csv(path, CsvSchema(index_col="t", feature_cols=("x",)))
+
+    def test_cells_only_the_row_reader_accepts(self, tmp_path):
+        # numpy's C reader refuses an underscore in a number and a quoted
+        # number; the rows are then read as csv.reader and float read them.
+        # Split at every comma, the quoted label would shift x to read 7.
+        path = tmp_path / "s.csv"
+        schema = CsvSchema(index_col="t", feature_cols=("x",), qoi_col="q")
+        for text, x, q in [("t,x,q\n0,1.5,3\n1,1_0,2.5\n", [1.5, 10.0], [3.0, 2.5]),
+                           ('t,x,q\n0,"1.5",3\n1,2,"2.5"\n', [1.5, 2.0], [3.0, 2.5]),
+                           ('t,q,label,x\n0,3,"a,7,b",1.5\n1,4,c,2\n', [1.5, 2.0], [3.0, 4.0])]:
+            path.write_text(text)
+            stream = ingest_csv(path, schema)
+            assert stream.feature_matrix[:, 0].tolist() == x and stream.qoi.tolist() == q
+
+    def test_write_columns_refuses_other_dtypes(self, tmp_path):
+        with pytest.raises(TypeError, match="integer and float columns"):
+            write_columns(tmp_path / "c.csv", ["flag"], [np.array([True, False])])
 
     def test_round_trip_preserves_12_significant_digits(self, tmp_path):
         spec = PeriodicStreamSpec(
