@@ -197,7 +197,9 @@ def estimate_utility_noise(
         raise ValueError(
             f"need at least 2 full periods to estimate utility noise, have {n}/{period_T}"
         )
-    singles = np.array([f.value([o]) for o in stream.observations])
+    ev = f.evaluator()
+    ev.track(stream.observations)
+    singles = ev.tracked_gains()  # each observation's utility alone
     num = 0.0
     den = 0
     for p in range(period_T):

@@ -263,7 +263,9 @@ class UtilityFunction:
     """A monotone set utility over observations, evaluated by kind.
 
     Use the factories: ``UtilityFunction.entropy(hyper)``,
-    ``UtilityFunction.modular(weights)``.
+    ``UtilityFunction.modular(weights)``. Modular weights must be finite, so
+    the rounding-error bound that ``exhaustive_optimum``'s candidate pool
+    rests on holds for every subset sum.
     """
 
     kind: str
@@ -279,6 +281,9 @@ class UtilityFunction:
             if self.weights is None:
                 raise ValueError("modular_sum utility requires per-index weights")
             w = np.asarray(self.weights, dtype=float).ravel()
+            bad = np.flatnonzero(~np.isfinite(w))
+            if bad.size:
+                raise ValueError(f"modular weights must be finite; weight {bad[0]} is {w[bad[0]]}")
             w.flags.writeable = False
             object.__setattr__(self, "weights", w)
 

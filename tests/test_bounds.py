@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from periodic_secretary import (
     BoundInputs,
+    GPConditioner,
     PeriodicStreamSpec,
     UtilityFunction,
     bound_report,
@@ -230,3 +231,16 @@ class TestEstimateUtilityNoise:
         stream = generate_periodic_stream(self._spec(0.5), seed=3)
         f = UtilityFunction.entropy(unit_hyper)
         assert estimate_utility_noise(stream, f) == pytest.approx(0.0, abs=1e-12)
+
+    def test_entropy_singletons_come_from_one_conditioner(self, unit_hyper, monkeypatch):
+        built = []
+        init = GPConditioner.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GPConditioner, "__init__", counting)
+        stream = generate_periodic_stream(self._spec(0.5), seed=3)
+        estimate_utility_noise(stream, UtilityFunction.entropy(unit_hyper))
+        assert len(built) == 1

@@ -7,7 +7,8 @@ Features are drawn from seeded normal distributions, so candidates are in
 general position: ties between gains are exact (such as two points at the
 prior variance) or far apart, and no decision turns on roundoff. The
 enumeration test makes exact ties on purpose, with weights rounded to one
-decimal.
+decimal, and float ties that exact arithmetic breaks, with half-integer
+weights beside one near 1e16.
 """
 
 import csv
@@ -119,8 +120,15 @@ def modular_instances(draw):
     n = draw(st.integers(0, 14))
     k = draw(st.integers(0, n))
     weights = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=n)
-    if draw(st.integers(0, 2)) == 0:
+    style = draw(st.integers(0, 3))
+    if style == 0:
         weights = np.round(weights, 1)  # exact ties between subset sums
+    elif style == 1 and n:
+        # Half-integer weights beside one near 1e16, whose ulp is 2: sums that
+        # hold it round, so float ties and wins differ from exact ones.
+        weights = np.round(2 * weights) / 2
+        big = 1e16 + 2 * draw(st.integers(-4, 4))
+        weights[draw(st.integers(0, n - 1))] = draw(st.sampled_from([big, -big]))
     return weights, k
 
 
@@ -145,6 +153,7 @@ def first_best_subset(weights, k):
 @example(instance=(np.round(np.linspace(-1.0, 1.0, 14), 1), 9))
 @example(instance=(np.zeros(13), 8))
 @example(instance=(np.array([0.1, 0.1, 0.4, 0.1]), 3))  # (.1 + .1) + .4 > (.1 + .4) + .1
+@example(instance=(np.array([1e16, 1.5, 2.0]), 2))  # 1e16 + 1.5 == 1e16 + 2.0, and (0, 1) comes first
 def test_modular_exhaustive_optimum_matches_brute_force(instance):
     weights, k = instance
     obs = [Observation(i, np.zeros(1)) for i in range(len(weights))]

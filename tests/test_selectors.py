@@ -20,6 +20,7 @@ from periodic_secretary import (
     submodular_secretary,
     two_sine_waveform,
 )
+from periodic_secretary import selectors
 from periodic_secretary.selectors import utility_trace_for, write_selection_csv
 
 from conftest import make_observations, random_hyper
@@ -322,6 +323,23 @@ class TestExhaustiveOptimum:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 10**6
+        assert result.chosen == tuple(sorted(np.argsort(weights)[-4:]))
+
+    def test_c60_4_walks_the_candidate_pool(self, monkeypatch):
+        # Distinct weights: the pool is the top 4, so the walk's tail table
+        # holds the 3-subsets of range(3), not those of range(59).
+        calls = []
+        lex_subsets = selectors._lex_subsets
+
+        def recording(m, j, dtype):
+            calls.append((m, j))
+            return lex_subsets(m, j, dtype)
+
+        monkeypatch.setattr(selectors, "_lex_subsets", recording)
+        weights = np.random.default_rng(11).normal(size=60)
+        obs = make_observations(np.zeros(60))
+        result = exhaustive_optimum(obs, UtilityFunction.modular(weights), k=4)
+        assert calls[0] == (3, 3)
         assert result.chosen == tuple(sorted(np.argsort(weights)[-4:]))
 
     def test_oversized_instance_refused(self, unit_hyper):

@@ -200,3 +200,8 @@ class TestUtilityFunctionValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown"):
             UtilityFunction(kind="variance")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_modular_refuses_non_finite_weight(self, bad):
+        with pytest.raises(ValueError, match="weight 2 is"):
+            UtilityFunction.modular(np.array([1.0, 2.0, bad, bad]))
