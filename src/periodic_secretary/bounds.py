@@ -54,15 +54,15 @@ class BoundInputs:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be positive, got {self.k}")
-        if self.threshold_slack < 0:
+        if not self.threshold_slack >= 0:
             raise ValueError(f"threshold_slack must be non-negative, got {self.threshold_slack}")
-        if self.utility_noise < 0:
+        if not self.utility_noise >= 0:
             raise ValueError(f"utility_noise must be non-negative, got {self.utility_noise}")
         if self.period_T < 1 or self.stream_len_N < self.period_T:
             raise ValueError(
                 f"need 1 <= period_T <= stream_len_N, got T={self.period_T}, N={self.stream_len_N}"
             )
-        if self.f_opt < 0:
+        if not self.f_opt >= 0:
             raise ValueError(f"f_opt must be non-negative, got {self.f_opt}")
 
     @property
@@ -97,7 +97,7 @@ def expected_max_gap(utility_noise: float, periods: float) -> float:
     """
     if periods < 1:
         raise ValueError(f"periods must be >= 1, got {periods}")
-    if utility_noise < 0:
+    if not utility_noise >= 0:
         raise ValueError(f"utility_noise must be non-negative, got {utility_noise}")
     return math.sqrt(2.0 * utility_noise * math.log(periods))
 

@@ -105,7 +105,7 @@ def _two_sine_spec(parser: _Parser, args: argparse.Namespace) -> PeriodicStreamS
         parser.error(f"--period must be >= 1, got {period}")
     if periods < 1:
         parser.error(f"--periods must be >= 1, got {periods}")
-    if noise < 0:
+    if not noise >= 0:
         parser.error(f"--noise must be >= 0, got {noise}")
     return PeriodicStreamSpec(
         period_T=period,
@@ -185,7 +185,7 @@ def _cmd_tune(parser: _Parser, args: argparse.Namespace) -> int:
     _require(parser, args, "period", "periods", "k", "grid", "hyper")
     spec = _two_sine_spec(parser, args)
     grid = _float_list(args.grid)
-    if any(s < 0 for s in grid):
+    if any(not s >= 0 for s in grid):
         parser.error("slack grid values must be >= 0")
     utility = UtilityFunction.entropy(load_hyperparams(args.hyper))
     result = tune_threshold_slack(
@@ -261,9 +261,9 @@ def _cmd_bounds(parser: _Parser, args: argparse.Namespace) -> int:
     args = _resolve(parser, args, {"q_denominator": "variance", "seed": 0, "out": "."})
     _require(parser, args, "k", "threshold_slack", "sigma_u", "N", "T", "f_opt")
     slack, sigma_u = float(args.threshold_slack), float(args.sigma_u)
-    if slack < 0:
+    if not slack >= 0:
         parser.error(f"--lambda must be >= 0, got {slack}")
-    if sigma_u < 0:
+    if not sigma_u >= 0:
         parser.error(f"--sigma-u must be >= 0, got {sigma_u}")
     if args.q_denominator not in ("variance", "std"):
         parser.error(f"--q-denominator must be variance or std, got {args.q_denominator!r}")

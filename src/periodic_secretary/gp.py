@@ -79,7 +79,7 @@ class GPHyperparams:
             raise ValueError(f"lengthscales must be strictly positive, got {ls}")
         if not self.signal_variance > 0:
             raise ValueError(f"signal_variance must be strictly positive, got {self.signal_variance}")
-        if self.noise_variance < 0:
+        if not self.noise_variance >= 0:
             raise ValueError(f"noise_variance must be non-negative, got {self.noise_variance}")
         ls.flags.writeable = False
         object.__setattr__(self, "lengthscales", ls)

@@ -132,7 +132,7 @@ class AlgorithmSpec:
             raise ValueError(f"unknown algorithm {self.name!r}; known: {ALGORITHM_NAMES}")
         if self.needs_period and self.threshold_slack is None:
             raise ValueError(f"{self.name} algorithm needs a threshold_slack")
-        if self.threshold_slack is not None and self.threshold_slack < 0:
+        if self.threshold_slack is not None and not self.threshold_slack >= 0:
             raise ValueError(f"threshold_slack must be non-negative, got {self.threshold_slack}")
 
     @property
@@ -461,11 +461,21 @@ def validate_bounds(
     below. The optimum f(A*) is exact (full enumeration) when k <= 4 and
     C(N, k) <= 10**6; otherwise the greedy value substitutes as a lower
     estimate and the utility check is reported as informational rather than
-    pass/fail. An entropy utility with noise_variance below 1/(2*pi*e) is
-    refused before any run: its gains can be negative.
+    pass/fail. A k below 1, and an entropy utility with noise_variance below
+    1/(2*pi*e) (its gains can be negative), are refused before any run.
+
+    The periodic secretary runs once per (k, slack, trial). Offline greedy
+    runs once per trial, at the largest k whose optimum is not exact, and
+    every inexact k reads its optimum from that run's k-prefix, which is
+    exact: k only stops greedy, so a run at k makes the first k steps of a
+    run at any larger k and records the same utility trace up to there,
+    bit for bit.
     """
     if runs < 2:
         raise ValueError("bound validation needs runs >= 2 for standard errors")
+    bad_k = [k for k in k_values if not k >= 1]
+    if bad_k:
+        raise ValueError(f"k must be positive, got {bad_k[0]}")
     streams, utilities = _seeded_trials(spec, utility, seed, _TAG_TRIAL, runs)
     for f in utilities:
         if f.kind == "entropy" and f.hyper.noise_variance < _MONOTONE_NOISE_FLOOR:
@@ -476,16 +486,33 @@ def validate_bounds(
     noise_est = float(
         np.mean([estimate_utility_noise(s, u) for s, u in zip(streams, utilities)])
     )
+    ks = [int(k) for k in k_values]
+    exact = [k <= _EXACT_MAX_K and math.comb(spec.length_N, k) <= EXACT_MAX_SUBSETS for k in ks]
+    inexact = [k for k, e in zip(ks, exact) if not e]
+    greedy = [
+        offline_greedy(s.observations, f, max(inexact)).utility_trace
+        for s, f in zip(streams, utilities)
+    ] if inexact else []
+    # finals[i, j] and succ[i, j]: final utility and fill of each trial in the
+    # cell (ks[i], slack_values[j]).
+    finals = np.empty((len(ks), len(slack_values), runs))
+    succ = np.empty_like(finals)
+    for i, k in enumerate(ks):
+        for j, slack in enumerate(slack_values):
+            finals[i, j], succ[i, j] = _periodic_runs(streams, utilities, k, spec.period_T, slack)
+    mean_u, mean_s = finals.mean(axis=-1), succ.mean(axis=-1)
+    se_u = _spread(finals, 1, axis=-1) / math.sqrt(runs)
+    se_s = _spread(succ, 1, axis=-1) / math.sqrt(runs)
 
     cells: list[BoundValidationCell] = []
-    for k in k_values:
-        exact = k <= _EXACT_MAX_K and math.comb(spec.length_N, k) <= EXACT_MAX_SUBSETS
-        oracle = exhaustive_optimum if exact else offline_greedy
-        f_opt = float(np.mean(
-            [_final_utility(oracle(s.observations, f, k)) for s, f in zip(streams, utilities)]
-        ))
-        for slack in slack_values:
-            finals, succ = _periodic_runs(streams, utilities, k, spec.period_T, slack)
+    for i, k in enumerate(ks):
+        if exact[i]:
+            opt = [_final_utility(exhaustive_optimum(s.observations, f, k))
+                   for s, f in zip(streams, utilities)]
+        else:
+            opt = [trace[k - 1] for trace in greedy]
+        f_opt = float(np.mean(opt))
+        for j, slack in enumerate(slack_values):
             # Linear in f_opt, so the mean per-trial bound equals the bound at
             # the mean optimum.
             bound = bound_report(
@@ -498,27 +525,25 @@ def validate_bounds(
                     f_opt=f_opt,
                 )
             )
-            se_u = float(_spread(finals, 1) / math.sqrt(runs))
-            se_s = float(_spread(succ, 1) / math.sqrt(runs))
             cells.append(
                 BoundValidationCell(
-                    k=int(k),
+                    k=k,
                     threshold_slack=float(slack),
                     runs=runs,
-                    mean_utility=float(finals.mean()),
-                    se_utility=se_u,
-                    mean_successes=float(succ.mean()),
-                    se_successes=se_s,
+                    mean_utility=float(mean_u[i, j]),
+                    se_utility=float(se_u[i, j]),
+                    mean_successes=float(mean_s[i, j]),
+                    se_successes=float(se_s[i, j]),
                     utility_bound=bound.utility_lower_bound,
                     success_bound=bound.expected_successes,
                     vacuous=bound.vacuous,
-                    informational=not exact,
+                    informational=not exact[i],
                     utility_violation=(
                         not bound.vacuous
-                        and exact
-                        and finals.mean() - 3 * se_u < bound.utility_lower_bound
+                        and exact[i]
+                        and mean_u[i, j] - 3 * se_u[i, j] < bound.utility_lower_bound
                     ),
-                    success_violation=succ.mean() - 3 * se_s < bound.expected_successes,
+                    success_violation=mean_s[i, j] - 3 * se_s[i, j] < bound.expected_successes,
                 )
             )
     return BoundValidationReport(cells=tuple(cells), utility_noise_estimate=noise_est)

@@ -100,7 +100,7 @@ class PeriodicSecretaryConfig:
             raise ValueError(f"k must be positive, got {self.k}")
         if self.period_T < 1:
             raise ValueError(f"period_T must be positive, got {self.period_T}")
-        if self.threshold_slack < 0:
+        if not self.threshold_slack >= 0:
             raise ValueError(f"threshold_slack must be non-negative, got {self.threshold_slack}")
 
 
@@ -131,6 +131,11 @@ def periodic_secretary(
     accepted set, so both scans make the decisions of a one-at-a-time scan,
     except where a gain ties the threshold within roundoff: a point's
     tracked and one-point gains can differ in the last bits.
+
+    k only stops the scan, so a run at capacity k makes exactly the first k
+    decisions of a run at any larger capacity: its ``chosen``,
+    ``utility_trace`` and ``threshold_trace`` are that run's first k
+    entries, bit for bit.
     """
     T = cfg.period_T
     it = iter(stream)
@@ -270,7 +275,9 @@ def offline_greedy(
     """Iterative argmax-of-marginal-gain selection over a known ground set.
 
     Ties break to the lowest observation index. ``chosen`` is in selection
-    order, which is generally not index order.
+    order, which is generally not index order. Each step depends only on the
+    steps before it, so a run at k is the first k steps of a run at any
+    larger k, with the same utility trace up to there, bit for bit.
     """
     items = sorted(ground, key=lambda o: o.index)
     if k < 0:

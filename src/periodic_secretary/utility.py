@@ -9,6 +9,7 @@ f(empty set) = 0 so marginal gains telescope cleanly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -219,6 +220,9 @@ class _EntropyEvaluator(UtilityEvaluator):
         return float(_entropy_of(self._cond.extend(obs.features, pos)))
 
 
+_INDEX = operator.attrgetter("index")
+
+
 class _ModularEvaluator(UtilityEvaluator):
     def __init__(self, weights: np.ndarray):
         super().__init__()
@@ -233,11 +237,19 @@ class _ModularEvaluator(UtilityEvaluator):
     def gain(self, obs: Observation) -> float:
         return self._weight(obs)
 
-    def gains(self, observations: Sequence[Observation]) -> np.ndarray:
-        return np.array([self._weight(o) for o in observations])
+    def _weights(self, observations: Sequence[Observation]) -> np.ndarray:
+        """The observations' weights as one gather."""
+        idx = np.fromiter(map(_INDEX, observations), dtype=np.intp, count=len(observations))
+        try:
+            return self._w[idx]
+        except IndexError:  # indices are non-negative: one lies past the weights
+            past = idx[idx >= self._w.shape[0]]
+            raise ValueError(f"no weight for observation index {past[0]}") from None
+
+    gains = _weights
 
     def track(self, observations: Sequence[Observation]) -> None:
-        self._pool = np.concatenate([self._pool, [self._weight(o) for o in observations]])
+        self._pool = np.concatenate([self._pool, self._weights(observations)])
 
     def untrack(self, n: int) -> None:
         if not 0 <= n <= len(self._pool):
@@ -251,7 +263,7 @@ class _ModularEvaluator(UtilityEvaluator):
         return float(self._pool[:stop].max())
 
     def first_tracked_hit(self, threshold: float, start: int) -> int | None:
-        hits = np.flatnonzero(self._pool[start:] >= threshold)
+        hits = (self._pool[start:] >= threshold).nonzero()[0]
         return start + int(hits[0]) if hits.size else None
 
     def _register(self, obs: Observation, pos: int | None) -> float:

@@ -65,6 +65,8 @@ class TestExpectedMaxGap:
             expected_max_gap(1.0, 0.5)
         with pytest.raises(ValueError):
             expected_max_gap(-1.0, 10)
+        with pytest.raises(ValueError):
+            expected_max_gap(math.nan, 10)
 
 
 class TestPerStepGap:
@@ -180,6 +182,13 @@ class TestBoundInputsValidation:
         with pytest.raises(ValueError):
             BoundInputs(k=1, threshold_slack=0.0, utility_noise=0.0, stream_len_N=1, period_T=2, f_opt=1.0)
 
+    @pytest.mark.parametrize("field", ["threshold_slack", "utility_noise", "f_opt"])
+    def test_rejects_nan(self, field):
+        fields = dict(k=1, threshold_slack=0.0, utility_noise=0.0, stream_len_N=10, period_T=2, f_opt=1.0)
+        fields[field] = math.nan
+        with pytest.raises(ValueError, match=f"{field} must be non-negative, got nan"):
+            BoundInputs(**fields)
+
 
 class TestReportSerialization:
     def test_key_value_block(self, tmp_path):
@@ -226,6 +235,20 @@ class TestEstimateUtilityNoise:
             f = UtilityFunction.modular(stream.feature_matrix[:, 0])
             estimates.append(estimate_utility_noise(stream, f))
         assert abs(np.mean(estimates) - 0.35) < 0.2 * 0.35
+
+    @pytest.mark.parametrize("length", [13, 23, 60, 61, 65])
+    def test_pools_each_phase_with_its_own_count(self, length):
+        # T = 6 and N = 2T+1, 4T-1, 10T, 10T+1, 11T-1: the phases below N % T
+        # have one more sample than the rest, and each phase's variance is
+        # weighted by its own degrees of freedom.
+        stream = generate_periodic_stream(self._spec(0.35, length=length), seed=length)
+        weights = stream.feature_matrix[:, 0]
+        num, den = 0.0, 0
+        for p in range(6):
+            u = weights[p::6]
+            num += (len(u) - 1) * float(np.var(u, ddof=1))
+            den += len(u) - 1
+        assert estimate_utility_noise(stream, UtilityFunction.modular(weights)) == num / den
 
     def test_stationary_entropy_singletons_estimate_zero(self, unit_hyper):
         stream = generate_periodic_stream(self._spec(0.5), seed=3)

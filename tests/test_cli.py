@@ -169,11 +169,12 @@ class TestSelect:
 @pytest.mark.parametrize("subcommand", ["generate", "tune"])
 def test_negative_noise_is_same_usage_error(subcommand, hyper_file, tmp_path, capsys):
     extra = ["--k", 2, "--grid", "0", "--runs", 2, "--hyper", hyper_file] if subcommand == "tune" else []
-    with pytest.raises(SystemExit) as exc:
-        run_cli(subcommand, "--period", 10, "--periods", 2, "--noise", -1, *extra,
-                "--out", tmp_path / "out")
-    assert exc.value.code == 2
-    assert capsys.readouterr().err == "error: --noise must be >= 0, got -1.0\n"
+    for noise in ("-1", "nan"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(subcommand, "--period", 10, "--periods", 2, "--noise", noise, *extra,
+                    "--out", tmp_path / "out")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: --noise must be >= 0, got {float(noise)}\n"
 
 
 class TestTune:
@@ -206,6 +207,13 @@ class TestTune:
                     "--out", out)
             outs.append(out)
         assert (outs[0] / "tuning.csv").read_bytes() == (outs[1] / "tuning.csv").read_bytes()
+
+    def test_nan_grid_value_is_usage_error(self, hyper_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("tune", "--period", 8, "--periods", 2, "--k", 2, "--grid", "0,nan",
+                    "--runs", 2, "--hyper", hyper_file, "--out", tmp_path / "tune")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: slack grid values must be >= 0\n"
 
 
 class TestEvaluate:
@@ -350,6 +358,15 @@ class TestBounds:
         )
         assert report["vacuous"] == "false"
         assert "utility_lower_bound" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("option, value", [("--lambda", "nan"), ("--sigma-u", "nan")])
+    def test_nan_is_usage_error(self, option, value, tmp_path, capsys):
+        argv = {"--k": 5, "--lambda": 0.1, "--sigma-u": 1.0, "--N": 1000, "--T": 100, "--f-opt": 10}
+        argv[option] = value
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bounds", *[a for kv in argv.items() for a in kv], "--out", tmp_path)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: {option} must be >= 0, got nan\n"
 
     def test_negative_sigma_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

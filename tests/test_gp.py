@@ -338,8 +338,9 @@ class TestHyperparamsConfig:
             GPHyperparams(lengthscales=np.array([0.0]), signal_variance=1.0, noise_variance=0.0)
         with pytest.raises(ValueError, match="positive"):
             GPHyperparams(lengthscales=np.array([1.0]), signal_variance=0.0, noise_variance=0.0)
-        with pytest.raises(ValueError, match="non-negative"):
-            GPHyperparams(lengthscales=np.array([1.0]), signal_variance=1.0, noise_variance=-0.1)
+        for noise in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="noise_variance must be non-negative"):
+                GPHyperparams(lengthscales=np.array([1.0]), signal_variance=1.0, noise_variance=noise)
 
 
 def test_entropy_constant_value():

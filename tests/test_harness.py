@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import periodic_secretary.bounds
 import periodic_secretary.harness
 from periodic_secretary import (
     AlgorithmSpec,
+    BoundInputs,
     CsvSchema,
     ExperimentConfig,
     GPHyperparams,
@@ -12,7 +15,10 @@ from periodic_secretary import (
     PeriodicStreamSpec,
     SelectionResult,
     UtilityFunction,
+    PeriodicSecretaryConfig,
     attach_gp_qoi,
+    bound_report,
+    estimate_utility_noise,
     evaluate_prediction,
     generate_periodic_stream,
     ingest_csv,
@@ -22,10 +28,13 @@ from periodic_secretary import (
     validate_bounds,
 )
 from periodic_secretary.harness import (
+    BoundValidationCell,
+    BoundValidationReport,
     derive_seeds,
     write_comparison_report,
     write_tuning_csv,
 )
+from periodic_secretary import selectors
 from periodic_secretary.stream import two_sine_waveform
 
 
@@ -272,8 +281,97 @@ class TestRunComparison:
         with pytest.raises(ValueError, match="non-negative"):
             AlgorithmSpec("periodic", threshold_slack=-1.0)
 
+    def test_nan_slack_rejected(self):
+        with pytest.raises(ValueError, match="non-negative, got nan"):
+            AlgorithmSpec("periodic", threshold_slack=float("nan"))
+
+
+def forbid_selector_runs(monkeypatch):
+    """Make every selector run that validate_bounds can start fail the test."""
+    def no_runs(*a, **kw):
+        raise AssertionError("a selector ran")
+
+    for name in ("_periodic_runs", "periodic_secretary", "offline_greedy", "exhaustive_optimum"):
+        monkeypatch.setattr(periodic_secretary.harness, name, no_runs)
+
+
+def per_cell_validate_bounds(spec, utility, k_values, slack_values, runs, seed):
+    """validate_bounds as one optimum per (k, trial) and one periodic run per
+    (k, slack, trial), each at its own k."""
+    seeds = derive_seeds(seed, periodic_secretary.harness._TAG_TRIAL, runs)
+    streams = [generate_periodic_stream(spec, s) for s in seeds]
+    utilities = [utility if isinstance(utility, UtilityFunction) else utility(s) for s in streams]
+    noise_est = float(np.mean([estimate_utility_noise(s, u) for s, u in zip(streams, utilities)]))
+    cells = []
+    for k in k_values:
+        exact = k <= 4 and math.comb(spec.length_N, k) <= selectors.EXACT_MAX_SUBSETS
+        oracle = selectors.exhaustive_optimum if exact else selectors.offline_greedy
+        f_opt = float(np.mean(
+            [oracle(s.observations, f, k).final_utility for s, f in zip(streams, utilities)]
+        ))
+        for slack in slack_values:
+            cfg = PeriodicSecretaryConfig(k=k, period_T=spec.period_T, threshold_slack=slack)
+            results = [selectors.periodic_secretary(s.observations, f, cfg)
+                       for s, f in zip(streams, utilities)]
+            finals = np.array([r.utility_trace[-1] if r.chosen else 0.0 for r in results])
+            succ = np.array([len(r.chosen) for r in results], dtype=float)
+            bound = bound_report(BoundInputs(
+                k=k, threshold_slack=slack, utility_noise=noise_est,
+                stream_len_N=spec.length_N, period_T=spec.period_T, f_opt=f_opt,
+            ))
+            se_u = float(np.std(finals - finals[0], ddof=1) / math.sqrt(runs))
+            se_s = float(np.std(succ - succ[0], ddof=1) / math.sqrt(runs))
+            cells.append(BoundValidationCell(
+                k=k, threshold_slack=slack, runs=runs,
+                mean_utility=float(finals.mean()), se_utility=se_u,
+                mean_successes=float(succ.mean()), se_successes=se_s,
+                utility_bound=bound.utility_lower_bound, success_bound=bound.expected_successes,
+                vacuous=bound.vacuous, informational=not exact,
+                utility_violation=(not bound.vacuous and exact
+                                   and finals.mean() - 3 * se_u < bound.utility_lower_bound),
+                success_violation=succ.mean() - 3 * se_s < bound.expected_successes,
+            ))
+    return BoundValidationReport(cells=tuple(cells), utility_noise_estimate=noise_est)
+
 
 class TestValidateBounds:
+    @pytest.mark.parametrize("entropy", [False, True])
+    def test_matches_per_cell_oracle(self, entropy):
+        # Inexact optima are read from one greedy run per trial. Unsorted and
+        # repeated k, and exact cells beside inexact ones: under entropy
+        # k = 5, 6 exceed the enumerated k; under the modular utility
+        # C(120, 4) exceeds the subset cap, so k = 4 is inexact there too.
+        if entropy:
+            spec = PeriodicStreamSpec(
+                period_T=4, noise_cov=np.array([[0.3]]), length_N=24,
+                base_waveform=np.array([[0.0], [3.0], [1.0], [2.0]]),
+            )
+            hyper = GPHyperparams(lengthscales=np.array([0.7]), signal_variance=1.0, noise_variance=0.1)
+            utility, k_values = UtilityFunction.entropy(hyper), [6, 1, 2, 6, 5]
+        else:
+            spec = PeriodicStreamSpec(
+                period_T=12, noise_cov=np.array([[0.35]]), length_N=120,
+                base_waveform=two_sine_waveform(12),
+            )
+            utility, k_values = modular_factory, [4, 2, 7, 3, 4, 1]
+        slacks = [0.3, 0.0, 1.0]
+        for seed in range(3):
+            args = (spec, utility, k_values, slacks, 3 + seed, seed)
+            report = validate_bounds(*args)
+            assert report == per_cell_validate_bounds(*args)
+            assert {c.informational for c in report.cells} == {False, True}
+
+    def test_empty_grid_gives_empty_report(self, small_spec):
+        for k_values, slacks in (([], [0.1]), ([2], [])):
+            report = validate_bounds(small_spec, modular_factory, k_values, slacks, runs=2, seed=1)
+            assert report.cells == ()
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_refused_before_any_run(self, monkeypatch, small_spec, k):
+        forbid_selector_runs(monkeypatch)
+        with pytest.raises(ValueError, match=f"k must be positive, got {k}"):
+            validate_bounds(small_spec, modular_factory, [2, k], [0.0], runs=2, seed=0)
+
     def test_noiseless_modular_zero_violations(self):
         spec = PeriodicStreamSpec(
             period_T=4,
@@ -316,11 +414,7 @@ class TestValidateBounds:
         # Below noise_variance = 1/(2*pi*e) an entropy gain can be negative, so
         # the utility is not monotone and the bounds do not hold; the check
         # must come before the first selector run.
-        def no_runs(*a, **kw):
-            raise AssertionError("a selector ran")
-
-        monkeypatch.setattr(periodic_secretary.harness, "_periodic_runs", no_runs)
-        monkeypatch.setattr(periodic_secretary.harness, "exhaustive_optimum", no_runs)
+        forbid_selector_runs(monkeypatch)
         spec = PeriodicStreamSpec(
             period_T=4,
             noise_cov=np.array([[0.1]]),

@@ -1,7 +1,8 @@
 """Property tests over random streams and inputs: the SE kernel, the
 tracked-pool engine, the one-point path and arrival test, the prefix-means
-curve, the periodic scan, the entropy criterion, exhaustive enumeration,
-the CSV column writer, CSV round trips and block permutation.
+curve, the periodic scan, the capacity prefix of the periodic scan and of
+offline greedy, the entropy criterion, exhaustive enumeration, the CSV
+column writer, CSV round trips and block permutation.
 
 Features are drawn from seeded normal distributions, so candidates are in
 general position: ties between gains are exact (such as two points at the
@@ -461,6 +462,63 @@ def test_periodic_picks_lie_after_the_reference_period(seed, d, T, extra, k, sla
     assert len(result.chosen) <= k
     assert list(result.chosen) == sorted(set(result.chosen))
     assert (result.terminated == "filled_k") == (len(result.chosen) == k)
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 2),
+    T=st.integers(1, 12),
+    extra=st.integers(0, 60),
+    k=st.integers(1, 12),
+    more=st.integers(1, 12),
+    slack=st.floats(0.0, 1.0),
+    modular=st.booleans(),
+    as_list=st.booleans(),
+)
+def test_periodic_run_at_k_is_a_prefix_of_a_larger_run(seed, d, T, extra, k, more, slack, modular, as_list):
+    # Capacity only stops the scan: the run at k is the first k decisions of
+    # the run at k + more, bit for bit.
+    rng = np.random.default_rng(seed)
+    obs = random_observations(rng, T + extra, d)
+    if modular:
+        f = UtilityFunction.modular(rng.normal(size=len(obs)))
+    else:
+        f = UtilityFunction.entropy(random_hyper(rng, d))
+
+    def run(cap):
+        cfg = PeriodicSecretaryConfig(k=cap, period_T=T, threshold_slack=slack)
+        return periodic_secretary(obs if as_list else iter(obs), f, cfg)
+
+    small, large = run(k), run(k + more)
+    fill = min(k, len(large.chosen))
+    assert small.chosen == large.chosen[:fill]
+    assert small.utility_trace == large.utility_trace[:fill]
+    assert small.threshold_trace == large.threshold_trace[:fill]
+    assert small.terminated == ("filled_k" if fill == k else "end_of_stream")
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 2),
+    n=st.integers(1, 40),
+    modular=st.booleans(),
+    data=st.data(),
+)
+def test_greedy_run_at_k_is_a_prefix_of_a_larger_run(seed, d, n, modular, data):
+    # validate_bounds reads every inexact optimum of a grid from one run.
+    k = data.draw(st.integers(0, n))
+    larger = data.draw(st.integers(k, n))
+    rng = np.random.default_rng(seed)
+    obs = random_observations(rng, n, d)
+    if modular:
+        f = UtilityFunction.modular(np.round(rng.normal(size=n), 1))  # ties on purpose
+    else:
+        f = UtilityFunction.entropy(random_hyper(rng, d))
+    small, large = offline_greedy(obs, f, k), offline_greedy(obs, f, larger)
+    assert small.chosen == large.chosen[:k]
+    assert small.utility_trace == large.utility_trace[:k]
 
 
 def twelve_digit(values):

@@ -41,6 +41,13 @@ def value_utility(stream):
 
 
 class TestPeriodicSecretary:
+    @pytest.mark.parametrize("slack", [-0.5, math.nan])
+    def test_config_refuses_negative_or_nan_slack(self, slack):
+        # A NaN slack would make every threshold NaN, so the scan would accept
+        # nothing and return an ordinary-looking empty selection.
+        with pytest.raises(ValueError, match="threshold_slack must be non-negative"):
+            PeriodicSecretaryConfig(k=1, period_T=1, threshold_slack=slack)
+
     def test_hand_trace_single_pick(self):
         stream = noiseless_stream()
         f = value_utility(stream)

@@ -5,6 +5,7 @@ import pytest
 
 from periodic_secretary import (
     GPHyperparams,
+    Observation,
     UtilityFunction,
     check_submodular_monotone,
     entropy_criterion,
@@ -205,3 +206,23 @@ class TestUtilityFunctionValidation:
     def test_modular_refuses_non_finite_weight(self, bad):
         with pytest.raises(ValueError, match="weight 2 is"):
             UtilityFunction.modular(np.array([1.0, 2.0, bad, bad]))
+
+
+class TestModularEvaluator:
+    def test_batch_weights_are_one_gather(self):
+        w = np.array([0.5, -1.0, 2.0, 0.25])
+        obs = [Observation(i, np.array([0.0])) for i in (2, 0, 3)]
+        ev = UtilityFunction.modular(w).evaluator()
+        assert ev.gains(obs).tolist() == [2.0, 0.5, 0.25]
+        ev.track(obs)
+        ev.track(obs[:1])
+        assert ev.tracked_gains().tolist() == [2.0, 0.5, 0.25, 2.0]
+
+    @pytest.mark.parametrize("method", ["gains", "track"])
+    def test_index_past_the_weights_is_named(self, method):
+        # The first index past the weights in batch order is the one named.
+        ev = UtilityFunction.modular(np.ones(3)).evaluator()
+        obs = [Observation(i, np.array([0.0])) for i in (0, 5, 1, 7)]
+        with pytest.raises(ValueError, match=r"^no weight for observation index 5$"):
+            getattr(ev, method)(obs)
+        assert len(ev.tracked_gains()) == 0
