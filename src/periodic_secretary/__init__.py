@@ -43,7 +43,6 @@ from .harness import (
 from .selectors import (
     PeriodicSecretaryConfig,
     SelectionResult,
-    classical_secretary,
     exhaustive_optimum,
     offline_greedy,
     periodic_secretary,

@@ -173,9 +173,7 @@ def write_bound_report(report: BoundReport, path: "str | Path") -> None:
     write_kv_file(asdict(report), path)
 
 
-def estimate_utility_noise(
-    stream: ObservationStream, f: UtilityFunction, period_T: int | None = None
-) -> float:
+def estimate_utility_noise(stream: ObservationStream, f: UtilityFunction) -> float:
     """Estimate the period-to-period variance of singleton utilities.
 
     For each phase, the singleton utility of the observations at that phase
@@ -186,12 +184,11 @@ def estimate_utility_noise(
     period is noise-free and is pooled with the rest (with ten periods the
     estimate is about 0.9 of the noise variance). A stationary-kernel
     entropy utility has constant singleton utilities, so it estimates to ~0
-    there.
+    there. The period is the stream's own, so the stream needs a spec.
     """
-    if period_T is None:
-        if stream.spec is None:
-            raise ValueError("period_T required when the stream has no spec")
-        period_T = stream.spec.period_T
+    if stream.spec is None:
+        raise ValueError("the stream has no spec, so its period is unknown")
+    period_T = stream.spec.period_T
     n = len(stream)
     if n // period_T < 2:
         raise ValueError(

@@ -320,7 +320,6 @@ class ComparisonReport:
     utility_mean: dict[str, np.ndarray]
     utility_sd: dict[str, np.ndarray]
     fill_mean: dict[str, float]
-    fill_sd: dict[str, float]
     utility_runs: dict[str, np.ndarray]
     mse_mean: dict[str, np.ndarray] | None = None
     mse_sd: dict[str, np.ndarray] | None = None
@@ -406,7 +405,6 @@ def run_comparison(
         utility_mean={lab: utility_runs[lab].mean(axis=0) for lab in labels},
         utility_sd={lab: _spread(utility_runs[lab], ddof) for lab in labels},
         fill_mean={lab: float(fills[lab].mean()) for lab in labels},
-        fill_sd={lab: float(_spread(fills[lab], ddof)) for lab in labels},
         utility_runs=utility_runs,
         mse_mean={lab: mse_runs[lab].mean(axis=0) for lab in labels} if compute_mse else None,
         mse_sd={lab: _spread(mse_runs[lab], ddof) for lab in labels} if compute_mse else None,

@@ -23,7 +23,6 @@ __all__ = [
     "SelectionResult",
     "PeriodicSecretaryConfig",
     "periodic_secretary",
-    "classical_secretary",
     "submodular_secretary",
     "scheduled_sampler",
     "random_sampler",
@@ -36,9 +35,6 @@ __all__ = [
 
 # Exhaustive enumeration refuses instances with more k-subsets than this.
 EXACT_MAX_SUBSETS = 10**6
-
-# Unit roundoff of IEEE double precision.
-_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -191,7 +187,8 @@ def periodic_secretary(
 def _classical_pick(
     items: Sequence[Observation], score: Callable[[Observation], float]
 ) -> Observation | None:
-    """Observe the first floor(n/e) items, then take the first strict improvement."""
+    """Single-choice secretary rule: observe the first floor(n/e) items, then
+    take the first strict improvement, or None if nothing beats them."""
     n = len(items)
     cutoff = int(n / math.e)
     best = -math.inf
@@ -201,17 +198,6 @@ def _classical_pick(
         if score(obs) > best:
             return obs
     return None
-
-
-def classical_secretary(
-    stream: Sequence[Observation], score: Callable[[Observation], float]
-) -> int | None:
-    """Single-choice secretary rule; returns the chosen stream index or None.
-
-    No forced pick is made when nothing beats the observation-phase maximum.
-    """
-    pick = _classical_pick(list(stream), score)
-    return None if pick is None else pick.index
 
 
 def submodular_secretary(
@@ -299,83 +285,19 @@ def offline_greedy(
     return SelectionResult(chosen=tuple(chosen), utility_trace=tuple(trace), terminated="filled_k")
 
 
-def _lex_subsets(m: int, j: int, dtype: np.dtype) -> np.ndarray:
-    """Every j-subset of range(m) as rows of ``dtype`` in lexicographic order.
-
-    The rows starting with i are i followed by the last C(m-1-i, j-1) rows
-    of the (j-1)-subsets of range(m-1), shifted by one.
-    """
-    if j == 0:
-        return np.zeros((1, 0), dtype=dtype)
-    tails = _lex_subsets(m - 1, j - 1, dtype) + 1
-    table = np.empty((math.comb(m, j), j), dtype=dtype)
-    row = 0
-    for i in range(m - j + 1):
-        count = math.comb(m - 1 - i, j - 1)
-        table[row:row + count, 0] = i
-        table[row:row + count, 1:] = tails[len(tails) - count:]
-        row += count
-    return table
-
-
-def _candidate_pool(w: np.ndarray, k: int) -> np.ndarray:
-    """Positions, in index order, of the weights at least w_(k) − 2Δ − 4u·|w_(k)|:
-    the candidate pool of ``exhaustive_optimum``'s modular walk."""
-    n = len(w)
-    kth = float(np.partition(w, n - k)[n - k])
-    top_abs = sum(np.partition(np.abs(w), n - k)[n - k:].tolist())  # inf on overflow, unwarned
-    gamma = (k - 1) * _UNIT_ROUNDOFF / (1 - (k - 1) * _UNIT_ROUNDOFF)
-    delta = 2 * gamma * top_abs
-    return np.flatnonzero(w >= kth - (2 * delta + 4 * _UNIT_ROUNDOFF * abs(kth)))
-
-
-def _first_max_subset(w: np.ndarray, k: int) -> list[int]:
-    """Positions of the lexicographically first k-subset of w whose weights,
-    added left to right in index order, have the largest float sum."""
-    # Chunk i holds the subsets whose first element is i: i followed by the
-    # last C(n-1-i, k-1) rows of one (k-1)-subset table of range(1, n).
-    # Sums add left to right, one tail column at a time; the first maximum
-    # of the chunk maxima, in chunk order, is the first maximum overall, so
-    # ties go to the lexicographically smallest subset.
-    n = len(w)
-    tails = _lex_subsets(n - 1, k - 1, np.min_scalar_type(n)) + 1
-    cols = w[tails.T]
-    buf = np.empty(len(tails))
-    tops = np.empty(n - k + 1)
-    rows = np.empty(n - k + 1, dtype=np.intp)  # winning row of tails per chunk
-    for i in range(n - k + 1):
-        start = len(tails) - math.comb(n - 1 - i, k - 1)
-        sums = buf[start:]
-        sums.fill(w[i])
-        for col in cols[:, start:]:
-            sums += col
-        rows[i] = start + np.argmax(sums)
-        tops[i] = buf[rows[i]]
-    first = int(np.argmax(tops))
-    return [first, *(int(j) for j in tails[rows[first]])]
-
-
 def exhaustive_optimum(
     ground: Sequence[Observation], f: UtilityFunction, k: int
 ) -> SelectionResult:
-    """Return the utility maximizer over every k-subset.
+    """Return the utility maximizer over every k-subset, in index order.
 
-    Among ties the lexicographically smallest index set wins. A modular
-    utility's subset sums add the weights left to right, in index order, so
-    ties are judged on exactly those floating-point sums. Instances with more
-    than ``EXACT_MAX_SUBSETS`` subsets are refused outright.
+    Among ties the lexicographically smallest index set wins. Instances with
+    more than ``EXACT_MAX_SUBSETS`` subsets are refused outright.
 
-    A modular utility's subsets are walked over a candidate pool, not all n
-    items: the items whose weight is at least w_(k) − Δ, with w_(k) the k-th
-    largest weight, Δ = 2·γ_(k−1)·M, γ_m = m·u/(1 − m·u), u = 2⁻⁵³ and M
-    the sum of the k largest |w|, cut with a margin (2Δ + 4u·|w_(k)|) that
-    only widens the pool. The answer is the full walk's: a subset's float
-    sum is within γ_(k−1)·M of its exact sum, so any subset whose float sum
-    ties or beats the exact top k's is within Δ of it exactly, and by
-    exchange each of its weights is then at least w_(k) − Δ. Every float-sum
-    maximum is thus in the pool, and the pool keeps index order, so its
-    first maximum is the full walk's. With distinct weights the pool is
-    about k items; ties grow it, at most to every item.
+    A modular utility is judged on the exact sums of its weights, so no
+    subset is enumerated: one stable sort takes the k largest weights, ties
+    to the lower index. A k-set has the largest exact sum only if it holds
+    every weight above the k-th largest w_(k) and the rest equal to w_(k),
+    and the lowest-index choice among those is the lexicographically first.
     """
     items = sorted(ground, key=lambda o: o.index)
     n = len(items)
@@ -392,9 +314,9 @@ def exhaustive_optimum(
         return SelectionResult(chosen=(), utility_trace=(), terminated="filled_k")
 
     if f.kind == "modular_sum":
-        w = f.weights[[o.index for o in items]]
-        pool = _candidate_pool(w, k)
-        best = [items[pool[j]] for j in _first_max_subset(w[pool], k)]
+        w = f.weights[[o.index for o in items]].tolist()
+        top = sorted(range(n), key=w.__getitem__, reverse=True)[:k]  # stable: ties keep index order
+        best = [items[i] for i in sorted(top)]
     else:
         best = None
         best_val = -math.inf

@@ -97,6 +97,8 @@ class PeriodicStreamSpec:
             cov = cov[0, 0] * np.eye(d)
         if cov.shape != (d, d):
             raise ValueError(f"noise_cov shape {cov.shape} does not match feature dim {d}")
+        if not np.all(np.isfinite(cov)):
+            raise ValueError("noise_cov contains non-finite values")
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise ValueError("noise_cov must be symmetric")
         eigvals = np.linalg.eigvalsh(cov)
@@ -289,22 +291,12 @@ def ingest_csv(path: "str | Path", schema: CsvSchema) -> ObservationStream:
     return ObservationStream(table[:, 1 : 1 + len(schema.feature_cols)], qoi)
 
 
-def write_stream_csv(
-    stream: ObservationStream,
-    path: "str | Path",
-    schema: CsvSchema | None = None,
-) -> CsvSchema:
-    """Write a stream as CSV (12 significant digits) and return the schema used."""
-    if schema is None:
-        feature_cols = tuple(f"x{j}" for j in range(stream.dim))
-        qoi_col = "qoi" if stream.qoi is not None else None
-        schema = CsvSchema(index_col="t", feature_cols=feature_cols, qoi_col=qoi_col)
-    if len(schema.feature_cols) != stream.dim:
-        raise ValueError(
-            f"schema has {len(schema.feature_cols)} feature columns, stream has dim {stream.dim}"
-        )
-    if schema.qoi_col is not None and stream.qoi is None:
-        raise ValueError(f"schema names qoi column '{schema.qoi_col}' but stream has no qoi")
+def write_stream_csv(stream: ObservationStream, path: "str | Path") -> CsvSchema:
+    """Write a stream as CSV (12 significant digits) and return the schema used:
+    index column ``t``, features ``x0``, ``x1``, …, then ``qoi`` if it has one."""
+    feature_cols = tuple(f"x{j}" for j in range(stream.dim))
+    qoi_col = "qoi" if stream.qoi is not None else None
+    schema = CsvSchema(index_col="t", feature_cols=feature_cols, qoi_col=qoi_col)
     header = [schema.index_col, *schema.feature_cols]
     columns = [np.arange(len(stream)), *stream.feature_matrix.T]  # indices run 0..N-1
     if schema.qoi_col is not None:

@@ -89,9 +89,6 @@ class UtilityEvaluator:
     def value(self) -> float:
         return self._value
 
-    def __len__(self) -> int:
-        return len(self._indices)
-
     def check(self, observations: Sequence[Observation]) -> None:
         """Raise ValueError if the utility cannot evaluate these observations.
 
@@ -275,9 +272,8 @@ class UtilityFunction:
     """A monotone set utility over observations, evaluated by kind.
 
     Use the factories: ``UtilityFunction.entropy(hyper)``,
-    ``UtilityFunction.modular(weights)``. Modular weights must be finite, so
-    the rounding-error bound that ``exhaustive_optimum``'s candidate pool
-    rests on holds for every subset sum.
+    ``UtilityFunction.modular(weights)``. Modular weights must be finite:
+    ``exhaustive_optimum`` ranks them with a sort, and a NaN has no rank.
     """
 
     kind: str

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from periodic_secretary import (
     BoundInputs,
+    CsvSchema,
     GPConditioner,
     PeriodicStreamSpec,
     UtilityFunction,
@@ -16,6 +17,7 @@ from periodic_secretary import (
     full_selection_bound,
     gaussian_tail_q,
     generate_periodic_stream,
+    ingest_csv,
     per_step_gap,
     utility_lower_bound,
 )
@@ -223,6 +225,14 @@ class TestEstimateUtilityNoise:
         stream = generate_periodic_stream(self._spec(0.1, length=8, period=6), seed=1)
         f = UtilityFunction.modular(stream.feature_matrix[:, 0])
         with pytest.raises(ValueError, match="2 full periods"):
+            estimate_utility_noise(stream, f)
+
+    def test_stream_without_spec_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("t,x\n" + "".join(f"{i},{i % 3}\n" for i in range(12)))
+        stream = ingest_csv(path, CsvSchema(index_col="t", feature_cols=("x",)))
+        f = UtilityFunction.modular(stream.feature_matrix[:, 0])
+        with pytest.raises(ValueError, match="no spec"):
             estimate_utility_noise(stream, f)
 
     def test_monte_carlo_recovers_known_noise(self):

@@ -177,6 +177,14 @@ def test_negative_noise_is_same_usage_error(subcommand, hyper_file, tmp_path, ca
         assert capsys.readouterr().err == f"error: --noise must be >= 0, got {float(noise)}\n"
 
 
+def test_infinite_noise_is_refused_by_name(tmp_path, capsys):
+    rc = run_cli("generate", "--period", 10, "--periods", 2, "--noise", "inf",
+                 "--out", tmp_path / "out")
+    assert rc == 1
+    assert capsys.readouterr().err == "error: noise_cov contains non-finite values\n"
+    assert not (tmp_path / "out" / "stream.csv").exists()
+
+
 class TestTune:
     def test_zero_runs_is_error(self, hyper_file, tmp_path, capsys):
         out = tmp_path / "tune"

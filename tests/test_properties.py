@@ -16,6 +16,7 @@ import csv
 import io
 import math
 import re
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -125,8 +126,8 @@ def modular_instances(draw):
     if style == 0:
         weights = np.round(weights, 1)  # exact ties between subset sums
     elif style == 1 and n:
-        # Half-integer weights beside one near 1e16, whose ulp is 2: sums that
-        # hold it round, so float ties and wins differ from exact ones.
+        # Half-integer weights beside one near 1e16, whose ulp is 2: float sums
+        # that hold it round, so they tie where the exact sums differ.
         weights = np.round(2 * weights) / 2
         big = 1e16 + 2 * draw(st.integers(-4, 4))
         weights[draw(st.integers(0, n - 1))] = draw(st.sampled_from([big, -big]))
@@ -135,14 +136,12 @@ def modular_instances(draw):
 
 def first_best_subset(weights, k):
     """Brute-force oracle: the first subset, in lexicographic order, with the
-    largest sum, where each sum adds its weights left to right. (An explicit
-    loop, since ``sum`` over floats compensates roundoff from Python 3.12.)"""
-    best, best_val = (), -math.inf
+    largest exact sum of its weights (added as fractions, so no rounding
+    merges two sums)."""
+    best, best_val = (), None
     for combo in combinations(range(len(weights)), k):
-        val = 0.0
-        for i in combo:
-            val += weights[i]
-        if val > best_val:
+        val = sum(Fraction(weights[i]) for i in combo)
+        if best_val is None or val > best_val:
             best, best_val = combo, val
     return best
 
@@ -153,8 +152,8 @@ def first_best_subset(weights, k):
 @example(instance=(np.round(np.linspace(-1.0, 1.0, 12), 1), 12))
 @example(instance=(np.round(np.linspace(-1.0, 1.0, 14), 1), 9))
 @example(instance=(np.zeros(13), 8))
-@example(instance=(np.array([0.1, 0.1, 0.4, 0.1]), 3))  # (.1 + .1) + .4 > (.1 + .4) + .1
-@example(instance=(np.array([1e16, 1.5, 2.0]), 2))  # 1e16 + 1.5 == 1e16 + 2.0, and (0, 1) comes first
+@example(instance=(np.array([0.1, 0.1, 0.4, 0.1]), 3))  # exact sums tie; float (.1+.1)+.4 wins
+@example(instance=(np.array([1e16, 1.5, 2.0]), 2))  # float sums tie; exactly, (0, 2) wins
 def test_modular_exhaustive_optimum_matches_brute_force(instance):
     weights, k = instance
     obs = [Observation(i, np.zeros(1)) for i in range(len(weights))]

@@ -10,7 +10,6 @@ from periodic_secretary import (
     PeriodicSecretaryConfig,
     PeriodicStreamSpec,
     UtilityFunction,
-    classical_secretary,
     exhaustive_optimum,
     generate_periodic_stream,
     offline_greedy,
@@ -20,8 +19,7 @@ from periodic_secretary import (
     submodular_secretary,
     two_sine_waveform,
 )
-from periodic_secretary import selectors
-from periodic_secretary.selectors import utility_trace_for, write_selection_csv
+from periodic_secretary.selectors import _classical_pick, utility_trace_for, write_selection_csv
 
 from conftest import make_observations, random_hyper
 
@@ -161,15 +159,15 @@ class TestClassicalSecretary:
     def test_hand_simulation(self):
         scores = [3.0, 1.0, 4.0, 1.0, 5.0]
         obs = make_observations(scores)
-        assert classical_secretary(obs, lambda o: float(o.features[0])) == 2
+        assert _classical_pick(obs, lambda o: float(o.features[0])).index == 2
 
     def test_decreasing_scores_select_nothing(self):
         obs = make_observations([5.0, 4.0, 3.0, 2.0, 1.0])
-        assert classical_secretary(obs, lambda o: float(o.features[0])) is None
+        assert _classical_pick(obs, lambda o: float(o.features[0])) is None
 
     def test_single_item_selected(self):
         obs = make_observations([7.0])
-        assert classical_secretary(obs, lambda o: float(o.features[0])) == 0
+        assert _classical_pick(obs, lambda o: float(o.features[0])).index == 0
 
 
 class TestSubmodularSecretary:
@@ -187,8 +185,8 @@ class TestSubmodularSecretary:
             obs = make_observations(vals)
             f = UtilityFunction.modular(vals)
             result = submodular_secretary(obs, f, k=1)
-            expected = classical_secretary(obs, lambda o: float(vals[o.index]))
-            assert (expected is None and result.chosen == ()) or result.chosen == (expected,)
+            expected = _classical_pick(obs, lambda o: float(vals[o.index]))
+            assert (expected is None and result.chosen == ()) or result.chosen == (expected.index,)
 
     def test_monte_carlo_competitive_ratio(self):
         # Random arrival order, modular utility: the mean utility stays above
@@ -316,9 +314,17 @@ class TestExhaustiveOptimum:
         result = exhaustive_optimum(obs, UtilityFunction.modular(weights), k=2)
         assert result.chosen == (0, 1)
 
+    def test_exact_sum_beats_float_tie(self):
+        # 1e16 + 1.5 and 1e16 + 2.0 round to the same float, but the exact
+        # sum of (0, 2) is the larger.
+        weights = np.array([1e16, 1.5, 2.0])
+        obs = make_observations(np.zeros(3))
+        result = exhaustive_optimum(obs, UtilityFunction.modular(weights), k=2)
+        assert result.chosen == (0, 2)
+
     def test_c60_4_peaks_below_4_mb(self):
         # C(60, 4) = 487635 subsets: one table of them all, or their gathered
-        # weights (15.6 MB), would not fit; chunks by first element do.
+        # weights (15.6 MB), would not fit; a sort of the 60 weights does.
         weights = np.random.default_rng(7).normal(size=60)
         obs = make_observations(np.zeros(60))
         f = UtilityFunction.modular(weights)
@@ -330,23 +336,6 @@ class TestExhaustiveOptimum:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 10**6
-        assert result.chosen == tuple(sorted(np.argsort(weights)[-4:]))
-
-    def test_c60_4_walks_the_candidate_pool(self, monkeypatch):
-        # Distinct weights: the pool is the top 4, so the walk's tail table
-        # holds the 3-subsets of range(3), not those of range(59).
-        calls = []
-        lex_subsets = selectors._lex_subsets
-
-        def recording(m, j, dtype):
-            calls.append((m, j))
-            return lex_subsets(m, j, dtype)
-
-        monkeypatch.setattr(selectors, "_lex_subsets", recording)
-        weights = np.random.default_rng(11).normal(size=60)
-        obs = make_observations(np.zeros(60))
-        result = exhaustive_optimum(obs, UtilityFunction.modular(weights), k=4)
-        assert calls[0] == (3, 3)
         assert result.chosen == tuple(sorted(np.argsort(weights)[-4:]))
 
     def test_oversized_instance_refused(self, unit_hyper):

@@ -102,6 +102,11 @@ class TestGenerate:
                 base_waveform=np.zeros((2, 2)),
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_noise_cov_by_name(self, bad):
+        with pytest.raises(ValueError, match="noise_cov contains non-finite values"):
+            four_step_spec(noise=bad)
+
 
 class TestTypes:
     def test_observation_rejects_non_finite(self):
