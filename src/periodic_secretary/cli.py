@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import BoundInputs, bound_report, format_bound_report, write_bound_report
-from .gp import load_hyperparams
+from .gp import GPHyperparams, load_hyperparams
 from .harness import (
+    _MONOTONE_NOISE_FLOOR,
     ALGORITHM_NAMES,
     AlgorithmSpec,
     ExperimentConfig,
@@ -27,7 +28,7 @@ from .harness import (
     write_comparison_report,
     write_tuning_csv,
 )
-from .kv import format_value, read_kv_file, write_kv_file
+from .kv import format_kv, format_value, read_kv_file, write_kv_file
 from .selectors import utility_trace_for, write_selection_csv
 from .stream import (
     CsvSchema,
@@ -98,6 +99,24 @@ def _float_list(raw: str) -> list[float]:
     return [float(v) for v in str(raw).replace(",", " ").split()]
 
 
+def _non_monotone_flag(hyper: GPHyperparams) -> dict[str, str]:
+    """Flag an entropy utility whose noise variance is below 1/(2*pi*e).
+
+    There a conditional variance can fall below 1/(2*pi*e), so a gain can be
+    negative: the utility is not monotone, the guarantees do not apply, and
+    at zero noise roundoff decides picks. Prints a warning and returns the
+    summary entry; returns nothing at or above the floor.
+    """
+    if not hyper.noise_variance < _MONOTONE_NOISE_FLOOR:
+        return {}
+    note = (
+        f"entropy noise_variance {hyper.noise_variance:g} is below 1/(2*pi*e)"
+        f" ({_MONOTONE_NOISE_FLOOR:.4g}): gains can be negative, so the utility is not monotone"
+    )
+    print(f"warning: {note}", file=sys.stderr)
+    return {"non_monotone": note}
+
+
 def _two_sine_spec(parser: _Parser, args: argparse.Namespace) -> PeriodicStreamSpec:
     """The synthetic stream that generate and tune share, from checked options."""
     period, periods, noise = int(args.period), int(args.periods), float(args.noise)
@@ -145,6 +164,7 @@ def _cmd_select(parser: _Parser, args: argparse.Namespace) -> int:
     stream = ingest_csv(args.input, _schema_from_args(args))
 
     f = None
+    flag = {}
     if algo.reads_utility or args.utility == "modular" or args.hyper is not None:
         if args.utility == "modular":
             f = UtilityFunction.modular(stream.feature_matrix[:, 0])
@@ -152,6 +172,7 @@ def _cmd_select(parser: _Parser, args: argparse.Namespace) -> int:
             if args.hyper is None:
                 parser.error("--hyper config file is required for the entropy utility")
             f = UtilityFunction.entropy(load_hyperparams(args.hyper))
+            flag = _non_monotone_flag(f.hyper)
 
     period = int(args.period) if args.period is not None else None
     result = algo.run(stream.observations, f, k, period, int(args.seed))
@@ -169,6 +190,7 @@ def _cmd_select(parser: _Parser, args: argparse.Namespace) -> int:
             "k": k,
             "final_utility": final,
             "terminated": result.terminated,
+            **flag,
         },
         out / "summary.txt",
     )
@@ -188,12 +210,13 @@ def _cmd_tune(parser: _Parser, args: argparse.Namespace) -> int:
     if any(not s >= 0 for s in grid):
         parser.error("slack grid values must be >= 0")
     utility = UtilityFunction.entropy(load_hyperparams(args.hyper))
+    flag = _non_monotone_flag(utility.hyper)
     result = tune_threshold_slack(
         spec, utility, int(args.k), grid, runs=int(args.runs), seed=int(args.seed)
     )
     out = _outdir(args)
     write_tuning_csv(result, out / "tuning.csv")
-    write_kv_file({"best_lambda": result.best_slack}, out / "summary.txt")
+    write_kv_file({"best_lambda": result.best_slack, **flag}, out / "summary.txt")
     _write_manifest(out, "tune", args)
     print(
         f"best lambda {result.best_slack:g} "
@@ -240,6 +263,7 @@ def _cmd_evaluate(parser: _Parser, args: argparse.Namespace) -> int:
     algorithms = tuple(_parse_algos(parser, args.algos))
     stream = ingest_csv(args.input, _schema_from_args(args))
     hyper = load_hyperparams(args.hyper)
+    flag = _non_monotone_flag(hyper)
     cfg = ExperimentConfig(
         algorithms=algorithms,
         k=int(args.k),
@@ -252,6 +276,9 @@ def _cmd_evaluate(parser: _Parser, args: argparse.Namespace) -> int:
     report = run_comparison(stream, cfg, hyper, block_len=block_len, compute_mse=mse)
     out = _outdir(args)
     paths = write_comparison_report(report, out)
+    if flag:
+        with (out / "summary.txt").open("a", encoding="utf-8") as fh:
+            fh.write(format_kv(flag))
     _write_manifest(out, "evaluate", args)
     print(f"wrote {', '.join(str(p) for p in paths)}")
     return 0

@@ -110,8 +110,8 @@ class PosteriorPrediction:
 
 def _check_dim(X: np.ndarray, hyper: GPHyperparams, what: str) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != hyper.dim:
-        raise ValueError(f"{what} has dimension {X.shape[1]}, lengthscales have {hyper.dim}")
+    if X.shape[-1] != hyper.dim:
+        raise ValueError(f"{what} has dimension {X.shape[-1]}, lengthscales have {hyper.dim}")
     return X
 
 
@@ -130,15 +130,22 @@ def _se_scaled(
 ) -> np.ndarray:
     """SE covariances between the rows of A and the rows of B, or one point B.
 
-    A and B are already divided by the lengthscales. An (m, d) B gives the
-    (n, m) matrix; a (d,) point B gives the (n,) column, the kernel on the
-    per-arrival path. Squared distances add the coordinates one at a time in
-    order for both shapes, so a column of the matrix equals the one-point
-    column bit for bit. ``out``, if given, receives the result, with the
-    same bits.
+    A and B are already divided by the lengthscales. An (..., n, d) A and an
+    (..., m, d) B give the (..., n, m) matrices, over leading axes that
+    broadcast; a (d,) point B gives A's (n,) column, the kernel on the
+    per-arrival path. Squared distances add the coordinates one at a time
+    in order for every shape, so a column of a matrix equals the one-point
+    column, and a slice of a stack equals its 2-D matrix, bit for bit.
+    ``out``, if given, receives the result, with the same bits.
     """
-    At = A.T[:, :, None] if B.ndim == 2 else A.T
-    Bt = B.T
+    # Coordinate axis first: At[j] - Bt[j] is the j-th coordinate's difference.
+    if B.ndim == 1:
+        At, Bt = A.T, B
+    elif A.ndim == B.ndim == 2:
+        At, Bt = A.T[:, :, None], B.T
+    else:
+        At = A.transpose(-1, *range(A.ndim - 1))[..., None]
+        Bt = B.transpose(-1, *range(B.ndim - 1))[..., None, :]
     sq = np.subtract(At[0], Bt[0], out=out)
     np.square(sq, out=sq)
     for j in range(1, Bt.shape[0]):
@@ -157,7 +164,16 @@ def se_gram(X: np.ndarray, hyper: GPHyperparams) -> np.ndarray:
     return _se_scaled(Xs, Xs, hyper.signal_variance) + hyper.noise_variance * np.eye(len(Xs))
 
 
-def _cholesky(K: np.ndarray, start_level: int = 0) -> tuple[np.ndarray, int]:
+def _jittered(K: np.ndarray, diag: np.ndarray, level: int) -> np.ndarray:
+    """K with jitter level ``level`` added to its diagonal ``diag``; K itself at level 0."""
+    if level == 0:
+        return K
+    K = K.copy()
+    np.einsum("...ii->...i", K)[...] += _JITTER_LADDER[level] * diag
+    return K
+
+
+def _cholesky(K: np.ndarray, start_level: int = 0) -> tuple[np.ndarray, "int | np.ndarray"]:
     """Lower Cholesky factor of K, escalating diagonal jitter until it succeeds.
 
     K's diagonal is the prior variance, so level l adds ``_JITTER_LADDER[l]``
@@ -165,15 +181,31 @@ def _cholesky(K: np.ndarray, start_level: int = 0) -> tuple[np.ndarray, int]:
     (``_PIVOT_RTOL`` of K's diagonal) counts as a failure too: at zero noise
     an exactly singular Gram matrix can factor with such a pivot instead of
     raising.
+
+    A stack K of shape (g, n, n) is factored in one call at ``start_level``;
+    only the slices that fail escalate, each on its own (all of them when
+    the stacked call raises, as it does not say which slice failed). Each
+    slice gets the factor and level it gets alone, bit for bit, and the
+    levels come back as a (g,) array.
     """
-    diag = np.diagonal(K)
+    diag = K.diagonal(0, -2, -1)
     floor = _PIVOT_RTOL * diag
+    if K.ndim == 3:
+        levels = np.full(K.shape[0], start_level)
+        try:
+            L = np.linalg.cholesky(_jittered(K, diag, start_level))
+            failed = ~(np.square(L.diagonal(0, 1, 2)) > floor).all(axis=1)
+        except np.linalg.LinAlgError:
+            L, failed = np.empty_like(K), np.ones(K.shape[0], dtype=bool)
+        for i in np.flatnonzero(failed):
+            L[i], levels[i] = _cholesky(K[i], start_level)
+        return L, levels
     for level in range(start_level, len(_JITTER_LADDER)):
         try:
-            L = np.linalg.cholesky(K + np.diag(_JITTER_LADDER[level] * diag))
+            L = np.linalg.cholesky(_jittered(K, diag, level))
         except np.linalg.LinAlgError:
             continue
-        if np.all(np.square(np.diagonal(L)) > floor):
+        if (np.square(L.diagonal()) > floor).all():
             return L, level
     raise FactorizationError(
         f"Gram matrix of {K.shape[0]} points is singular at maximum jitter"
@@ -182,9 +214,16 @@ def _cholesky(K: np.ndarray, start_level: int = 0) -> tuple[np.ndarray, int]:
     )
 
 
-def _inverse_factor(L: np.ndarray) -> np.ndarray:
-    """W = L^-1 of a lower Cholesky factor, kept lower-triangular."""
-    return np.tril(np.linalg.inv(L))
+def _factor(
+    Xs: np.ndarray, hyper: GPHyperparams, start_level: int = 0
+) -> tuple[np.ndarray, np.ndarray, "int | np.ndarray"]:
+    """The one batch factorisation: the lower Cholesky factor L of the noisy
+    Gram matrix of the scaled rows Xs, an (m, d) set or a (g, m, d) stack,
+    its inverse W = L^-1 (kept lower-triangular) and the jitter level."""
+    K = _se_scaled(Xs, Xs, hyper.signal_variance)
+    np.einsum("...ii->...i", K)[...] += hyper.noise_variance  # K's diagonal, in place
+    L, level = _cholesky(K, start_level)
+    return L, np.tril(np.linalg.inv(L)), level
 
 
 def _with_capacity(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -228,6 +267,8 @@ class GPConditioner:
         self._Wbuf = np.zeros((0, 0))
         self._W = self._Wbuf
         self._level = 0  # current position in the jitter ladder
+        # Conditional variance of each set point given the points before it.
+        self._chain: list[float] = []
         # Tracked pool, in buffers with spare capacity: scaled locations
         # _Ps[:p], _Z[:m, :p] and unclamped variances _v[:p] are live.
         self._p = 0
@@ -240,13 +281,15 @@ class GPConditioner:
 
     @classmethod
     def from_points(cls, X: np.ndarray, hyper: GPHyperparams) -> "GPConditioner":
-        """Conditioner on the rows of X, factored in one batch."""
+        """Conditioner on the rows of X, factored in one batch (its
+        ``chain_variances`` are X's chain-rule variances in row order)."""
         cond = cls(hyper)
         X = _check_dim(X, hyper, "conditioning set")
         m = X.shape[0]
-        if m:
-            cond.reserve(m)
-            np.divide(X, hyper.lengthscales, out=cond._Sbuf[:m])
+        if m:  # buffers of the size reserve(m) gives
+            cond._Sbuf = X / hyper.lengthscales
+            cond._kbuf = np.empty(m)
+            cond._Wbuf = np.empty((m, m))
             cond._refactor(m, 0)
         return cond
 
@@ -277,10 +320,13 @@ class GPConditioner:
         ``start_level``, and rebuild the pool's Z. The buffers already hold m
         set points."""
         Xs = self._S = self._Sbuf[:m]
-        K = _se_scaled(Xs, Xs, self.hyper.signal_variance)
-        L, self._level = _cholesky(K + self.hyper.noise_variance * np.eye(m), start_level)
-        self._Wbuf[:m, :m] = _inverse_factor(L)
+        L, W, self._level = _factor(Xs, self.hyper, start_level)
+        self._Wbuf[:m, :m] = W
         self._W = self._Wbuf[:m, :m]
+        # Each squared pivot is a chain-rule variance plus the jitter in force.
+        prior = self.hyper.prior_variance
+        chain = np.square(L.diagonal()) - _JITTER_LADDER[self._level] * prior
+        self._chain = np.minimum(np.maximum(chain, VARIANCE_FLOOR), prior).tolist()
         p = self._p
         if p:
             Z = self._Z[:m, :p]
@@ -321,6 +367,20 @@ class GPConditioner:
         a = self._W @ _se_scaled(S, x / ls, hyper.signal_variance, out=self._kbuf[:m])
         v = float(prior - np.einsum("i,i->", a, a))
         return prior if v > prior else VARIANCE_FLOOR if v < VARIANCE_FLOOR else v
+
+    def chain_variances(self) -> np.ndarray:
+        """Conditional variance of each set point given the points before it, in set order.
+
+        The entropies of these values sum to the set's joint entropy (chain
+        rule). A batch factorisation (``from_points``, or a refactor that
+        escalates jitter) reads them off its factor, as the squared pivots
+        less the jitter in force, clamped as ``extend`` clamps; each
+        ``extend`` that borders the factor appends the variance it returns.
+        Where ``extend`` escalated jitter, it returned the point's variance
+        given the set at the lower level, and the refactor keeps the one at
+        the higher level.
+        """
+        return np.array(self._chain)
 
     def entropies(self, Q: np.ndarray) -> np.ndarray:
         """Differential entropy of the scalar prediction at each row of Q."""
@@ -399,6 +459,7 @@ class GPConditioner:
             a = self._Z[:m, pos]
             variance = float(self._v[pos])
         pivot_sq = variance + _JITTER_LADDER[self._level] * prior
+        variance = min(max(variance, VARIANCE_FLOOR), prior)
         self.reserve(m + 1, p)
         self._Sbuf[m] = xs
         if pivot_sq <= _PIVOT_RTOL * prior:
@@ -424,17 +485,27 @@ class GPConditioner:
                 row /= pivot
                 self._v[:p] -= np.square(row, out=k)
             self._S = self._Sbuf[: m + 1]
-        return min(max(variance, VARIANCE_FLOOR), prior)
+            self._chain.append(variance)
+        return variance
 
 
 def _training_data(
     train_x: np.ndarray, train_y: np.ndarray, hyper: GPHyperparams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Checked training locations and values: dimension, count and finiteness."""
+    """Checked training locations and values: dimension, count and finiteness.
+
+    An (m, d) set takes m values in any shape; a (g, m, d) stack takes (g, m).
+    """
     train_x = _check_dim(train_x, hyper, "train_x")
-    train_y = np.asarray(train_y, dtype=float).ravel()
-    if train_y.shape[0] != train_x.shape[0]:
-        raise ValueError(f"{train_x.shape[0]} training points but {train_y.shape[0]} values")
+    train_y = np.asarray(train_y, dtype=float)
+    if train_x.ndim == 2:
+        train_y = train_y.ravel()
+    if train_y.shape != train_x.shape[:-1]:
+        if train_x.ndim == 2:
+            raise ValueError(f"{train_x.shape[0]} training points but {train_y.shape[0]} values")
+        raise ValueError(
+            f"training points of shape {train_x.shape[:-1]} but values of shape {train_y.shape}"
+        )
     if not (np.all(np.isfinite(train_x)) and np.all(np.isfinite(train_y))):
         raise ValueError("training data contain non-finite values")
     return train_x, train_y
@@ -470,6 +541,11 @@ def prefix_means(
     points is Z[:m]^T w[:m] and the rows are one cumulative sum: one
     factorisation for the whole curve.
 
+    A stack of g training sets of one length, (g, n, d) locations with
+    (g, n) values, gives the (g, n, |Q|) curves from one stacked
+    factorisation; each slice equals the 2-D call on that set, bit for bit,
+    and a 2-D call is the stack of one.
+
     Every prefix is therefore factored at the jitter level the full set
     needs. At ``noise_variance = 0`` that can be higher than the level
     ``predict_many`` picks for the prefix alone, and where the prefix's Gram
@@ -480,11 +556,18 @@ def prefix_means(
     """
     train_x, train_y = _training_data(train_x, train_y, hyper)
     Q = _check_dim(query_x, hyper, "query_x")
-    if train_x.shape[0] == 0:
-        return np.empty((0, Q.shape[0]))
-    cond = GPConditioner.from_points(train_x, hyper)
-    Z = cond._solve(Q / hyper.lengthscales)
-    return np.cumsum(Z * (cond._W @ train_y)[:, None], axis=0)
+    stacked = train_x.ndim == 3
+    if not stacked:
+        train_x, train_y = train_x[None], train_y[None]
+    g, n = train_x.shape[:2]
+    if n == 0:
+        means = np.empty((g, 0, Q.shape[0]))
+    else:
+        Xs = train_x / hyper.lengthscales
+        _, W, _ = _factor(Xs, hyper)
+        Z = W @ _se_scaled(Xs, Q / hyper.lengthscales, hyper.signal_variance)
+        means = np.cumsum(Z * (W @ train_y[:, :, None]), axis=1)
+    return means if stacked else means[0]
 
 
 def predict(

@@ -281,27 +281,59 @@ def evaluate_prediction(
     Entry m is the mean squared error of posterior-mean predictions at the
     test indices when trained on the first m selected (location, qoi) pairs;
     entry 0 is the error of the prior mean. The whole curve costs one GP
-    factorisation of the selection (``gp.prefix_means``).
+    factorisation of the selection (``gp.prefix_means``). ``run_comparison``
+    scores a trial's selections together, with the same results.
+    """
+    return _mse_curves([selection], stream, test_indices, hyper)[0]
+
+
+def _mse_curves(
+    selections: Sequence[SelectionResult],
+    stream: ObservationStream,
+    test_indices: Sequence[int],
+    hyper: GPHyperparams,
+) -> list[np.ndarray]:
+    """``evaluate_prediction`` of each selection, in one batch per selection length.
+
+    The test side is read once. Each selection is checked in turn, and the
+    first that ``evaluate_prediction`` would refuse raises its error. Then
+    the selections of each length share one stacked ``gp.prefix_means``
+    call, and their curves are the rows of one array; an empty selection's
+    curve is the prior mean's error alone.
     """
     if stream.qoi is None:
         raise ValueError("prediction evaluation requires a stream with a qoi series")
-    test_indices = sorted(int(i) for i in test_indices)
-    overlap = set(test_indices) & set(selection.chosen)
-    if overlap:
-        raise ValueError(f"test indices overlap the selection: {sorted(overlap)}")
+    test_indices = sorted(map(int, test_indices))
+    test_set = set(test_indices)
     y_test = stream.qoi[test_indices]
-    if np.any(np.isnan(y_test)):
-        raise ValueError("some test indices have no qoi value")
+    missing_test = bool(np.any(np.isnan(y_test)))
+    missing = set(np.flatnonzero(np.isnan(stream.qoi)).tolist())
+    by_length: dict[int, list[int]] = {}
+    for pos, selection in enumerate(selections):
+        if not test_set.isdisjoint(selection.chosen):
+            overlap = sorted(test_set.intersection(selection.chosen))
+            raise ValueError(f"test indices overlap the selection: {overlap}")
+        if missing_test:
+            raise ValueError("some test indices have no qoi value")
+        if not missing.isdisjoint(selection.chosen):
+            raise ValueError("some selected indices have no qoi value")
+        by_length.setdefault(len(selection.chosen), []).append(pos)
     X_test = stream.feature_matrix[test_indices]
-    mse = np.empty(len(selection.chosen) + 1)
-    mse[0] = float(np.mean(y_test**2))
-    train_x = stream.feature_matrix[list(selection.chosen)]
-    train_y = stream.qoi[list(selection.chosen)]
-    if np.any(np.isnan(train_y)):
-        raise ValueError("some selected indices have no qoi value")
-    means = gp.prefix_means(train_x, train_y, X_test, hyper)
-    mse[1:] = np.mean((means - y_test) ** 2, axis=1)
-    return mse
+    mse0 = float(np.mean(y_test**2))
+    curves: list[np.ndarray] = [np.empty(0)] * len(selections)
+    for m, group in by_length.items():
+        rows = np.empty((len(group), m + 1))
+        rows[:, 0] = mse0
+        if m:
+            chosen = np.array([selections[pos].chosen for pos in group], dtype=np.intp)  # (g, m)
+            errors = gp.prefix_means(
+                stream.feature_matrix[chosen], stream.qoi[chosen], X_test, hyper
+            )
+            errors -= y_test
+            rows[:, 1:] = np.mean(np.square(errors, out=errors), axis=2)
+        for pos, row in zip(group, rows):
+            curves[pos] = row
+    return curves
 
 
 @dataclass(frozen=True)
@@ -385,16 +417,17 @@ def run_comparison(
             test_idx = np.empty(0, dtype=int)
             view = list(trial.observations)
 
-        for algo in cfg.algorithms:
-            result = algo.run(view, f, cfg.k, cfg.period_T, algo_seeds[algo.label][r])
+        results = [algo.run(view, f, cfg.k, cfg.period_T, algo_seeds[lab][r])
+                   for algo, lab in zip(cfg.algorithms, labels)]
+        for lab, result in zip(labels, results):
             trace = result.utility_trace
             if not trace:
                 trace = utility_trace_for(f, [trial.observations[i] for i in result.chosen])
-            utility_runs[algo.label][r] = _pad_trace(trace, cfg.k, 0.0)
-            fills[algo.label][r] = len(result.chosen)
-            if compute_mse:
-                mse = evaluate_prediction(result, trial, test_idx, hyper)
-                mse_runs[algo.label][r] = _pad_trace(mse, cfg.k + 1, mse[0])
+            utility_runs[lab][r] = _pad_trace(trace, cfg.k, 0.0)
+            fills[lab][r] = len(result.chosen)
+        if compute_mse:
+            for lab, mse in zip(labels, _mse_curves(results, trial, test_idx, hyper)):
+                mse_runs[lab][r] = _pad_trace(mse, cfg.k + 1, mse[0])
 
     ddof = 1 if cfg.runs > 1 else 0
     report = ComparisonReport(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .kv import write_csv
 from .stream import Observation
-from .utility import UtilityFunction
+from .utility import UtilityFunction, _chain_entropies, _features_of
 
 __all__ = [
     "SelectionResult",
@@ -331,10 +331,26 @@ def exhaustive_optimum(
 
 
 def utility_trace_for(f: UtilityFunction, observations: Sequence[Observation]) -> tuple[float, ...]:
-    """Cumulative utility after each prefix of an ordered sample sequence."""
-    ev = f.evaluator()
-    ev.reserve(len(observations))
-    return tuple(ev.accept(o) for o in observations)
+    """Cumulative utility after each prefix of an ordered sample sequence.
+
+    An entropy trace is one cumulative sum of the sequence's chain-rule
+    entropies, all read off one batch Cholesky factor; it agrees with the
+    trace of accepting the observations one at a time to roundoff. A
+    modular trace accepts them one at a time. Either way a repeated index
+    is refused.
+    """
+    if f.kind != "entropy":
+        ev = f.evaluator()
+        ev.reserve(len(observations))
+        return tuple(ev.accept(o) for o in observations)
+    seen: set[int] = set()
+    for o in observations:
+        if o.index in seen:
+            raise ValueError(f"observation {o.index} is already in the sample set")
+        seen.add(o.index)
+    if not observations:
+        return ()
+    return tuple(np.cumsum(_chain_entropies(_features_of(observations), f.hyper)).tolist())
 
 
 def write_selection_csv(result: SelectionResult, path: "str | Path") -> None:

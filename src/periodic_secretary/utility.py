@@ -55,20 +55,33 @@ def _variance_of(entropy: float) -> float:
         return math.inf
 
 
+def _chain_entropies(points: np.ndarray, hyper: GPHyperparams) -> np.ndarray:
+    """Entropy of each location given the ones before it, in row order.
+
+    All come from one batch Cholesky factor of the (n, d) points
+    (``GPConditioner.from_points``): a point's conditional variance given
+    the points before it is its squared pivot less the jitter in force,
+    clamped as ``GPConditioner.extend`` clamps, and agrees with the variance
+    that ``extend`` returns to roundoff wherever neither path escalated
+    jitter. Their cumulative sums are a trace of the joint entropy.
+    """
+    return _entropy_of(GPConditioner.from_points(points, hyper).chain_variances())
+
+
 def entropy_criterion(points: np.ndarray, hyper: GPHyperparams) -> float:
     """Joint differential entropy of a set of locations under the GP model.
 
-    Computed by the chain rule: each point contributes the entropy of its
-    conditional variance given the points before it, which is the squared
-    pivot of that point's Cholesky step, so the result is order-independent
-    up to floating-point roundoff. The empty set evaluates to 0.
+    Computed by the chain rule, as the sum of ``_chain_entropies``: each
+    point contributes the entropy of its conditional variance given the
+    points before it, read off one batch Cholesky factor, so the result is
+    order-independent up to floating-point roundoff and equals
+    0.5 * log det(2 pi e K) for the noisy Gram matrix K wherever no jitter
+    or clamp applies. The empty set evaluates to 0.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.size == 0:
         return 0.0
-    cond = GPConditioner(hyper)
-    cond.reserve(len(points))
-    return float(sum(_entropy_of(cond.extend(x)) for x in points))
+    return float(_chain_entropies(points, hyper).sum())
 
 
 class UtilityEvaluator:

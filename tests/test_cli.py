@@ -354,6 +354,59 @@ class TestEvaluate:
         assert sds == ["0"] * k
 
 
+class TestNonMonotoneFlag:
+    """Below noise_variance = 1/(2*pi*e) = 0.0585 an entropy gain can be
+    negative; select, tune and evaluate say so on stderr and in summary.txt,
+    and write nothing extra above the floor."""
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        from periodic_secretary import attach_gp_qoi, generate_periodic_stream, write_stream_csv
+
+        gen = tmp_path / "gen"
+        assert run_cli("generate", "--period", 8, "--periods", 4, "--noise", 0.3,
+                       "--seed", 4, "--out", gen) == 0
+        stream = ingest_csv(gen / "stream.csv", CsvSchema(index_col="t", feature_cols=("x0",)))
+        hyper = GPHyperparams(lengthscales=np.array([0.5]), signal_variance=1.0, noise_variance=0.1)
+        write_stream_csv(attach_gp_qoi(stream, hyper, seed=9), tmp_path / "qoi.csv")
+        return tmp_path / "qoi.csv"
+
+    @pytest.mark.parametrize("subcommand", ["select", "tune", "evaluate"])
+    @pytest.mark.parametrize("noise, flagged", [(0.0, True), (0.05, True), (0.06, False), (0.1, False)])
+    def test_flag_on_one_side_of_the_floor(self, data, tmp_path, capsys, subcommand, noise, flagged):
+        hyper = tmp_path / "hyper.cfg"
+        save_hyperparams(
+            GPHyperparams(lengthscales=np.array([0.5]), signal_variance=1.0, noise_variance=noise),
+            hyper,
+        )
+        out = tmp_path / "out"
+        argv = {
+            "select": ["--input", data, "--algo", "periodic", "--k", 3, "--period", 8,
+                       "--lambda", 0.3],
+            "tune": ["--period", 8, "--periods", 4, "--noise", 0.3, "--k", 3, "--grid", "0,0.3",
+                     "--runs", 2],
+            "evaluate": ["--input", data, "--qoi-col", "qoi", "--algos", "periodic:0.3,scheduled",
+                         "--k", 3, "--period", 8, "--runs", 2],
+        }[subcommand]
+        assert run_cli(subcommand, *argv, "--hyper", hyper, "--out", out) == 0
+        err = capsys.readouterr().err
+        summary = read_kv_file(out / "summary.txt")
+        if flagged:
+            assert err.startswith("warning: entropy noise_variance") and "not monotone" in err
+            assert err.count("\n") == 1
+            assert summary["non_monotone"] == err.strip().removeprefix("warning: ")
+        else:
+            assert err == ""
+            assert "non_monotone" not in summary
+
+    def test_modular_select_is_not_flagged(self, data, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("select", "--input", data, "--algo", "greedy", "--k", 3,
+                       "--utility", "modular", "--out", out) == 0
+        assert capsys.readouterr().err == ""
+        assert "non_monotone" not in read_kv_file(out / "summary.txt")
+
+
 class TestBounds:
     def test_noiseless_limit_value(self, tmp_path, capsys):
         out = tmp_path / "bounds"

@@ -30,6 +30,7 @@ from periodic_secretary import (
 from periodic_secretary.harness import (
     BoundValidationCell,
     BoundValidationReport,
+    _mse_curves,
     derive_seeds,
     write_comparison_report,
     write_tuning_csv,
@@ -206,6 +207,41 @@ class TestEvaluatePrediction:
         sel = SelectionResult(chosen=chosen, utility_trace=(), terminated="filled_k")
         with pytest.raises(ValueError, match=f"some {what} have no qoi value"):
             evaluate_prediction(sel, stream, test_idx, wide_hyper)
+
+
+class TestMseCurves:
+    """``run_comparison`` scores a trial's selections in one call, stacked by
+    length; each curve must be ``evaluate_prediction``'s for that selection
+    alone, bit for bit, and each refusal its refusal."""
+
+    def test_batch_equals_each_selection_alone(self, small_spec, wide_hyper):
+        stream = attach_gp_qoi(generate_periodic_stream(small_spec, seed=4), wide_hyper, seed=5)
+        test_idx = [30, 40, 50, 55]
+        chosen = [(10, 20, 3), (), (7,), (1, 2, 4, 5, 6), (11, 12, 13), (), (25, 8, 9)]
+        selections = [SelectionResult(chosen=c, utility_trace=(), terminated="filled_k")
+                      for c in chosen]
+        curves = _mse_curves(selections, stream, test_idx, wide_hyper)
+        assert [len(c) for c in curves] == [len(c) + 1 for c in chosen]
+        for curve, sel in zip(curves, selections):
+            assert np.array_equal(curve, evaluate_prediction(sel, stream, test_idx, wide_hyper))
+
+    @pytest.mark.parametrize(
+        "bad, test_idx, what",
+        [((1, 3), [3], "test indices overlap the selection: \\[3\\]"),
+         ((1,), [2, 3], "some test indices have no qoi value"),
+         ((0, 2), [3], "some selected indices have no qoi value")],
+    )
+    def test_refuses_as_evaluate_prediction(self, tmp_path, wide_hyper, bad, test_idx, what):
+        # Row t = 2 has a nan qoi cell; the bad selection sits between good ones.
+        path = tmp_path / "s.csv"
+        path.write_text("t,x,qoi\n0,0.1,1.0\n1,0.4,2.0\n2,0.7,nan\n3,0.9,4.0\n4,1.2,0.5\n")
+        stream = ingest_csv(path, CsvSchema(index_col="t", feature_cols=("x",), qoi_col="qoi"))
+        good = SelectionResult(chosen=(4,), utility_trace=(), terminated="filled_k")
+        sel = SelectionResult(chosen=bad, utility_trace=(), terminated="filled_k")
+        with pytest.raises(ValueError, match=what):
+            evaluate_prediction(sel, stream, test_idx, wide_hyper)
+        with pytest.raises(ValueError, match=what):
+            _mse_curves([good, sel, good], stream, test_idx, wide_hyper)
 
 
 class TestRunComparison:

@@ -42,7 +42,8 @@ from periodic_secretary import (
     prefix_means,
     write_stream_csv,
 )
-from periodic_secretary.gp import _JITTER_LADDER, _se_scaled
+from periodic_secretary.gp import GAUSSIAN_ENTROPY_CONST, _JITTER_LADDER, _factor, _se_scaled
+from periodic_secretary.selectors import utility_trace_for
 from periodic_secretary.kv import write_columns, write_csv
 
 from conftest import random_hyper
@@ -435,6 +436,80 @@ def test_prefix_means_at_zero_noise_with_an_exact_duplicate(seed, d, n, q):
     assert np.all(np.isfinite(means))
     expected, _ = predict_many(X, y, Q, hyper)
     np.testing.assert_allclose(means[-1], expected, rtol=1e-9, atol=1e-9 * np.abs(y).max())
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 2),
+    g=st.integers(1, 5),
+    n=st.integers(0, 20),
+    q=st.integers(1, 30),
+    zero_noise=st.booleans(),
+)
+def test_stacked_prefix_means_equal_each_slice(seed, d, g, n, q, zero_noise):
+    # One stacked factorisation must give each set's 2-D curve bit for bit.
+    # At zero noise the sets are points at least 2.5 lengthscales apart in
+    # every coordinate, and the first set repeats one of its points exactly
+    # (location and value): that slice alone escalates jitter.
+    rng = np.random.default_rng(seed)
+    if zero_noise:
+        n = max(n, 1)
+        ls = rng.uniform(0.3, 2.0, size=d)
+        hyper = GPHyperparams(ls, rng.uniform(0.5, 2.0), 0.0)
+        X = ls * (3.0 * np.array([rng.permutation(n + 1) for _ in range(g)])[:, :, None]
+                  + rng.uniform(0.0, 0.5, size=(g, n + 1, d)))
+        Y = rng.normal(size=(g, n + 1))
+        i = rng.integers(n)
+        X[0, n], Y[0, n] = X[0, i], Y[0, i]
+        n += 1
+        Q = ls * rng.uniform(0.0, 3.0 * n, size=(q, d))
+    else:
+        hyper = random_hyper(rng, d)
+        X, Y, Q = rng.normal(size=(g, n, d)), rng.normal(size=(g, n)), rng.normal(size=(q, d))
+    means = prefix_means(X, Y, Q, hyper)
+    assert means.shape == (g, n, q)
+    for j in range(g):
+        assert np.array_equal(means[j], prefix_means(X[j], Y[j], Q, hyper))
+    if zero_noise:
+        _, _, levels = _factor(X / hyper.lengthscales, hyper)
+        assert levels[0] >= 1 and not np.any(levels[1:])
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    n=st.integers(1, 30),
+    noise=st.floats(0.01, 1.0),
+    near=st.booleans(),
+)
+def test_batch_chain_variances_match_extend_and_log_determinant(seed, d, n, noise, near):
+    # The chain-rule variances read off one batch factor agree with the
+    # variances that extend returns one point at a time, and their logs sum
+    # to log det K. At noise >= 0.01 neither path escalates jitter, even for
+    # points 1e-9 apart.
+    rng = np.random.default_rng(seed)
+    hyper = GPHyperparams(rng.uniform(0.3, 2.0, size=d), rng.uniform(0.5, 2.0), noise)
+    pts = rng.normal(size=(n, d))
+    if near and n > 1:
+        pts[-1] = pts[0] + 1e-9
+    cond = GPConditioner(hyper)
+    incremental = np.array([cond.extend(x) for x in pts])
+    batch = GPConditioner.from_points(pts, hyper)
+    assert batch._level == cond._level == 0
+    prior = hyper.prior_variance
+    np.testing.assert_allclose(batch.chain_variances(), incremental, rtol=0, atol=1e-10 * prior)
+    np.testing.assert_allclose(cond.chain_variances(), incremental, rtol=0, atol=0)
+    z = (pts[:, None, :] - pts[None, :, :]) / hyper.lengthscales
+    K = hyper.signal_variance * np.exp(-0.5 * (z**2).sum(axis=2)) + noise * np.eye(n)
+    sign, logdet = np.linalg.slogdet(K)
+    assert sign == 1
+    assert float(np.sum(np.log(batch.chain_variances()))) == pytest.approx(logdet, abs=1e-9)
+    entropies = GAUSSIAN_ENTROPY_CONST + 0.5 * np.log(incremental)
+    obs = [Observation(i, x) for i, x in enumerate(pts)]
+    trace = utility_trace_for(UtilityFunction.entropy(hyper), obs)
+    np.testing.assert_allclose(trace, np.cumsum(entropies), rtol=0, atol=1e-9)
 
 
 @SETTINGS
