@@ -141,8 +141,6 @@ def _se_scaled(
     # Coordinate axis first: At[j] - Bt[j] is the j-th coordinate's difference.
     if B.ndim == 1:
         At, Bt = A.T, B
-    elif A.ndim == B.ndim == 2:
-        At, Bt = A.T[:, :, None], B.T
     else:
         At = A.transpose(-1, *range(A.ndim - 1))[..., None]
         Bt = B.transpose(-1, *range(B.ndim - 1))[..., None, :]
@@ -216,14 +214,14 @@ def _cholesky(K: np.ndarray, start_level: int = 0) -> tuple[np.ndarray, "int | n
 
 def _factor(
     Xs: np.ndarray, hyper: GPHyperparams, start_level: int = 0
-) -> tuple[np.ndarray, np.ndarray, "int | np.ndarray"]:
-    """The one batch factorisation: the lower Cholesky factor L of the noisy
-    Gram matrix of the scaled rows Xs, an (m, d) set or a (g, m, d) stack,
-    its inverse W = L^-1 (kept lower-triangular) and the jitter level."""
+) -> tuple[np.ndarray, "int | np.ndarray"]:
+    """The one batch factorisation: W = L^-1 (kept lower-triangular) for the
+    lower Cholesky factor L of the noisy Gram matrix of the scaled rows Xs,
+    an (m, d) set or a (g, m, d) stack, and the jitter level."""
     K = _se_scaled(Xs, Xs, hyper.signal_variance)
     np.einsum("...ii->...i", K)[...] += hyper.noise_variance  # K's diagonal, in place
     L, level = _cholesky(K, start_level)
-    return L, np.tril(np.linalg.inv(L)), level
+    return np.tril(np.linalg.inv(L)), level
 
 
 def _with_capacity(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -267,8 +265,6 @@ class GPConditioner:
         self._Wbuf = np.zeros((0, 0))
         self._W = self._Wbuf
         self._level = 0  # current position in the jitter ladder
-        # Conditional variance of each set point given the points before it.
-        self._chain: list[float] = []
         # Tracked pool, in buffers with spare capacity: scaled locations
         # _Ps[:p], _Z[:m, :p] and unclamped variances _v[:p] are live.
         self._p = 0
@@ -281,15 +277,13 @@ class GPConditioner:
 
     @classmethod
     def from_points(cls, X: np.ndarray, hyper: GPHyperparams) -> "GPConditioner":
-        """Conditioner on the rows of X, factored in one batch (its
-        ``chain_variances`` are X's chain-rule variances in row order)."""
+        """Conditioner on the rows of X, factored in one batch."""
         cond = cls(hyper)
         X = _check_dim(X, hyper, "conditioning set")
         m = X.shape[0]
-        if m:  # buffers of the size reserve(m) gives
-            cond._Sbuf = X / hyper.lengthscales
-            cond._kbuf = np.empty(m)
-            cond._Wbuf = np.empty((m, m))
+        if m:
+            cond.reserve(m)
+            np.divide(X, hyper.lengthscales, out=cond._Sbuf[:m])
             cond._refactor(m, 0)
         return cond
 
@@ -320,13 +314,9 @@ class GPConditioner:
         ``start_level``, and rebuild the pool's Z. The buffers already hold m
         set points."""
         Xs = self._S = self._Sbuf[:m]
-        L, W, self._level = _factor(Xs, self.hyper, start_level)
+        W, self._level = _factor(Xs, self.hyper, start_level)
         self._Wbuf[:m, :m] = W
         self._W = self._Wbuf[:m, :m]
-        # Each squared pivot is a chain-rule variance plus the jitter in force.
-        prior = self.hyper.prior_variance
-        chain = np.square(L.diagonal()) - _JITTER_LADDER[self._level] * prior
-        self._chain = np.minimum(np.maximum(chain, VARIANCE_FLOOR), prior).tolist()
         p = self._p
         if p:
             Z = self._Z[:m, :p]
@@ -367,20 +357,6 @@ class GPConditioner:
         a = self._W @ _se_scaled(S, x / ls, hyper.signal_variance, out=self._kbuf[:m])
         v = float(prior - np.einsum("i,i->", a, a))
         return prior if v > prior else VARIANCE_FLOOR if v < VARIANCE_FLOOR else v
-
-    def chain_variances(self) -> np.ndarray:
-        """Conditional variance of each set point given the points before it, in set order.
-
-        The entropies of these values sum to the set's joint entropy (chain
-        rule). A batch factorisation (``from_points``, or a refactor that
-        escalates jitter) reads them off its factor, as the squared pivots
-        less the jitter in force, clamped as ``extend`` clamps; each
-        ``extend`` that borders the factor appends the variance it returns.
-        Where ``extend`` escalated jitter, it returned the point's variance
-        given the set at the lower level, and the refactor keeps the one at
-        the higher level.
-        """
-        return np.array(self._chain)
 
     def entropies(self, Q: np.ndarray) -> np.ndarray:
         """Differential entropy of the scalar prediction at each row of Q."""
@@ -459,7 +435,6 @@ class GPConditioner:
             a = self._Z[:m, pos]
             variance = float(self._v[pos])
         pivot_sq = variance + _JITTER_LADDER[self._level] * prior
-        variance = min(max(variance, VARIANCE_FLOOR), prior)
         self.reserve(m + 1, p)
         self._Sbuf[m] = xs
         if pivot_sq <= _PIVOT_RTOL * prior:
@@ -485,8 +460,7 @@ class GPConditioner:
                 row /= pivot
                 self._v[:p] -= np.square(row, out=k)
             self._S = self._Sbuf[: m + 1]
-            self._chain.append(variance)
-        return variance
+        return min(max(variance, VARIANCE_FLOOR), prior)
 
 
 def _training_data(
@@ -564,7 +538,7 @@ def prefix_means(
         means = np.empty((g, 0, Q.shape[0]))
     else:
         Xs = train_x / hyper.lengthscales
-        _, W, _ = _factor(Xs, hyper)
+        W, _ = _factor(Xs, hyper)
         Z = W @ _se_scaled(Xs, Q / hyper.lengthscales, hyper.signal_variance)
         means = np.cumsum(Z * (W @ train_y[:, :, None]), axis=1)
     return means if stacked else means[0]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .kv import write_csv
 from .stream import Observation
-from .utility import UtilityFunction, _chain_entropies, _features_of
+from .utility import UtilityFunction, _chain_variances, _entropy_of, _features_of
 
 __all__ = [
     "SelectionResult",
@@ -334,7 +334,7 @@ def utility_trace_for(f: UtilityFunction, observations: Sequence[Observation]) -
     """Cumulative utility after each prefix of an ordered sample sequence.
 
     An entropy trace is one cumulative sum of the sequence's chain-rule
-    entropies, all read off one batch Cholesky factor; it agrees with the
+    entropies, all read off one Cholesky factor; it agrees with the
     trace of accepting the observations one at a time to roundoff. A
     modular trace accepts them one at a time. Either way a repeated index
     is refused.
@@ -350,7 +350,8 @@ def utility_trace_for(f: UtilityFunction, observations: Sequence[Observation]) -
         seen.add(o.index)
     if not observations:
         return ()
-    return tuple(np.cumsum(_chain_entropies(_features_of(observations), f.hyper)).tolist())
+    entropies = _entropy_of(_chain_variances(_features_of(observations), f.hyper))
+    return tuple(np.cumsum(entropies).tolist())
 
 
 def write_selection_csv(result: SelectionResult, path: "str | Path") -> None:

@@ -15,7 +15,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gp import GAUSSIAN_ENTROPY_CONST, GPConditioner, GPHyperparams, _check_dim
+from .gp import (
+    GAUSSIAN_ENTROPY_CONST,
+    VARIANCE_FLOOR,
+    GPConditioner,
+    GPHyperparams,
+    _check_dim,
+    _cholesky,
+    se_gram,
+)
 from .stream import Observation
 
 __all__ = [
@@ -55,33 +63,38 @@ def _variance_of(entropy: float) -> float:
         return math.inf
 
 
-def _chain_entropies(points: np.ndarray, hyper: GPHyperparams) -> np.ndarray:
-    """Entropy of each location given the ones before it, in row order.
+def _chain_variances(points: np.ndarray, hyper: GPHyperparams) -> np.ndarray:
+    """Conditional variance of each of the (n, d) locations given the ones
+    before it, in row order: the chain-rule variances of the set.
 
-    All come from one batch Cholesky factor of the (n, d) points
-    (``GPConditioner.from_points``): a point's conditional variance given
-    the points before it is its squared pivot less the jitter in force,
-    clamped as ``GPConditioner.extend`` clamps, and agrees with the variance
-    that ``extend`` returns to roundoff wherever neither path escalated
-    jitter. Their cumulative sums are a trace of the joint entropy.
+    They are the squared pivots of one Cholesky factor of the noisy Gram
+    matrix, clamped as ``GPConditioner.extend`` clamps, and agree with the
+    variances that ``extend`` returns to roundoff. Where that factor needs
+    jitter (at zero noise, an exact duplicate), they are ``extend``'s, one
+    point at a time, so both paths give such a duplicate ``VARIANCE_FLOOR``.
     """
-    return _entropy_of(GPConditioner.from_points(points, hyper).chain_variances())
+    L, level = _cholesky(se_gram(points, hyper))
+    if level:
+        cond = GPConditioner(hyper)
+        cond.reserve(len(points))
+        return np.array([cond.extend(x) for x in points])
+    return np.minimum(np.maximum(np.square(L.diagonal()), VARIANCE_FLOOR), hyper.prior_variance)
 
 
 def entropy_criterion(points: np.ndarray, hyper: GPHyperparams) -> float:
     """Joint differential entropy of a set of locations under the GP model.
 
-    Computed by the chain rule, as the sum of ``_chain_entropies``: each
-    point contributes the entropy of its conditional variance given the
-    points before it, read off one batch Cholesky factor, so the result is
-    order-independent up to floating-point roundoff and equals
-    0.5 * log det(2 pi e K) for the noisy Gram matrix K wherever no jitter
-    or clamp applies. The empty set evaluates to 0.
+    Computed by the chain rule: each point contributes the entropy of its
+    conditional variance given the points before it (``_chain_variances``,
+    read off one Cholesky factor), so the result is order-independent up to
+    floating-point roundoff and equals 0.5 * log det(2 pi e K) for the noisy
+    Gram matrix K wherever no jitter or clamp applies. The empty set
+    evaluates to 0.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.size == 0:
         return 0.0
-    return float(_chain_entropies(points, hyper).sum())
+    return float(_entropy_of(_chain_variances(points, hyper)).sum())
 
 
 class UtilityEvaluator:

@@ -14,11 +14,11 @@ from periodic_secretary import (
     se_kernel,
 )
 from periodic_secretary.gp import (
-    _JITTER_LADDER,
     GAUSSIAN_ENTROPY_CONST,
     VARIANCE_FLOOR,
     se_gram,
 )
+from periodic_secretary.utility import _chain_variances, _entropy_of, entropy_criterion
 
 from conftest import random_hyper
 
@@ -265,24 +265,17 @@ class TestGramFactorization:
     def test_zero_noise_duplicate_in_the_batch_and_incremental_chains(self):
         # An exact duplicate at zero noise has conditional variance 0. extend
         # meets it at jitter level 0, clamps it to VARIANCE_FLOOR and then
-        # escalates. The batch factor meets it at level 1, where the
-        # jittered first copy conditions it like noise of the jitter's size:
-        # its squared pivot less the jitter is about 1e-10 of the prior,
-        # clamped from below at the floor but above it. After the escalation
-        # the incremental conditioner holds the batch's chain variances.
+        # escalates; the one Cholesky factor of the set needs jitter, so the
+        # batch chain takes extend's variances and clamps it there too.
         hyper = GPHyperparams(lengthscales=np.array([0.5]), signal_variance=1.0, noise_variance=0.0)
         X = np.array([[0.0], [3.0], [0.0], [1.2]])
         cond = GPConditioner(hyper)
         returned = np.array([cond.extend(x) for x in X])
-        assert returned[2] == VARIANCE_FLOOR
-        batch = GPConditioner.from_points(X, hyper)
-        assert batch._level == cond._level == 1
-        chain = batch.chain_variances()
-        assert chain[2] >= VARIANCE_FLOOR
-        assert chain[2] == pytest.approx(_JITTER_LADDER[1] * hyper.prior_variance, rel=1e-4)
-        np.testing.assert_allclose(cond.chain_variances(), chain, rtol=0, atol=1e-12)
-        keep = [0, 1, 3]
-        np.testing.assert_allclose(returned[keep], chain[keep], rtol=0, atol=1e-12)
+        assert cond._level == 1
+        chain = _chain_variances(X, hyper)
+        assert returned[2] == chain[2] == VARIANCE_FLOOR
+        assert np.array_equal(chain, returned)
+        assert entropy_criterion(X, hyper) == pytest.approx(float(np.sum(_entropy_of(returned))))
 
     def test_reserve_changes_no_result_and_stops_regrowth(self):
         # A conditioner sized up front gives the bits of one that grows by

@@ -44,6 +44,7 @@ from periodic_secretary import (
 )
 from periodic_secretary.gp import GAUSSIAN_ENTROPY_CONST, _JITTER_LADDER, _factor, _se_scaled
 from periodic_secretary.selectors import utility_trace_for
+from periodic_secretary.utility import _chain_variances
 from periodic_secretary.kv import write_columns, write_csv
 
 from conftest import random_hyper
@@ -472,7 +473,7 @@ def test_stacked_prefix_means_equal_each_slice(seed, d, g, n, q, zero_noise):
     for j in range(g):
         assert np.array_equal(means[j], prefix_means(X[j], Y[j], Q, hyper))
     if zero_noise:
-        _, _, levels = _factor(X / hyper.lengthscales, hyper)
+        _, levels = _factor(X / hyper.lengthscales, hyper)
         assert levels[0] >= 1 and not np.any(levels[1:])
 
 
@@ -485,7 +486,7 @@ def test_stacked_prefix_means_equal_each_slice(seed, d, g, n, q, zero_noise):
     near=st.booleans(),
 )
 def test_batch_chain_variances_match_extend_and_log_determinant(seed, d, n, noise, near):
-    # The chain-rule variances read off one batch factor agree with the
+    # The chain-rule variances read off one Cholesky factor agree with the
     # variances that extend returns one point at a time, and their logs sum
     # to log det K. At noise >= 0.01 neither path escalates jitter, even for
     # points 1e-9 apart.
@@ -496,16 +497,15 @@ def test_batch_chain_variances_match_extend_and_log_determinant(seed, d, n, nois
         pts[-1] = pts[0] + 1e-9
     cond = GPConditioner(hyper)
     incremental = np.array([cond.extend(x) for x in pts])
-    batch = GPConditioner.from_points(pts, hyper)
-    assert batch._level == cond._level == 0
+    assert cond._level == 0
+    batch = _chain_variances(pts, hyper)
     prior = hyper.prior_variance
-    np.testing.assert_allclose(batch.chain_variances(), incremental, rtol=0, atol=1e-10 * prior)
-    np.testing.assert_allclose(cond.chain_variances(), incremental, rtol=0, atol=0)
+    np.testing.assert_allclose(batch, incremental, rtol=0, atol=1e-10 * prior)
     z = (pts[:, None, :] - pts[None, :, :]) / hyper.lengthscales
     K = hyper.signal_variance * np.exp(-0.5 * (z**2).sum(axis=2)) + noise * np.eye(n)
     sign, logdet = np.linalg.slogdet(K)
     assert sign == 1
-    assert float(np.sum(np.log(batch.chain_variances()))) == pytest.approx(logdet, abs=1e-9)
+    assert float(np.sum(np.log(batch))) == pytest.approx(logdet, abs=1e-9)
     entropies = GAUSSIAN_ENTROPY_CONST + 0.5 * np.log(incremental)
     obs = [Observation(i, x) for i, x in enumerate(pts)]
     trace = utility_trace_for(UtilityFunction.entropy(hyper), obs)
