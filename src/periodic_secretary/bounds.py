@@ -109,26 +109,28 @@ def per_step_gap(
     return threshold_slack + expected_max_gap(utility_noise, stream_len_N // period_T)
 
 
-def _success_probability(
-    threshold_slack: float, utility_noise: float, q_denominator: str
-) -> float:
+def _success_probability(threshold_slack: float, utility_noise: float) -> float:
     """Per-period probability that some observation clears the threshold.
 
-    The default denominator is the noise variance (the literal bound form);
-    ``q_denominator="std"`` switches to the standard deviation. The noiseless
+    Q(-lambda/sigma_u), with sigma_u = sqrt(utility_noise). The slack and
+    sigma_u are both in utility units, so rescaling the utility and the slack
+    by one factor leaves the picks and this probability unchanged;
+    lambda/sigma_u^2 would carry the inverse of that factor. The noiseless
     limit is 1 for positive slack and 1/2 at zero slack.
     """
-    if q_denominator not in ("variance", "std"):
-        raise ValueError(f"q_denominator must be 'variance' or 'std', got {q_denominator!r}")
     if utility_noise == 0:
         return 1.0 if threshold_slack > 0 else 0.5
-    denom = utility_noise if q_denominator == "variance" else math.sqrt(utility_noise)
-    return gaussian_tail_q(-threshold_slack / denom)
+    return gaussian_tail_q(-threshold_slack / math.sqrt(utility_noise))
 
 
-def expected_successes(inputs: BoundInputs, q_denominator: str = "variance") -> float:
-    """Expected number of accepted samples: min(k, success probability x periods)."""
-    p = _success_probability(inputs.threshold_slack, inputs.utility_noise, q_denominator)
+def expected_successes(inputs: BoundInputs) -> float:
+    """Expected number of accepted samples: min(k, success probability x periods).
+
+    Where success probability x periods reaches k, the bound is capped at k
+    and claims E[fill] >= k: every run fills, so a single under-filled run
+    falls below it.
+    """
+    p = _success_probability(inputs.threshold_slack, inputs.utility_noise)
     return min(float(inputs.k), p * inputs.periods)
 
 
@@ -141,24 +143,24 @@ def full_selection_bound(inputs: BoundInputs) -> float:
     return (1.0 - 1.0 / math.e) * (inputs.f_opt - inputs.k * gap)
 
 
-def utility_lower_bound(inputs: BoundInputs, q_denominator: str = "variance") -> float:
+def utility_lower_bound(inputs: BoundInputs) -> float:
     """Expected-utility lower bound including the success factor.
 
     May be negative (vacuous); returned as-is so callers can flag it.
     """
-    factor = expected_successes(inputs, q_denominator) / inputs.k
+    factor = expected_successes(inputs) / inputs.k
     return factor * full_selection_bound(inputs)
 
 
-def bound_report(inputs: BoundInputs, q_denominator: str = "variance") -> BoundReport:
+def bound_report(inputs: BoundInputs) -> BoundReport:
     """Evaluate every guarantee for one input configuration."""
-    lower = utility_lower_bound(inputs, q_denominator)
+    lower = utility_lower_bound(inputs)
     return BoundReport(
         per_step_gap=per_step_gap(
             inputs.threshold_slack, inputs.utility_noise, inputs.stream_len_N, inputs.period_T
         ),
         full_selection_bound=full_selection_bound(inputs),
-        expected_successes=expected_successes(inputs, q_denominator),
+        expected_successes=expected_successes(inputs),
         utility_lower_bound=lower,
         vacuous=lower <= 0,
     )

@@ -159,6 +159,8 @@ def _cmd_select(parser: _Parser, args: argparse.Namespace) -> int:
     if args.utility not in ("entropy", "modular"):
         parser.error(f"unknown utility {args.utility!r}")
     k = int(args.k)
+    if k < 1:
+        parser.error(f"--k must be >= 1, got {k}")
     if algo.needs_period:
         _require(parser, args, "period")
     stream = ingest_csv(args.input, _schema_from_args(args))
@@ -285,15 +287,13 @@ def _cmd_evaluate(parser: _Parser, args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(parser: _Parser, args: argparse.Namespace) -> int:
-    args = _resolve(parser, args, {"q_denominator": "variance", "seed": 0, "out": "."})
+    args = _resolve(parser, args, {"seed": 0, "out": "."})
     _require(parser, args, "k", "threshold_slack", "sigma_u", "N", "T", "f_opt")
     slack, sigma_u = float(args.threshold_slack), float(args.sigma_u)
     if not slack >= 0:
         parser.error(f"--lambda must be >= 0, got {slack}")
     if not sigma_u >= 0:
         parser.error(f"--sigma-u must be >= 0, got {sigma_u}")
-    if args.q_denominator not in ("variance", "std"):
-        parser.error(f"--q-denominator must be variance or std, got {args.q_denominator!r}")
     inputs = BoundInputs(
         k=int(args.k),
         threshold_slack=slack,
@@ -302,7 +302,7 @@ def _cmd_bounds(parser: _Parser, args: argparse.Namespace) -> int:
         period_T=int(args.T),
         f_opt=float(args.f_opt),
     )
-    report = bound_report(inputs, q_denominator=args.q_denominator)
+    report = bound_report(inputs)
     out = _outdir(args)
     write_bound_report(report, out / "bounds.txt")
     _write_manifest(out, "bounds", args)
@@ -384,8 +384,6 @@ def build_parser() -> _Parser:
     p.add_argument("--N", default=None, type=int, help="stream length")
     p.add_argument("--T", default=None, type=int, help="period")
     p.add_argument("--f-opt", default=None, type=float, help="utility of the optimal set")
-    p.add_argument("--q-denominator", default=None,
-                   help="variance (default) or std: denominator in the success probability")
     _add_common(p)
     p.set_defaults(func=_cmd_bounds)
 

@@ -243,6 +243,11 @@ def tune_threshold_slack(
         raise ValueError("slack grid is empty")
     if runs < 1:
         raise ValueError(f"runs must be positive, got {runs}")
+    if spec.length_N <= spec.period_T:
+        raise ValueError(
+            f"the stream has no observation after the reference period"
+            f" (length_N={spec.length_N}, period_T={spec.period_T}), so no slack can pick"
+        )
     slacks = tuple(sorted(float(s) for s in slack_grid))
     streams, utilities = _seeded_trials(spec, utility, seed, _TAG_TUNE, runs)
     finals, fills = np.swapaxes(
@@ -369,24 +374,35 @@ def run_comparison(
     base: ObservationStream,
     cfg: ExperimentConfig,
     hyper: GPHyperparams,
-    utility: UtilityOrFactory | None = None,
     block_len: int | None = None,
     compute_mse: bool = True,
 ) -> ComparisonReport:
     """Run every configured algorithm over block-permuted trials of ``base``.
 
-    Each run permutes blocks of ``block_len`` observations (default: one
-    period) under its own seed. The held-out test split is drawn per trial
-    from positions at or beyond one period, and those positions are removed
-    from the selectors' view (they are never part of the reference period,
-    so the selection context is unchanged).
+    The utility is the GP entropy under ``hyper``. Each run permutes blocks
+    of ``block_len`` observations (default: one period) under its own seed.
+    The held-out test split is drawn per trial from positions at or beyond
+    one period, and those positions are removed from the selectors' view
+    (they are never part of the reference period, so the selection context
+    is unchanged). A stream shorter than one period is refused, and so is a
+    stream of exactly one period when MSE is on: it has no position to hold
+    out.
     """
-    if utility is None:
-        utility = UtilityFunction.entropy(hyper)
+    if len(base) < cfg.period_T:
+        raise ValueError(
+            f"the stream has {len(base)} observations, fewer than one period"
+            f" (period_T={cfg.period_T})"
+        )
     if compute_mse and base.qoi is None:
         raise ValueError("MSE requested but the stream has no qoi column")
+    if compute_mse and len(base) == cfg.period_T:
+        raise ValueError(
+            f"MSE needs a test position after the reference period, but the stream has"
+            f" {len(base)} observations and period_T={cfg.period_T}"
+        )
     if block_len is None:
         block_len = cfg.period_T
+    f = UtilityFunction.entropy(hyper)
 
     trial_seeds = derive_seeds(cfg.seed, _TAG_TRIAL, cfg.runs)
     test_seeds = derive_seeds(cfg.seed, _TAG_TEST, cfg.runs)
@@ -402,7 +418,6 @@ def run_comparison(
 
     for r in range(cfg.runs):
         trial = block_permute(base, block_len, trial_seeds[r])
-        f = _resolve_utility(utility, trial)
 
         if compute_mse:
             pool = np.arange(cfg.period_T, len(trial))

@@ -103,22 +103,11 @@ class TestExpectedSuccesses:
         )
         assert expected_successes(inputs) == 3.0
 
-    def test_denominator_conventions_differ(self):
+    def test_slack_is_measured_in_noise_standard_deviations(self):
         inputs = BoundInputs(
             k=50, threshold_slack=0.5, utility_noise=4.0, stream_len_N=400, period_T=10, f_opt=1.0
         )
-        lit = expected_successes(inputs, "variance")
-        dim = expected_successes(inputs, "std")
-        assert lit == pytest.approx(40 * gaussian_tail_q(-0.5 / 4.0), abs=1e-12)
-        assert dim == pytest.approx(40 * gaussian_tail_q(-0.5 / 2.0), abs=1e-12)
-        assert lit != dim
-
-    def test_unknown_convention_rejected(self):
-        inputs = BoundInputs(
-            k=5, threshold_slack=0.0, utility_noise=1.0, stream_len_N=100, period_T=10, f_opt=1.0
-        )
-        with pytest.raises(ValueError, match="q_denominator"):
-            expected_successes(inputs, "sigma")
+        assert expected_successes(inputs) == 40 * gaussian_tail_q(-0.5 / 2.0)
 
 
 class TestUtilityLowerBound:

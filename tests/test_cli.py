@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from periodic_secretary.cli import main
+from periodic_secretary.cli import build_parser, main
 from periodic_secretary.gp import load_hyperparams, save_hyperparams
 from periodic_secretary import (
     CsvSchema,
@@ -130,6 +130,17 @@ class TestSelect:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("k", [0, -3])
+    @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+    def test_k_below_one_usage_error(self, name, k, stream_csv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("select", "--input", stream_csv, "--algo", name, "--k", k,
+                    "--period", 10, "--lambda", 0.5, "--utility", "modular",
+                    "--out", tmp_path / "sel")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: --k must be >= 1, got {k}\n"
+        assert not (tmp_path / "sel").exists()
+
     @pytest.mark.parametrize("utility", ["entropy", "modular"])
     @pytest.mark.parametrize("name", ALGORITHM_NAMES)
     def test_registry_selector_matches_library(self, name, utility, stream_csv, hyper_file,
@@ -215,6 +226,16 @@ class TestTune:
                     "--out", out)
             outs.append(out)
         assert (outs[0] / "tuning.csv").read_bytes() == (outs[1] / "tuning.csv").read_bytes()
+
+    def test_single_period_is_refused(self, hyper_file, tmp_path, capsys):
+        out = tmp_path / "tune"
+        rc = run_cli("tune", "--period", 8, "--periods", 1, "--k", 2, "--grid", "0,0.5",
+                     "--runs", 2, "--hyper", hyper_file, "--out", out)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the stream has no observation after the reference period")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_nan_grid_value_is_usage_error(self, hyper_file, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -323,6 +344,23 @@ class TestEvaluate:
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert "threshold_slack" in err
         assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("period, mse, what", [
+        (60, True, "the stream has 48 observations, fewer than one period (period_T=60)"),
+        (60, False, "the stream has 48 observations, fewer than one period (period_T=60)"),
+        (48, True, "MSE needs a test position after the reference period, but the stream has"
+                   " 48 observations and period_T=48"),
+    ], ids=["short-mse", "short-no-mse", "one-period-mse"])
+    def test_stream_without_room_is_refused_by_name(self, qoi_csv, hyper_file, tmp_path, capsys,
+                                                    period, mse, what):
+        out = tmp_path / "eval"
+        rc = run_cli("evaluate", "--input", qoi_csv, "--qoi-col", "qoi",
+                     *([] if mse else ["--no-mse"]),
+                     "--algos", "periodic:0.4,greedy", "--k", 2, "--period", period,
+                     "--runs", 2, "--hyper", hyper_file, "--out", out)
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {what}\n"
+        assert not out.exists()
 
     def test_no_mse_run_replays_from_manifest(self, qoi_csv, hyper_file, tmp_path):
         first, replay = tmp_path / "first", tmp_path / "replay"
@@ -435,15 +473,19 @@ class TestBounds:
                     "--N", 1000, "--T", 100, "--f-opt", 10, "--out", tmp_path)
         assert exc.value.code == 2
 
-    def test_std_denominator_switch(self, tmp_path):
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        common = ["bounds", "--k", 9, "--lambda", 0.5, "--sigma-u", 2.0,
-                  "--N", 100, "--T", 10, "--f-opt", 50]
-        assert run_cli(*common, "--out", out_a) == 0
-        assert run_cli(*common, "--q-denominator", "std", "--out", out_b) == 0
-        a = float(read_kv_file(out_a / "bounds.txt")["expected_successes"])
-        b = float(read_kv_file(out_b / "bounds.txt")["expected_successes"])
-        assert a != b
+    def test_options_are_the_bound_inputs(self):
+        args = build_parser().parse_args(["bounds"])
+        assert set(vars(args)) == {"subcommand", "func", "k", "threshold_slack", "sigma_u",
+                                   "N", "T", "f_opt", "out", "config", "seed"}
+
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bounds.cfg"
+        cfg.write_text("grid = 0.1\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bounds", "--config", cfg, "--k", 9, "--lambda", 0.5, "--sigma-u", 2.0,
+                    "--N", 100, "--T", 10, "--f-opt", 50, "--out", tmp_path)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: unknown config key 'grid' in {cfg}\n"
 
 
 def test_missing_required_option_reports_single_line(tmp_path, capsys):

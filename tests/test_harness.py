@@ -125,6 +125,18 @@ class TestTuneThresholdSlack:
                 runs=runs, seed=0,
             )
 
+    def test_single_period_refused(self, wide_hyper):
+        # A spec cannot be shorter than one period; one period leaves nothing to pick.
+        spec = PeriodicStreamSpec(
+            period_T=8, noise_cov=np.array([[0.3]]), length_N=8,
+            base_waveform=two_sine_waveform(8),
+        )
+        with pytest.raises(ValueError, match="no observation after the reference period"):
+            tune_threshold_slack(
+                spec, UtilityFunction.entropy(wide_hyper), k=2, slack_grid=[0.0, 0.5],
+                runs=2, seed=0,
+            )
+
     def test_accepts_utility_factory(self, small_spec):
         result = tune_threshold_slack(
             small_spec, modular_factory, k=4, slack_grid=[0.0, 0.5], runs=3, seed=9
@@ -274,6 +286,20 @@ class TestRunComparison:
             run_comparison(stream, self._config(), wide_hyper)
         report = run_comparison(stream, self._config(), wide_hyper, compute_mse=False)
         assert report.mse_mean is None
+
+    @pytest.mark.parametrize("compute_mse", [True, False])
+    def test_stream_shorter_than_a_period_refused(self, base_stream, wide_hyper, compute_mse):
+        short = ObservationStream(base_stream.feature_matrix[:5], base_stream.qoi[:5])
+        with pytest.raises(ValueError, match=r"5 observations, fewer than one period \(period_T=8\)"):
+            run_comparison(short, self._config(), wide_hyper, compute_mse=compute_mse)
+
+    def test_single_period_refused_with_mse_only(self, base_stream, wide_hyper):
+        one = ObservationStream(base_stream.feature_matrix[:8], base_stream.qoi[:8])
+        with pytest.raises(ValueError, match="MSE needs a test position after the reference period"):
+            run_comparison(one, self._config(), wide_hyper)
+        report = run_comparison(one, self._config(), wide_hyper, compute_mse=False)
+        assert report.fill_mean["periodic:0.3"] == 0.0
+        assert report.fill_mean["greedy"] == 5.0
 
     def test_reproducible_bit_for_bit(self, base_stream, wide_hyper, tmp_path):
         a = run_comparison(base_stream, self._config(), wide_hyper)

@@ -1,7 +1,8 @@
 """Property tests over random streams and inputs: the SE kernel, the
 tracked-pool engine, the one-point path and arrival test, the prefix-means
 curve, the periodic scan, the capacity prefix of the periodic scan and of
-offline greedy, the entropy criterion, exhaustive enumeration, the CSV
+offline greedy, the scale invariance of the periodic scan and of its bounds,
+the entropy criterion, exhaustive enumeration, the CSV
 column writer, CSV round trips and block permutation.
 
 Features are drawn from seeded normal distributions, so candidates are in
@@ -25,21 +26,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from periodic_secretary import (
+    BoundInputs,
     CsvSchema,
     GPConditioner,
     GPHyperparams,
     Observation,
     ObservationStream,
     PeriodicSecretaryConfig,
+    PeriodicStreamSpec,
     UtilityFunction,
     block_permute,
+    bound_report,
     entropy_criterion,
+    estimate_utility_noise,
     exhaustive_optimum,
+    generate_periodic_stream,
     ingest_csv,
     offline_greedy,
     periodic_secretary,
     predict_many,
     prefix_means,
+    two_sine_waveform,
     write_stream_csv,
 )
 from periodic_secretary.gp import GAUSSIAN_ENTROPY_CONST, _JITTER_LADDER, _factor, _se_scaled
@@ -570,6 +577,52 @@ def test_periodic_run_at_k_is_a_prefix_of_a_larger_run(seed, d, T, extra, k, mor
     assert small.utility_trace == large.utility_trace[:fill]
     assert small.threshold_trace == large.threshold_trace[:fill]
     assert small.terminated == ("filled_k" if fill == k else "end_of_stream")
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    T=st.integers(1, 8),
+    periods=st.integers(2, 12),
+    noise=st.sampled_from([0.0, 0.05, 0.35, 2.0]),
+    k=st.integers(1, 100),
+    slack=st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),  # 2**j * slack stays a normal float
+    j=st.integers(-8, 8),
+)
+@example(seed=0, T=6, periods=10, noise=0.35, k=30, slack=0.25, j=2)
+@example(seed=0, T=6, periods=10, noise=0.35, k=30, slack=0.25, j=-3)
+def test_scaled_utility_and_slack_keep_the_picks_and_the_success_bound(
+    seed, T, periods, noise, k, slack, j
+):
+    # Weights and slack times 2**j: every comparison of the scan is the same,
+    # the utility-noise estimate is 4**j times as large, and the bounds are
+    # in utility units, so the success bound stays put and the utility bound
+    # scales by 2**j. Powers of two keep all of it exact.
+    spec = PeriodicStreamSpec(
+        period_T=T, noise_cov=np.array([[noise]]), length_N=T * periods,
+        base_waveform=two_sine_waveform(T),
+    )
+    stream = generate_periodic_stream(spec, seed)
+    weights = stream.feature_matrix[:, 0]
+
+    def run(scale):
+        f = UtilityFunction.modular(scale * weights)
+        cfg = PeriodicSecretaryConfig(k=k, period_T=T, threshold_slack=scale * slack)
+        result = periodic_secretary(stream.observations, f, cfg)
+        sigma2 = estimate_utility_noise(stream, f)
+        report = bound_report(BoundInputs(
+            k=k, threshold_slack=scale * slack, utility_noise=sigma2, stream_len_N=T * periods,
+            period_T=T, f_opt=scale * float(np.abs(weights).sum()),
+        ))
+        return result, sigma2, report
+
+    scale = 2.0**j
+    (base, sigma2, report), (scaled, scaled_sigma2, scaled_report) = run(1.0), run(scale)
+    assert scaled.chosen == base.chosen
+    assert list(scaled.utility_trace) == [scale * u for u in base.utility_trace]
+    assert scaled_sigma2 == scale**2 * sigma2
+    assert scaled_report.expected_successes == report.expected_successes
+    assert scaled_report.utility_lower_bound == scale * report.utility_lower_bound
 
 
 @SETTINGS
