@@ -199,11 +199,22 @@ def estimate_utility_noise(stream: ObservationStream, f: UtilityFunction) -> flo
     ev = f.evaluator()
     ev.track(stream.observations)
     singles = ev.tracked_gains()  # each observation's utility alone
-    num = 0.0
-    den = 0
-    for p in range(period_T):
-        u = singles[p::period_T]
-        if u.shape[0] >= 2:
-            num += (u.shape[0] - 1) * float(np.var(u, ddof=1))
-            den += u.shape[0] - 1
-    return num / den
+    # Row p of a block holds phase p's utilities, singles[p::period_T]. The
+    # first n % period_T phases have one more period than the rest, so there
+    # are at most two blocks, one per count, in phase order. Each row repeats
+    # np.var(u, ddof=1) (contiguous rows keep its summation order) and the
+    # phases are pooled in phase order by a sequential sum, so the estimate
+    # has the bits of one np.var per phase.
+    full, extra = divmod(n, period_T)
+    padded = np.zeros((full + 1) * period_T)
+    padded[:n] = singles
+    by_phase = np.ascontiguousarray(padded.reshape(full + 1, period_T).T)
+    blocks = [by_phase[extra:, :full]]  # the last column of these rows is padding
+    if extra:
+        blocks.insert(0, by_phase[:extra])
+    terms = []
+    for block in blocks:
+        count = block.shape[1]
+        dev = block - block.sum(axis=1, keepdims=True) / count
+        terms.append((count - 1) * ((dev * dev).sum(axis=1) / (count - 1)))
+    return float(np.cumsum(np.concatenate(terms))[-1]) / (n - period_T)

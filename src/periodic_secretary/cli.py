@@ -117,6 +117,14 @@ def _non_monotone_flag(hyper: GPHyperparams) -> dict[str, str]:
     return {"non_monotone": note}
 
 
+def _capacity(parser: _Parser, args: argparse.Namespace) -> int:
+    """The checked sampling capacity --k."""
+    k = int(args.k)
+    if k < 1:
+        parser.error(f"--k must be >= 1, got {k}")
+    return k
+
+
 def _two_sine_spec(parser: _Parser, args: argparse.Namespace) -> PeriodicStreamSpec:
     """The synthetic stream that generate and tune share, from checked options."""
     period, periods, noise = int(args.period), int(args.periods), float(args.noise)
@@ -158,9 +166,7 @@ def _cmd_select(parser: _Parser, args: argparse.Namespace) -> int:
         parser.error(str(exc))
     if args.utility not in ("entropy", "modular"):
         parser.error(f"unknown utility {args.utility!r}")
-    k = int(args.k)
-    if k < 1:
-        parser.error(f"--k must be >= 1, got {k}")
+    k = _capacity(parser, args)
     if algo.needs_period:
         _require(parser, args, "period")
     stream = ingest_csv(args.input, _schema_from_args(args))
@@ -207,6 +213,7 @@ def _cmd_tune(parser: _Parser, args: argparse.Namespace) -> int:
         {"noise": 0.0, "amplitude": 1.0, "runs": 50, "seed": 0, "out": "."},
     )
     _require(parser, args, "period", "periods", "k", "grid", "hyper")
+    k = _capacity(parser, args)
     spec = _two_sine_spec(parser, args)
     grid = _float_list(args.grid)
     if any(not s >= 0 for s in grid):
@@ -214,7 +221,7 @@ def _cmd_tune(parser: _Parser, args: argparse.Namespace) -> int:
     utility = UtilityFunction.entropy(load_hyperparams(args.hyper))
     flag = _non_monotone_flag(utility.hyper)
     result = tune_threshold_slack(
-        spec, utility, int(args.k), grid, runs=int(args.runs), seed=int(args.seed)
+        spec, utility, k, grid, runs=int(args.runs), seed=int(args.seed)
     )
     out = _outdir(args)
     write_tuning_csv(result, out / "tuning.csv")
@@ -255,6 +262,7 @@ def _cmd_evaluate(parser: _Parser, args: argparse.Namespace) -> int:
         },
     )
     _require(parser, args, "input", "k", "period", "algos", "hyper")
+    k = _capacity(parser, args)
     no_mse = str(args.no_mse).lower()  # a flag, or true/false from a config file
     if no_mse not in ("true", "false"):
         parser.error(f"no_mse must be true or false, got {args.no_mse!r}")
@@ -268,7 +276,7 @@ def _cmd_evaluate(parser: _Parser, args: argparse.Namespace) -> int:
     flag = _non_monotone_flag(hyper)
     cfg = ExperimentConfig(
         algorithms=algorithms,
-        k=int(args.k),
+        k=k,
         period_T=int(args.period),
         runs=int(args.runs),
         seed=int(args.seed),
@@ -289,13 +297,14 @@ def _cmd_evaluate(parser: _Parser, args: argparse.Namespace) -> int:
 def _cmd_bounds(parser: _Parser, args: argparse.Namespace) -> int:
     args = _resolve(parser, args, {"seed": 0, "out": "."})
     _require(parser, args, "k", "threshold_slack", "sigma_u", "N", "T", "f_opt")
+    k = _capacity(parser, args)
     slack, sigma_u = float(args.threshold_slack), float(args.sigma_u)
     if not slack >= 0:
         parser.error(f"--lambda must be >= 0, got {slack}")
     if not sigma_u >= 0:
         parser.error(f"--sigma-u must be >= 0, got {sigma_u}")
     inputs = BoundInputs(
-        k=int(args.k),
+        k=k,
         threshold_slack=slack,
         utility_noise=sigma_u**2,
         stream_len_N=int(args.N),

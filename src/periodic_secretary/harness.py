@@ -385,8 +385,9 @@ def run_comparison(
     one period, and those positions are removed from the selectors' view
     (they are never part of the reference period, so the selection context
     is unchanged). A stream shorter than one period is refused, and so is a
-    stream of exactly one period when MSE is on: it has no position to hold
-    out.
+    stream with MSE on whose positions after the reference period cannot
+    hold both a test position and k picks: the periodic secretary would be
+    left fewer than k positions to pick from.
     """
     if len(base) < cfg.period_T:
         raise ValueError(
@@ -395,10 +396,12 @@ def run_comparison(
         )
     if compute_mse and base.qoi is None:
         raise ValueError("MSE requested but the stream has no qoi column")
-    if compute_mse and len(base) == cfg.period_T:
+    after = len(base) - cfg.period_T
+    if compute_mse and after <= cfg.k:
         raise ValueError(
             f"MSE needs a test position after the reference period, but the stream has"
             f" {len(base)} observations and period_T={cfg.period_T}"
+            + (f", so the {after} after it cannot also hold k={cfg.k} picks" if after else "")
         )
     if block_len is None:
         block_len = cfg.period_T

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice
 from pathlib import Path
 from collections.abc import Callable, Iterable, Sequence
 
@@ -114,19 +114,29 @@ def periodic_secretary(
     and threshold are recomputed against the grown set. Stops after k
     acceptances or at end of stream, whichever comes first.
 
-    The reference set is the evaluator's tracked pool, so every
-    recalibration reads its largest tracked gain. A ``Sequence`` is already
-    all there, so it is scanned a period at a time, tracked alongside the
-    reference set; each acceptance is the first tracked gain to meet the
-    threshold and joins the set from its tracked state (under entropy, one
-    step of pivoted Cholesky on the pool). Any other iterable yields only
-    the observation that has just arrived; that one is decided by the
+    Under entropy the reference set is the evaluator's tracked pool, so
+    every recalibration reads its largest tracked gain. A ``Sequence`` is
+    already all there, so it is scanned a period at a time, tracked
+    alongside the reference set; each acceptance is the first tracked gain
+    to meet the threshold and joins the set from its tracked state (one step
+    of pivoted Cholesky on the pool). Any other iterable yields only the
+    observation that has just arrived; that one is decided by the
     evaluator's arrival test (``meets``: its own one-point gain against the
     threshold, under entropy compared in variance space), is never tracked,
     and nothing is read past the last decision. Gains depend only on the
     accepted set, so both scans make the decisions of a one-at-a-time scan,
     except where a gain ties the threshold within roundoff: a point's
     tracked and one-point gains can differ in the last bits.
+
+    A modular gain is the observation's own weight, whatever the set holds,
+    so under a modular utility the best reference gain, and with it the
+    threshold gain max(reference weights) - slack, never moves: nothing is
+    tracked or recalibrated. A ``Sequence`` gathers its weights in one go
+    (an index with no weight is refused wherever it sits), and its picks
+    are the first k positions after the reference period whose weight meets
+    the threshold, found in one scan. The utility trace is the running sum
+    of their weights, added in pick order as acceptance adds them, so it
+    has the same bits as accepting them one at a time.
 
     k only stops the scan, so a run at capacity k makes exactly the first k
     decisions of a run at any larger capacity: its ``chosen``,
@@ -141,10 +151,18 @@ def periodic_secretary(
             f"stream ended after {len(reference)} observations, before one full period ({T})"
         )
     ev = f.evaluator()
-    if isinstance(stream, Sequence):
-        ev.reserve(min(cfg.k, len(stream) - T), 2 * T)
-    ev.track(reference)
-    threshold_gain = ev.max_tracked_gain(T) - cfg.threshold_slack
+    listed = isinstance(stream, Sequence)
+    fixed = f.kind == "modular_sum"
+    if fixed:
+        w = ev._weights(stream if listed else reference)
+        threshold_gain = float(w[:T].max()) - cfg.threshold_slack
+        if listed:
+            return _fixed_threshold_scan(stream, w, threshold_gain, cfg)
+    else:
+        if listed:
+            ev.reserve(min(cfg.k, len(stream) - T), 2 * T)
+        ev.track(reference)
+        threshold_gain = ev.max_tracked_gain(T) - cfg.threshold_slack
     chosen: list[int] = []
     trace: list[float] = []
     thresholds: list[float] = []
@@ -155,9 +173,9 @@ def periodic_secretary(
         ev.accept(obs, pos)
         chosen.append(obs.index)
         trace.append(ev.value)
-        return ev.max_tracked_gain(T) - cfg.threshold_slack
+        return threshold_gain if fixed else ev.max_tracked_gain(T) - cfg.threshold_slack
 
-    if not isinstance(stream, Sequence):
+    if not listed:
         for obs in it:
             if ev.meets(obs, threshold_gain):
                 threshold_gain = accept(obs, threshold_gain)
@@ -182,6 +200,39 @@ def periodic_secretary(
         terminated="filled_k" if len(chosen) == cfg.k else "end_of_stream",
         threshold_trace=tuple(thresholds),
     )
+
+
+def _fixed_threshold_scan(
+    stream: Sequence[Observation],
+    w: np.ndarray,
+    threshold_gain: float,
+    cfg: PeriodicSecretaryConfig,
+) -> SelectionResult:
+    """The periodic secretary on a stream whose gains ``w`` (one per
+    position) do not depend on the accepted set, so its threshold gain is
+    fixed: the first k positions after the reference period that meet it."""
+    picks = (w[cfg.period_T :] >= threshold_gain).nonzero()[0][: cfg.k] + cfg.period_T
+    chosen = [stream[p].index for p in picks.tolist()]
+    _refuse_repeats(chosen)
+    # values[j] is the utility before pick j: the picked weights added one at
+    # a time from 0.0, as ``accept`` adds them, so down to the sign of a zero.
+    values = list(accumulate(w[picks].tolist(), initial=0.0))
+    return SelectionResult(
+        chosen=tuple(chosen),
+        utility_trace=tuple(values[1:]),
+        terminated="filled_k" if len(chosen) == cfg.k else "end_of_stream",
+        threshold_trace=tuple(v + threshold_gain for v in values[:-1]),
+    )
+
+
+def _refuse_repeats(indices: Iterable[int]) -> None:
+    """Raise at the first index that repeats an earlier one, as accepting
+    the indices in order would."""
+    seen: set[int] = set()
+    for i in indices:
+        if i in seen:
+            raise ValueError(f"observation {i} is already in the sample set")
+        seen.add(i)
 
 
 def _classical_pick(
@@ -343,11 +394,7 @@ def utility_trace_for(f: UtilityFunction, observations: Sequence[Observation]) -
         ev = f.evaluator()
         ev.reserve(len(observations))
         return tuple(ev.accept(o) for o in observations)
-    seen: set[int] = set()
-    for o in observations:
-        if o.index in seen:
-            raise ValueError(f"observation {o.index} is already in the sample set")
-        seen.add(o.index)
+    _refuse_repeats(o.index for o in observations)
     if not observations:
         return ()
     entropies = _entropy_of(_chain_variances(_features_of(observations), f.hyper))

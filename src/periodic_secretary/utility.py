@@ -102,9 +102,14 @@ class UtilityEvaluator:
 
     Tracks the running utility value f(A) and answers gain queries against
     the current set, either for given observations (``gain``, ``gains``) or
-    for a tracked pool of observations (``track``, ``untrack``,
-    ``tracked_gains``) whose gains stay current as the set grows. ``accept``
-    is irrevocable: re-adding an index raises.
+    for a tracked pool of observations (``track``, ``tracked_gains``) whose
+    gains stay current as the set grows. ``accept`` is irrevocable:
+    re-adding an index raises.
+
+    Both kinds track a pool. Only the entropy evaluator answers the pool
+    scans of the periodic secretary (``untrack``, ``max_tracked_gain``,
+    ``first_tracked_hit``): a modular gain never depends on the set, so
+    that selector reads a modular pool's weights once and needs no scan.
     """
 
     def __init__(self) -> None:
@@ -274,20 +279,8 @@ class _ModularEvaluator(UtilityEvaluator):
     def track(self, observations: Sequence[Observation]) -> None:
         self._pool = np.concatenate([self._pool, self._weights(observations)])
 
-    def untrack(self, n: int) -> None:
-        if not 0 <= n <= len(self._pool):
-            raise ValueError(f"cannot untrack {n} of {len(self._pool)} tracked points")
-        self._pool = self._pool[: len(self._pool) - n]
-
     def tracked_gains(self) -> np.ndarray:
         return self._pool.copy()
-
-    def max_tracked_gain(self, stop: int) -> float:
-        return float(self._pool[:stop].max())
-
-    def first_tracked_hit(self, threshold: float, start: int) -> int | None:
-        hits = (self._pool[start:] >= threshold).nonzero()[0]
-        return start + int(hits[0]) if hits.size else None
 
     def _register(self, obs: Observation, pos: int | None) -> float:
         return self._weight(obs)

@@ -196,6 +196,25 @@ def test_infinite_noise_is_refused_by_name(tmp_path, capsys):
     assert not (tmp_path / "out" / "stream.csv").exists()
 
 
+@pytest.mark.parametrize("k", [0, -3])
+@pytest.mark.parametrize("subcommand", ["tune", "evaluate", "bounds"])
+def test_k_below_one_is_same_usage_error_as_select(subcommand, k, hyper_file, tmp_path, capsys):
+    # evaluate names an input that does not exist: --k is refused before it is read.
+    extra = {
+        "tune": ["--period", 8, "--periods", 2, "--grid", "0", "--runs", 2,
+                 "--hyper", hyper_file],
+        "evaluate": ["--input", tmp_path / "missing.csv", "--qoi-col", "qoi",
+                     "--algos", "periodic:0.4,scheduled", "--period", 8, "--runs", 2,
+                     "--hyper", hyper_file],
+        "bounds": ["--lambda", 0.1, "--sigma-u", 1.0, "--N", 100, "--T", 10, "--f-opt", 1],
+    }[subcommand]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(subcommand, *extra, "--k", k, "--out", tmp_path / "out")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: --k must be >= 1, got {k}\n"
+    assert not (tmp_path / "out").exists()
+
+
 class TestTune:
     def test_zero_runs_is_error(self, hyper_file, tmp_path, capsys):
         out = tmp_path / "tune"
@@ -361,6 +380,24 @@ class TestEvaluate:
         assert rc == 1
         assert capsys.readouterr().err == f"error: {what}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("period", [46, 47])
+    def test_no_room_for_a_test_position_and_k_picks_is_refused(self, qoi_csv, hyper_file,
+                                                                 tmp_path, capsys, period):
+        # 48 rows: 2 or 1 after the period cannot hold a test position and
+        # k = 2 picks, so the periodic secretary could never fill.
+        out = tmp_path / "eval"
+        argv = ["--algos", "periodic:0.3,greedy", "--k", 2, "--period", period, "--runs", 2,
+                "--hyper", hyper_file]
+        rc = run_cli("evaluate", "--input", qoi_csv, "--qoi-col", "qoi", *argv, "--out", out)
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: MSE needs a test position after the reference period, but the stream has"
+            f" 48 observations and period_T={period}, so the {48 - period} after it cannot"
+            f" also hold k=2 picks\n"
+        )
+        assert not out.exists()
+        assert run_cli("evaluate", "--input", qoi_csv, "--no-mse", *argv, "--out", out) == 0
 
     def test_no_mse_run_replays_from_manifest(self, qoi_csv, hyper_file, tmp_path):
         first, replay = tmp_path / "first", tmp_path / "replay"

@@ -301,6 +301,27 @@ class TestRunComparison:
         assert report.fill_mean["periodic:0.3"] == 0.0
         assert report.fill_mean["greedy"] == 5.0
 
+    @pytest.mark.parametrize("after", [1, 5])
+    def test_no_room_for_a_test_position_and_k_picks_refused_with_mse_only(
+        self, base_stream, wide_hyper, after
+    ):
+        # k = 5: holding out one of `after` <= 5 positions past the period
+        # would leave the periodic secretary fewer than k to pick from.
+        n = 8 + after
+        short = ObservationStream(base_stream.feature_matrix[:n], base_stream.qoi[:n])
+        with pytest.raises(ValueError, match=(
+            rf"but the stream has {n} observations and period_T=8, so the {after} after it"
+            rf" cannot also hold k=5 picks$"
+        )):
+            run_comparison(short, self._config(), wide_hyper)
+        report = run_comparison(short, self._config(), wide_hyper, compute_mse=False)
+        assert report.fill_mean["greedy"] == 5.0
+
+    def test_one_test_position_beside_k_picks_is_enough(self, base_stream, wide_hyper):
+        room = ObservationStream(base_stream.feature_matrix[:14], base_stream.qoi[:14])
+        report = run_comparison(room, self._config(), wide_hyper)
+        assert report.mse_mean is not None
+
     def test_reproducible_bit_for_bit(self, base_stream, wide_hyper, tmp_path):
         a = run_comparison(base_stream, self._config(), wide_hyper)
         b = run_comparison(base_stream, self._config(), wide_hyper)

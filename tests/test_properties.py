@@ -1,9 +1,10 @@
 """Property tests over random streams and inputs: the SE kernel, the
 tracked-pool engine, the one-point path and arrival test, the prefix-means
-curve, the periodic scan, the capacity prefix of the periodic scan and of
-offline greedy, the scale invariance of the periodic scan and of its bounds,
-the entropy criterion, exhaustive enumeration, the CSV
-column writer, CSV round trips and block permutation.
+curve, the periodic scan (and its one-scan modular path against the arrival
+path), the capacity prefix of the periodic scan and of offline greedy, the
+scale invariance of the periodic scan and of its bounds, the noise estimate
+against one variance per phase, the entropy criterion, exhaustive
+enumeration, the CSV column writer, CSV round trips and block permutation.
 
 Features are drawn from seeded normal distributions, so candidates are in
 general position: ties between gains are exact (such as two points at the
@@ -99,6 +100,96 @@ def test_list_and_generator_inputs_select_alike(seed, d, T, extra, k, slack, mod
         assert pulled[0] == streamed.chosen[-1] + 1
     else:
         assert pulled[0] == len(obs)
+
+
+def bits(values):
+    """The bytes of a float sequence, so -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    T=st.integers(1, 12),
+    extra=st.integers(0, 60),
+    k=st.integers(1, 20),
+    slack=st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(math.inf)),
+    repeat=st.booleans(),
+    zero_first=st.booleans(),
+)
+def test_modular_sequence_scan_equals_the_generator_path_bit_for_bit(
+    seed, T, extra, k, slack, repeat, zero_first
+):
+    # The Sequence path picks in one scan at a fixed threshold; the generator
+    # path accepts one arrival at a time. Weights rounded to one decimal tie
+    # with the threshold; a first arrival of weight -0.0 makes the utility
+    # after it 0.0 + -0.0 = 0.0; N = T + extra leaves a partial last period;
+    # a repeated index must be refused by both, with one message.
+    rng = np.random.default_rng(seed)
+    obs = [Observation(i, np.zeros(1)) for i in range(T + extra)]
+    if repeat and extra:
+        j = int(rng.integers(T, len(obs)))
+        obs[j] = Observation(int(rng.integers(len(obs))), np.zeros(1))
+    weights = np.round(rng.normal(size=len(obs)), 1)
+    if zero_first and extra:
+        weights[obs[T].index] = -0.0
+    f = UtilityFunction.modular(weights)
+    cfg = PeriodicSecretaryConfig(k=k, period_T=T, threshold_slack=slack)
+
+    def run(stream):
+        try:
+            return periodic_secretary(stream, f, cfg)
+        except ValueError as exc:
+            return str(exc)
+
+    listed, streamed = run(obs), run(iter(obs))
+    if isinstance(streamed, str):
+        assert listed == streamed
+        assert re.fullmatch(r"observation \d+ is already in the sample set", streamed)
+        return
+    assert listed.chosen == streamed.chosen
+    assert listed.terminated == streamed.terminated
+    assert bits(listed.utility_trace) == bits(streamed.utility_trace)
+    assert bits(listed.threshold_trace) == bits(streamed.threshold_trace)
+
+
+def per_phase_noise(singles, T):
+    """The pooled per-phase sample variance, one np.var per phase."""
+    num, den = 0.0, 0
+    for p in range(T):
+        u = singles[p::T]
+        num += (len(u) - 1) * float(np.var(u, ddof=1))
+        den += len(u) - 1
+    return num / den
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    T=st.integers(1, 12),
+    periods=st.integers(2, 300),
+    extra=st.integers(0, 11),
+    scale=st.integers(-6, 6),
+    modular=st.booleans(),
+)
+def test_noise_estimate_equals_one_variance_per_phase_bit_for_bit(seed, T, periods, extra, scale, modular):
+    # Counts of 8 and more are summed pairwise by np.var, and above 128 in
+    # recursive halves; the blocks must keep that order row by row.
+    rng = np.random.default_rng(seed)
+    spec = PeriodicStreamSpec(
+        period_T=T,
+        noise_cov=np.array([[rng.uniform(0.01, 1.0)]]),
+        length_N=T * periods + extra % T,
+        base_waveform=rng.normal(size=(T, 1)),
+    )
+    stream = generate_periodic_stream(spec, seed)
+    if modular:
+        f = UtilityFunction.modular(10.0**scale * stream.feature_matrix[:, 0])
+    else:
+        f = UtilityFunction.entropy(random_hyper(rng, 1))
+    ev = f.evaluator()
+    ev.track(stream.observations)
+    assert bits([estimate_utility_noise(stream, f)]) == bits([per_phase_noise(ev.tracked_gains(), T)])
 
 
 @SETTINGS
@@ -275,7 +366,8 @@ def test_tracked_acceptance_matches_untracked_and_fresh(seed, d, noise, kinds):
 def test_tracked_scans_match_gain_space_rule(seed, d, n, m, utility, data):
     # max_tracked_gain and first_tracked_hit, which the entropy evaluator
     # answers from the tracked variances, give the threshold and the index
-    # of np.max and np.flatnonzero over tracked_gains. Thresholds include
+    # of np.max and np.flatnonzero over tracked_gains (the modular evaluator
+    # answers no pool scan: its threshold never moves). Thresholds include
     # gains taken from the pool itself, so exact ties are tried, and the
     # next float above the best gain still to scan, whose point lies inside
     # the variance guard band but misses the threshold. At zero noise the
@@ -299,7 +391,8 @@ def test_tracked_scans_match_gain_space_rule(seed, d, n, m, utility, data):
         ev.accept(o)
     gains = ev.tracked_gains()
     stop = data.draw(st.integers(1, n))
-    assert ev.max_tracked_gain(stop) == float(np.max(gains[:stop]))
+    if utility != "modular":
+        assert ev.max_tracked_gain(stop) == float(np.max(gains[:stop]))
     start = data.draw(st.integers(0, n))
     best_left = float(np.max(gains[start:], initial=-np.inf))
     threshold = data.draw(st.sampled_from([
@@ -312,7 +405,8 @@ def test_tracked_scans_match_gain_space_rule(seed, d, n, m, utility, data):
         -math.inf,
     ]))
     hits = np.flatnonzero(gains[start:] >= threshold)
-    assert ev.first_tracked_hit(threshold, start) == (start + int(hits[0]) if hits.size else None)
+    if utility != "modular":
+        assert ev.first_tracked_hit(threshold, start) == (start + int(hits[0]) if hits.size else None)
     index = int(rng.integers(n + m))
     features = data.draw(st.sampled_from([obs[index].features, rng.normal(size=d)]))
     arrival = Observation(index, features)
