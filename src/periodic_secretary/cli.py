@@ -11,6 +11,7 @@ exactly. Errors exit nonzero with a single ``error: ...`` line.
 from __future__ import annotations
 
 import argparse
+import platform
 import sys
 from pathlib import Path
 
@@ -73,6 +74,9 @@ def _require(parser: _Parser, args: argparse.Namespace, *names: str) -> None:
 
 
 def _write_manifest(outdir: Path, subcommand: str, args: argparse.Namespace) -> None:
+    """Write the resolved options as ``manifest.txt``, after comment lines
+    naming the Python and numpy that ran: a ``--config`` replay skips them,
+    and they show which numpy produced bits that depend on its internals."""
     entries = {"subcommand": subcommand}
     for key in sorted(vars(args)):
         if key in ("func", "config", "subcommand"):
@@ -81,7 +85,8 @@ def _write_manifest(outdir: Path, subcommand: str, args: argparse.Namespace) -> 
         if value is None:
             continue
         entries[key] = str(value)
-    write_kv_file(entries, outdir / "manifest.txt")
+    versions = (f"python {platform.python_version()}", f"numpy {np.__version__}")
+    write_kv_file(entries, outdir / "manifest.txt", comments=versions)
 
 
 def _outdir(args: argparse.Namespace) -> Path:

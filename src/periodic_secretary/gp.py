@@ -17,6 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
+try:
+    # The C routine that np.einsum calls, without its Python wrapper: the
+    # one-point variance sums |a|^2 with np.einsum("i,i->")'s bits.
+    from numpy._core.multiarray import c_einsum as _c_einsum
+except ImportError:  # numpy < 2.0
+    from numpy.core.multiarray import c_einsum as _c_einsum
+
 from .kv import format_value, read_kv_file, write_kv_file
 
 __all__ = [
@@ -132,27 +139,60 @@ def _se_scaled(
 
     A and B are already divided by the lengthscales. An (..., n, d) A and an
     (..., m, d) B give the (..., n, m) matrices, over leading axes that
-    broadcast; a (d,) point B gives A's (n,) column, the kernel on the
-    per-arrival path. Squared distances add the coordinates one at a time
-    in order for every shape, so a column of a matrix equals the one-point
-    column, and a slice of a stack equals its 2-D matrix, bit for bit.
-    ``out``, if given, receives the result, with the same bits.
+    broadcast; a (d,) point B gives A's (n,) column through ``_se_point``.
+    Squared distances add the coordinates one at a time in order for every
+    shape, so a column of a matrix equals the one-point column, and a slice
+    of a stack equals its 2-D matrix, bit for bit. ``out``, if given,
+    receives the result, with the same bits.
     """
-    # Coordinate axis first: At[j] - Bt[j] is the j-th coordinate's difference.
     if B.ndim == 1:
-        At, Bt = A.T, B
-    else:
-        At = A.transpose(-1, *range(A.ndim - 1))[..., None]
-        Bt = B.transpose(-1, *range(B.ndim - 1))[..., None, :]
+        return _se_point(A, B, signal_variance, out)
+    # Coordinate axis first: At[j] - Bt[j] is the j-th coordinate's difference.
+    At = A.transpose(-1, *range(A.ndim - 1))[..., None]
+    Bt = B.transpose(-1, *range(B.ndim - 1))[..., None, :]
     sq = np.subtract(At[0], Bt[0], out=out)
     np.square(sq, out=sq)
     for j in range(1, Bt.shape[0]):
         diff = At[j] - Bt[j]
         np.square(diff, out=diff)
         sq += diff
-    sq *= -0.5
-    np.exp(sq, out=sq)
-    sq *= signal_variance
+    return _se_of_sq(sq, signal_variance)
+
+
+def _se_point(
+    A: np.ndarray, b: np.ndarray, signal_variance: float, out: np.ndarray | None
+) -> np.ndarray:
+    """SE covariances between the (n, d) rows of A and one (d,) point b, both
+    already divided by the lengthscales: the kernel column of the per-arrival
+    path, in ``out`` (a new array if None).
+
+    The ufuncs of ``_se_scaled``'s matrices, one coordinate at a time in
+    order, so the column has a matrix column's bits; they run in place with
+    positional ``out`` arguments, the cheapest numpy dispatch per call.
+    """
+    sq = np.subtract(A[:, 0], b[0], out)
+    np.square(sq, sq)
+    for j in range(1, b.shape[0]):
+        diff = np.subtract(A[:, j], b[j])
+        np.square(diff, diff)
+        np.add(sq, diff, sq)
+    return _se_of_sq(sq, signal_variance)
+
+
+# A 0-d array multiplies without converting a Python float on every call.
+_MINUS_HALF = np.array(-0.5)
+_MINUS_HALF.flags.writeable = False
+
+
+def _se_of_sq(sq: np.ndarray, signal_variance: float) -> np.ndarray:
+    """signal_variance * exp(-sq / 2), in place in the squared distances sq.
+
+    Multiplying by 1.0 is exact, so a unit signal variance skips it.
+    """
+    np.multiply(sq, _MINUS_HALF, sq)
+    np.exp(sq, sq)
+    if signal_variance != 1.0:
+        np.multiply(sq, signal_variance, sq)
     return sq
 
 
@@ -254,6 +294,10 @@ class GPConditioner:
 
     def __init__(self, hyper: GPHyperparams):
         self.hyper = hyper
+        # The hyperparameters the per-arrival path reads, looked up once.
+        self._ls = hyper.lengthscales
+        self._signal = hyper.signal_variance
+        self._prior = hyper.prior_variance
         # Accepted locations / lengthscales, in a buffer with spare capacity
         # whose live (m, d) block is _S; _kbuf, as long, receives the
         # one-point kernel column K(S, x).
@@ -337,25 +381,28 @@ class GPConditioner:
     def conditional_variance(self, x: np.ndarray) -> float:
         """Conditional variance at one (d,) float point x: the per-arrival path.
 
-        One product W k and the arithmetic of ``track`` plus
-        ``tracked_variances``, so the result equals the tracked variance of x
-        bit for bit when x is tracked alone against the current set. In a
-        larger pool ``einsum`` sums in another order, and after ``extend``
-        tracked variances are updated, not recomputed, so there the two can
-        differ in the last bits. A point whose shape is not (d,) raises
+        prior - |a|^2 for a = W k(S, x), with the kernel column from
+        ``_se_point`` written into a buffer the conditioner keeps and |a|^2
+        summed as ``np.einsum("i,i->")`` sums it (``_c_einsum``). This is
+        the arithmetic of ``track`` plus ``tracked_variances``, so the result
+        equals the tracked variance of x bit for bit when x is tracked alone
+        against the current set, and the batched ``conditional_variances``
+        of x alone. In a larger pool ``einsum`` sums in another order, and
+        after ``extend`` tracked variances are updated, not recomputed, so
+        there the two can differ in the last bits. Each call reads the set
+        and its factor afresh. A point whose shape is not (d,) raises
         ``ValueError``, after one shape comparison with the lengthscales.
         """
-        hyper = self.hyper
-        ls = hyper.lengthscales
+        ls = self._ls
         if x.shape != ls.shape:
-            raise ValueError(f"query has dimension {x.size}, lengthscales have {hyper.dim}")
-        prior = hyper.prior_variance
+            raise ValueError(f"query has dimension {x.size}, lengthscales have {ls.size}")
+        prior = self._prior
         S = self._S
         m = S.shape[0]
         if not m:
             return prior
-        a = self._W @ _se_scaled(S, x / ls, hyper.signal_variance, out=self._kbuf[:m])
-        v = float(prior - np.einsum("i,i->", a, a))
+        a = self._W @ _se_point(S, x / ls, self._signal, self._kbuf[:m])
+        v = prior - float(_c_einsum("i,i->", a, a))
         return prior if v > prior else VARIANCE_FLOOR if v < VARIANCE_FLOOR else v
 
     def entropies(self, Q: np.ndarray) -> np.ndarray:
@@ -429,7 +476,7 @@ class GPConditioner:
         m, p = len(self), self._p
         prior = self.hyper.prior_variance
         if pos is None:
-            a = self._solve(xs)
+            a = self._W @ _se_point(self._S, xs, self._signal, self._kbuf[:m])
             variance = prior - float(a @ a)
         else:
             a = self._Z[:m, pos]
@@ -453,7 +500,7 @@ class GPConditioner:
             if p:
                 # Z gains the row (K(P, x) - a^T Z) / pivot, and each tracked
                 # variance loses that row's square.
-                k = _se_scaled(self._Ps[:p], xs, self.hyper.signal_variance)
+                k = _se_point(self._Ps[:p], xs, self._signal, None)
                 row = self._Z[m, :p]
                 np.matmul(a, self._Z[:m, :p], out=row)
                 np.subtract(k, row, out=row)

@@ -48,8 +48,13 @@ def format_kv(entries: dict[str, object]) -> str:
     return "".join(f"{k} = {format_value(v)}\n" for k, v in entries.items())
 
 
-def write_kv_file(entries: dict[str, object], path: "str | Path") -> None:
-    Path(path).write_text(format_kv(entries), encoding="utf-8")
+def write_kv_file(
+    entries: dict[str, object], path: "str | Path", comments: Iterable[str] = ()
+) -> None:
+    """Write ``entries`` as 'key = value' lines after one '# ' line per comment,
+    which ``read_kv_file`` skips."""
+    text = "".join(f"# {c}\n" for c in comments) + format_kv(entries)
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def write_csv(path: "str | Path", header: Iterable[str], rows: Iterable[Iterable[object]]) -> None:

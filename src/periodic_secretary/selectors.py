@@ -121,9 +121,12 @@ def periodic_secretary(
     to meet the threshold and joins the set from its tracked state (one step
     of pivoted Cholesky on the pool). Any other iterable yields only the
     observation that has just arrived; that one is decided by the
-    evaluator's arrival test (``meets``: its own one-point gain against the
-    threshold, under entropy compared in variance space), is never tracked,
-    and nothing is read past the last decision. Gains depend only on the
+    evaluator's arrival test for the threshold in force
+    (``arrival_test``: its own one-point gain against the threshold, under
+    entropy compared in variance space), is never tracked, and nothing is
+    read past the last decision. The threshold moves only at an
+    acceptance, so the test is built once per threshold and again after
+    each acceptance. Gains depend only on the
     accepted set, so both scans make the decisions of a one-at-a-time scan,
     except where a gain ties the threshold within roundoff: a point's
     tracked and one-point gains can differ in the last bits.
@@ -176,11 +179,13 @@ def periodic_secretary(
         return threshold_gain if fixed else ev.max_tracked_gain(T) - cfg.threshold_slack
 
     if not listed:
+        meets = ev.arrival_test(threshold_gain)
         for obs in it:
-            if ev.meets(obs, threshold_gain):
+            if meets(obs):
                 threshold_gain = accept(obs, threshold_gain)
                 if len(chosen) == cfg.k:
                     break
+                meets = ev.arrival_test(threshold_gain)
     else:
         for batch in iter(lambda: list(islice(it, T)), []):
             ev.track(batch)
@@ -214,15 +219,20 @@ def _fixed_threshold_scan(
     picks = (w[cfg.period_T :] >= threshold_gain).nonzero()[0][: cfg.k] + cfg.period_T
     chosen = [stream[p].index for p in picks.tolist()]
     _refuse_repeats(chosen)
-    # values[j] is the utility before pick j: the picked weights added one at
-    # a time from 0.0, as ``accept`` adds them, so down to the sign of a zero.
-    values = list(accumulate(w[picks].tolist(), initial=0.0))
+    values = _running_sums(w[picks])  # values[j] is the utility before pick j
     return SelectionResult(
         chosen=tuple(chosen),
         utility_trace=tuple(values[1:]),
         terminated="filled_k" if len(chosen) == cfg.k else "end_of_stream",
         threshold_trace=tuple(v + threshold_gain for v in values[:-1]),
     )
+
+
+def _running_sums(gains: np.ndarray) -> list[float]:
+    """0.0 and the sum after each of ``gains``: the gains added one at a time
+    from 0.0, as ``UtilityEvaluator.accept`` adds them, so the sums have its
+    bits down to the sign of a zero."""
+    return list(accumulate(gains.tolist(), initial=0.0))
 
 
 def _refuse_repeats(indices: Iterable[int]) -> None:
@@ -387,13 +397,15 @@ def utility_trace_for(f: UtilityFunction, observations: Sequence[Observation]) -
     An entropy trace is one cumulative sum of the sequence's chain-rule
     entropies, all read off one Cholesky factor; it agrees with the
     trace of accepting the observations one at a time to roundoff. A
-    modular trace accepts them one at a time. Either way a repeated index
-    is refused.
+    modular trace is the running sum of the weights, gathered in one go
+    and added in order from 0.0, so it has the bits of accepting them one
+    at a time. Either way a repeated index is refused; under a modular
+    utility an index with no weight is refused first, wherever it sits.
     """
     if f.kind != "entropy":
-        ev = f.evaluator()
-        ev.reserve(len(observations))
-        return tuple(ev.accept(o) for o in observations)
+        w = f.evaluator()._weights(observations)
+        _refuse_repeats(o.index for o in observations)
+        return tuple(_running_sums(w)[1:])
     _refuse_repeats(o.index for o in observations)
     if not observations:
         return ()

@@ -103,8 +103,10 @@ class UtilityEvaluator:
     Tracks the running utility value f(A) and answers gain queries against
     the current set, either for given observations (``gain``, ``gains``) or
     for a tracked pool of observations (``track``, ``tracked_gains``) whose
-    gains stay current as the set grows. ``accept`` is irrevocable:
-    re-adding an index raises.
+    gains stay current as the set grows. ``arrival_test(threshold)`` is the
+    per-arrival decision for one threshold: built once, it answers against
+    the set as it is when called. ``accept`` is irrevocable: re-adding an
+    index raises.
 
     Both kinds track a pool. Only the entropy evaluator answers the pool
     scans of the periodic secretary (``untrack``, ``max_tracked_gain``,
@@ -138,13 +140,18 @@ class UtilityEvaluator:
     def gain(self, obs: Observation) -> float:
         raise NotImplementedError
 
-    def meets(self, obs: Observation, threshold: float) -> bool:
-        """Whether obs's marginal gain is at least threshold: the arrival test.
+    def arrival_test(self, threshold: float) -> Callable[[Observation], bool]:
+        """The arrival test for one threshold: a callable that says whether an
+        observation's marginal gain against the current set is at least
+        ``threshold``.
 
-        The decision of ``gain(obs) >= threshold`` on the same bits; an
-        evaluator may reach it without computing the gain.
+        It decides as ``gain(obs) >= threshold`` on the same bits, though an
+        evaluator may reach the decision without computing the gain. It is
+        built once per threshold and reads the set when called, so an
+        acceptance never leaves it stale; only a new threshold needs a new
+        test.
         """
-        return self.gain(obs) >= threshold
+        return lambda obs: self.gain(obs) >= threshold
 
     def gains(self, observations: Sequence[Observation]) -> np.ndarray:
         raise NotImplementedError
@@ -205,16 +212,23 @@ class _EntropyEvaluator(UtilityEvaluator):
     # compare variances with the threshold's variance. Points within a guard
     # band of it, wider than the roundoff of exp and log, are confirmed with
     # their exact gain, so every answer is the gain-space rule's on the same
-    # bits; the scans take one log per answer rather than one per point.
+    # bits; the scans take one log per answer rather than one per point, and
+    # the arrival test takes its band once per threshold.
 
-    def meets(self, obs: Observation, threshold: float) -> bool:
-        variance = self._cond.conditional_variance(obs.features)
+    def arrival_test(self, threshold: float) -> Callable[[Observation], bool]:
         at = _variance_of(threshold)
-        if variance < at * (1.0 - _GUARD_RTOL):
-            return False
-        if variance >= at * (1.0 + _GUARD_RTOL):
-            return True
-        return bool(_entropy_of(variance) >= threshold)
+        lo, hi = at * (1.0 - _GUARD_RTOL), at * (1.0 + _GUARD_RTOL)
+        conditional_variance = self._cond.conditional_variance
+
+        def test(obs: Observation) -> bool:
+            variance = conditional_variance(obs.features)
+            if variance < lo:
+                return False
+            if variance >= hi:
+                return True
+            return bool(_entropy_of(variance) >= threshold)
+
+        return test
 
     def gains(self, observations: Sequence[Observation]) -> np.ndarray:
         if len(observations) == 0:

@@ -1,4 +1,5 @@
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -175,6 +176,22 @@ class TestSelect:
         assert rc == 0
         summary = read_kv_file(out / "summary.txt")
         assert float(summary["final_utility"]) > 0
+
+    def test_manifest_names_versions_and_still_replays(self, stream_csv, hyper_file, tmp_path):
+        # The manifest opens with comment lines naming the Python and numpy
+        # that ran; a --config replay skips them and writes the same bytes.
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        assert run_cli("select", "--input", stream_csv, "--algo", "periodic", "--k", 5,
+                       "--period", 10, "--lambda", 0.5, "--hyper", hyper_file, "--out", first) == 0
+        lines = (first / "manifest.txt").read_text().splitlines()
+        assert lines[:2] == [f"# python {platform.python_version()}", f"# numpy {np.__version__}"]
+        assert run_cli("select", "--config", first / "manifest.txt", "--out", replay) == 0
+        for name in ("selection.csv", "summary.txt"):
+            assert (first / name).read_bytes() == (replay / name).read_bytes()
+        replayed = (replay / "manifest.txt").read_text().splitlines()
+        assert [line for line in replayed if not line.startswith("out = ")] == [
+            line for line in lines if not line.startswith("out = ")
+        ]
 
 
 @pytest.mark.parametrize("subcommand", ["generate", "tune"])

@@ -153,6 +153,56 @@ def test_modular_sequence_scan_equals_the_generator_path_bit_for_bit(
     assert bits(listed.threshold_trace) == bits(streamed.threshold_trace)
 
 
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 30),
+    repeat=st.booleans(),
+    missing=st.booleans(),
+    zero_first=st.booleans(),
+)
+def test_modular_utility_trace_equals_the_accept_loop_bit_for_bit(
+    seed, n, repeat, missing, zero_first
+):
+    # utility_trace_for gathers the weights once and sums them from 0.0; the
+    # accept loop adds one weight per observation. A first weight of -0.0
+    # makes the utility after it 0.0 + -0.0 = 0.0. A repeated index and an
+    # index with no weight are refused with the loop's messages; where one
+    # sequence has both, the missing weight is reported, wherever it sits.
+    rng = np.random.default_rng(seed)
+    weights = np.round(rng.normal(size=n + 1), 1)
+    idx = rng.permutation(n + 1)[: rng.integers(0, n + 2)].tolist()
+    if zero_first and idx:
+        weights[idx[0]] = -0.0
+    if repeat and idx:
+        idx.insert(int(rng.integers(1, len(idx) + 1)), idx[rng.integers(len(idx))])
+    absent = n + 1 + int(rng.integers(3))
+    if missing:
+        idx.insert(int(rng.integers(len(idx) + 1)), absent)
+    obs = [Observation(i, np.zeros(1)) for i in idx]
+    f = UtilityFunction.modular(weights)
+
+    def accept_loop():
+        ev = f.evaluator()
+        try:
+            return [ev.accept(o) for o in obs]
+        except ValueError as exc:
+            return str(exc)
+
+    try:
+        got = utility_trace_for(f, obs)
+    except ValueError as exc:
+        got = str(exc)
+    expected = accept_loop()
+    if missing:
+        assert got == f"no weight for observation index {absent}"
+    if not (missing and repeat):
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert bits(got) == bits(expected)
+
+
 def per_phase_noise(singles, T):
     """The pooled per-phase sample variance, one np.var per phase."""
     num, den = 0.0, 0
@@ -372,7 +422,7 @@ def test_tracked_scans_match_gain_space_rule(seed, d, n, m, utility, data):
     # next float above the best gain still to scan, whose point lies inside
     # the variance guard band but misses the threshold. At zero noise the
     # accepted points repeat pool locations, whose variances then sit at
-    # the clamp floor. The arrival test ``meets``, which the entropy
+    # the clamp floor. The arrival test (``arrival_test``), which the entropy
     # evaluator answers from the one-point variance, gives gain >= threshold
     # for a new point or one of the stream, at its exact one-point gain, one
     # ulp either side and the scan's threshold.
@@ -412,7 +462,7 @@ def test_tracked_scans_match_gain_space_rule(seed, d, n, m, utility, data):
     arrival = Observation(index, features)
     gain = ev.gain(arrival)
     for t in (gain, float(np.nextafter(gain, -np.inf)), float(np.nextafter(gain, np.inf)), threshold):
-        assert ev.meets(arrival, t) == (ev.gain(arrival) >= t)
+        assert ev.arrival_test(t)(arrival) == (ev.gain(arrival) >= t)
 
 
 @SETTINGS
@@ -493,6 +543,86 @@ def test_one_point_path_equals_batched_and_tracked(seed, d, noise, m, duplicate)
         cond.track(q[None, :])
         assert cond.tracked_variances()[-1] == v
         cond.untrack(1)
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    noise=st.sampled_from([0.0, 0.01, 0.3]),
+    m=st.integers(0, 30),
+    duplicate=st.booleans(),
+)
+def test_unit_signal_one_point_path_and_arrival_test(seed, d, noise, m, duplicate):
+    # At signal_variance 1.0, the value of every workload, the kernel skips
+    # its multiplication by 1.0. The one-point variance must still give the
+    # bits of the batched path on that one point and of the point tracked
+    # alone, and the arrival test must decide as gain >= t at the gain and
+    # one ulp either side.
+    rng = np.random.default_rng(seed)
+    hyper = GPHyperparams(
+        lengthscales=rng.uniform(0.3, 2.0, size=d), signal_variance=1.0, noise_variance=noise
+    )
+    ev = UtilityFunction.entropy(hyper).evaluator()
+    points = rng.normal(size=(m, d))
+    for i, x in enumerate(points):
+        ev.accept(Observation(i, x))
+    cond = ev._cond
+    queries = rng.normal(size=(6, d))
+    if duplicate and m:
+        queries[0] = points[-1]  # a point of the set itself
+    for q in queries:
+        v = cond.conditional_variances(q[None, :])[0]
+        assert cond.conditional_variance(q) == v
+        assert cond.entropy(q) == cond.entropies(q[None, :])[0]
+        cond.track(q[None, :])
+        assert cond.tracked_variances()[-1] == v
+        cond.untrack(1)
+        arrival = Observation(m, q)
+        gain = ev.gain(arrival)
+        thresholds = (gain, float(np.nextafter(gain, -np.inf)), float(np.nextafter(gain, np.inf)))
+        assert [ev.arrival_test(t)(arrival) for t in thresholds] == [True, True, False]
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    m=st.sampled_from([1, 2, 4, 8]),
+    grow=st.sampled_from(["extend", "refactor"]),
+)
+def test_arrival_test_answers_for_the_set_grown_after_it_was_built(seed, d, m, grow):
+    # A test is built against m accepted points; then one more is accepted.
+    # Without a reserve, that acceptance moves the set into larger buffers
+    # (m + 1 = 2, 3, 5, 9); at zero noise an exact duplicate of a point at
+    # least 3 lengthscales from the others forces the jitter refactor
+    # instead. Either way the test must answer for the grown set: as its
+    # gain, which another evaluator that accepted the same points gives.
+    rng = np.random.default_rng(seed)
+    ls = rng.uniform(0.3, 2.0, size=d)
+    noise = 0.0 if grow == "refactor" else float(rng.choice([0.01, 0.3]))
+    f = UtilityFunction.entropy(GPHyperparams(ls, signal_variance=1.0, noise_variance=noise))
+    points = ls * (3.0 * rng.permutation(m)[:, None] + rng.uniform(0.0, 0.5, size=(m, d)))
+    new = points[rng.integers(m)] if grow == "refactor" else rng.normal(size=d)
+    accepted = [Observation(i, x) for i, x in enumerate([*points, new])]
+    ev, after = f.evaluator(), f.evaluator()
+    for o in accepted[:-1]:
+        ev.accept(o)
+    for o in accepted:
+        after.accept(o)
+    arrival = Observation(m + 1, new + 0.3 * ls * rng.normal(size=d))
+    gain = after.gain(arrival)
+    thresholds = (gain, float(np.nextafter(gain, -np.inf)), float(np.nextafter(gain, np.inf)))
+    tests = [ev.arrival_test(t) for t in thresholds]
+    cond = ev._cond
+    level, buffers = cond._level, (cond._Sbuf, cond._kbuf, cond._Wbuf)
+    ev.accept(accepted[-1])
+    if grow == "refactor":
+        assert cond._level > level
+    else:
+        assert all(a is not b for a, b in zip(buffers, (cond._Sbuf, cond._kbuf, cond._Wbuf)))
+    assert ev.gain(arrival) == gain
+    assert [test(arrival) for test in tests] == [True, True, False]
 
 
 @SETTINGS
