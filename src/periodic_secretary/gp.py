@@ -310,11 +310,13 @@ class GPConditioner:
         self._W = self._Wbuf
         self._level = 0  # current position in the jitter ladder
         # Tracked pool, in buffers with spare capacity: scaled locations
-        # _Ps[:p], _Z[:m, :p] and unclamped variances _v[:p] are live.
+        # _Ps[:p], _Z[:m, :p] and unclamped variances _v[:p] are live; _kp,
+        # as long, receives the pool's kernel column K(P, x) in ``extend``.
         self._p = 0
         self._Ps = np.empty((0, hyper.dim))
         self._Z = np.empty((0, 0))
         self._v = np.empty(0)
+        self._kp = np.empty(0)
 
     def __len__(self) -> int:
         return self._S.shape[0]
@@ -352,6 +354,7 @@ class GPConditioner:
             self._Z = _with_capacity(self._Z, (m, p))
             self._Ps = _with_capacity(self._Ps, (p, self.hyper.dim))
             self._v = _with_capacity(self._v, (p,))
+            self._kp = np.empty(self._v.shape[0])
 
     def _refactor(self, m: int, start_level: int) -> None:
         """Make the first m buffered locations the set, factored afresh from
@@ -435,54 +438,40 @@ class GPConditioner:
         # np.minimum/np.maximum clamp as np.clip does at about half its call overhead.
         return np.minimum(np.maximum(self._v[: self._p], VARIANCE_FLOOR), self.hyper.prior_variance)
 
-    # The scans below clamp one value rather than the pool: clamping is
-    # monotone, so they answer as ``tracked_variances`` would.
-
-    def tracked_variance(self, pos: int) -> float:
-        """Conditional variance of the tracked point at pool position ``pos``."""
-        return min(max(float(self._v[pos]), VARIANCE_FLOOR), self.hyper.prior_variance)
-
-    def max_tracked_variance(self, stop: int) -> float:
-        """Largest conditional variance among pool positions 0..stop-1 (stop >= 1)."""
-        return min(max(float(self._v[:stop].max()), VARIANCE_FLOOR), self.hyper.prior_variance)
-
-    def first_tracked_at_least(self, variance: float, start: int) -> int | None:
-        """First pool position at or after ``start`` whose conditional variance is >= variance."""
-        if start >= self._p or variance > self.hyper.prior_variance:
-            return None
-        if variance <= VARIANCE_FLOOR:
-            return start
-        hits = self._v[start : self._p] >= variance
-        i = int(hits.argmax())
-        return start + i if hits[i] else None
-
     def extend(self, x: np.ndarray, pos: int | None = None) -> float:
         """Add one location to the conditioning set, updating the factor and the pool.
 
         Returns the conditional variance of x given the set before the update,
         clamped like ``conditional_variances``: the squared Cholesky pivot
         less the jitter in force, so summing the entropies of these values
-        gives the joint entropy by the chain rule.
+        gives the joint entropy by the chain rule. Without ``pos`` it is
+        ``conditional_variance(x)`` bit for bit: the same einsum sums |a|^2.
 
-        ``pos``, if given, is x's position in the tracked pool. Its column of
-        Z and its variance are already current, so they stand in for the
-        solve against the set: the step is one step of pivoted Cholesky on
-        the pool. The result agrees with ``extend(x)`` to roundoff.
+        ``pos``, if given, is the pool position where x is tracked: x's
+        scaled row, column of Z and variance there are current, so they
+        stand in for converting x and solving against the set, and the step
+        is one step of pivoted Cholesky on the pool. The result agrees with
+        ``extend(x)`` to roundoff. A ``pos`` outside the live pool raises
+        ``ValueError``.
         """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.hyper.dim,):
-            raise ValueError(f"point dimension {x.shape[0]} != {self.hyper.dim}")
-        xs = x / self.hyper.lengthscales
-        m, p = len(self), self._p
-        prior = self.hyper.prior_variance
+        m, p = self._S.shape[0], self._p
+        prior = self._prior
         if pos is None:
+            x = np.atleast_1d(np.asarray(x, dtype=float))
+            if x.shape != self._ls.shape:
+                raise ValueError(f"point dimension {x.shape[0]} != {self.hyper.dim}")
+            xs = x / self._ls
             a = self._W @ _se_point(self._S, xs, self._signal, self._kbuf[:m])
-            variance = prior - float(a @ a)
-        else:
+            variance = prior - float(_c_einsum("i,i->", a, a))
+        elif 0 <= pos < p:
+            xs = self._Ps[pos]
             a = self._Z[:m, pos]
-            variance = float(self._v[pos])
+            variance = self._v.item(pos)
+        else:
+            raise ValueError(f"pool position {pos} is outside the {p} tracked points")
         pivot_sq = variance + _JITTER_LADDER[self._level] * prior
-        self.reserve(m + 1, p)
+        if m >= self._Wbuf.shape[0] or (p and m >= self._Z.shape[0]):
+            self.reserve(m + 1, p)
         self._Sbuf[m] = xs
         if pivot_sq <= _PIVOT_RTOL * prior:
             # Near-duplicate location defeated the border update; refactor the
@@ -500,12 +489,13 @@ class GPConditioner:
             if p:
                 # Z gains the row (K(P, x) - a^T Z) / pivot, and each tracked
                 # variance loses that row's square.
-                k = _se_point(self._Ps[:p], xs, self._signal, None)
+                k = _se_point(self._Ps[:p], xs, self._signal, self._kp[:p])
                 row = self._Z[m, :p]
                 np.matmul(a, self._Z[:m, :p], out=row)
                 np.subtract(k, row, out=row)
                 row /= pivot
-                self._v[:p] -= np.square(row, out=k)
+                v = self._v[:p]  # a view: in place, with no write-back
+                v -= np.square(row, out=k)
             self._S = self._Sbuf[: m + 1]
         return min(max(variance, VARIANCE_FLOOR), prior)
 

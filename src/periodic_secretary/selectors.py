@@ -17,7 +17,10 @@ import numpy as np
 
 from .kv import write_csv
 from .stream import Observation
-from .utility import UtilityFunction, _chain_variances, _entropy_of, _features_of
+from .gp import VARIANCE_FLOOR, GPConditioner
+from .utility import (
+    _GUARD_RTOL, UtilityFunction, _chain_variances, _entropy_of, _features_of, _variance_of,
+)
 
 __all__ = [
     "SelectionResult",
@@ -114,12 +117,15 @@ def periodic_secretary(
     and threshold are recomputed against the grown set. Stops after k
     acceptances or at end of stream, whichever comes first.
 
-    Under entropy the reference set is the evaluator's tracked pool, so
-    every recalibration reads its largest tracked gain. A ``Sequence`` is
-    already all there, so it is scanned a period at a time, tracked
-    alongside the reference set; each acceptance is the first tracked gain
-    to meet the threshold and joins the set from its tracked state (one step
-    of pivoted Cholesky on the pool). Any other iterable yields only the
+    Under entropy the reference set is tracked by the evaluator's
+    conditioner, and every recalibration is one reduction over its tracked
+    variances and one log (``_reference_gain``). A ``Sequence`` is already
+    all there, so it is scanned a period at a time, tracked alongside the
+    reference set, in one loop over the tracked variances (``_first_hit``)
+    that takes a gain only inside the guard band of the threshold's
+    variance; each acceptance is the first tracked gain to meet the
+    threshold and joins the set by its pool position through ``accept``
+    (one step of pivoted Cholesky on the pool). Any other iterable yields only the
     observation that has just arrived; that one is decided by the
     evaluator's arrival test for the threshold in force
     (``arrival_test``: its own one-point gain against the threshold, under
@@ -165,7 +171,8 @@ def periodic_secretary(
         if listed:
             ev.reserve(min(cfg.k, len(stream) - T), 2 * T)
         ev.track(reference)
-        threshold_gain = ev.max_tracked_gain(T) - cfg.threshold_slack
+        cond = ev._cond  # the scans read its tracked variances directly
+        threshold_gain = _reference_gain(cond, T) - cfg.threshold_slack
     chosen: list[int] = []
     trace: list[float] = []
     thresholds: list[float] = []
@@ -173,10 +180,9 @@ def periodic_secretary(
     def accept(obs: Observation, threshold_gain: float, pos: int | None = None) -> float:
         """Take obs; return the threshold recalibrated against the grown set."""
         thresholds.append(ev.value + threshold_gain)
-        ev.accept(obs, pos)
+        trace.append(ev.accept(obs, pos))
         chosen.append(obs.index)
-        trace.append(ev.value)
-        return threshold_gain if fixed else ev.max_tracked_gain(T) - cfg.threshold_slack
+        return threshold_gain if fixed else _reference_gain(cond, T) - cfg.threshold_slack
 
     if not listed:
         meets = ev.arrival_test(threshold_gain)
@@ -191,20 +197,53 @@ def periodic_secretary(
             ev.track(batch)
             pos = T
             while len(chosen) < cfg.k:
-                hit = ev.first_tracked_hit(threshold_gain, pos)
+                hit = _first_hit(cond, threshold_gain, pos)
                 if hit is None:
                     break
                 threshold_gain = accept(batch[hit - T], threshold_gain, hit)
                 pos = hit + 1
             if len(chosen) == cfg.k:
                 break
-            ev.untrack(len(batch))
+            cond.untrack(len(batch))
     return SelectionResult(
         chosen=tuple(chosen),
         utility_trace=tuple(trace),
         terminated="filled_k" if len(chosen) == cfg.k else "end_of_stream",
         threshold_trace=tuple(thresholds),
     )
+
+
+def _reference_gain(cond: GPConditioner, T: int) -> float:
+    """The largest tracked gain among pool positions 0..T-1, the reference
+    period: the log of their largest variance, clamped (clamp and log are
+    monotone), found by ``argmax`` at under half the call cost of ``max``."""
+    v = cond._v
+    return float(_entropy_of(min(max(v.item(v[:T].argmax()), VARIANCE_FLOOR), cond._prior)))
+
+
+def _first_hit(cond: GPConditioner, threshold: float, start: int) -> int | None:
+    """First pool position at or after ``start`` whose tracked gain is at
+    least ``threshold``, or None.
+
+    Entropy increases with variance, so each tracked variance is compared
+    with the threshold's variance (one exp per call), and a candidate within
+    a guard band of it, wider than the roundoff of exp and log, is confirmed
+    with its exact gain: the answer is the gain-space rule's on the same
+    bits. A raw variance never exceeds the prior and clamping is monotone,
+    so only a candidate is clamped, and a lower edge at or below the floor
+    is met by every position."""
+    at = _variance_of(threshold)
+    lo, hi = at * (1.0 - _GUARD_RTOL), at * (1.0 + _GUARD_RTOL)
+    if lo <= VARIANCE_FLOOR:
+        lo = -math.inf
+    v = cond._v
+    for pos in range(start, cond._p):
+        variance = v.item(pos)
+        if variance >= lo:
+            variance = min(max(variance, VARIANCE_FLOOR), cond._prior)
+            if variance >= hi or _entropy_of(variance) >= threshold:
+                return pos
+    return None
 
 
 def _fixed_threshold_scan(

@@ -38,7 +38,7 @@ __all__ = [
 
 SetFunction = Callable[[Sequence[Observation]], float]
 
-# Relative guard band on the threshold variance of the entropy scan, far
+# Relative guard band on the threshold variance of the entropy scans, far
 # above the few ulps that exp and log can lose between gain and variance.
 _GUARD_RTOL = 1e-9
 
@@ -108,10 +108,11 @@ class UtilityEvaluator:
     the set as it is when called. ``accept`` is irrevocable: re-adding an
     index raises.
 
-    Both kinds track a pool. Only the entropy evaluator answers the pool
-    scans of the periodic secretary (``untrack``, ``max_tracked_gain``,
-    ``first_tracked_hit``): a modular gain never depends on the set, so
-    that selector reads a modular pool's weights once and needs no scan.
+    Both kinds track a pool, which greedy and the noise estimate read
+    through ``tracked_gains``. The periodic secretary scans an entropy pool
+    in variance space, straight off the conditioner's tracked variances; a
+    modular gain never depends on the set, so that selector reads a modular
+    pool's weights once and needs no scan.
     """
 
     def __init__(self) -> None:
@@ -160,20 +161,8 @@ class UtilityEvaluator:
         """Append observations to the tracked pool."""
         raise NotImplementedError
 
-    def untrack(self, n: int) -> None:
-        """Drop the n most recently tracked observations from the pool."""
-        raise NotImplementedError
-
     def tracked_gains(self) -> np.ndarray:
         """Marginal gain of each tracked observation against the current set, in pool order."""
-        raise NotImplementedError
-
-    def max_tracked_gain(self, stop: int) -> float:
-        """Largest tracked gain among pool positions 0..stop-1."""
-        raise NotImplementedError
-
-    def first_tracked_hit(self, threshold: float, start: int) -> int | None:
-        """First pool position at or after ``start`` whose tracked gain is >= threshold."""
         raise NotImplementedError
 
     def accept(self, obs: Observation, pos: int | None = None) -> float:
@@ -208,12 +197,10 @@ class _EntropyEvaluator(UtilityEvaluator):
     def gain(self, obs: Observation) -> float:
         return self._cond.entropy(obs.features)
 
-    # Entropy increases with variance, so the arrival test and both scans
-    # compare variances with the threshold's variance. Points within a guard
-    # band of it, wider than the roundoff of exp and log, are confirmed with
-    # their exact gain, so every answer is the gain-space rule's on the same
-    # bits; the scans take one log per answer rather than one per point, and
-    # the arrival test takes its band once per threshold.
+    # Entropy increases with variance, so the arrival test compares a point's
+    # variance with the threshold's, whose band it takes once. A point within
+    # that guard band, wider than the roundoff of exp and log, is confirmed
+    # with its exact gain: every answer is the gain-space rule's on the same bits.
 
     def arrival_test(self, threshold: float) -> Callable[[Observation], bool]:
         at = _variance_of(threshold)
@@ -239,24 +226,8 @@ class _EntropyEvaluator(UtilityEvaluator):
         if len(observations):
             self._cond.track(_features_of(observations))
 
-    def untrack(self, n: int) -> None:
-        self._cond.untrack(n)
-
     def tracked_gains(self) -> np.ndarray:
         return _entropy_of(self._cond.tracked_variances())
-
-    def max_tracked_gain(self, stop: int) -> float:
-        return float(_entropy_of(self._cond.max_tracked_variance(stop)))
-
-    def first_tracked_hit(self, threshold: float, start: int) -> int | None:
-        # Candidates have variances from the bottom of the guard band up; the
-        # first whose own gain meets the threshold is the hit.
-        cond = self._cond
-        floor = _variance_of(threshold) * (1.0 - _GUARD_RTOL)
-        pos = cond.first_tracked_at_least(floor, start)
-        while pos is not None and _entropy_of(cond.tracked_variance(pos)) < threshold:
-            pos = cond.first_tracked_at_least(floor, pos + 1)
-        return pos
 
     def _register(self, obs: Observation, pos: int | None) -> float:
         return float(_entropy_of(self._cond.extend(obs.features, pos)))

@@ -299,6 +299,24 @@ class TestGramFactorization:
         assert all(a is b for a, b in zip(buffers, [sized._Sbuf, sized._kbuf, sized._Wbuf,
                                                      sized._Ps, sized._Z, sized._v]))
 
+    def test_extend_refuses_a_position_outside_the_live_pool(self):
+        # Past the end, negative, or dropped by untrack (its buffers still
+        # hold the dropped point): each is refused before the set changes.
+        rng = np.random.default_rng(31)
+        hyper = random_hyper(rng, d=2)
+        pool = rng.normal(size=(5, 2))
+        cond = GPConditioner(hyper)
+        cond.track(pool)
+        cond.extend(pool[1], 1)
+        cond.untrack(2)
+        variances = cond.tracked_variances()
+        for pos in (3, 4, 5, -1):
+            with pytest.raises(ValueError, match=rf"pool position {pos} is outside the 3 tracked"):
+                cond.extend(pool[0], pos)
+        assert len(cond) == 1
+        assert np.array_equal(cond.tracked_variances(), variances)
+        assert cond.extend(pool[2], 2) == variances[2]
+
     def test_singular_gram_at_zero_noise_escalates_batch_jitter(self):
         # 4 points in 1-D, one location repeated under two different values:
         # the Gram matrix is exactly singular, and np.linalg.cholesky can

@@ -51,7 +51,7 @@ from periodic_secretary import (
     write_stream_csv,
 )
 from periodic_secretary.gp import GAUSSIAN_ENTROPY_CONST, _JITTER_LADDER, _factor, _se_scaled
-from periodic_secretary.selectors import utility_trace_for
+from periodic_secretary.selectors import _first_hit, _reference_gain, utility_trace_for
 from periodic_secretary.utility import _chain_variances
 from periodic_secretary.kv import write_columns, write_csv
 
@@ -414,10 +414,11 @@ def test_tracked_acceptance_matches_untracked_and_fresh(seed, d, noise, kinds):
     data=st.data(),
 )
 def test_tracked_scans_match_gain_space_rule(seed, d, n, m, utility, data):
-    # max_tracked_gain and first_tracked_hit, which the entropy evaluator
-    # answers from the tracked variances, give the threshold and the index
-    # of np.max and np.flatnonzero over tracked_gains (the modular evaluator
-    # answers no pool scan: its threshold never moves). Thresholds include
+    # The periodic secretary's recalibration and first-hit scan
+    # (_reference_gain and _first_hit), which read an entropy pool's tracked
+    # variances directly, give the threshold and the index of np.max and
+    # np.flatnonzero over tracked_gains (a modular pool has no scan: its
+    # threshold never moves). Thresholds include
     # gains taken from the pool itself, so exact ties are tried, and the
     # next float above the best gain still to scan, whose point lies inside
     # the variance guard band but misses the threshold. At zero noise the
@@ -442,7 +443,7 @@ def test_tracked_scans_match_gain_space_rule(seed, d, n, m, utility, data):
     gains = ev.tracked_gains()
     stop = data.draw(st.integers(1, n))
     if utility != "modular":
-        assert ev.max_tracked_gain(stop) == float(np.max(gains[:stop]))
+        assert _reference_gain(ev._cond, stop) == float(np.max(gains[:stop]))
     start = data.draw(st.integers(0, n))
     best_left = float(np.max(gains[start:], initial=-np.inf))
     threshold = data.draw(st.sampled_from([
@@ -456,13 +457,85 @@ def test_tracked_scans_match_gain_space_rule(seed, d, n, m, utility, data):
     ]))
     hits = np.flatnonzero(gains[start:] >= threshold)
     if utility != "modular":
-        assert ev.first_tracked_hit(threshold, start) == (start + int(hits[0]) if hits.size else None)
+        assert _first_hit(ev._cond, threshold, start) == (start + int(hits[0]) if hits.size else None)
     index = int(rng.integers(n + m))
     features = data.draw(st.sampled_from([obs[index].features, rng.normal(size=d)]))
     arrival = Observation(index, features)
     gain = ev.gain(arrival)
     for t in (gain, float(np.nextafter(gain, -np.inf)), float(np.nextafter(gain, np.inf)), threshold):
         assert ev.arrival_test(t)(arrival) == (ev.gain(arrival) >= t)
+
+
+def transcribed_tracked_rule(obs, hyper, k, T, slack):
+    """The periodic secretary's tracked rule on a list, in gain space: each
+    period is tracked beside the reference one, the first tracked gain at or
+    after the scan position that meets the threshold is accepted by its pool
+    position, and the threshold is the largest reference gain less the
+    slack, read again after every acceptance."""
+    ev = UtilityFunction.entropy(hyper).evaluator()
+    cond = ev._cond
+    ev.track(obs[:T])
+
+    def threshold():
+        return float(np.max(ev.tracked_gains()[:T])) - slack
+
+    value, chosen, trace, thresholds = 0.0, [], [], []
+    gain = threshold()
+    for start in range(T, len(obs), T):
+        batch = obs[start : start + T]
+        ev.track(batch)
+        pos = T
+        while len(chosen) < k:
+            hits = np.flatnonzero(ev.tracked_gains()[pos:] >= gain)
+            if not hits.size:
+                break
+            pos += int(hits[0])
+            thresholds.append(value + gain)
+            value += float(GAUSSIAN_ENTROPY_CONST + 0.5 * np.log(cond.extend(batch[pos - T].features, pos)))
+            chosen.append(batch[pos - T].index)
+            trace.append(value)
+            gain = threshold()
+            pos += 1
+        if len(chosen) == k:
+            break
+        cond.untrack(len(batch))
+    return chosen, trace, thresholds, "filled_k" if len(chosen) == k else "end_of_stream"
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 2),
+    T=st.integers(1, 12),
+    extra=st.integers(0, 40),
+    k=st.integers(1, 15),
+    slack=st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(math.inf)),
+    zero_noise=st.booleans(),
+)
+def test_entropy_sequence_scan_equals_the_tracked_rule_bit_for_bit(
+    seed, d, T, extra, k, slack, zero_noise
+):
+    # The Sequence path decides in variance space, straight off the tracked
+    # variances; the transcription takes every tracked gain and decides in
+    # gain space. N = T + extra leaves a partial last period. At zero noise
+    # a third of the points after the reference period repeat earlier
+    # locations, so acceptances meet the variance floor and the jitter
+    # refactor; slack inf accepts every position.
+    rng = np.random.default_rng(seed)
+    obs = random_observations(rng, T + extra, d)
+    if zero_noise:
+        hyper = GPHyperparams(rng.uniform(0.3, 2.0, size=d), rng.uniform(0.5, 2.0), 0.0)
+        for j in range(T, len(obs)):
+            if rng.random() < 1 / 3:
+                obs[j] = Observation(j, obs[rng.integers(j)].features)
+    else:
+        hyper = random_hyper(rng, d)
+    result = periodic_secretary(obs, UtilityFunction.entropy(hyper), PeriodicSecretaryConfig(k, T, slack))
+    chosen, trace, thresholds, terminated = transcribed_tracked_rule(obs, hyper, k, T, slack)
+    assert list(result.chosen) == chosen
+    assert bits(result.utility_trace) == bits(trace)
+    assert bits(result.threshold_trace) == bits(thresholds)
+    assert result.terminated == terminated
 
 
 @SETTINGS
@@ -543,6 +616,31 @@ def test_one_point_path_equals_batched_and_tracked(seed, d, noise, m, duplicate)
         cond.track(q[None, :])
         assert cond.tracked_variances()[-1] == v
         cond.untrack(1)
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 3),
+    noise=st.sampled_from([0.0, 0.01, 0.3]),
+    n=st.integers(1, 60),
+    repeats=st.booleans(),
+)
+def test_accept_adds_the_gain_taken_just_before_it_bit_for_bit(seed, d, noise, n, repeats):
+    # The iterator path accepts an arrival on its one-point gain, so the
+    # utility booked for it must grow by that gain, bit for bit: extend
+    # without a pool position sums |a|^2 as the one-point variance does. At
+    # zero noise repeated locations meet the variance floor and the jitter
+    # refactor.
+    rng = np.random.default_rng(seed)
+    hyper = GPHyperparams(rng.uniform(0.3, 2.0, size=d), rng.uniform(0.5, 2.0), noise)
+    points = rng.normal(size=(n, d))
+    if repeats:
+        points[1::3] = points[rng.integers(n, size=len(points[1::3]))]
+    ev = UtilityFunction.entropy(hyper).evaluator()
+    for i, x in enumerate(points):
+        before, gain = ev.value, ev.gain(Observation(i, x))
+        assert bits([ev.accept(Observation(i, x))]) == bits([before + gain])
 
 
 @SETTINGS
