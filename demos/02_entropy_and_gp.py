@@ -15,7 +15,7 @@ from periodic_secretary import (
     UtilityFunction,
     check_submodular_monotone,
     entropy_criterion,
-    predict,
+    predict_many,
 )
 
 hyper = GPHyperparams(lengthscales=np.array([1.0]), signal_variance=1.0, noise_variance=0.1)
@@ -48,5 +48,5 @@ print(f"entropy utility is submodular: {report.submodular}, monotone: {report.mo
 # GP posterior for prediction at unsampled locations.
 train_x = np.array([[-1.0], [0.0], [1.5]])
 train_y = np.array([0.3, 1.1, -0.4])
-p = predict(train_x, train_y, np.array([0.7]), hyper)
-print(f"posterior at 0.7: mean {p.mean:+.4f}, variance {p.variance:.4f}")
+means, variances = predict_many(train_x, train_y, np.array([[0.7]]), hyper)
+print(f"posterior at 0.7: mean {means[0]:+.4f}, variance {variances[0]:.4f}")

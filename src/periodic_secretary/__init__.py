@@ -21,9 +21,7 @@ from .bounds import (
 from .gp import (
     GPConditioner,
     GPHyperparams,
-    PosteriorPrediction,
     load_hyperparams,
-    predict,
     predict_many,
     prefix_means,
     save_hyperparams,

@@ -11,6 +11,7 @@ exactly. Errors exit nonzero with a single ``error: ...`` line.
 from __future__ import annotations
 
 import argparse
+import functools
 import platform
 import sys
 from pathlib import Path
@@ -404,8 +405,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser ``main`` uses, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: "list[str] | None" = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return args.func(parser, args)

@@ -6,6 +6,11 @@ convention: the reported variance at a point is the latent conditional
 variance plus the observation noise, so the prior variance is
 signal_variance + noise_variance and entropies stay finite whenever
 noise_variance > 0.
+
+The entropy rule is decided here in variance space: ``_entropy_of`` and
+``_variance_of`` map between a variance and its entropy, and
+``_variance_band`` is the guard band around a threshold's variance that the
+selectors' scans and the evaluator's arrival test compare variances with.
 """
 
 from __future__ import annotations
@@ -28,12 +33,10 @@ from .kv import format_value, read_kv_file, write_kv_file
 
 __all__ = [
     "GPHyperparams",
-    "PosteriorPrediction",
     "FactorizationError",
     "GPConditioner",
     "se_kernel",
     "se_gram",
-    "predict",
     "predict_many",
     "prefix_means",
     "load_hyperparams",
@@ -58,6 +61,51 @@ _JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
 # hundred terms): both ``extend`` and the batch factorisation treat it as a
 # breakdown and escalate jitter.
 _PIVOT_RTOL = 1e-13
+
+# Relative guard band on the threshold variance of the entropy rule, far
+# above the few ulps that exp and log can lose between gain and variance.
+_GUARD_RTOL = 1e-9
+
+
+def _entropy_of(variance):
+    """Differential entropy of a scalar Gaussian with the given variance(s)."""
+    return GAUSSIAN_ENTROPY_CONST + 0.5 * np.log(variance)
+
+
+def _variance_of(entropy: float) -> float:
+    """The variance whose differential entropy is ``entropy``: inverse of
+    ``_entropy_of`` to the roundoff of exp, and inf past the float range."""
+    try:
+        return math.exp(2.0 * (entropy - GAUSSIAN_ENTROPY_CONST))
+    except OverflowError:
+        return math.inf
+
+
+def _variance_band(threshold: float) -> tuple[float, float]:
+    """The guard band (lo, hi) around the variance whose entropy is ``threshold``.
+
+    Entropy increases with variance, so a variance below lo has a gain
+    below the threshold and one at or above hi meets it; one inside the
+    band, wider than the roundoff of exp and log, is decided by its exact
+    gain, so every answer is the gain-space rule's on the same bits. A
+    lower edge at or below ``VARIANCE_FLOOR`` is -inf: every clamped
+    variance meets it.
+    """
+    at = _variance_of(threshold)
+    lo, hi = at * (1.0 - _GUARD_RTOL), at * (1.0 + _GUARD_RTOL)
+    return (-math.inf if lo <= VARIANCE_FLOOR else lo), hi
+
+
+def _clamped(variances: np.ndarray, prior: float) -> np.ndarray:
+    """Variances clamped to [VARIANCE_FLOOR, prior]: np.clip's bits at about
+    half its call overhead."""
+    return np.minimum(np.maximum(variances, VARIANCE_FLOOR), prior)
+
+
+def _residual(Z: np.ndarray, prior: float) -> np.ndarray:
+    """prior - |Z_j|^2 for each column of Z = W K(S, Q): the unclamped
+    conditional variance of each query given the set."""
+    return prior - np.einsum("ij,ij->j", Z, Z)
 
 
 class FactorizationError(RuntimeError):
@@ -103,18 +151,6 @@ class GPHyperparams:
         return self.signal_variance + self.noise_variance
 
 
-@dataclass(frozen=True)
-class PosteriorPrediction:
-    """Posterior mean and (noisy-observable) variance at a query location."""
-
-    mean: float
-    variance: float
-
-    def __post_init__(self) -> None:
-        if self.variance < 0:
-            raise ValueError(f"variance must be non-negative, got {self.variance}")
-
-
 def _check_dim(X: np.ndarray, hyper: GPHyperparams, what: str) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[-1] != hyper.dim:
@@ -132,25 +168,19 @@ def se_kernel(x: np.ndarray, x2: np.ndarray, hyper: GPHyperparams) -> float:
     return hyper.signal_variance * math.exp(-0.5 * float(z @ z))
 
 
-def _se_scaled(
-    A: np.ndarray, B: np.ndarray, signal_variance: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """SE covariances between the rows of A and the rows of B, or one point B.
+def _se_scaled(A: np.ndarray, B: np.ndarray, signal_variance: float) -> np.ndarray:
+    """SE covariances between the rows of A and the rows of B.
 
     A and B are already divided by the lengthscales. An (..., n, d) A and an
     (..., m, d) B give the (..., n, m) matrices, over leading axes that
-    broadcast; a (d,) point B gives A's (n,) column through ``_se_point``.
-    Squared distances add the coordinates one at a time in order for every
-    shape, so a column of a matrix equals the one-point column, and a slice
-    of a stack equals its 2-D matrix, bit for bit. ``out``, if given,
-    receives the result, with the same bits.
+    broadcast. Squared distances add the coordinates one at a time in order
+    for every shape, so a column of a matrix equals ``_se_point``'s one-point
+    column, and a slice of a stack equals its 2-D matrix, bit for bit.
     """
-    if B.ndim == 1:
-        return _se_point(A, B, signal_variance, out)
     # Coordinate axis first: At[j] - Bt[j] is the j-th coordinate's difference.
     At = A.transpose(-1, *range(A.ndim - 1))[..., None]
     Bt = B.transpose(-1, *range(B.ndim - 1))[..., None, :]
-    sq = np.subtract(At[0], Bt[0], out=out)
+    sq = At[0] - Bt[0]
     np.square(sq, out=sq)
     for j in range(1, Bt.shape[0]):
         diff = At[j] - Bt[j]
@@ -368,7 +398,7 @@ class GPConditioner:
         if p:
             Z = self._Z[:m, :p]
             Z[...] = self._solve(self._Ps[:p])
-            self._v[:p] = self.hyper.prior_variance - np.einsum("ij,ij->j", Z, Z)
+            self._v[:p] = _residual(Z, self._prior)
 
     def _solve(self, Qs: np.ndarray) -> np.ndarray:
         """L^-1 K(S, Q) = W K(S, Q) for scaled query rows Qs."""
@@ -376,10 +406,8 @@ class GPConditioner:
 
     def conditional_variances(self, Q: np.ndarray) -> np.ndarray:
         """Noisy-observable conditional variance at each row of Q given the current set."""
-        Q = _check_dim(Q, self.hyper, "query")
-        prior = self.hyper.prior_variance
-        Z = self._solve(Q / self.hyper.lengthscales)
-        return np.clip(prior - np.einsum("ij,ij->j", Z, Z), VARIANCE_FLOOR, prior)
+        Z = self._solve(_check_dim(Q, self.hyper, "query") / self._ls)
+        return _clamped(_residual(Z, self._prior), self._prior)
 
     def conditional_variance(self, x: np.ndarray) -> float:
         """Conditional variance at one (d,) float point x: the per-arrival path.
@@ -410,11 +438,11 @@ class GPConditioner:
 
     def entropies(self, Q: np.ndarray) -> np.ndarray:
         """Differential entropy of the scalar prediction at each row of Q."""
-        return GAUSSIAN_ENTROPY_CONST + 0.5 * np.log(self.conditional_variances(Q))
+        return _entropy_of(self.conditional_variances(Q))
 
     def entropy(self, x: np.ndarray) -> float:
         """Differential entropy at one (d,) float point x, as ``conditional_variance``."""
-        return float(GAUSSIAN_ENTROPY_CONST + 0.5 * np.log(self.conditional_variance(x)))
+        return float(_entropy_of(self.conditional_variance(x)))
 
     def track(self, Q: np.ndarray) -> None:
         """Append the rows of Q to the tracked pool, after any already tracked."""
@@ -424,7 +452,7 @@ class GPConditioner:
         self._Ps[p : p + b] = Qs
         Z = self._solve(Qs)
         self._Z[:m, p : p + b] = Z
-        self._v[p : p + b] = self.hyper.prior_variance - np.einsum("ij,ij->j", Z, Z)
+        self._v[p : p + b] = _residual(Z, self._prior)
         self._p = p + b
 
     def untrack(self, n: int) -> None:
@@ -435,8 +463,7 @@ class GPConditioner:
 
     def tracked_variances(self) -> np.ndarray:
         """Conditional variance of each tracked point given the current set, in pool order."""
-        # np.minimum/np.maximum clamp as np.clip does at about half its call overhead.
-        return np.minimum(np.maximum(self._v[: self._p], VARIANCE_FLOOR), self.hyper.prior_variance)
+        return _clamped(self._v[: self._p], self._prior)
 
     def extend(self, x: np.ndarray, pos: int | None = None) -> float:
         """Add one location to the conditioning set, updating the factor and the pool.
@@ -534,10 +561,7 @@ def predict_many(
         raise ValueError("predict requires a non-empty training set")
     cond = GPConditioner.from_points(train_x, hyper)
     Z = cond._solve(_check_dim(query_x, hyper, "query_x") / hyper.lengthscales)
-    variances = np.clip(
-        hyper.prior_variance - np.einsum("ij,ij->j", Z, Z), VARIANCE_FLOOR, hyper.prior_variance
-    )
-    return (cond._W @ train_y) @ Z, variances
+    return (cond._W @ train_y) @ Z, _clamped(_residual(Z, cond._prior), cond._prior)
 
 
 def prefix_means(
@@ -579,14 +603,6 @@ def prefix_means(
         Z = W @ _se_scaled(Xs, Q / hyper.lengthscales, hyper.signal_variance)
         means = np.cumsum(Z * (W @ train_y[:, :, None]), axis=1)
     return means if stacked else means[0]
-
-
-def predict(
-    train_x: np.ndarray, train_y: np.ndarray, query: np.ndarray, hyper: GPHyperparams
-) -> PosteriorPrediction:
-    """Standard GP posterior at one query location."""
-    means, variances = predict_many(train_x, train_y, np.atleast_2d(query), hyper)
-    return PosteriorPrediction(mean=float(means[0]), variance=float(variances[0]))
 
 
 def save_hyperparams(hyper: GPHyperparams, path: "str | Path") -> None:

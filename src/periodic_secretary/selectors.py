@@ -17,10 +17,8 @@ import numpy as np
 
 from .kv import write_csv
 from .stream import Observation
-from .gp import VARIANCE_FLOOR, GPConditioner
-from .utility import (
-    _GUARD_RTOL, UtilityFunction, _chain_variances, _entropy_of, _features_of, _variance_of,
-)
+from .gp import VARIANCE_FLOOR, GPConditioner, _entropy_of, _variance_band
+from .utility import UtilityFunction, _chain_variances, _features_of, _weights_of
 
 __all__ = [
     "SelectionResult",
@@ -163,7 +161,7 @@ def periodic_secretary(
     listed = isinstance(stream, Sequence)
     fixed = f.kind == "modular_sum"
     if fixed:
-        w = ev._weights(stream if listed else reference)
+        w = _weights_of(f.weights, stream if listed else reference)
         threshold_gain = float(w[:T].max()) - cfg.threshold_slack
         if listed:
             return _fixed_threshold_scan(stream, w, threshold_gain, cfg)
@@ -225,17 +223,12 @@ def _first_hit(cond: GPConditioner, threshold: float, start: int) -> int | None:
     """First pool position at or after ``start`` whose tracked gain is at
     least ``threshold``, or None.
 
-    Entropy increases with variance, so each tracked variance is compared
-    with the threshold's variance (one exp per call), and a candidate within
-    a guard band of it, wider than the roundoff of exp and log, is confirmed
-    with its exact gain: the answer is the gain-space rule's on the same
-    bits. A raw variance never exceeds the prior and clamping is monotone,
-    so only a candidate is clamped, and a lower edge at or below the floor
-    is met by every position."""
-    at = _variance_of(threshold)
-    lo, hi = at * (1.0 - _GUARD_RTOL), at * (1.0 + _GUARD_RTOL)
-    if lo <= VARIANCE_FLOOR:
-        lo = -math.inf
+    Each tracked variance is compared with the threshold's guard band
+    (``_variance_band``, one exp per call), and a candidate inside it is
+    confirmed with its exact gain: the answer is the gain-space rule's on
+    the same bits. A raw variance never exceeds the prior and clamping is
+    monotone, so only a candidate is clamped."""
+    lo, hi = _variance_band(threshold)
     v = cond._v
     for pos in range(start, cond._p):
         variance = v.item(pos)
@@ -284,6 +277,15 @@ def _refuse_repeats(indices: Iterable[int]) -> None:
         seen.add(i)
 
 
+def _check_capacity(k: int, n: int, offline: bool = False) -> None:
+    """Refuse a capacity k outside 1..n, the stream length, or, for an
+    offline selector, outside 0..n, the ground set size."""
+    if k < (0 if offline else 1):
+        raise ValueError(f"k must be {'non-negative' if offline else 'positive'}, got {k}")
+    if k > n:
+        raise ValueError(f"k ({k}) exceeds {'ground set size' if offline else 'stream length'} ({n})")
+
+
 def _classical_pick(
     items: Sequence[Observation], score: Callable[[Observation], float]
 ) -> Observation | None:
@@ -310,10 +312,7 @@ def submodular_secretary(
     """
     items = list(stream)
     n = len(items)
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if k > n:
-        raise ValueError(f"k ({k}) exceeds stream length ({n})")
+    _check_capacity(k, n)
     ev = f.evaluator()
     ev.check(items)
     ev.reserve(k)
@@ -334,10 +333,7 @@ def scheduled_sampler(stream: Sequence[Observation], k: int) -> SelectionResult:
     """Evenly spaced sampling: positions floor(j*N/k) for j = 0..k-1."""
     items = list(stream)
     n = len(items)
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if k > n:
-        raise ValueError(f"k ({k}) exceeds stream length ({n})")
+    _check_capacity(k, n)
     chosen = tuple(items[(j * n) // k].index for j in range(k))
     return SelectionResult(chosen=chosen, utility_trace=(), terminated="filled_k")
 
@@ -346,10 +342,7 @@ def random_sampler(stream: Sequence[Observation], k: int, seed: int) -> Selectio
     """k positions drawn uniformly without replacement, returned in stream order."""
     items = list(stream)
     n = len(items)
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if k > n:
-        raise ValueError(f"k ({k}) exceeds stream length ({n})")
+    _check_capacity(k, n)
     positions = np.sort(np.random.default_rng(seed).choice(n, size=k, replace=False))
     chosen = tuple(items[int(p)].index for p in positions)
     return SelectionResult(chosen=chosen, utility_trace=(), terminated="filled_k")
@@ -366,10 +359,7 @@ def offline_greedy(
     larger k, with the same utility trace up to there, bit for bit.
     """
     items = sorted(ground, key=lambda o: o.index)
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    if k > len(items):
-        raise ValueError(f"k ({k}) exceeds ground set size ({len(items)})")
+    _check_capacity(k, len(items), offline=True)
     ev = f.evaluator()
     ev.reserve(k, len(items))
     ev.track(items)
@@ -401,10 +391,7 @@ def exhaustive_optimum(
     """
     items = sorted(ground, key=lambda o: o.index)
     n = len(items)
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    if k > n:
-        raise ValueError(f"k ({k}) exceeds ground set size ({n})")
+    _check_capacity(k, n, offline=True)
     if math.comb(n, k) > EXACT_MAX_SUBSETS:
         raise ValueError(
             f"C({n}, {k}) = {math.comb(n, k)} subsets exceeds the enumeration cap"
@@ -414,7 +401,7 @@ def exhaustive_optimum(
         return SelectionResult(chosen=(), utility_trace=(), terminated="filled_k")
 
     if f.kind == "modular_sum":
-        w = f.weights[[o.index for o in items]].tolist()
+        w = _weights_of(f.weights, items).tolist()
         top = sorted(range(n), key=w.__getitem__, reverse=True)[:k]  # stable: ties keep index order
         best = [items[i] for i in sorted(top)]
     else:
@@ -442,7 +429,7 @@ def utility_trace_for(f: UtilityFunction, observations: Sequence[Observation]) -
     utility an index with no weight is refused first, wherever it sits.
     """
     if f.kind != "entropy":
-        w = f.evaluator()._weights(observations)
+        w = _weights_of(f.weights, observations)
         _refuse_repeats(o.index for o in observations)
         return tuple(_running_sums(w)[1:])
     _refuse_repeats(o.index for o in observations)

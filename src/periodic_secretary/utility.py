@@ -8,20 +8,21 @@ f(empty set) = 0 so marginal gains telescope cleanly.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .gp import (
-    GAUSSIAN_ENTROPY_CONST,
-    VARIANCE_FLOOR,
     GPConditioner,
     GPHyperparams,
     _check_dim,
     _cholesky,
+    _clamped,
+    _entropy_of,
+    _variance_band,
     se_gram,
 )
 from .stream import Observation
@@ -38,9 +39,7 @@ __all__ = [
 
 SetFunction = Callable[[Sequence[Observation]], float]
 
-# Relative guard band on the threshold variance of the entropy scans, far
-# above the few ulps that exp and log can lose between gain and variance.
-_GUARD_RTOL = 1e-9
+_INDEX = operator.attrgetter("index")
 
 
 def _features_of(observations: Sequence[Observation]) -> np.ndarray:
@@ -49,18 +48,15 @@ def _features_of(observations: Sequence[Observation]) -> np.ndarray:
     return np.array([o.features for o in observations], dtype=float)
 
 
-def _entropy_of(variance):
-    """Differential entropy of a scalar Gaussian with the given variance(s)."""
-    return GAUSSIAN_ENTROPY_CONST + 0.5 * np.log(variance)
-
-
-def _variance_of(entropy: float) -> float:
-    """The variance whose differential entropy is ``entropy``: inverse of
-    ``_entropy_of`` to the roundoff of exp, and inf past the float range."""
+def _weights_of(weights: np.ndarray, observations: Sequence[Observation]) -> np.ndarray:
+    """The modular weights of the observations, by index, as one gather; an
+    index with no weight is refused, wherever it sits."""
+    idx = np.fromiter(map(_INDEX, observations), dtype=np.intp, count=len(observations))
     try:
-        return math.exp(2.0 * (entropy - GAUSSIAN_ENTROPY_CONST))
-    except OverflowError:
-        return math.inf
+        return weights[idx]
+    except IndexError:  # indices are non-negative: one lies past the weights
+        past = idx[idx >= weights.shape[0]]
+        raise ValueError(f"no weight for observation index {past[0]}") from None
 
 
 def _chain_variances(points: np.ndarray, hyper: GPHyperparams) -> np.ndarray:
@@ -78,7 +74,7 @@ def _chain_variances(points: np.ndarray, hyper: GPHyperparams) -> np.ndarray:
         cond = GPConditioner(hyper)
         cond.reserve(len(points))
         return np.array([cond.extend(x) for x in points])
-    return np.minimum(np.maximum(np.square(L.diagonal()), VARIANCE_FLOOR), hyper.prior_variance)
+    return _clamped(np.square(L.diagonal()), hyper.prior_variance)
 
 
 def entropy_criterion(points: np.ndarray, hyper: GPHyperparams) -> float:
@@ -197,14 +193,11 @@ class _EntropyEvaluator(UtilityEvaluator):
     def gain(self, obs: Observation) -> float:
         return self._cond.entropy(obs.features)
 
-    # Entropy increases with variance, so the arrival test compares a point's
-    # variance with the threshold's, whose band it takes once. A point within
-    # that guard band, wider than the roundoff of exp and log, is confirmed
-    # with its exact gain: every answer is the gain-space rule's on the same bits.
-
     def arrival_test(self, threshold: float) -> Callable[[Observation], bool]:
-        at = _variance_of(threshold)
-        lo, hi = at * (1.0 - _GUARD_RTOL), at * (1.0 + _GUARD_RTOL)
+        """Entropy increases with variance, so the test compares a point's
+        one-point variance with the threshold's guard band (``_variance_band``),
+        taken once; a point inside the band is confirmed with its exact gain."""
+        lo, hi = _variance_band(threshold)
         conditional_variance = self._cond.conditional_variance
 
         def test(obs: Observation) -> bool:
@@ -233,9 +226,6 @@ class _EntropyEvaluator(UtilityEvaluator):
         return float(_entropy_of(self._cond.extend(obs.features, pos)))
 
 
-_INDEX = operator.attrgetter("index")
-
-
 class _ModularEvaluator(UtilityEvaluator):
     def __init__(self, weights: np.ndarray):
         super().__init__()
@@ -243,26 +233,15 @@ class _ModularEvaluator(UtilityEvaluator):
         self._pool = np.empty(0)
 
     def _weight(self, obs: Observation) -> float:
-        if obs.index >= self._w.shape[0]:
-            raise ValueError(f"no weight for observation index {obs.index}")
-        return float(self._w[obs.index])
+        return _weights_of(self._w, (obs,)).item()
 
-    def gain(self, obs: Observation) -> float:
-        return self._weight(obs)
+    gain = _weight
 
-    def _weights(self, observations: Sequence[Observation]) -> np.ndarray:
-        """The observations' weights as one gather."""
-        idx = np.fromiter(map(_INDEX, observations), dtype=np.intp, count=len(observations))
-        try:
-            return self._w[idx]
-        except IndexError:  # indices are non-negative: one lies past the weights
-            past = idx[idx >= self._w.shape[0]]
-            raise ValueError(f"no weight for observation index {past[0]}") from None
-
-    gains = _weights
+    def gains(self, observations: Sequence[Observation]) -> np.ndarray:
+        return _weights_of(self._w, observations)
 
     def track(self, observations: Sequence[Observation]) -> None:
-        self._pool = np.concatenate([self._pool, self._weights(observations)])
+        self._pool = np.concatenate([self._pool, _weights_of(self._w, observations)])
 
     def tracked_gains(self) -> np.ndarray:
         return self._pool.copy()
@@ -311,7 +290,8 @@ class UtilityFunction:
         """f(A) for an explicit sample set."""
         if self.kind == "entropy":
             return entropy_criterion(_features_of(observations), self.hyper)
-        return float(sum(self.weights[o.index] for o in observations))
+        # Added in order from 0.0, as ``accept`` adds them: no compensated sum.
+        return reduce(operator.add, _weights_of(self.weights, observations).tolist(), 0.0)
 
     __call__ = value
 

@@ -27,7 +27,7 @@ from periodic_secretary import (
     generate_periodic_stream,
     offline_greedy,
     periodic_secretary,
-    predict,
+    predict_many,
     run_comparison,
     se_kernel,
     seasonal_waveform,
@@ -314,9 +314,9 @@ def test_criterion_9_numerical_core():
     )
     ks = np.array([se_kernel(q, X[0], hyper), se_kernel(q, X[1], hyper)])
     Kinv = np.linalg.inv(K)
-    p = predict(X, y, q, hyper)
-    assert p.mean == pytest.approx(float(ks @ Kinv @ y), abs=1e-10)
-    assert p.variance == pytest.approx(1.01 - float(ks @ Kinv @ ks), abs=1e-10)
+    means, variances = predict_many(X, y, np.atleast_2d(q), hyper)
+    assert float(means[0]) == pytest.approx(float(ks @ Kinv @ y), abs=1e-10)
+    assert float(variances[0]) == pytest.approx(1.01 - float(ks @ Kinv @ ks), abs=1e-10)
 
     # Gaussian tail values (oracle values from numerical integration).
     assert gaussian_tail_q(0.0) == 0.5

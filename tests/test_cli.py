@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from periodic_secretary import cli
 from periodic_secretary.cli import build_parser, main
 from periodic_secretary.gp import load_hyperparams, save_hyperparams
 from periodic_secretary import (
@@ -564,3 +565,24 @@ def test_runtime_imports_no_scipy():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_main_builds_its_parser_once_per_process(monkeypatch, tmp_path):
+    # Parsing leaves the parser unchanged, so main builds it once; the public
+    # build_parser still returns a fresh one on every call.
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert run_cli("bounds", "--k", 5, "--lambda", 0.1, "--sigma-u", 1.0,
+                           "--N", 100, "--T", 10, "--f-opt", 1, "--out", tmp_path) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert build_parser() is not build_parser()

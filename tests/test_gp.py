@@ -7,7 +7,6 @@ from periodic_secretary import (
     GPConditioner,
     GPHyperparams,
     load_hyperparams,
-    predict,
     predict_many,
     prefix_means,
     save_hyperparams,
@@ -16,11 +15,19 @@ from periodic_secretary import (
 from periodic_secretary.gp import (
     GAUSSIAN_ENTROPY_CONST,
     VARIANCE_FLOOR,
+    _entropy_of,
+    _variance_band,
     se_gram,
 )
-from periodic_secretary.utility import _chain_variances, _entropy_of, entropy_criterion
+from periodic_secretary.utility import _chain_variances, entropy_criterion
 
 from conftest import random_hyper
+
+
+def posterior_at(X, y, q, hyper):
+    """``predict_many``'s mean and variance at the one query location q (row 0)."""
+    means, variances = predict_many(X, y, np.atleast_2d(q), hyper)
+    return float(means[0]), float(variances[0])
 
 
 def direct_conditional_variance(x, conditioning, hyper):
@@ -136,22 +143,32 @@ class TestDifferentialEntropy:
         h2 = GPConditioner.from_points(np.array([[0.8], [0.4]]), unit_hyper).entropy(x)
         assert h0 > h1 > h2
 
+    @pytest.mark.parametrize("variance", [1e-14, VARIANCE_FLOOR, 1e-6, 0.37, 1.0, 1e300])
+    def test_variance_band_brackets_the_threshold_variance(self, variance):
+        # The band holds the variance whose entropy is the threshold; its
+        # lower edge is -inf once it reaches the clamp floor, which every
+        # clamped variance meets.
+        lo, hi = _variance_band(float(_entropy_of(variance)))
+        assert lo < variance < hi
+        assert (lo == -math.inf) == (variance <= VARIANCE_FLOOR)
+        assert _variance_band(1e3) == (math.inf, math.inf)  # past the float range
+
 
 class TestPredict:
     def test_interpolates_training_point_without_noise(self):
         hyper = GPHyperparams(lengthscales=np.array([1.0]), signal_variance=1.0, noise_variance=0.0)
         X = np.array([[0.0], [1.5]])
         y = np.array([2.0, -1.0])
-        p = predict(X, y, np.array([1.5]), hyper)
-        assert p.mean == pytest.approx(-1.0, abs=1e-8)
-        assert p.variance < 1e-9
+        mean, variance = posterior_at(X, y, np.array([1.5]), hyper)
+        assert mean == pytest.approx(-1.0, abs=1e-8)
+        assert variance < 1e-9
 
     def test_reverts_to_prior_far_away(self, unit_hyper):
         X = np.array([[0.0]])
         y = np.array([3.0])
-        p = predict(X, y, np.array([50.0]), unit_hyper)
-        assert abs(p.mean) < 1e-8
-        assert p.variance == pytest.approx(unit_hyper.prior_variance, abs=1e-8)
+        mean, variance = posterior_at(X, y, np.array([50.0]), unit_hyper)
+        assert abs(mean) < 1e-8
+        assert variance == pytest.approx(unit_hyper.prior_variance, abs=1e-8)
 
     def test_two_point_system_against_hand_solve(self, unit_hyper):
         X = np.array([[0.0], [1.0]])
@@ -163,9 +180,9 @@ class TestPredict:
             [se_kernel(q, X[0], unit_hyper), se_kernel(q, X[1], unit_hyper)]
         )
         alpha = np.linalg.inv(K) @ y
-        p = predict(X, y, q, unit_hyper)
-        assert p.mean == pytest.approx(float(ks @ alpha), abs=1e-10)
-        assert p.variance == pytest.approx(
+        mean, variance = posterior_at(X, y, q, unit_hyper)
+        assert mean == pytest.approx(float(ks @ alpha), abs=1e-10)
+        assert variance == pytest.approx(
             1.01 - float(ks @ np.linalg.inv(K) @ ks), abs=1e-10
         )
 
@@ -177,14 +194,14 @@ class TestPredict:
             X = rng.normal(size=(6, 2))
             q = rng.normal(size=2)
             for y in (rng.normal(size=6), rng.normal(size=6) * 100):
-                p = predict(X, y, q, hyper)
-                assert p.variance == pytest.approx(
+                _, variance = posterior_at(X, y, q, hyper)
+                assert variance == pytest.approx(
                     GPConditioner.from_points(X, hyper).conditional_variance(q), abs=1e-10
                 )
 
     def test_empty_training_set_rejected(self, unit_hyper):
         with pytest.raises(ValueError, match="non-empty"):
-            predict(np.empty((0, 1)), np.empty(0), np.array([0.0]), unit_hyper)
+            posterior_at(np.empty((0, 1)), np.empty(0), np.array([0.0]), unit_hyper)
 
     @pytest.mark.parametrize("fn", [predict_many, prefix_means])
     @pytest.mark.parametrize(

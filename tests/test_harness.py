@@ -22,7 +22,7 @@ from periodic_secretary import (
     evaluate_prediction,
     generate_periodic_stream,
     ingest_csv,
-    predict,
+    predict_many,
     run_comparison,
     tune_threshold_slack,
     validate_bounds,
@@ -179,7 +179,7 @@ class TestEvaluatePrediction:
         test_idx = [30, 40, 50]
         mse = evaluate_prediction(sel, stream, test_idx, wide_hyper)
         X, y = stream.feature_matrix, stream.qoi
-        errors = [predict(X[[10]], y[[10]], X[t], wide_hyper).mean - y[t] for t in test_idx]
+        errors = [predict_many(X[[10]], y[[10]], X[[t]], wide_hyper)[0][0] - y[t] for t in test_idx]
         assert mse.shape == (2,)
         assert mse[1] == pytest.approx(float(np.mean(np.square(errors))), rel=1e-12)
 

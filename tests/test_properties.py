@@ -50,7 +50,9 @@ from periodic_secretary import (
     two_sine_waveform,
     write_stream_csv,
 )
-from periodic_secretary.gp import GAUSSIAN_ENTROPY_CONST, _JITTER_LADDER, _factor, _se_scaled
+from periodic_secretary.gp import (
+    GAUSSIAN_ENTROPY_CONST, _JITTER_LADDER, _factor, _se_point, _se_scaled,
+)
 from periodic_secretary.selectors import _first_hit, _reference_gain, utility_trace_for
 from periodic_secretary.utility import _chain_variances
 from periodic_secretary.kv import write_columns, write_csv
@@ -582,7 +584,7 @@ def test_se_matrix_columns_equal_one_point_columns(seed, d, n, m):
     K = _se_scaled(A, B, sv)
     assert K.shape == (n, m)
     for j in range(m):
-        assert np.array_equal(K[:, j], _se_scaled(A, B[j], sv))
+        assert np.array_equal(K[:, j], _se_point(A, B[j], sv, None))
 
 
 @SETTINGS

@@ -6,11 +6,16 @@ import pytest
 from periodic_secretary import (
     GPHyperparams,
     Observation,
+    PeriodicSecretaryConfig,
     UtilityFunction,
     check_submodular_monotone,
     entropy_criterion,
+    exhaustive_optimum,
     marginal_gain,
+    offline_greedy,
+    periodic_secretary,
 )
+from periodic_secretary.selectors import utility_trace_for
 
 from conftest import make_observations, random_hyper
 
@@ -226,3 +231,27 @@ class TestModularEvaluator:
         with pytest.raises(ValueError, match=r"^no weight for observation index 5$"):
             getattr(ev, method)(obs)
         assert len(ev.tracked_gains()) == 0
+
+
+_PERIODIC = PeriodicSecretaryConfig(k=10, period_T=2, threshold_slack=0.0)
+
+
+@pytest.mark.parametrize("run", [
+    lambda f, obs: f.value(obs),
+    lambda f, obs: marginal_gain(f, obs[:-1], obs[-1]),
+    lambda f, obs: exhaustive_optimum(obs, f, 2),
+    lambda f, obs: check_submodular_monotone(f, obs),
+    lambda f, obs: offline_greedy(obs, f, 2),
+    lambda f, obs: utility_trace_for(f, obs),
+    lambda f, obs: periodic_secretary(obs, f, _PERIODIC),
+    lambda f, obs: periodic_secretary(iter(obs), f, _PERIODIC),
+], ids=["value", "marginal_gain", "exhaustive_optimum", "check_submodular_monotone",
+        "offline_greedy", "utility_trace_for", "periodic_secretary_list",
+        "periodic_secretary_iterator"])
+def test_modular_index_without_weight_is_refused_by_name(run):
+    # Every modular lookup goes through one gather and refuses an index past
+    # the weights with one message, whichever entry point meets it.
+    f = UtilityFunction.modular(np.arange(5.0))
+    obs = make_observations(np.zeros(6))
+    with pytest.raises(ValueError, match=r"^no weight for observation index 5$"):
+        run(f, obs)
