@@ -7,16 +7,17 @@ variance plus the observation noise, so the prior variance is
 signal_variance + noise_variance and entropies stay finite whenever
 noise_variance > 0.
 
-The entropy rule is decided here in variance space: ``_entropy_of`` and
-``_variance_of`` map between a variance and its entropy, and
-``_variance_band`` is the guard band around a threshold's variance that the
-selectors' scans and the evaluator's arrival test compare variances with.
+The entropy threshold rule is decided here in variance space: ``_entropy_of``
+and ``_variance_of`` map between a variance and its entropy, and
+``GPConditioner`` compares tracked and one-point variances with
+``_variance_band``, the guard band around a threshold's variance.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -317,7 +318,9 @@ class GPConditioner:
     variances, so after each acceptance every tracked variance is current at
     O(m |P|) cost. Extending by the pool's largest-variance point is one step
     of pivoted Cholesky, which is greedy entropy maximisation (Krause, Singh &
-    Guestrin, JMLR 2008). Posterior prediction (``predict_many``,
+    Guestrin, JMLR 2008). The periodic secretary's threshold rule reads the
+    tracked variances (``max_tracked_gain``, ``first_tracked_hit``) or a
+    point's own (``arrival_test``). Posterior prediction (``predict_many``,
     ``prefix_means``) factors its training set through ``from_points`` too.
     A conditioner belongs to a single selector run; it is not thread-safe.
     """
@@ -465,6 +468,52 @@ class GPConditioner:
         """Conditional variance of each tracked point given the current set, in pool order."""
         return _clamped(self._v[: self._p], self._prior)
 
+    def max_tracked_gain(self, stop: int) -> float:
+        """The largest tracked gain among pool positions 0..stop-1: the log of
+        their largest variance, clamped (clamp and log are monotone), found by
+        ``argmax`` at under half the call cost of ``max``."""
+        v = self._v
+        return float(_entropy_of(min(max(v.item(v[:stop].argmax()), VARIANCE_FLOOR), self._prior)))
+
+    def first_tracked_hit(self, threshold: float, start: int) -> int | None:
+        """First pool position at or after ``start`` whose tracked gain is at
+        least ``threshold``, or None.
+
+        Each tracked variance is compared with the threshold's guard band
+        (``_variance_band``, one exp per call), and a candidate inside it is
+        confirmed with its exact gain: the answer is the gain-space rule's on
+        the same bits. A raw variance never exceeds the prior and clamping is
+        monotone, so only a candidate is clamped."""
+        lo, hi = _variance_band(threshold)
+        v = self._v
+        for pos in range(start, self._p):
+            variance = v.item(pos)
+            if variance >= lo:
+                variance = min(max(variance, VARIANCE_FLOOR), self._prior)
+                if variance >= hi or _entropy_of(variance) >= threshold:
+                    return pos
+        return None
+
+    def arrival_test(self, threshold: float) -> Callable[[np.ndarray], bool]:
+        """The per-arrival decision for one threshold: a callable that says,
+        as ``entropy(x) >= threshold`` on the same bits, whether a (d,) point
+        meets ``threshold`` given the set as it is when called, so only a new
+        threshold needs a new test. The point's one-point variance is
+        compared with the threshold's guard band, taken once, and one inside
+        it is confirmed with its exact gain."""
+        lo, hi = _variance_band(threshold)
+        conditional_variance = self.conditional_variance
+
+        def test(x: np.ndarray) -> bool:
+            variance = conditional_variance(x)
+            if variance < lo:
+                return False
+            if variance >= hi:
+                return True
+            return bool(_entropy_of(variance) >= threshold)
+
+        return test
+
     def extend(self, x: np.ndarray, pos: int | None = None) -> float:
         """Add one location to the conditioning set, updating the factor and the pool.
 
@@ -558,7 +607,7 @@ def predict_many(
     """
     train_x, train_y = _training_data(train_x, train_y, hyper)
     if train_x.shape[0] == 0:
-        raise ValueError("predict requires a non-empty training set")
+        raise ValueError("predict_many requires a non-empty training set")
     cond = GPConditioner.from_points(train_x, hyper)
     Z = cond._solve(_check_dim(query_x, hyper, "query_x") / hyper.lengthscales)
     return (cond._W @ train_y) @ Z, _clamped(_residual(Z, cond._prior), cond._prior)

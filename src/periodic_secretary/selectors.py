@@ -11,13 +11,13 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate, combinations, islice
 from pathlib import Path
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .kv import write_csv
 from .stream import Observation
-from .gp import VARIANCE_FLOOR, GPConditioner, _entropy_of, _variance_band
+from .gp import _entropy_of
 from .utility import UtilityFunction, _chain_variances, _features_of, _weights_of
 
 __all__ = [
@@ -115,62 +115,45 @@ def periodic_secretary(
     and threshold are recomputed against the grown set. Stops after k
     acceptances or at end of stream, whichever comes first.
 
-    Under entropy the reference set is tracked by the evaluator's
-    conditioner, and every recalibration is one reduction over its tracked
-    variances and one log (``_reference_gain``). A ``Sequence`` is already
-    all there, so it is scanned a period at a time, tracked alongside the
-    reference set, in one loop over the tracked variances (``_first_hit``)
-    that takes a gain only inside the guard band of the threshold's
-    variance; each acceptance is the first tracked gain to meet the
-    threshold and joins the set by its pool position through ``accept``
-    (one step of pivoted Cholesky on the pool). Any other iterable yields only the
-    observation that has just arrived; that one is decided by the
-    evaluator's arrival test for the threshold in force
-    (``arrival_test``: its own one-point gain against the threshold, under
-    entropy compared in variance space), is never tracked, and nothing is
-    read past the last decision. The threshold moves only at an
-    acceptance, so the test is built once per threshold and again after
-    each acceptance. Gains depend only on the
-    accepted set, so both scans make the decisions of a one-at-a-time scan,
-    except where a gain ties the threshold within roundoff: a point's
-    tracked and one-point gains can differ in the last bits.
+    Under entropy the evaluator's conditioner tracks the reference set and
+    decides in variance space; each recalibration is one reduction over the
+    tracked variances and one log (``GPConditioner.max_tracked_gain``). A
+    ``Sequence`` is already all there, so it is scanned a period at a time,
+    tracked alongside the reference set, in one loop over the tracked
+    variances (``first_tracked_hit``) that takes a gain only inside the
+    guard band of the threshold's variance; each acceptance is the first
+    tracked gain to meet the threshold and joins the set by its pool
+    position through ``accept`` (one step of pivoted Cholesky on the pool).
+    Any other iterable yields only the observation that has just arrived;
+    that one is decided by the conditioner's ``arrival_test`` for the
+    threshold in force, is never tracked, and nothing is read past the last
+    decision. The threshold moves only at an acceptance, so the test is
+    built once per threshold and again after each acceptance. Gains depend
+    only on the accepted set, so both scans make the decisions of a
+    one-at-a-time scan, except where a gain ties the threshold within
+    roundoff: a point's tracked and one-point gains can differ in the last
+    bits.
 
-    A modular gain is the observation's own weight, whatever the set holds,
-    so under a modular utility the best reference gain, and with it the
-    threshold gain max(reference weights) - slack, never moves: nothing is
-    tracked or recalibrated. A ``Sequence`` gathers its weights in one go
-    (an index with no weight is refused wherever it sits), and its picks
-    are the first k positions after the reference period whose weight meets
-    the threshold, found in one scan. The utility trace is the running sum
-    of their weights, added in pick order as acceptance adds them, so it
-    has the same bits as accepting them one at a time.
+    Under a modular utility every gain is a fixed weight, so the run is one
+    scan at a fixed threshold and builds no evaluator (``_fixed_threshold_scan``).
 
     k only stops the scan, so a run at capacity k makes exactly the first k
     decisions of a run at any larger capacity: its ``chosen``,
     ``utility_trace`` and ``threshold_trace`` are that run's first k
     entries, bit for bit.
     """
+    if f.kind == "modular_sum":
+        return _fixed_threshold_scan(stream, f.weights, cfg)
     T = cfg.period_T
     it = iter(stream)
-    reference = list(islice(it, T))
-    if len(reference) < T:
-        raise ValueError(
-            f"stream ended after {len(reference)} observations, before one full period ({T})"
-        )
+    reference = _reference_period(it, T)
     ev = f.evaluator()
     listed = isinstance(stream, Sequence)
-    fixed = f.kind == "modular_sum"
-    if fixed:
-        w = _weights_of(f.weights, stream if listed else reference)
-        threshold_gain = float(w[:T].max()) - cfg.threshold_slack
-        if listed:
-            return _fixed_threshold_scan(stream, w, threshold_gain, cfg)
-    else:
-        if listed:
-            ev.reserve(min(cfg.k, len(stream) - T), 2 * T)
-        ev.track(reference)
-        cond = ev._cond  # the scans read its tracked variances directly
-        threshold_gain = _reference_gain(cond, T) - cfg.threshold_slack
+    if listed:
+        ev.reserve(min(cfg.k, len(stream) - T), 2 * T)
+    ev.track(reference)
+    cond = ev._cond  # decides the rule off its tracked variances
+    threshold_gain = cond.max_tracked_gain(T) - cfg.threshold_slack
     chosen: list[int] = []
     trace: list[float] = []
     thresholds: list[float] = []
@@ -180,22 +163,22 @@ def periodic_secretary(
         thresholds.append(ev.value + threshold_gain)
         trace.append(ev.accept(obs, pos))
         chosen.append(obs.index)
-        return threshold_gain if fixed else _reference_gain(cond, T) - cfg.threshold_slack
+        return cond.max_tracked_gain(T) - cfg.threshold_slack
 
     if not listed:
-        meets = ev.arrival_test(threshold_gain)
+        meets = cond.arrival_test(threshold_gain)
         for obs in it:
-            if meets(obs):
+            if meets(obs.features):
                 threshold_gain = accept(obs, threshold_gain)
                 if len(chosen) == cfg.k:
                     break
-                meets = ev.arrival_test(threshold_gain)
+                meets = cond.arrival_test(threshold_gain)
     else:
         for batch in iter(lambda: list(islice(it, T)), []):
             ev.track(batch)
             pos = T
             while len(chosen) < cfg.k:
-                hit = _first_hit(cond, threshold_gain, pos)
+                hit = cond.first_tracked_hit(threshold_gain, pos)
                 if hit is None:
                     break
                 threshold_gain = accept(batch[hit - T], threshold_gain, hit)
@@ -211,47 +194,46 @@ def periodic_secretary(
     )
 
 
-def _reference_gain(cond: GPConditioner, T: int) -> float:
-    """The largest tracked gain among pool positions 0..T-1, the reference
-    period: the log of their largest variance, clamped (clamp and log are
-    monotone), found by ``argmax`` at under half the call cost of ``max``."""
-    v = cond._v
-    return float(_entropy_of(min(max(v.item(v[:T].argmax()), VARIANCE_FLOOR), cond._prior)))
-
-
-def _first_hit(cond: GPConditioner, threshold: float, start: int) -> int | None:
-    """First pool position at or after ``start`` whose tracked gain is at
-    least ``threshold``, or None.
-
-    Each tracked variance is compared with the threshold's guard band
-    (``_variance_band``, one exp per call), and a candidate inside it is
-    confirmed with its exact gain: the answer is the gain-space rule's on
-    the same bits. A raw variance never exceeds the prior and clamping is
-    monotone, so only a candidate is clamped."""
-    lo, hi = _variance_band(threshold)
-    v = cond._v
-    for pos in range(start, cond._p):
-        variance = v.item(pos)
-        if variance >= lo:
-            variance = min(max(variance, VARIANCE_FLOOR), cond._prior)
-            if variance >= hi or _entropy_of(variance) >= threshold:
-                return pos
-    return None
+def _reference_period(it: Iterator[Observation], T: int) -> list[Observation]:
+    """The first T observations of ``it``; a stream that ends before them is refused."""
+    reference = list(islice(it, T))
+    if len(reference) < T:
+        raise ValueError(
+            f"stream ended after {len(reference)} observations, before one full period ({T})"
+        )
+    return reference
 
 
 def _fixed_threshold_scan(
-    stream: Sequence[Observation],
-    w: np.ndarray,
-    threshold_gain: float,
-    cfg: PeriodicSecretaryConfig,
+    stream: Iterable[Observation], weights: np.ndarray, cfg: PeriodicSecretaryConfig
 ) -> SelectionResult:
-    """The periodic secretary on a stream whose gains ``w`` (one per
-    position) do not depend on the accepted set, so its threshold gain is
-    fixed: the first k positions after the reference period that meet it."""
-    picks = (w[cfg.period_T :] >= threshold_gain).nonzero()[0][: cfg.k] + cfg.period_T
-    chosen = [stream[p].index for p in picks.tolist()]
-    _refuse_repeats(chosen)
-    values = _running_sums(w[picks])  # values[j] is the utility before pick j
+    """The periodic secretary under modular ``weights``.
+
+    A modular gain is the observation's own weight, whatever the set holds,
+    so the threshold gain max(reference weights) - slack never moves and
+    the picks are the first k observations after the reference period whose
+    weight meets it. A ``Sequence`` gathers its weights in one go (an index
+    with no weight is refused wherever it sits) and finds its picks in one
+    scan. Any other iterable is read lazily, one weight per arrival, and
+    nothing past the k-th pick; a repeated pick is refused when it
+    arrives. The utility trace is the running sum of the picks' weights,
+    added in pick order as acceptance adds them, so it has the bits of
+    accepting them one at a time.
+    """
+    T = cfg.period_T
+    it = iter(stream)
+    reference = _reference_period(it, T)
+    if isinstance(stream, Sequence):
+        w = _weights_of(weights, stream)
+        threshold_gain = float(w[:T].max()) - cfg.threshold_slack
+        picks = (w[T:] >= threshold_gain).nonzero()[0][: cfg.k] + T
+        hits = (stream[p].index for p in picks.tolist())
+    else:
+        threshold_gain = float(_weights_of(weights, reference).max()) - cfg.threshold_slack
+        meets = (o.index for o in it if _weights_of(weights, (o,)).item() >= threshold_gain)
+        hits = islice(meets, cfg.k)
+    chosen = _refuse_repeats(hits)
+    values = _running_sums(weights[chosen])  # values[j] is the utility before pick j
     return SelectionResult(
         chosen=tuple(chosen),
         utility_trace=tuple(values[1:]),
@@ -267,14 +249,15 @@ def _running_sums(gains: np.ndarray) -> list[float]:
     return list(accumulate(gains.tolist(), initial=0.0))
 
 
-def _refuse_repeats(indices: Iterable[int]) -> None:
-    """Raise at the first index that repeats an earlier one, as accepting
-    the indices in order would."""
-    seen: set[int] = set()
+def _refuse_repeats(indices: Iterable[int]) -> list[int]:
+    """The indices as a list, refusing the first that repeats an earlier
+    one, as accepting them in order would, before reading any after it."""
+    seen: dict[int, None] = {}
     for i in indices:
         if i in seen:
             raise ValueError(f"observation {i} is already in the sample set")
-        seen.add(i)
+        seen[i] = None
+    return list(seen)
 
 
 def _check_capacity(k: int, n: int, offline: bool = False) -> None:

@@ -22,7 +22,6 @@ from .gp import (
     _cholesky,
     _clamped,
     _entropy_of,
-    _variance_band,
     se_gram,
 )
 from .stream import Observation
@@ -99,16 +98,15 @@ class UtilityEvaluator:
     Tracks the running utility value f(A) and answers gain queries against
     the current set, either for given observations (``gain``, ``gains``) or
     for a tracked pool of observations (``track``, ``tracked_gains``) whose
-    gains stay current as the set grows. ``arrival_test(threshold)`` is the
-    per-arrival decision for one threshold: built once, it answers against
-    the set as it is when called. ``accept`` is irrevocable: re-adding an
-    index raises.
+    gains stay current as the set grows. ``accept`` is irrevocable:
+    re-adding an index raises.
 
     Both kinds track a pool, which greedy and the noise estimate read
-    through ``tracked_gains``. The periodic secretary scans an entropy pool
-    in variance space, straight off the conditioner's tracked variances; a
-    modular gain never depends on the set, so that selector reads a modular
-    pool's weights once and needs no scan.
+    through ``tracked_gains``. The periodic secretary decides an entropy
+    run in variance space through the evaluator's conditioner
+    (``GPConditioner.max_tracked_gain``, ``first_tracked_hit`` and
+    ``arrival_test``); a modular gain never depends on the set, so a
+    modular run of that selector builds no evaluator.
     """
 
     def __init__(self) -> None:
@@ -136,19 +134,6 @@ class UtilityEvaluator:
 
     def gain(self, obs: Observation) -> float:
         raise NotImplementedError
-
-    def arrival_test(self, threshold: float) -> Callable[[Observation], bool]:
-        """The arrival test for one threshold: a callable that says whether an
-        observation's marginal gain against the current set is at least
-        ``threshold``.
-
-        It decides as ``gain(obs) >= threshold`` on the same bits, though an
-        evaluator may reach the decision without computing the gain. It is
-        built once per threshold and reads the set when called, so an
-        acceptance never leaves it stale; only a new threshold needs a new
-        test.
-        """
-        return lambda obs: self.gain(obs) >= threshold
 
     def gains(self, observations: Sequence[Observation]) -> np.ndarray:
         raise NotImplementedError
@@ -192,23 +177,6 @@ class _EntropyEvaluator(UtilityEvaluator):
 
     def gain(self, obs: Observation) -> float:
         return self._cond.entropy(obs.features)
-
-    def arrival_test(self, threshold: float) -> Callable[[Observation], bool]:
-        """Entropy increases with variance, so the test compares a point's
-        one-point variance with the threshold's guard band (``_variance_band``),
-        taken once; a point inside the band is confirmed with its exact gain."""
-        lo, hi = _variance_band(threshold)
-        conditional_variance = self._cond.conditional_variance
-
-        def test(obs: Observation) -> bool:
-            variance = conditional_variance(obs.features)
-            if variance < lo:
-                return False
-            if variance >= hi:
-                return True
-            return bool(_entropy_of(variance) >= threshold)
-
-        return test
 
     def gains(self, observations: Sequence[Observation]) -> np.ndarray:
         if len(observations) == 0:

@@ -53,7 +53,7 @@ from periodic_secretary import (
 from periodic_secretary.gp import (
     GAUSSIAN_ENTROPY_CONST, _JITTER_LADDER, _factor, _se_point, _se_scaled,
 )
-from periodic_secretary.selectors import _first_hit, _reference_gain, utility_trace_for
+from periodic_secretary.selectors import utility_trace_for
 from periodic_secretary.utility import _chain_variances
 from periodic_secretary.kv import write_columns, write_csv
 
@@ -417,18 +417,18 @@ def test_tracked_acceptance_matches_untracked_and_fresh(seed, d, noise, kinds):
 )
 def test_tracked_scans_match_gain_space_rule(seed, d, n, m, utility, data):
     # The periodic secretary's recalibration and first-hit scan
-    # (_reference_gain and _first_hit), which read an entropy pool's tracked
-    # variances directly, give the threshold and the index of np.max and
-    # np.flatnonzero over tracked_gains (a modular pool has no scan: its
-    # threshold never moves). Thresholds include
+    # (GPConditioner.max_tracked_gain and first_tracked_hit), which read an
+    # entropy pool's tracked variances directly, give the threshold and the
+    # index of np.max and np.flatnonzero over tracked_gains (a modular pool
+    # has no scan or arrival test: its threshold never moves). Thresholds include
     # gains taken from the pool itself, so exact ties are tried, and the
     # next float above the best gain still to scan, whose point lies inside
     # the variance guard band but misses the threshold. At zero noise the
     # accepted points repeat pool locations, whose variances then sit at
-    # the clamp floor. The arrival test (``arrival_test``), which the entropy
-    # evaluator answers from the one-point variance, gives gain >= threshold
-    # for a new point or one of the stream, at its exact one-point gain, one
-    # ulp either side and the scan's threshold.
+    # the clamp floor. The arrival test (GPConditioner.arrival_test), which
+    # the conditioner answers from the one-point variance, gives
+    # gain >= threshold for a new point or one of the stream, at its exact
+    # one-point gain, one ulp either side and the scan's threshold.
     rng = np.random.default_rng(seed)
     obs = random_observations(rng, n + m, d)
     if utility == "modular":
@@ -445,7 +445,7 @@ def test_tracked_scans_match_gain_space_rule(seed, d, n, m, utility, data):
     gains = ev.tracked_gains()
     stop = data.draw(st.integers(1, n))
     if utility != "modular":
-        assert _reference_gain(ev._cond, stop) == float(np.max(gains[:stop]))
+        assert ev._cond.max_tracked_gain(stop) == float(np.max(gains[:stop]))
     start = data.draw(st.integers(0, n))
     best_left = float(np.max(gains[start:], initial=-np.inf))
     threshold = data.draw(st.sampled_from([
@@ -459,13 +459,14 @@ def test_tracked_scans_match_gain_space_rule(seed, d, n, m, utility, data):
     ]))
     hits = np.flatnonzero(gains[start:] >= threshold)
     if utility != "modular":
-        assert _first_hit(ev._cond, threshold, start) == (start + int(hits[0]) if hits.size else None)
+        assert ev._cond.first_tracked_hit(threshold, start) == (start + int(hits[0]) if hits.size else None)
     index = int(rng.integers(n + m))
     features = data.draw(st.sampled_from([obs[index].features, rng.normal(size=d)]))
     arrival = Observation(index, features)
     gain = ev.gain(arrival)
     for t in (gain, float(np.nextafter(gain, -np.inf)), float(np.nextafter(gain, np.inf)), threshold):
-        assert ev.arrival_test(t)(arrival) == (ev.gain(arrival) >= t)
+        if utility != "modular":
+            assert ev._cond.arrival_test(t)(arrival.features) == (ev.gain(arrival) >= t)
 
 
 def transcribed_tracked_rule(obs, hyper, k, T, slack):
@@ -681,7 +682,7 @@ def test_unit_signal_one_point_path_and_arrival_test(seed, d, noise, m, duplicat
         arrival = Observation(m, q)
         gain = ev.gain(arrival)
         thresholds = (gain, float(np.nextafter(gain, -np.inf)), float(np.nextafter(gain, np.inf)))
-        assert [ev.arrival_test(t)(arrival) for t in thresholds] == [True, True, False]
+        assert [cond.arrival_test(t)(q) for t in thresholds] == [True, True, False]
 
 
 @SETTINGS
@@ -713,8 +714,8 @@ def test_arrival_test_answers_for_the_set_grown_after_it_was_built(seed, d, m, g
     arrival = Observation(m + 1, new + 0.3 * ls * rng.normal(size=d))
     gain = after.gain(arrival)
     thresholds = (gain, float(np.nextafter(gain, -np.inf)), float(np.nextafter(gain, np.inf)))
-    tests = [ev.arrival_test(t) for t in thresholds]
     cond = ev._cond
+    tests = [cond.arrival_test(t) for t in thresholds]
     level, buffers = cond._level, (cond._Sbuf, cond._kbuf, cond._Wbuf)
     ev.accept(accepted[-1])
     if grow == "refactor":
@@ -722,7 +723,7 @@ def test_arrival_test_answers_for_the_set_grown_after_it_was_built(seed, d, m, g
     else:
         assert all(a is not b for a, b in zip(buffers, (cond._Sbuf, cond._kbuf, cond._Wbuf)))
     assert ev.gain(arrival) == gain
-    assert [test(arrival) for test in tests] == [True, True, False]
+    assert [test(arrival.features) for test in tests] == [True, True, False]
 
 
 @SETTINGS

@@ -117,8 +117,11 @@ class TestPeriodicSecretary:
         result = periodic_secretary((o for o in stream.observations), f, cfg)
         assert result.chosen == (5,)
 
-    @pytest.mark.parametrize("slack", [0.05, 0.35, 2.0])
-    def test_generator_is_not_read_past_last_decision(self, slack):
+    @pytest.mark.parametrize("slack, utility", [
+        *(pytest.param(s, "entropy", id=f"{s}") for s in (0.05, 0.35, 2.0)),
+        *(pytest.param(s, "modular", id=f"modular-{s}") for s in (0.05, 0.35, 2.0)),
+    ])
+    def test_generator_is_not_read_past_last_decision(self, slack, utility):
         # A live stream hands over one arrival at a time; a selector that has
         # filled k must not have asked for anything after its last pick.
         spec = PeriodicStreamSpec(
@@ -127,6 +130,7 @@ class TestPeriodicSecretary:
         )
         stream = generate_periodic_stream(spec, seed=11)
         hyper = GPHyperparams(lengthscales=np.array([0.3]), signal_variance=1.0, noise_variance=0.1)
+        f = UtilityFunction.entropy(hyper) if utility == "entropy" else value_utility(stream)
         pulled = 0
 
         def arrivals():
@@ -136,9 +140,25 @@ class TestPeriodicSecretary:
                 yield obs
 
         cfg = PeriodicSecretaryConfig(k=10, period_T=24, threshold_slack=slack)
-        result = periodic_secretary(arrivals(), UtilityFunction.entropy(hyper), cfg)
+        result = periodic_secretary(arrivals(), f, cfg)
         assert result.terminated == "filled_k"
         assert pulled == result.chosen[-1] + 1
+
+    def test_modular_run_builds_no_evaluator(self, monkeypatch):
+        # A modular gain is a fixed weight, so neither a list nor a generator
+        # run needs the per-run evaluator.
+        stream = noiseless_stream(repeats=4)
+        f = value_utility(stream)
+        cfg = PeriodicSecretaryConfig(k=3, period_T=4, threshold_slack=1.0)
+
+        def refuse(self):
+            raise AssertionError("a modular run built an evaluator")
+
+        monkeypatch.setattr(UtilityFunction, "evaluator", refuse)
+        listed = periodic_secretary(stream.observations, f, cfg)
+        streamed = periodic_secretary((o for o in stream.observations), f, cfg)
+        assert listed.chosen == streamed.chosen == (5, 7, 9)
+        assert listed.utility_trace == streamed.utility_trace == (3.0, 5.0, 8.0)
 
     def test_indices_strictly_increasing(self):
         spec = PeriodicStreamSpec(
