@@ -30,7 +30,7 @@ from .harness import (
     write_comparison_report,
     write_tuning_csv,
 )
-from .kv import format_kv, format_value, read_kv_file, write_kv_file
+from .kv import format_kv, format_value, parse_float_list, read_kv_file, write_kv_file
 from .selectors import utility_trace_for, write_selection_csv
 from .stream import (
     CsvSchema,
@@ -99,10 +99,6 @@ def _outdir(args: argparse.Namespace) -> Path:
 def _schema_from_args(args: argparse.Namespace) -> CsvSchema:
     features = tuple(c.strip() for c in str(args.feature_cols).split(",") if c.strip())
     return CsvSchema(index_col=args.index_col, feature_cols=features, qoi_col=args.qoi_col)
-
-
-def _float_list(raw: str) -> list[float]:
-    return [float(v) for v in str(raw).replace(",", " ").split()]
 
 
 def _non_monotone_flag(hyper: GPHyperparams) -> dict[str, str]:
@@ -221,7 +217,7 @@ def _cmd_tune(parser: _Parser, args: argparse.Namespace) -> int:
     _require(parser, args, "period", "periods", "k", "grid", "hyper")
     k = _capacity(parser, args)
     spec = _two_sine_spec(parser, args)
-    grid = _float_list(args.grid)
+    grid = parse_float_list(args.grid)
     if any(not s >= 0 for s in grid):
         parser.error("slack grid values must be >= 0")
     utility = UtilityFunction.entropy(load_hyperparams(args.hyper))

@@ -16,7 +16,6 @@ and ``_variance_of`` map between a variance and its entropy, and
 from __future__ import annotations
 
 import math
-import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +29,7 @@ try:
 except ImportError:  # numpy < 2.0
     from numpy.core.multiarray import c_einsum as _c_einsum
 
-from .kv import format_value, read_kv_file, write_kv_file
+from .kv import format_value, parse_float_list, read_kv_file, write_kv_file
 
 __all__ = [
     "GPHyperparams",
@@ -672,9 +671,8 @@ def load_hyperparams(path: "str | Path") -> GPHyperparams:
     missing = {"lengthscales", "signal_variance", "noise_variance"} - entries.keys()
     if missing:
         raise ValueError(f"{path}: missing keys {sorted(missing)}")
-    ls = [float(v) for v in re.split(r"[,\s]+", entries["lengthscales"]) if v]
     return GPHyperparams(
-        lengthscales=np.array(ls),
+        lengthscales=np.array(parse_float_list(entries["lengthscales"])),
         signal_variance=float(entries["signal_variance"]),
         noise_variance=float(entries["noise_variance"]),
     )

@@ -19,7 +19,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from . import gp
-from .kv import write_csv, write_kv_file
+from .kv import write_columns, write_kv_file
 from .bounds import BoundInputs, bound_report, estimate_utility_noise
 from .gp import GPHyperparams
 from .selectors import (
@@ -599,11 +599,8 @@ def validate_bounds(
 
 
 def write_tuning_csv(result: SlackTuningResult, path: "str | Path") -> None:
-    write_csv(
-        path,
-        ["threshold_slack", "mean_utility", "sd_utility", "mean_fill"],
-        zip(result.slacks, result.mean_utility, result.sd_utility, result.mean_fill),
-    )
+    header = ["threshold_slack", "mean_utility", "sd_utility", "mean_fill"]
+    write_columns(path, header, [result.slacks, result.mean_utility, result.sd_utility, result.mean_fill])
 
 
 def write_comparison_report(report: ComparisonReport, outdir: "str | Path") -> list[Path]:
@@ -616,15 +613,9 @@ def write_comparison_report(report: ComparisonReport, outdir: "str | Path") -> l
     paths = []
     for name, first_step, means, sds in panels:
         path = outdir / name
-        write_csv(
-            path,
-            ["step", "algorithm", "mean", "sd"],
-            (
-                [step, lab, mean, sd]
-                for lab in report.labels
-                for step, (mean, sd) in enumerate(zip(means[lab], sds[lab]), first_step)
-            ),
-        )
+        rows = [(step, lab, mean, sd) for lab in report.labels
+                for step, (mean, sd) in enumerate(zip(means[lab], sds[lab]), first_step)]
+        write_columns(path, ["step", "algorithm", "mean", "sd"], zip(*rows))
         paths.append(path)
 
     summary = {

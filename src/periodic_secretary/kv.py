@@ -1,23 +1,30 @@
-"""File I/O: key = value files and CSV tables with one float format.
+"""File I/O: key = value files, float lists and CSV tables with one float format.
 
-Every float written by the library goes through ``format_value``: 12
-significant digits, which round-trip within reader tolerance and keep
-reruns byte-identical.
+This is the one module that knows the CSV dialect: every table the
+library reads goes through ``read_columns`` and every table it writes
+through ``write_columns``. Every float written goes through
+``format_value``'s format: 12 significant digits, which round-trip within
+reader tolerance and keep reruns byte-identical.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import re
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
 __all__ = [
-    "format_value", "read_kv_file", "write_kv_file", "format_kv", "write_csv", "write_columns",
+    "format_value", "read_kv_file", "write_kv_file", "format_kv", "parse_float_list",
+    "read_columns", "write_columns",
 ]
 
 _FLOAT_FORMAT = "%.12g"
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
 
 
 def format_value(value: object) -> str:
@@ -57,27 +64,96 @@ def write_kv_file(
     Path(path).write_text(text, encoding="utf-8")
 
 
-def write_csv(path: "str | Path", header: Iterable[str], rows: Iterable[Iterable[object]]) -> None:
-    """Write a header row and data rows as UTF-8 CSV, cells via ``format_value``."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([format_value(v) for v in row] for row in rows)
+def parse_float_list(text: str) -> list[float]:
+    """The floats in ``text``, split at commas and whitespace; empty pieces are dropped."""
+    return [float(v) for v in text.replace(",", " ").split()]
 
 
-def write_columns(path: "str | Path", header: Iterable[str], columns: Iterable[np.ndarray]) -> None:
-    """Write a header row and equal-length integer or float columns as UTF-8 CSV.
+def _cell(path: Path, lineno: int, col: str, raw: str | None) -> float:
+    """One CSV cell as a float; a missing, blank or non-numeric cell is an error."""
+    if raw is None or raw.strip() == "":
+        raise ValueError(f"{path}: line {lineno}: empty cell in column '{col}'")
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(
+            f"{path}: line {lineno}: non-numeric value {raw!r} in column '{col}'"
+        ) from None
 
-    The same bytes as ``write_csv`` on the rows: the header goes through
-    ``csv.writer``, and each data row is one ``%`` template, ``%s`` for an
-    integer column and the float format for a float one, ending in
-    ``csv.writer``'s ``\\r\\n``. A number never needs quoting.
+
+def read_columns(path: "str | Path", names: Iterable[str]) -> np.ndarray:
+    """The ``names`` columns of a CSV table, rows in file order, as one float array.
+
+    Blank lines are skipped. A missing column, an empty file, no data rows
+    and a bad cell are refused; a cell by its column and its line in the
+    file (the header is line 1; blank lines count). The header is read with
+    ``csv.reader``, and quote-free rows with numpy's C reader: ``csv.reader``
+    would then only split at commas and line ends, and every cell the C
+    reader accepts, ``float`` reads as the same number. Rows the C reader
+    refuses (a quote, a cell such as ``1_0``, a bad cell) are read again
+    with ``csv.reader``, which gives the table or names the bad cell.
+    """
+    path = Path(path)
+    cols = list(names)
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, expected a header row")
+        missing = [c for c in cols if c not in header]
+        if missing:
+            raise ValueError(f"{path}: missing columns {missing}; header has {header}")
+        where = {name: j for j, name in enumerate(header)}  # a repeated name means its last column
+        positions = [where[c] for c in cols]
+        header_lines = reader.line_num
+        body = fh.read()
+    table = None
+    if '"' not in body and body.strip("\r\n"):  # no rows at all would make loadtxt warn
+        try:
+            table = np.loadtxt(
+                io.StringIO(body, newline=""), delimiter=",", usecols=positions,
+                comments=None, ndmin=2,
+            )
+        except ValueError:
+            pass
+    if table is None:
+        rows = csv.reader(io.StringIO(body, newline=""))
+
+        def values():
+            for row in filter(None, rows):
+                try:
+                    yield [float(row[j]) for j in positions]
+                except (ValueError, IndexError):
+                    line = header_lines + rows.line_num
+                    for col, j in zip(cols, positions):
+                        _cell(path, line, col, row[j] if j < len(row) else None)
+                    raise
+
+        table = np.fromiter(chain.from_iterable(values()), dtype=float).reshape(-1, len(cols))
+    if not len(table):
+        raise ValueError(f"{path}: no data rows")
+    return table
+
+
+def write_columns(path: "str | Path", header: Iterable[str], columns: Iterable[object]) -> None:
+    """Write a header row and equal-length str, integer or float columns as
+    UTF-8 CSV: the bytes ``csv.writer`` gives on ``format_value``'s cells.
+
+    Each data row is one ``%`` template (``%s``, or the float format for a
+    float column) ending in ``\\r\\n``. A number never needs quoting; a str
+    cell that would (holding ``,`` ``"`` ``\\r`` or ``\\n``, or empty and
+    alone in its row) is refused.
     """
     columns = [np.asarray(col) for col in columns]
-    for col in columns:
-        if col.dtype.kind not in "iuf":
-            raise TypeError(f"write_columns takes integer and float columns, not {col.dtype}")
+    cells = [col.tolist() for col in columns]
+    for col, values in zip(columns, cells):
+        if col.dtype.kind not in "iufU":
+            raise TypeError(f"write_columns takes str, integer and float columns, not {col.dtype}")
+        if col.dtype.kind == "U":
+            bad = [v for v in values if _NEEDS_QUOTES(v) or not v and len(columns) == 1]
+            if bad:
+                raise ValueError(f"write_columns writes no str cell that needs quoting, got {bad[0]!r}")
     template = ",".join(_FLOAT_FORMAT if col.dtype.kind == "f" else "%s" for col in columns)
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        fh.writelines(map((template + "\r\n").__mod__, zip(*(col.tolist() for col in columns))))
+        fh.writelines(map((template + "\r\n").__mod__, zip(*cells)))

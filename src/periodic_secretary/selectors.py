@@ -15,7 +15,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .kv import write_csv
+from .kv import write_columns
 from .stream import Observation
 from .gp import _entropy_of
 from .utility import UtilityFunction, _chain_variances, _features_of, _weights_of
@@ -227,13 +227,14 @@ def _fixed_threshold_scan(
         w = _weights_of(weights, stream)
         threshold_gain = float(w[:T].max()) - cfg.threshold_slack
         picks = (w[T:] >= threshold_gain).nonzero()[0][: cfg.k] + T
-        hits = (stream[p].index for p in picks.tolist())
+        chosen = _refuse_repeats(stream[p].index for p in picks.tolist())
+        gains = w[picks]
     else:
         threshold_gain = float(_weights_of(weights, reference).max()) - cfg.threshold_slack
         meets = (o.index for o in it if _weights_of(weights, (o,)).item() >= threshold_gain)
-        hits = islice(meets, cfg.k)
-    chosen = _refuse_repeats(hits)
-    values = _running_sums(weights[chosen])  # values[j] is the utility before pick j
+        chosen = _refuse_repeats(islice(meets, cfg.k))
+        gains = weights[chosen]
+    values = _running_sums(gains)  # values[j] is the utility before pick j
     return SelectionResult(
         chosen=tuple(chosen),
         utility_trace=tuple(values[1:]),
@@ -424,10 +425,7 @@ def utility_trace_for(f: UtilityFunction, observations: Sequence[Observation]) -
 
 def write_selection_csv(result: SelectionResult, path: "str | Path") -> None:
     """Serialize a selection as CSV: step, stream_index, utility_after, threshold."""
-    utils = result.utility_trace or ("",) * len(result.chosen)
-    thresholds = result.threshold_trace or ("",) * len(result.chosen)
-    write_csv(
-        path,
-        ["step", "stream_index", "utility_after", "threshold"],
-        zip(range(1, len(result.chosen) + 1), result.chosen, utils, thresholds),
-    )
+    n = len(result.chosen)
+    blank = [""] * n  # a selector that keeps no trace
+    cols = [range(1, n + 1), result.chosen, result.utility_trace or blank, result.threshold_trace or blank]
+    write_columns(path, ["step", "stream_index", "utility_after", "threshold"], cols)

@@ -8,17 +8,15 @@ alone and never see qoi values.
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .kv import write_columns
+from .kv import read_columns, write_columns
 
 __all__ = [
     "Observation",
@@ -67,7 +65,8 @@ class PeriodicStreamSpec:
     as a (period_T, d) table. Observations at position i >= period_T are the
     phase value at i mod period_T plus zero-mean Gaussian noise with
     covariance ``noise_cov``; the first period is emitted exactly and serves
-    as the reference pattern.
+    as the reference pattern. The covariance is factored once per spec, for
+    every stream drawn from it.
     """
 
     period_T: int
@@ -101,11 +100,14 @@ class PeriodicStreamSpec:
             raise ValueError("noise_cov contains non-finite values")
         if not np.allclose(cov, cov.T, atol=1e-12):
             raise ValueError("noise_cov must be symmetric")
-        eigvals = np.linalg.eigvalsh(cov)
+        cov = _readonly(cov)
+        eigvals, eigvecs = np.linalg.eigh(cov)
         if eigvals.min() < -1e-10:
             raise ValueError(f"noise_cov is not positive semi-definite (min eigenvalue {eigvals.min():g})")
         object.__setattr__(self, "base_waveform", _readonly(wave))
-        object.__setattr__(self, "noise_cov", _readonly(cov))
+        object.__setattr__(self, "noise_cov", cov)
+        # PSD-safe factor, F F^T = noise_cov: eigendecomposition handles singular covariances.
+        object.__setattr__(self, "_noise_factor", eigvecs * np.sqrt(np.clip(eigvals, 0.0, None)))
 
     @property
     def dim(self) -> int:
@@ -192,11 +194,8 @@ def generate_periodic_stream(spec: PeriodicStreamSpec, seed: int) -> Observation
     phases = np.arange(N) % T
     feats = spec.base_waveform[phases].copy()
     if N > T:
-        # PSD-safe factor: eigendecomposition handles singular covariances.
-        eigvals, eigvecs = np.linalg.eigh(spec.noise_cov)
-        factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
         rng = np.random.default_rng(seed)
-        feats[T:] += rng.standard_normal((N - T, d)) @ factor.T
+        feats[T:] += rng.standard_normal((N - T, d)) @ spec._noise_factor.T
     return ObservationStream(feats, spec=spec)
 
 
@@ -214,78 +213,19 @@ class CsvSchema:
         object.__setattr__(self, "feature_cols", tuple(self.feature_cols))
 
 
-def _cell(path: Path, lineno: int, col: str, raw: str | None) -> float:
-    """One CSV cell as a float; a missing, blank or non-numeric cell is an error."""
-    if raw is None or raw.strip() == "":
-        raise ValueError(f"{path}: line {lineno}: empty cell in column '{col}'")
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(
-            f"{path}: line {lineno}: non-numeric value {raw!r} in column '{col}'"
-        ) from None
-
-
 def ingest_csv(path: "str | Path", schema: CsvSchema) -> ObservationStream:
-    """Read a stream from CSV.
+    """Read a stream from CSV with ``kv.read_columns``, which refuses a bad table.
 
     Rows are sorted by the index/time column (treated as an opaque ordering
-    key; equal keys keep file order) and re-indexed 0..N-1. Blank lines are
-    skipped. Malformed cells are reported with their column name and the
-    line of the file they are on (the header is line 1; blank lines count).
-
-    The header is read with ``csv.reader``. The data rows go to numpy's C
-    reader when they contain no quote character: ``csv.reader`` then only
-    splits at commas and line ends, and every cell the C reader accepts,
-    ``float`` reads as the same number. Where the C reader refuses the
-    rows (a quote, a cell only ``float`` reads such as ``1_0``, or a
-    malformed cell), they are read again row by row with ``csv.reader``,
-    which gives the table or names the bad cell.
+    key; equal keys keep file order; a NaN key is refused) and re-indexed 0..N-1.
     """
-    path = Path(path)
     cols = [schema.index_col, *schema.feature_cols]
     if schema.qoi_col is not None:
         cols.append(schema.qoi_col)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file, expected a header row")
-        missing = [c for c in cols if c not in header]
-        if missing:
-            raise ValueError(f"{path}: missing columns {missing}; header has {header}")
-        where = {name: j for j, name in enumerate(header)}  # a repeated name means its last column
-        positions = [where[c] for c in cols]
-        header_lines = reader.line_num
-        body = fh.read()
-    table = None
-    if '"' not in body and body.strip("\r\n"):  # no rows at all would make loadtxt warn
-        try:
-            table = np.loadtxt(
-                io.StringIO(body, newline=""), delimiter=",", usecols=positions,
-                comments=None, ndmin=2,
-            )
-        except ValueError:
-            pass
-    if table is None:
-        rows = csv.reader(io.StringIO(body, newline=""))
-
-        def values():
-            for row in filter(None, rows):
-                try:
-                    yield [float(row[j]) for j in positions]
-                except (ValueError, IndexError):
-                    line = header_lines + rows.line_num
-                    for col, j in zip(cols, positions):
-                        _cell(path, line, col, row[j] if j < len(row) else None)
-                    raise
-
-        table = np.fromiter(chain.from_iterable(values()), dtype=float).reshape(-1, len(cols))
-    if not len(table):
-        raise ValueError(f"{path}: no data rows")
+    table = read_columns(path, cols)
     keys = table[:, 0]
     if np.isnan(keys).any():
-        raise ValueError(f"{path}: NaN in index column '{schema.index_col}'")
+        raise ValueError(f"{Path(path)}: NaN in index column '{schema.index_col}'")
     table = table[np.argsort(keys, kind="stable")]
     qoi = table[:, -1] if schema.qoi_col is not None else None
     return ObservationStream(table[:, 1 : 1 + len(schema.feature_cols)], qoi)

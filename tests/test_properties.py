@@ -55,7 +55,7 @@ from periodic_secretary.gp import (
 )
 from periodic_secretary.selectors import utility_trace_for
 from periodic_secretary.utility import _chain_variances
-from periodic_secretary.kv import write_columns, write_csv
+from periodic_secretary.kv import write_columns
 
 from conftest import random_hyper
 
@@ -1005,10 +1005,9 @@ def test_csv_round_trip_gives_back_the_stream(tmp_path_factory, seed, n, d, with
         keys = twelve_digit(rng.integers(0, max(1, n // 2), size=n) * rng.uniform(0.5, 2.0))
         order = rng.permutation(n)
         qvals = stream.qoi if with_qoi else np.empty(n)
-        rows = [[keys[i], *expected[j], *([qvals[j]] if with_qoi else [])]
-                for i, j in enumerate(order)]
+        columns = [keys, *expected[order].T, *([qvals[order]] if with_qoi else [])]
         header = [schema.index_col, *schema.feature_cols, *([schema.qoi_col] if with_qoi else [])]
-        write_csv(path, header, rows)
+        write_columns(path, header, columns)
         ranked = sorted(range(n), key=lambda i: keys[i])
         expected = expected[order[ranked]]
         expected_qoi = qvals[order[ranked]]
@@ -1028,18 +1027,25 @@ def test_csv_round_trip_gives_back_the_stream(tmp_path_factory, seed, n, d, with
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(0, 30),
-    kinds=st.lists(st.sampled_from(["int", "float"]), min_size=1, max_size=4),
+    kinds=st.lists(st.sampled_from(["int", "float", "str"]), min_size=1, max_size=4),
 )
 def test_write_columns_bytes_match_csv_writer(tmp_path_factory, seed, n, kinds):
     # The one-template row writer against csv.writer on the formatted cells:
-    # integers as str, floats with 12 significant digits, across magnitudes
-    # and the special values, under a header that needs quoting.
+    # integers and strings as str, floats with 12 significant digits, across
+    # magnitudes and the special values, under a header that needs quoting.
+    # The strings need no quoting: spaces, tabs, quote-free punctuation and
+    # non-ASCII letters, and empty ones beside another column.
     rng = np.random.default_rng(seed)
     specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1e300, 5e-324]
+    alphabet = list("ab Z09.:;'\t-_éλ")
     columns = []
     for kind in kinds:
         if kind == "int":
             columns.append(rng.integers(-(10**15), 10**15, size=n))
+        elif kind == "str":
+            shortest = 0 if len(kinds) > 1 else 1
+            columns.append(np.array(["".join(rng.choice(alphabet, size=rng.integers(shortest, 6)))
+                                     for _ in range(n)]))
         else:
             col = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
             special = rng.random(n) < 0.3

@@ -255,6 +255,13 @@ class TestCsv:
         with pytest.raises(TypeError, match="integer and float columns"):
             write_columns(tmp_path / "c.csv", ["flag"], [np.array([True, False])])
 
+    @pytest.mark.parametrize("cell", ["a,b", 'say "hi"', "two\nlines", "cr\r", ""])
+    def test_write_columns_refuses_a_str_cell_that_needs_quoting(self, tmp_path, cell):
+        # csv.writer would quote these cells; the empty one only as a whole row.
+        columns = [["ok", cell]] if cell == "" else [[1, 2], ["ok", cell]]
+        with pytest.raises(ValueError, match="needs quoting"):
+            write_columns(tmp_path / "c.csv", ["name"] * len(columns), columns)
+
     def test_round_trip_preserves_12_significant_digits(self, tmp_path):
         spec = PeriodicStreamSpec(
             period_T=7,
