@@ -15,9 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .gp import GPConditioner, _entropy_of
 from .kv import format_kv, write_kv_file
 from .stream import ObservationStream
-from .utility import UtilityFunction
+from .utility import UtilityFunction, _weights_of
 
 __all__ = [
     "BoundInputs",
@@ -196,9 +197,12 @@ def estimate_utility_noise(stream: ObservationStream, f: UtilityFunction) -> flo
         raise ValueError(
             f"need at least 2 full periods to estimate utility noise, have {n}/{period_T}"
         )
-    ev = f.evaluator()
-    ev.track(stream.observations)
-    singles = ev.tracked_gains()  # each observation's utility alone
+    if f.kind == "entropy":  # each observation's utility alone
+        cond = GPConditioner(f.hyper)
+        cond.track(stream.feature_matrix)
+        singles = _entropy_of(cond.tracked_variances())
+    else:
+        singles = _weights_of(f.weights, stream.observations)
     # Row p of a block holds phase p's utilities, singles[p::period_T]. The
     # first n % period_T phases have one more period than the rest, so there
     # are at most two blocks, one per count, in phase order. Each row repeats

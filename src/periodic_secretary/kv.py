@@ -142,9 +142,15 @@ def write_columns(path: "str | Path", header: Iterable[str], columns: Iterable[o
     Each data row is one ``%`` template (``%s``, or the float format for a
     float column) ending in ``\\r\\n``. A number never needs quoting; a str
     cell that would (holding ``,`` ``"`` ``\\r`` or ``\\n``, or empty and
-    alone in its row) is refused.
+    alone in its row) is refused, and so are a header with a name count
+    other than the column count and columns of unequal lengths.
     """
+    header = list(header)
     columns = [np.asarray(col) for col in columns]
+    if len(header) != len(columns):
+        raise ValueError(f"write_columns got {len(header)} names for {len(columns)} columns")
+    if len({len(col) for col in columns}) > 1:
+        raise ValueError(f"write_columns takes equal-length columns, got lengths {[len(c) for c in columns]}")
     cells = [col.tolist() for col in columns]
     for col, values in zip(columns, cells):
         if col.dtype.kind not in "iufU":

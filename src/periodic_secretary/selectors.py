@@ -115,15 +115,16 @@ def periodic_secretary(
     and threshold are recomputed against the grown set. Stops after k
     acceptances or at end of stream, whichever comes first.
 
-    Under entropy the evaluator's conditioner tracks the reference set and
-    decides in variance space; each recalibration is one reduction over the
-    tracked variances and one log (``GPConditioner.max_tracked_gain``). A
-    ``Sequence`` is already all there, so it is scanned a period at a time,
-    tracked alongside the reference set, in one loop over the tracked
-    variances (``first_tracked_hit``) that takes a gain only inside the
-    guard band of the threshold's variance; each acceptance is the first
-    tracked gain to meet the threshold and joins the set by its pool
-    position through ``accept`` (one step of pivoted Cholesky on the pool).
+    Under entropy the ``GPConditioner`` of the run's ``UtilityEvaluator``
+    tracks the reference set and decides in variance space; each
+    recalibration is one reduction over the tracked variances and one log
+    (``GPConditioner.max_tracked_gain``). A ``Sequence`` is already all
+    there, so it is scanned a period at a time, tracked alongside the
+    reference set, in one loop over the tracked variances
+    (``first_tracked_hit``) that takes a gain only inside the guard band of
+    the threshold's variance; each acceptance is the first tracked gain to
+    meet the threshold and joins the set by its pool position through
+    ``accept`` (one step of pivoted Cholesky on the pool).
     Any other iterable yields only the observation that has just arrived;
     that one is decided by the conditioner's ``arrival_test`` for the
     threshold in force, is never tracked, and nothing is read past the last
@@ -244,9 +245,9 @@ def _fixed_threshold_scan(
 
 
 def _running_sums(gains: np.ndarray) -> list[float]:
-    """0.0 and the sum after each of ``gains``: the gains added one at a time
-    from 0.0, as ``UtilityEvaluator.accept`` adds them, so the sums have its
-    bits down to the sign of a zero."""
+    """0.0 and the sum after each of ``gains``, added one at a time from 0.0:
+    the utility before and after each acceptance of a modular run, down to
+    the sign of a zero."""
     return list(accumulate(gains.tolist(), initial=0.0))
 
 
@@ -270,11 +271,10 @@ def _check_capacity(k: int, n: int, offline: bool = False) -> None:
         raise ValueError(f"k ({k}) exceeds {'ground set size' if offline else 'stream length'} ({n})")
 
 
-def _classical_pick(
-    items: Sequence[Observation], score: Callable[[Observation], float]
-) -> Observation | None:
-    """Single-choice secretary rule: observe the first floor(n/e) items, then
-    take the first strict improvement, or None if nothing beats them."""
+def _classical_pick(items: Sequence, score: Callable[..., float]) -> object | None:
+    """Single-choice secretary rule: observe the first floor(n/e) items
+    (observations, or positions of fixed scores), then take the first strict
+    improvement, or None if nothing beats them."""
     n = len(items)
     cutoff = int(n / math.e)
     best = -math.inf
@@ -292,23 +292,32 @@ def submodular_secretary(
     """k-segment secretary: one classical-secretary pass per contiguous segment.
 
     Items are scored by their marginal gain against the samples accumulated
-    in earlier segments; segment lengths differ by at most one.
+    in earlier segments; segment lengths differ by at most one. A modular
+    run gathers every weight first (a modular gain never depends on the
+    set), so an index with no weight is refused wherever it sits.
     """
     items = list(stream)
     n = len(items)
     _check_capacity(k, n)
-    ev = f.evaluator()
-    ev.check(items)
-    ev.reserve(k)
-    chosen: list[int] = []
-    trace: list[float] = []
-    for j in range(k):
-        segment = items[(j * n) // k : ((j + 1) * n) // k]
-        pick = _classical_pick(segment, ev.gain)
-        if pick is not None:
-            ev.accept(pick)
-            chosen.append(pick.index)
-            trace.append(ev.value)
+    if f.kind == "modular_sum":
+        w = _weights_of(f.weights, items)
+        score = w.tolist().__getitem__
+        picks = [_classical_pick(range((j * n) // k, ((j + 1) * n) // k), score) for j in range(k)]
+        picks = [p for p in picks if p is not None]
+        chosen = _refuse_repeats(items[p].index for p in picks)
+        trace = _running_sums(w[picks])[1:]
+    else:
+        ev = f.evaluator()
+        ev.check(items)
+        ev.reserve(k)
+        chosen, trace = [], []
+        for j in range(k):
+            segment = items[(j * n) // k : ((j + 1) * n) // k]
+            pick = _classical_pick(segment, ev.gain)
+            if pick is not None:
+                ev.accept(pick)
+                chosen.append(pick.index)
+                trace.append(ev.value)
     terminated = "filled_k" if len(chosen) == k else "end_of_stream"
     return SelectionResult(chosen=tuple(chosen), utility_trace=tuple(trace), terminated=terminated)
 
@@ -340,22 +349,28 @@ def offline_greedy(
     Ties break to the lowest observation index. ``chosen`` is in selection
     order, which is generally not index order. Each step depends only on the
     steps before it, so a run at k is the first k steps of a run at any
-    larger k, with the same utility trace up to there, bit for bit.
+    larger k, with the same utility trace up to there, bit for bit. Modular
+    gains never change: a modular run sorts its weights once (``_top_k``).
     """
     items = sorted(ground, key=lambda o: o.index)
     _check_capacity(k, len(items), offline=True)
-    ev = f.evaluator()
-    ev.reserve(k, len(items))
-    ev.track(items)
-    taken = np.zeros(len(items), dtype=bool)
-    chosen: list[int] = []
-    trace: list[float] = []
-    for _ in range(k):
-        pos = int(np.argmax(np.where(taken, -np.inf, ev.tracked_gains())))  # first max = lowest index
-        taken[pos] = True
-        ev.accept(items[pos], pos)
-        chosen.append(items[pos].index)
-        trace.append(ev.value)
+    if f.kind == "modular_sum":
+        w = _weights_of(f.weights, items)
+        picks = _top_k(w, k)
+        chosen = _refuse_repeats(items[p].index for p in picks)
+        trace = _running_sums(w[picks])[1:]
+    else:
+        ev = f.evaluator()
+        ev.reserve(k, len(items))
+        ev.track(items)
+        taken = np.zeros(len(items), dtype=bool)
+        chosen, trace = [], []
+        for _ in range(k):
+            pos = int(np.argmax(np.where(taken, -np.inf, ev.tracked_gains())))  # first max = lowest index
+            taken[pos] = True
+            ev.accept(items[pos], pos)
+            chosen.append(items[pos].index)
+            trace.append(ev.value)
     return SelectionResult(chosen=tuple(chosen), utility_trace=tuple(trace), terminated="filled_k")
 
 
@@ -369,9 +384,10 @@ def exhaustive_optimum(
 
     A modular utility is judged on the exact sums of its weights, so no
     subset is enumerated: one stable sort takes the k largest weights, ties
-    to the lower index. A k-set has the largest exact sum only if it holds
-    every weight above the k-th largest w_(k) and the rest equal to w_(k),
-    and the lowest-index choice among those is the lexicographically first.
+    to the lower index (``_top_k``). A k-set has the largest exact sum only
+    if it holds every weight above the k-th largest w_(k) and the rest equal
+    to w_(k), and the lowest-index choice among those is the
+    lexicographically first.
     """
     items = sorted(ground, key=lambda o: o.index)
     n = len(items)
@@ -385,12 +401,9 @@ def exhaustive_optimum(
         return SelectionResult(chosen=(), utility_trace=(), terminated="filled_k")
 
     if f.kind == "modular_sum":
-        w = _weights_of(f.weights, items).tolist()
-        top = sorted(range(n), key=w.__getitem__, reverse=True)[:k]  # stable: ties keep index order
-        best = [items[i] for i in sorted(top)]
+        best = [items[i] for i in sorted(_top_k(_weights_of(f.weights, items), k))]
     else:
-        best = None
-        best_val = -math.inf
+        best, best_val = None, -math.inf
         for combo in combinations(items, k):
             val = f.value(combo)
             if val > best_val:
@@ -399,6 +412,12 @@ def exhaustive_optimum(
     return SelectionResult(
         chosen=tuple(o.index for o in best), utility_trace=trace, terminated="filled_k"
     )
+
+
+def _top_k(w: np.ndarray, k: int) -> list[int]:
+    """Positions of the k largest of ``w``, largest first; one stable sort,
+    so equal weights (0.0 and -0.0 among them) keep position order."""
+    return sorted(range(len(w)), key=w.tolist().__getitem__, reverse=True)[:k]
 
 
 def utility_trace_for(f: UtilityFunction, observations: Sequence[Observation]) -> tuple[float, ...]:

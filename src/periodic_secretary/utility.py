@@ -93,7 +93,7 @@ def entropy_criterion(points: np.ndarray, hyper: GPHyperparams) -> float:
 
 
 class UtilityEvaluator:
-    """Stateful marginal-gain accumulator for one selector run.
+    """Stateful entropy marginal-gain accumulator for one selector run.
 
     Tracks the running utility value f(A) and answers gain queries against
     the current set, either for given observations (``gain``, ``gains``) or
@@ -101,78 +101,30 @@ class UtilityEvaluator:
     gains stay current as the set grows. ``accept`` is irrevocable:
     re-adding an index raises.
 
-    Both kinds track a pool, which greedy and the noise estimate read
-    through ``tracked_gains``. The periodic secretary decides an entropy
-    run in variance space through the evaluator's conditioner
-    (``GPConditioner.max_tracked_gain``, ``first_tracked_hit`` and
-    ``arrival_test``); a modular gain never depends on the set, so a
-    modular run of that selector builds no evaluator.
+    Greedy reads the pool through ``tracked_gains``; the periodic secretary
+    decides in variance space through the ``GPConditioner`` it holds. A
+    modular utility has no evaluator: its gains are fixed weights, which
+    every selector reads directly.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, hyper: GPHyperparams):
         self._value = 0.0
         self._indices: set[int] = set()
+        self._cond = GPConditioner(hyper)
 
     @property
     def value(self) -> float:
         return self._value
 
     def check(self, observations: Sequence[Observation]) -> None:
-        """Raise ValueError if the utility cannot evaluate these observations.
-
-        Selectors check a stream once, where their evaluator first meets it;
-        ``gain``, the per-arrival path, does not check. ``track`` checks what
-        it tracks.
-        """
-
-    def reserve(self, k: int, pool: int = 0) -> None:
-        """Make room for k accepted and ``pool`` tracked observations.
-
-        A capacity hint from a selector that knows its sizes; it changes no
-        result.
-        """
-
-    def gain(self, obs: Observation) -> float:
-        raise NotImplementedError
-
-    def gains(self, observations: Sequence[Observation]) -> np.ndarray:
-        raise NotImplementedError
-
-    def track(self, observations: Sequence[Observation]) -> None:
-        """Append observations to the tracked pool."""
-        raise NotImplementedError
-
-    def tracked_gains(self) -> np.ndarray:
-        """Marginal gain of each tracked observation against the current set, in pool order."""
-        raise NotImplementedError
-
-    def accept(self, obs: Observation, pos: int | None = None) -> float:
-        """Add obs to the set irrevocably; return the utility after.
-
-        ``pos``, if given, is obs's position in the tracked pool, which an
-        evaluator may use to add it without evaluating it afresh.
-        """
-        if obs.index in self._indices:
-            raise ValueError(f"observation {obs.index} is already in the sample set")
-        self._value += self._register(obs, pos)
-        self._indices.add(obs.index)
-        return self._value
-
-    def _register(self, obs: Observation, pos: int | None) -> float:
-        """Add obs to the set; return its marginal gain against the set before."""
-        raise NotImplementedError
-
-
-class _EntropyEvaluator(UtilityEvaluator):
-    def __init__(self, hyper: GPHyperparams):
-        super().__init__()
-        self._cond = GPConditioner(hyper)
-
-    def check(self, observations: Sequence[Observation]) -> None:
+        """Refuse observations of the wrong dimension with ValueError: once per
+        stream, as ``gain``, the per-arrival path, does not check."""
         if len(observations):
             _check_dim(_features_of(observations), self._cond.hyper, "stream")
 
     def reserve(self, k: int, pool: int = 0) -> None:
+        """Make room for k accepted and ``pool`` tracked observations: a
+        capacity hint that changes no result."""
         self._cond.reserve(k, pool)
 
     def gain(self, obs: Observation) -> float:
@@ -184,38 +136,23 @@ class _EntropyEvaluator(UtilityEvaluator):
         return self._cond.entropies(_features_of(observations))
 
     def track(self, observations: Sequence[Observation]) -> None:
+        """Append observations to the tracked pool."""
         if len(observations):
             self._cond.track(_features_of(observations))
 
     def tracked_gains(self) -> np.ndarray:
+        """Marginal gain of each tracked observation against the current set, in pool order."""
         return _entropy_of(self._cond.tracked_variances())
 
-    def _register(self, obs: Observation, pos: int | None) -> float:
-        return float(_entropy_of(self._cond.extend(obs.features, pos)))
-
-
-class _ModularEvaluator(UtilityEvaluator):
-    def __init__(self, weights: np.ndarray):
-        super().__init__()
-        self._w = weights
-        self._pool = np.empty(0)
-
-    def _weight(self, obs: Observation) -> float:
-        return _weights_of(self._w, (obs,)).item()
-
-    gain = _weight
-
-    def gains(self, observations: Sequence[Observation]) -> np.ndarray:
-        return _weights_of(self._w, observations)
-
-    def track(self, observations: Sequence[Observation]) -> None:
-        self._pool = np.concatenate([self._pool, _weights_of(self._w, observations)])
-
-    def tracked_gains(self) -> np.ndarray:
-        return self._pool.copy()
-
-    def _register(self, obs: Observation, pos: int | None) -> float:
-        return self._weight(obs)
+    def accept(self, obs: Observation, pos: int | None = None) -> float:
+        """Add obs to the set irrevocably; return the utility after. ``pos``,
+        if given, is obs's position in the tracked pool, where its variance is
+        already kept."""
+        if obs.index in self._indices:
+            raise ValueError(f"observation {obs.index} is already in the sample set")
+        self._value += float(_entropy_of(self._cond.extend(obs.features, pos)))
+        self._indices.add(obs.index)
+        return self._value
 
 
 @dataclass(frozen=True)
@@ -258,16 +195,16 @@ class UtilityFunction:
         """f(A) for an explicit sample set."""
         if self.kind == "entropy":
             return entropy_criterion(_features_of(observations), self.hyper)
-        # Added in order from 0.0, as ``accept`` adds them: no compensated sum.
+        # Added in order from 0.0, as a modular selector's trace adds them: no compensated sum.
         return reduce(operator.add, _weights_of(self.weights, observations).tolist(), 0.0)
 
     __call__ = value
 
     def evaluator(self) -> UtilityEvaluator:
-        """Fresh stateful evaluator; one per selector run."""
-        if self.kind == "entropy":
-            return _EntropyEvaluator(self.hyper)
-        return _ModularEvaluator(self.weights)
+        """Fresh stateful entropy evaluator; one per selector run."""
+        if self.kind != "entropy":
+            raise ValueError("a modular utility has no evaluator: its gains are its weights")
+        return UtilityEvaluator(self.hyper)
 
 
 def marginal_gain(f: UtilityFunction, A: Sequence[Observation], x: Observation) -> float:

@@ -167,10 +167,11 @@ def test_modular_utility_trace_equals_the_accept_loop_bit_for_bit(
     seed, n, repeat, missing, zero_first
 ):
     # utility_trace_for gathers the weights once and sums them from 0.0; the
-    # accept loop adds one weight per observation. A first weight of -0.0
-    # makes the utility after it 0.0 + -0.0 = 0.0. A repeated index and an
-    # index with no weight are refused with the loop's messages; where one
-    # sequence has both, the missing weight is reported, wherever it sits.
+    # loop below accepts one observation at a time, adding its weight from
+    # 0.0. A first weight of -0.0 makes the utility after it 0.0 + -0.0 =
+    # 0.0. A repeated index and an index with no weight are refused with the
+    # loop's messages; where one sequence has both, the missing weight is
+    # reported, wherever it sits.
     rng = np.random.default_rng(seed)
     weights = np.round(rng.normal(size=n + 1), 1)
     idx = rng.permutation(n + 1)[: rng.integers(0, n + 2)].tolist()
@@ -185,11 +186,16 @@ def test_modular_utility_trace_equals_the_accept_loop_bit_for_bit(
     f = UtilityFunction.modular(weights)
 
     def accept_loop():
-        ev = f.evaluator()
-        try:
-            return [ev.accept(o) for o in obs]
-        except ValueError as exc:
-            return str(exc)
+        value, seen, after = 0.0, set(), []
+        for o in obs:
+            if o.index in seen:
+                return f"observation {o.index} is already in the sample set"
+            if o.index >= len(weights):
+                return f"no weight for observation index {o.index}"
+            value += float(weights[o.index])
+            seen.add(o.index)
+            after.append(value)
+        return after
 
     try:
         got = utility_trace_for(f, obs)
@@ -237,11 +243,13 @@ def test_noise_estimate_equals_one_variance_per_phase_bit_for_bit(seed, T, perio
     stream = generate_periodic_stream(spec, seed)
     if modular:
         f = UtilityFunction.modular(10.0**scale * stream.feature_matrix[:, 0])
+        singles = f.weights  # stream indices run 0..n-1
     else:
         f = UtilityFunction.entropy(random_hyper(rng, 1))
-    ev = f.evaluator()
-    ev.track(stream.observations)
-    assert bits([estimate_utility_noise(stream, f)]) == bits([per_phase_noise(ev.tracked_gains(), T)])
+        ev = f.evaluator()
+        ev.track(stream.observations)
+        singles = ev.tracked_gains()
+    assert bits([estimate_utility_noise(stream, f)]) == bits([per_phase_noise(singles, T)])
 
 
 @SETTINGS
@@ -412,16 +420,15 @@ def test_tracked_acceptance_matches_untracked_and_fresh(seed, d, noise, kinds):
     d=st.integers(1, 3),
     n=st.integers(1, 30),
     m=st.integers(0, 12),
-    utility=st.sampled_from(["modular", "entropy", "zero-noise entropy"]),
+    utility=st.sampled_from(["entropy", "zero-noise entropy"]),
     data=st.data(),
 )
 def test_tracked_scans_match_gain_space_rule(seed, d, n, m, utility, data):
     # The periodic secretary's recalibration and first-hit scan
     # (GPConditioner.max_tracked_gain and first_tracked_hit), which read an
     # entropy pool's tracked variances directly, give the threshold and the
-    # index of np.max and np.flatnonzero over tracked_gains (a modular pool
-    # has no scan or arrival test: its threshold never moves). Thresholds include
-    # gains taken from the pool itself, so exact ties are tried, and the
+    # index of np.max and np.flatnonzero over tracked_gains. Thresholds
+    # include gains taken from the pool itself, so exact ties are tried, and the
     # next float above the best gain still to scan, whose point lies inside
     # the variance guard band but misses the threshold. At zero noise the
     # accepted points repeat pool locations, whose variances then sit at
@@ -431,9 +438,7 @@ def test_tracked_scans_match_gain_space_rule(seed, d, n, m, utility, data):
     # one-point gain, one ulp either side and the scan's threshold.
     rng = np.random.default_rng(seed)
     obs = random_observations(rng, n + m, d)
-    if utility == "modular":
-        f = UtilityFunction.modular(np.round(rng.normal(size=n + m), 1))
-    elif utility == "entropy":
+    if utility == "entropy":
         f = UtilityFunction.entropy(random_hyper(rng, d))
     else:
         f = UtilityFunction.entropy(GPHyperparams(rng.uniform(0.3, 2.0, size=d), 1.0, 0.0))
@@ -444,8 +449,7 @@ def test_tracked_scans_match_gain_space_rule(seed, d, n, m, utility, data):
         ev.accept(o)
     gains = ev.tracked_gains()
     stop = data.draw(st.integers(1, n))
-    if utility != "modular":
-        assert ev._cond.max_tracked_gain(stop) == float(np.max(gains[:stop]))
+    assert ev._cond.max_tracked_gain(stop) == float(np.max(gains[:stop]))
     start = data.draw(st.integers(0, n))
     best_left = float(np.max(gains[start:], initial=-np.inf))
     threshold = data.draw(st.sampled_from([
@@ -458,15 +462,13 @@ def test_tracked_scans_match_gain_space_rule(seed, d, n, m, utility, data):
         -math.inf,
     ]))
     hits = np.flatnonzero(gains[start:] >= threshold)
-    if utility != "modular":
-        assert ev._cond.first_tracked_hit(threshold, start) == (start + int(hits[0]) if hits.size else None)
+    assert ev._cond.first_tracked_hit(threshold, start) == (start + int(hits[0]) if hits.size else None)
     index = int(rng.integers(n + m))
     features = data.draw(st.sampled_from([obs[index].features, rng.normal(size=d)]))
     arrival = Observation(index, features)
     gain = ev.gain(arrival)
     for t in (gain, float(np.nextafter(gain, -np.inf)), float(np.nextafter(gain, np.inf)), threshold):
-        if utility != "modular":
-            assert ev._cond.arrival_test(t)(arrival.features) == (ev.gain(arrival) >= t)
+        assert ev._cond.arrival_test(t)(arrival.features) == (ev.gain(arrival) >= t)
 
 
 def transcribed_tracked_rule(obs, hyper, k, T, slack):

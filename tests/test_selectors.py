@@ -10,6 +10,7 @@ from periodic_secretary import (
     PeriodicSecretaryConfig,
     PeriodicStreamSpec,
     UtilityFunction,
+    estimate_utility_noise,
     exhaustive_optimum,
     generate_periodic_stream,
     offline_greedy,
@@ -160,6 +161,26 @@ class TestPeriodicSecretary:
         assert listed.chosen == streamed.chosen == (5, 7, 9)
         assert listed.utility_trace == streamed.utility_trace == (3.0, 5.0, 8.0)
 
+    @pytest.mark.parametrize("run", [
+        lambda s, f: offline_greedy(s.observations, f, 3),
+        lambda s, f: submodular_secretary(s.observations, f, 3),
+        lambda s, f: exhaustive_optimum(s.observations, f, 3),
+        estimate_utility_noise,
+    ], ids=["offline_greedy", "submodular_secretary", "exhaustive_optimum", "estimate_utility_noise"])
+    def test_modular_run_of_every_other_selector_builds_no_evaluator(self, monkeypatch, run):
+        # Every selector and the noise estimate read the weights directly;
+        # a modular utility refuses to build an evaluator at all.
+        stream = noiseless_stream(repeats=4)
+        f = value_utility(stream)
+        with pytest.raises(ValueError, match="modular utility has no evaluator"):
+            f.evaluator()
+
+        def refuse(self):
+            raise AssertionError("a modular run built an evaluator")
+
+        monkeypatch.setattr(UtilityFunction, "evaluator", refuse)
+        run(stream, f)
+
     def test_indices_strictly_increasing(self):
         spec = PeriodicStreamSpec(
             period_T=6,
@@ -229,6 +250,16 @@ class TestSubmodularSecretary:
         f = UtilityFunction.modular(np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="exceeds"):
             submodular_secretary(obs, f, k=3)
+
+    def test_modular_run_refuses_an_unweighted_index_it_never_scores(self):
+        # Index 9 arrives after the one segment's pick (1.0 beats the 0.0
+        # observed before it), so the rule never scores it. A modular run
+        # gathers every weight first and refuses it, as the periodic
+        # secretary and utility_trace_for do.
+        obs = [Observation(i, np.array([0.0])) for i in (0, 1, 9)]
+        f = UtilityFunction.modular(np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match=r"^no weight for observation index 9$"):
+            submodular_secretary(obs, f, k=1)
 
     def test_indices_strictly_increasing(self):
         rng = np.random.default_rng(17)

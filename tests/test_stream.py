@@ -262,6 +262,17 @@ class TestCsv:
         with pytest.raises(ValueError, match="needs quoting"):
             write_columns(tmp_path / "c.csv", ["name"] * len(columns), columns)
 
+    @pytest.mark.parametrize("header, columns, message", [
+        (["a", "b"], [[1, 2, 3], [1.5]], r"equal-length columns, got lengths \[3, 1\]"),
+        (["a"], [[1, 2], [1.5, 2.5]], "got 1 names for 2 columns"),
+        (["a", "b", "c"], [[1, 2, 3], [1.5]], "got 3 names for 2 columns"),
+    ])
+    def test_write_columns_refuses_malformed_columns(self, tmp_path, header, columns, message):
+        # Zipped, these would drop rows or label a column with the wrong name.
+        with pytest.raises(ValueError, match=message):
+            write_columns(tmp_path / "c.csv", header, columns)
+        assert not (tmp_path / "c.csv").exists()
+
     def test_round_trip_preserves_12_significant_digits(self, tmp_path):
         spec = PeriodicStreamSpec(
             period_T=7,

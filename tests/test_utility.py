@@ -7,13 +7,17 @@ from periodic_secretary import (
     GPHyperparams,
     Observation,
     PeriodicSecretaryConfig,
+    PeriodicStreamSpec,
     UtilityFunction,
     check_submodular_monotone,
     entropy_criterion,
+    estimate_utility_noise,
     exhaustive_optimum,
+    generate_periodic_stream,
     marginal_gain,
     offline_greedy,
     periodic_secretary,
+    submodular_secretary,
 )
 from periodic_secretary.selectors import utility_trace_for
 
@@ -213,24 +217,26 @@ class TestUtilityFunctionValidation:
             UtilityFunction.modular(np.array([1.0, 2.0, bad, bad]))
 
 
-class TestModularEvaluator:
-    def test_batch_weights_are_one_gather(self):
-        w = np.array([0.5, -1.0, 2.0, 0.25])
-        obs = [Observation(i, np.array([0.0])) for i in (2, 0, 3)]
-        ev = UtilityFunction.modular(w).evaluator()
-        assert ev.gains(obs).tolist() == [2.0, 0.5, 0.25]
-        ev.track(obs)
-        ev.track(obs[:1])
-        assert ev.tracked_gains().tolist() == [2.0, 0.5, 0.25, 2.0]
-
-    @pytest.mark.parametrize("method", ["gains", "track"])
-    def test_index_past_the_weights_is_named(self, method):
-        # The first index past the weights in batch order is the one named.
-        ev = UtilityFunction.modular(np.ones(3)).evaluator()
-        obs = [Observation(i, np.array([0.0])) for i in (0, 5, 1, 7)]
-        with pytest.raises(ValueError, match=r"^no weight for observation index 5$"):
-            getattr(ev, method)(obs)
-        assert len(ev.tracked_gains()) == 0
+class TestModularWeights:
+    @pytest.mark.parametrize("run", ["offline_greedy", "submodular_secretary", "estimate_utility_noise"])
+    def test_index_past_the_weights_is_named(self, run):
+        # The first index past the weights, in the order the run reads them,
+        # is the one named: greedy reads its ground set in index order (0, 1,
+        # 5, 7), the secretary its stream in arrival order (7, 5, 1, 0) and
+        # the noise estimate a stream of indices 0..7.
+        f = UtilityFunction.modular(np.ones(3))
+        obs = [Observation(i, np.array([0.0])) for i in (7, 5, 1, 0)]
+        spec = PeriodicStreamSpec(
+            period_T=2, noise_cov=np.zeros((1, 1)), length_N=8, base_waveform=np.zeros((2, 1))
+        )
+        calls = {
+            "offline_greedy": (lambda: offline_greedy(obs, f, 1), 5),
+            "submodular_secretary": (lambda: submodular_secretary(obs, f, 1), 7),
+            "estimate_utility_noise": (lambda: estimate_utility_noise(generate_periodic_stream(spec, 0), f), 3),
+        }
+        call, named = calls[run]
+        with pytest.raises(ValueError, match=rf"^no weight for observation index {named}$"):
+            call()
 
 
 _PERIODIC = PeriodicSecretaryConfig(k=10, period_T=2, threshold_slack=0.0)
