@@ -65,7 +65,7 @@ print(f"\nentropy utility, k={k}, N=500, T=50:")
 for name, res in runs.items():
     trace = res.utility_trace
     if not trace:  # schedule-based selectors do not evaluate a utility
-        trace = utility_trace_for(f, [stream.observations[i] for i in res.chosen])
+        trace = utility_trace_for(f, stream.observations[res.chosen])
     final = trace[-1] if trace else 0.0
     print(f"  {name:17s} selected {len(res.chosen):2d}  final utility {final:7.3f}  ({res.terminated})")
 print("\nthe offline greedy sees the whole stream and upper-bounds the rest;")

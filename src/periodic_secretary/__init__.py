@@ -53,6 +53,7 @@ from .stream import (
     Observation,
     ObservationStream,
     PeriodicStreamSpec,
+    Rows,
     block_permute,
     generate_periodic_stream,
     ingest_csv,

@@ -202,7 +202,7 @@ def estimate_utility_noise(stream: ObservationStream, f: UtilityFunction) -> flo
         cond.track(stream.feature_matrix)
         singles = _entropy_of(cond.tracked_variances())
     else:
-        singles = _weights_of(f.weights, stream.observations)
+        singles = _weights_of(f.weights, stream.observations.indices)
     # Row p of a block holds phase p's utilities, singles[p::period_T]. The
     # first n % period_T phases have one more period than the rest, so there
     # are at most two blocks, one per count, in phase order. Each row repeats

@@ -188,7 +188,7 @@ def _cmd_select(parser: _Parser, args: argparse.Namespace) -> int:
     result = algo.run(stream.observations, f, k, period, int(args.seed))
     trace = result.utility_trace
     if not trace and f is not None and result.chosen:
-        trace = utility_trace_for(f, [stream.observations[i] for i in result.chosen])
+        trace = utility_trace_for(f, stream.observations[result.chosen])
 
     out = _outdir(args)
     write_selection_csv(result, out / "selection.csv")

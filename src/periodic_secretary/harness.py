@@ -429,18 +429,17 @@ def run_comparison(
             test_idx = np.sort(
                 np.random.default_rng(test_seeds[r]).choice(pool, size=n_test, replace=False)
             )
-            test_set = set(int(i) for i in test_idx)
-            view = [o for o in trial.observations if o.index not in test_set]
+            view = trial.observations[np.delete(np.arange(len(trial)), test_idx)]
         else:
             test_idx = np.empty(0, dtype=int)
-            view = list(trial.observations)
+            view = trial.observations
 
         results = [algo.run(view, f, cfg.k, cfg.period_T, algo_seeds[lab][r])
                    for algo, lab in zip(cfg.algorithms, labels)]
         for lab, result in zip(labels, results):
             trace = result.utility_trace
             if not trace:
-                trace = utility_trace_for(f, [trial.observations[i] for i in result.chosen])
+                trace = utility_trace_for(f, trial.observations[result.chosen])
             utility_runs[lab][r] = _pad_trace(trace, cfg.k, 0.0)
             fills[lab][r] = len(result.chosen)
         if compute_mse:

@@ -16,9 +16,9 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .kv import write_columns
-from .stream import Observation
+from .stream import Observation, Rows
 from .gp import _entropy_of
-from .utility import UtilityFunction, _chain_variances, _features_of, _weights_of
+from .utility import UtilityFunction, _chain_variances, _weights_of
 
 __all__ = [
     "SelectionResult",
@@ -119,7 +119,8 @@ def periodic_secretary(
     tracks the reference set and decides in variance space; each
     recalibration is one reduction over the tracked variances and one log
     (``GPConditioner.max_tracked_gain``). A ``Sequence`` is already all
-    there, so it is scanned a period at a time, tracked alongside the
+    there, so its rows (``Rows.of``) are scanned a period at a time, each
+    period's slice of the feature matrix tracked alongside the
     reference set, in one loop over the tracked variances
     (``first_tracked_hit``) that takes a gain only inside the guard band of
     the threshold's variance; each acceptance is the first tracked gain to
@@ -146,12 +147,16 @@ def periodic_secretary(
     if f.kind == "modular_sum":
         return _fixed_threshold_scan(stream, f.weights, cfg)
     T = cfg.period_T
-    it = iter(stream)
-    reference = _reference_period(it, T)
     ev = f.evaluator()
     listed = isinstance(stream, Sequence)
     if listed:
-        ev.reserve(min(cfg.k, len(stream) - T), 2 * T)
+        rows = Rows.of(stream)
+        _refuse_short(len(rows), T)
+        reference = rows[:T]
+        ev.reserve(min(cfg.k, len(rows) - T), 2 * T)
+    else:
+        it = iter(stream)
+        reference = _reference_period(it, T)
     ev.track(reference)
     cond = ev._cond  # decides the rule off its tracked variances
     threshold_gain = cond.max_tracked_gain(T) - cfg.threshold_slack
@@ -175,7 +180,8 @@ def periodic_secretary(
                     break
                 meets = cond.arrival_test(threshold_gain)
     else:
-        for batch in iter(lambda: list(islice(it, T)), []):
+        for start in range(T, len(rows), T):
+            batch = rows[start : start + T]
             ev.track(batch)
             pos = T
             while len(chosen) < cfg.k:
@@ -198,11 +204,14 @@ def periodic_secretary(
 def _reference_period(it: Iterator[Observation], T: int) -> list[Observation]:
     """The first T observations of ``it``; a stream that ends before them is refused."""
     reference = list(islice(it, T))
-    if len(reference) < T:
-        raise ValueError(
-            f"stream ended after {len(reference)} observations, before one full period ({T})"
-        )
+    _refuse_short(len(reference), T)
     return reference
+
+
+def _refuse_short(n: int, T: int) -> None:
+    """Refuse a stream of n observations, fewer than one period of T."""
+    if n < T:
+        raise ValueError(f"stream ended after {n} observations, before one full period ({T})")
 
 
 def _fixed_threshold_scan(
@@ -213,26 +222,30 @@ def _fixed_threshold_scan(
     A modular gain is the observation's own weight, whatever the set holds,
     so the threshold gain max(reference weights) - slack never moves and
     the picks are the first k observations after the reference period whose
-    weight meets it. A ``Sequence`` gathers its weights in one go (an index
-    with no weight is refused wherever it sits) and finds its picks in one
-    scan. Any other iterable is read lazily, one weight per arrival, and
-    nothing past the k-th pick; a repeated pick is refused when it
-    arrives. The utility trace is the running sum of the picks' weights,
+    weight meets it. A ``Sequence`` gathers its weights from its index
+    column in one go (an index with no weight is refused wherever it sits)
+    and finds its picks in one scan. Any other iterable is read lazily, one
+    weight per arrival, and nothing past the k-th pick; a repeated pick is
+    refused when it arrives. The utility trace is the running sum of the picks' weights,
     added in pick order as acceptance adds them, so it has the bits of
     accepting them one at a time.
     """
     T = cfg.period_T
-    it = iter(stream)
-    reference = _reference_period(it, T)
     if isinstance(stream, Sequence):
-        w = _weights_of(weights, stream)
+        rows = Rows.of(stream)
+        _refuse_short(len(rows), T)
+        w = _weights_of(weights, rows.indices)
         threshold_gain = float(w[:T].max()) - cfg.threshold_slack
         picks = (w[T:] >= threshold_gain).nonzero()[0][: cfg.k] + T
-        chosen = _refuse_repeats(stream[p].index for p in picks.tolist())
+        chosen = _refuse_repeats(rows.indices[picks].tolist())
         gains = w[picks]
     else:
+        it = iter(stream)
+        reference = np.array([o.index for o in _reference_period(it, T)])
         threshold_gain = float(_weights_of(weights, reference).max()) - cfg.threshold_slack
-        meets = (o.index for o in it if _weights_of(weights, (o,)).item() >= threshold_gain)
+        meets = (
+            o.index for o in it if _weights_of(weights, np.array([o.index])).item() >= threshold_gain
+        )
         chosen = _refuse_repeats(islice(meets, cfg.k))
         gains = weights[chosen]
     values = _running_sums(gains)  # values[j] is the utility before pick j
@@ -275,12 +288,11 @@ def _classical_pick(items: Sequence, score: Callable[..., float]) -> object | No
     """Single-choice secretary rule: observe the first floor(n/e) items
     (observations, or positions of fixed scores), then take the first strict
     improvement, or None if nothing beats them."""
-    n = len(items)
-    cutoff = int(n / math.e)
+    it = iter(items)
     best = -math.inf
-    for obs in items[:cutoff]:
+    for obs in islice(it, int(len(items) / math.e)):
         best = max(best, score(obs))
-    for obs in items[cutoff:]:
+    for obs in it:
         if score(obs) > best:
             return obs
     return None
@@ -296,23 +308,23 @@ def submodular_secretary(
     run gathers every weight first (a modular gain never depends on the
     set), so an index with no weight is refused wherever it sits.
     """
-    items = list(stream)
-    n = len(items)
+    rows = Rows.of(stream)
+    n = len(rows)
     _check_capacity(k, n)
     if f.kind == "modular_sum":
-        w = _weights_of(f.weights, items)
+        w = _weights_of(f.weights, rows.indices)
         score = w.tolist().__getitem__
         picks = [_classical_pick(range((j * n) // k, ((j + 1) * n) // k), score) for j in range(k)]
         picks = [p for p in picks if p is not None]
-        chosen = _refuse_repeats(items[p].index for p in picks)
+        chosen = _refuse_repeats(rows.indices[picks].tolist())
         trace = _running_sums(w[picks])[1:]
     else:
         ev = f.evaluator()
-        ev.check(items)
+        ev.check(rows)
         ev.reserve(k)
         chosen, trace = [], []
         for j in range(k):
-            segment = items[(j * n) // k : ((j + 1) * n) // k]
+            segment = rows[(j * n) // k : ((j + 1) * n) // k]
             pick = _classical_pick(segment, ev.gain)
             if pick is not None:
                 ev.accept(pick)
@@ -324,20 +336,20 @@ def submodular_secretary(
 
 def scheduled_sampler(stream: Sequence[Observation], k: int) -> SelectionResult:
     """Evenly spaced sampling: positions floor(j*N/k) for j = 0..k-1."""
-    items = list(stream)
-    n = len(items)
+    indices = Rows.of(stream).indices
+    n = len(indices)
     _check_capacity(k, n)
-    chosen = tuple(items[(j * n) // k].index for j in range(k))
+    chosen = tuple(indices[np.arange(k) * n // k].tolist())
     return SelectionResult(chosen=chosen, utility_trace=(), terminated="filled_k")
 
 
 def random_sampler(stream: Sequence[Observation], k: int, seed: int) -> SelectionResult:
     """k positions drawn uniformly without replacement, returned in stream order."""
-    items = list(stream)
-    n = len(items)
+    indices = Rows.of(stream).indices
+    n = len(indices)
     _check_capacity(k, n)
     positions = np.sort(np.random.default_rng(seed).choice(n, size=k, replace=False))
-    chosen = tuple(items[int(p)].index for p in positions)
+    chosen = tuple(indices[positions].tolist())
     return SelectionResult(chosen=chosen, utility_trace=(), terminated="filled_k")
 
 
@@ -352,24 +364,25 @@ def offline_greedy(
     larger k, with the same utility trace up to there, bit for bit. Modular
     gains never change: a modular run sorts its weights once (``_top_k``).
     """
-    items = sorted(ground, key=lambda o: o.index)
-    _check_capacity(k, len(items), offline=True)
+    rows = _by_index(ground)
+    _check_capacity(k, len(rows), offline=True)
     if f.kind == "modular_sum":
-        w = _weights_of(f.weights, items)
+        w = _weights_of(f.weights, rows.indices)
         picks = _top_k(w, k)
-        chosen = _refuse_repeats(items[p].index for p in picks)
+        chosen = _refuse_repeats(rows.indices[picks].tolist())
         trace = _running_sums(w[picks])[1:]
     else:
         ev = f.evaluator()
-        ev.reserve(k, len(items))
-        ev.track(items)
-        taken = np.zeros(len(items), dtype=bool)
+        ev.reserve(k, len(rows))
+        ev.track(rows)
+        taken = np.zeros(len(rows), dtype=bool)
         chosen, trace = [], []
         for _ in range(k):
             pos = int(np.argmax(np.where(taken, -np.inf, ev.tracked_gains())))  # first max = lowest index
             taken[pos] = True
-            ev.accept(items[pos], pos)
-            chosen.append(items[pos].index)
+            pick = rows[pos]
+            ev.accept(pick, pos)
+            chosen.append(pick.index)
             trace.append(ev.value)
     return SelectionResult(chosen=tuple(chosen), utility_trace=tuple(trace), terminated="filled_k")
 
@@ -389,29 +402,34 @@ def exhaustive_optimum(
     to w_(k), and the lowest-index choice among those is the
     lexicographically first.
     """
-    items = sorted(ground, key=lambda o: o.index)
-    n = len(items)
+    rows = _by_index(ground)
+    n = len(rows)
     _check_capacity(k, n, offline=True)
     if math.comb(n, k) > EXACT_MAX_SUBSETS:
         raise ValueError(
             f"C({n}, {k}) = {math.comb(n, k)} subsets exceeds the enumeration cap"
             f" {EXACT_MAX_SUBSETS}"
         )
-    if k == 0:
-        return SelectionResult(chosen=(), utility_trace=(), terminated="filled_k")
-
     if f.kind == "modular_sum":
-        best = [items[i] for i in sorted(_top_k(_weights_of(f.weights, items), k))]
-    else:
+        best = rows[sorted(_top_k(_weights_of(f.weights, rows.indices), k))]
+    else:  # k = 0 has one combination, the empty one, of value 0
         best, best_val = None, -math.inf
-        for combo in combinations(items, k):
-            val = f.value(combo)
+        for combo in combinations(range(n), k):
+            subset = rows[combo]
+            val = f.value(subset)
             if val > best_val:
-                best, best_val = list(combo), val
+                best, best_val = subset, val
     trace = utility_trace_for(f, best)
     return SelectionResult(
-        chosen=tuple(o.index for o in best), utility_trace=trace, terminated="filled_k"
+        chosen=tuple(best.indices.tolist()), utility_trace=trace, terminated="filled_k"
     )
+
+
+def _by_index(ground: Sequence[Observation]) -> Rows:
+    """The ground set as rows in index order; one stable sort, so equal
+    indices keep their order."""
+    rows = Rows.of(ground)
+    return rows[np.argsort(rows.indices, kind="stable")]
 
 
 def _top_k(w: np.ndarray, k: int) -> list[int]:
@@ -431,14 +449,15 @@ def utility_trace_for(f: UtilityFunction, observations: Sequence[Observation]) -
     at a time. Either way a repeated index is refused; under a modular
     utility an index with no weight is refused first, wherever it sits.
     """
+    rows = Rows.of(observations)
     if f.kind != "entropy":
-        w = _weights_of(f.weights, observations)
-        _refuse_repeats(o.index for o in observations)
+        w = _weights_of(f.weights, rows.indices)
+        _refuse_repeats(rows.indices.tolist())
         return tuple(_running_sums(w)[1:])
-    _refuse_repeats(o.index for o in observations)
-    if not observations:
+    _refuse_repeats(rows.indices.tolist())
+    if not len(rows):
         return ()
-    entropies = _entropy_of(_chain_variances(_features_of(observations), f.hyper))
+    entropies = _entropy_of(_chain_variances(rows.features, f.hyper))
     return tuple(np.cumsum(entropies).tolist())
 
 

@@ -9,9 +9,11 @@ alone and never see qoi values.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from .kv import read_columns, write_columns
 
 __all__ = [
     "Observation",
+    "Rows",
     "PeriodicStreamSpec",
     "ObservationStream",
     "CsvSchema",
@@ -55,6 +58,90 @@ class Observation:
         if not np.all(np.isfinite(feats)):
             raise ValueError(f"non-finite feature value at index {self.index}")
         object.__setattr__(self, "features", feats)
+
+
+# Rows builds this many observations at a time while it is iterated.
+_CHUNK = 256
+
+_INDEX = attrgetter("index")
+_SET_INDEX = Observation.index.__set__  # slot writers, called at C speed by map
+_SET_FEATURES = Observation.features.__set__
+
+
+class Rows(Sequence[Observation]):
+    """Read-only observations over the rows of one feature matrix.
+
+    ``features`` is the (n, d) float matrix and ``indices`` the (n,) index
+    column; both are read-only. ``rows[i]`` is observation ``indices[i]``
+    over a view of row i, built when it is asked for and not kept; a slice
+    or an integer array of positions gives ``Rows`` again, and iteration
+    builds the observations a bounded chunk at a time. Selectors read the
+    two arrays, so a stream's observations exist only while a caller holds
+    one. ``Rows.of`` turns any sequence of observations into rows; the
+    constructor takes a checked matrix and its index column as they are,
+    keeping read-only views of both.
+    """
+
+    __slots__ = ("features", "indices")
+
+    def __init__(self, features: np.ndarray, indices: np.ndarray) -> None:
+        self._hold(features.view(), indices.view())
+
+    def _hold(self, features: np.ndarray, indices: np.ndarray) -> "Rows":
+        """Keep two arrays that no caller holds, made read-only."""
+        features.flags.writeable = indices.flags.writeable = False
+        self.features, self.indices = features, indices
+        return self
+
+    @classmethod
+    def of(cls, observations: Iterable[Observation]) -> "Rows":
+        """``observations`` as rows: ``Rows`` unchanged, any other sequence
+        gathered once, in order; observations of unequal dimension are refused."""
+        if isinstance(observations, Rows):
+            return observations
+        if not isinstance(observations, Sequence):
+            observations = tuple(observations)
+        n = len(observations)
+        indices = np.fromiter(map(_INDEX, observations), dtype=np.intp, count=n)
+        if not n:
+            return cls(np.empty((0, 0)), indices)
+        try:
+            features = np.array([o.features for o in observations], dtype=float)
+        except ValueError:  # ragged rows
+            raise ValueError("observations have features of unequal dimension") from None
+        return cls(features, indices)
+
+    def __len__(self) -> int:
+        return self.indices.shape[0]
+
+    def __getitem__(self, key):
+        # An Observation's slots are filled without its per-row checks, made on the matrix.
+        if isinstance(key, (int, np.integer)):
+            obs = Observation.__new__(Observation)
+            _SET_INDEX(obs, self.indices.item(key))  # IndexError past either end
+            _SET_FEATURES(obs, self.features[key])
+            return obs
+        if not isinstance(key, slice):
+            key = np.asarray(key)
+            if key.dtype.kind not in "iu":
+                if key.size:
+                    raise TypeError(f"rows are indexed by integers, not {key.dtype}")
+                key = key.astype(np.intp)
+        # A slice gives views, and an integer array copies, that no caller holds yet.
+        return Rows.__new__(Rows)._hold(self.features[key], self.indices[key])
+
+    def __iter__(self) -> Iterator[Observation]:
+        # chain hands out each chunk's observations in C; only _chunk runs in Python.
+        return chain.from_iterable(map(self._chunk, range(0, len(self), _CHUNK)))
+
+    def _chunk(self, start: int) -> tuple[Observation, ...]:
+        """The observations at positions start..start+_CHUNK-1; each map runs
+        its loop in C (deque(..., 0) drains it)."""
+        indices = self.indices[start : start + _CHUNK].tolist()
+        obs = tuple(map(Observation.__new__, repeat(Observation, len(indices))))
+        deque(map(_SET_INDEX, obs, indices), 0)
+        deque(map(_SET_FEATURES, obs, self.features[start : start + _CHUNK]), 0)
+        return obs
 
 
 @dataclass(frozen=True)
@@ -122,8 +209,9 @@ class ObservationStream:
     The matrix is copied, checked once as a whole, with ``Observation``'s
     messages, and kept read-only; observation i is index i over a view of
     row i, so indices run 0..N-1 and the dimension is uniform by
-    construction. The observations are built on first access, so a stream
-    whose observations are never read never builds them. ``qoi`` is None or
+    construction. ``observations`` is that matrix and its index column as
+    ``Rows``, made on first access and kept; it holds no per-row object, and
+    an ``Observation`` is built only when a caller takes one. ``qoi`` is None or
     a read-only float array of length N, with NaN for a missing value.
     Selectors receive ``observations`` only; qoi stays on the stream object
     for the evaluation harness. Streams compare by identity: array fields
@@ -152,15 +240,9 @@ class ObservationStream:
             put(self, "qoi", qoi)
 
     @cached_property
-    def observations(self) -> tuple[Observation, ...]:
-        """Observation i over a view of row i, for i = 0..N-1."""
-        # Observation's slots are filled without its per-row checks, made on
-        # the matrix; each map runs its loop in C (deque(..., 0) drains it).
-        n = len(self)
-        obs = tuple(map(Observation.__new__, repeat(Observation, n)))
-        deque(map(Observation.index.__set__, obs, range(n)), 0)
-        deque(map(Observation.features.__set__, obs, self.feature_matrix), 0)
-        return obs
+    def observations(self) -> Rows:
+        """The rows of the feature matrix, indexed 0..N-1."""
+        return Rows(self.feature_matrix, np.arange(len(self)))
 
     def __len__(self) -> int:
         return self.feature_matrix.shape[0]

@@ -24,7 +24,7 @@ from .gp import (
     _entropy_of,
     se_gram,
 )
-from .stream import Observation
+from .stream import Observation, Rows
 
 __all__ = [
     "UtilityFunction",
@@ -38,23 +38,13 @@ __all__ = [
 
 SetFunction = Callable[[Sequence[Observation]], float]
 
-_INDEX = operator.attrgetter("index")
-
-
-def _features_of(observations: Sequence[Observation]) -> np.ndarray:
-    if len(observations) == 0:
-        return np.empty((0, 0))
-    return np.array([o.features for o in observations], dtype=float)
-
-
-def _weights_of(weights: np.ndarray, observations: Sequence[Observation]) -> np.ndarray:
-    """The modular weights of the observations, by index, as one gather; an
-    index with no weight is refused, wherever it sits."""
-    idx = np.fromiter(map(_INDEX, observations), dtype=np.intp, count=len(observations))
+def _weights_of(weights: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """The modular weights at an index array, as one gather; an index with no
+    weight is refused, wherever it sits."""
     try:
-        return weights[idx]
+        return weights[indices]
     except IndexError:  # indices are non-negative: one lies past the weights
-        past = idx[idx >= weights.shape[0]]
+        past = indices[indices >= weights.shape[0]]
         raise ValueError(f"no weight for observation index {past[0]}") from None
 
 
@@ -119,8 +109,9 @@ class UtilityEvaluator:
     def check(self, observations: Sequence[Observation]) -> None:
         """Refuse observations of the wrong dimension with ValueError: once per
         stream, as ``gain``, the per-arrival path, does not check."""
-        if len(observations):
-            _check_dim(_features_of(observations), self._cond.hyper, "stream")
+        rows = Rows.of(observations)
+        if len(rows):
+            _check_dim(rows.features, self._cond.hyper, "stream")
 
     def reserve(self, k: int, pool: int = 0) -> None:
         """Make room for k accepted and ``pool`` tracked observations: a
@@ -131,14 +122,16 @@ class UtilityEvaluator:
         return self._cond.entropy(obs.features)
 
     def gains(self, observations: Sequence[Observation]) -> np.ndarray:
-        if len(observations) == 0:
+        rows = Rows.of(observations)
+        if len(rows) == 0:
             return np.empty(0)
-        return self._cond.entropies(_features_of(observations))
+        return self._cond.entropies(rows.features)
 
     def track(self, observations: Sequence[Observation]) -> None:
         """Append observations to the tracked pool."""
-        if len(observations):
-            self._cond.track(_features_of(observations))
+        rows = Rows.of(observations)
+        if len(rows):
+            self._cond.track(rows.features)
 
     def tracked_gains(self) -> np.ndarray:
         """Marginal gain of each tracked observation against the current set, in pool order."""
@@ -193,10 +186,11 @@ class UtilityFunction:
 
     def value(self, observations: Sequence[Observation]) -> float:
         """f(A) for an explicit sample set."""
+        rows = Rows.of(observations)
         if self.kind == "entropy":
-            return entropy_criterion(_features_of(observations), self.hyper)
+            return entropy_criterion(rows.features, self.hyper)
         # Added in order from 0.0, as a modular selector's trace adds them: no compensated sum.
-        return reduce(operator.add, _weights_of(self.weights, observations).tolist(), 0.0)
+        return reduce(operator.add, _weights_of(self.weights, rows.indices).tolist(), 0.0)
 
     __call__ = value
 

@@ -35,6 +35,7 @@ from periodic_secretary import (
     ObservationStream,
     PeriodicSecretaryConfig,
     PeriodicStreamSpec,
+    Rows,
     UtilityFunction,
     block_permute,
     bound_report,
@@ -47,6 +48,9 @@ from periodic_secretary import (
     periodic_secretary,
     predict_many,
     prefix_means,
+    random_sampler,
+    scheduled_sampler,
+    submodular_secretary,
     two_sine_waveform,
     write_stream_csv,
 )
@@ -209,6 +213,77 @@ def test_modular_utility_trace_equals_the_accept_loop_bit_for_bit(
             assert got == expected
         else:
             assert bits(got) == bits(expected)
+
+
+def outcome(run, observations):
+    """A selector's picks, traces as hex and termination, or its refusal."""
+    try:
+        result = run(observations)
+    except ValueError as exc:
+        assert re.fullmatch(
+            r"no weight for observation index \d+|observation \d+ is already in the sample set"
+            r"|chosen indices must be distinct",  # a sampler that drew a repeated index
+            str(exc),
+        ), str(exc)
+        return str(exc)
+    if isinstance(result, tuple):  # a utility trace
+        return [v.hex() for v in result]
+    traces = result.utility_trace + (result.threshold_trace or ())
+    return result.chosen, [v.hex() for v in traces], result.terminated
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 2),
+    T=st.integers(1, 8),
+    extra=st.integers(0, 40),
+    k=st.integers(1, 12),
+    slack=st.floats(0.0, 1.0),
+    modular=st.booleans(),
+    order=st.sampled_from(["stream", "shuffled", "repeats"]),
+    short_weights=st.booleans(),
+)
+def test_rows_select_as_their_observations_do(seed, d, T, extra, k, slack, modular, order, short_weights):
+    # Selectors read a Rows' arrays and a plain sequence's observations; both
+    # give the same picks, trace bits and termination, or the same refusal.
+    # The rows are a stream's, in stream order, shuffled, or drawn with
+    # repeated indices; a short weight vector leaves some index unweighted.
+    rng = np.random.default_rng(seed)
+    n = T + extra
+    stream = ObservationStream(rng.normal(size=(n, d)))
+    observations = stream.observations
+    positions = {
+        "stream": np.arange(n), "shuffled": rng.permutation(n), "repeats": rng.integers(n, size=n),
+    }[order]
+    rows = observations[positions]
+    plain = [list(observations)[p] for p in positions.tolist()]
+    if modular:
+        f = UtilityFunction.modular(rng.normal(size=int(rng.integers(1, n + 1)) if short_weights else n))
+    else:
+        f = UtilityFunction.entropy(random_hyper(rng, d))
+    k = min(k, n)
+    cfg = PeriodicSecretaryConfig(k=k, period_T=T, threshold_slack=slack)
+    traced = rng.integers(n, size=int(rng.integers(0, 6)))
+    runs = {
+        "periodic_secretary": lambda s: periodic_secretary(s, f, cfg),
+        "periodic_secretary_iterator": lambda s: periodic_secretary(iter(s), f, cfg),
+        "offline_greedy": lambda s: offline_greedy(s, f, k),
+        "exhaustive_optimum": lambda s: exhaustive_optimum(s[:9], f, min(k, 3, len(s[:9]))),
+        "submodular_secretary": lambda s: submodular_secretary(s, f, k),
+        "scheduled_sampler": lambda s: scheduled_sampler(s, k),
+        "random_sampler": lambda s: random_sampler(s, k, seed),
+        "utility_trace_for": lambda s: utility_trace_for(
+            f, s[traced] if isinstance(s, Rows) else [s[p] for p in traced.tolist()]
+        ),
+    }
+    for name, run in runs.items():
+        assert outcome(run, rows) == outcome(run, plain), name
+    if order != "repeats":  # the index at each scheduled position, read literally
+        assert scheduled_sampler(rows, k).chosen == tuple(plain[j * n // k].index for j in range(k))
+    if order == "stream":
+        for name, run in runs.items():
+            assert outcome(run, observations) == outcome(run, list(observations)), name
 
 
 def per_phase_noise(singles, T):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from periodic_secretary import (
     Observation,
     ObservationStream,
     PeriodicStreamSpec,
+    Rows,
     block_permute,
     generate_periodic_stream,
     ingest_csv,
@@ -154,6 +157,110 @@ class TestTypes:
         with pytest.raises(ValueError):
             stream.observations[0].features[0] = 99.0
 
+
+
+class TestRows:
+    """A stream's observations are the rows of its matrix, built when read."""
+
+    def setup_method(self):
+        self.feats = np.arange(14.0).reshape(7, 2)
+        self.stream = ObservationStream(self.feats)
+        # What an eager build gives: one observation per row, in a tuple.
+        self.eager = tuple(Observation(i, x) for i, x in enumerate(self.feats))
+
+    @staticmethod
+    def same(got, expected):
+        got, expected = list(got), list(expected)
+        assert [o.index for o in got] == [o.index for o in expected]
+        assert all(np.array_equal(a.features, b.features) for a, b in zip(got, expected))
+        assert len(got) == len(expected)
+
+    def test_each_row_is_a_read_only_view_of_the_matrix(self):
+        rows = self.stream.observations
+        assert isinstance(rows, Rows) and len(rows) == 7
+        assert np.shares_memory(rows.features, self.stream.feature_matrix)
+        assert np.array_equal(rows.indices, np.arange(7))
+        for obs in [*rows, rows[3], rows[-1], *rows[1:5]]:
+            assert np.shares_memory(obs.features, self.stream.feature_matrix)
+        for obs in [*rows, rows[3], *rows[[6, 0]]]:  # positions give a copy
+            assert not obs.features.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                obs.features[0] = 1.0
+        for array in (rows.features, rows.indices, rows[2:].features, rows[[1, 1]].indices):
+            assert not array.flags.writeable
+
+    @pytest.mark.parametrize("key", [0, 6, -1, -7, np.int64(3), np.intp(-2)])
+    def test_an_integer_gives_the_eager_row(self, key):
+        obs = self.stream.observations[key]
+        assert type(obs) is Observation and type(obs.index) is int
+        self.same([obs], [self.eager[key]])
+
+    @pytest.mark.parametrize("key", [
+        slice(None), slice(2, 5), slice(-3, None), slice(None, None, -2), slice(5, 2), slice(1, 99, 3),
+    ])
+    def test_a_slice_gives_rows_of_the_eager_slice(self, key):
+        rows = self.stream.observations[key]
+        assert isinstance(rows, Rows)
+        self.same(rows, self.eager[key])
+
+    @pytest.mark.parametrize("key", [
+        [4, 0, 4], (6, -1, -7), np.array([2, 5]), np.array([], dtype=int), [], (),
+        np.array([3], dtype=np.uint8),
+    ])
+    def test_an_integer_array_gives_rows_of_those_positions(self, key):
+        rows = self.stream.observations[key]
+        assert isinstance(rows, Rows)
+        self.same(rows, [self.eager[p] for p in np.asarray(key, dtype=int).tolist()])
+
+    @pytest.mark.parametrize("key", [7, -8, 10**6, [0, 7], [-8]])
+    def test_a_position_out_of_range_raises_index_error(self, key):
+        with pytest.raises(IndexError):
+            self.stream.observations[key]
+
+    def test_a_non_integer_array_is_refused(self):
+        with pytest.raises(TypeError, match="indexed by integers"):
+            self.stream.observations[[0.5]]
+
+    def test_rows_of_a_list_has_its_indices_and_features(self):
+        obs = [Observation(9, np.array([1.0, 2.0])), Observation(3, np.array([3.0, 4.0]))]
+        rows = Rows.of(obs)
+        assert rows.indices.tolist() == [9, 3] and rows.indices.dtype == np.intp
+        assert np.array_equal(rows.features, [[1.0, 2.0], [3.0, 4.0]])
+        self.same(rows, obs)
+        assert Rows.of(iter(obs)).indices.tolist() == [9, 3]
+        assert len(Rows.of([])) == 0 and Rows.of([]).indices.dtype == np.intp
+
+    def test_rows_of_rows_is_the_same_object(self):
+        rows = self.stream.observations
+        assert Rows.of(rows) is rows
+
+    def test_rows_of_ragged_observations_is_refused(self):
+        obs = [Observation(0, np.zeros(1)), Observation(1, np.zeros(2))]
+        with pytest.raises(ValueError, match="unequal dimension"):
+            Rows.of(obs)
+
+    def test_observations_are_made_once_and_kept(self):
+        assert self.stream.observations is self.stream.observations
+        assert "observations" in vars(self.stream)
+
+    def test_walking_a_long_stream_holds_a_bounded_number_of_observations(self):
+        # 61 320 rows, seven years of hourly readings. Reading the
+        # observations makes the index column (8 bytes a row) and no per-row
+        # object (an Observation and its row view take about 200 bytes);
+        # walking them holds one chunk of observations at a time, far below
+        # the 12 MB that all of them take.
+        stream = ObservationStream(np.zeros((61_320, 1)))
+        tracemalloc.start()
+        try:
+            observations = stream.observations
+            read = tracemalloc.get_traced_memory()[0]
+            walked = sum(1 for _ in observations)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert walked == len(stream)
+        assert read < 16 * len(stream)
+        assert peak < 10**6
 
 class TestCsv:
     def test_three_row_two_feature_ingest(self, tmp_path):

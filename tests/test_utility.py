@@ -218,6 +218,14 @@ class TestUtilityFunctionValidation:
 
 
 class TestModularWeights:
+    @pytest.mark.parametrize("run", [offline_greedy, exhaustive_optimum])
+    def test_k_zero_still_reads_every_weight(self, run):
+        # Picking nothing still gathers the ground set's weights, so an index
+        # with no weight is refused at k = 0 as at any k.
+        obs = [Observation(0, np.zeros(1)), Observation(5, np.zeros(1))]
+        with pytest.raises(ValueError, match=r"^no weight for observation index 5$"):
+            run(obs, UtilityFunction.modular(np.ones(2)), 0)
+
     @pytest.mark.parametrize("run", ["offline_greedy", "submodular_secretary", "estimate_utility_noise"])
     def test_index_past_the_weights_is_named(self, run):
         # The first index past the weights, in the order the run reads them,
