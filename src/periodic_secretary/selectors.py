@@ -17,7 +17,7 @@ import numpy as np
 
 from .kv import write_columns
 from .stream import Observation, Rows
-from .gp import _entropy_of
+from .gp import _check_dim, _entropy_of
 from .utility import UtilityFunction, _chain_variances, _weights_of
 
 __all__ = [
@@ -115,12 +115,12 @@ def periodic_secretary(
     and threshold are recomputed against the grown set. Stops after k
     acceptances or at end of stream, whichever comes first.
 
-    Under entropy the ``GPConditioner`` of the run's ``UtilityEvaluator``
-    tracks the reference set and decides in variance space; each
-    recalibration is one reduction over the tracked variances and one log
-    (``GPConditioner.max_tracked_gain``). A ``Sequence`` is already all
-    there, so its rows (``Rows.of``) are scanned a period at a time, each
-    period's slice of the feature matrix tracked alongside the
+    Under entropy the run drives its evaluator's ``conditioner`` directly:
+    the ``GPConditioner`` tracks the reference set and decides in variance
+    space; each recalibration is one reduction over the tracked variances
+    and one log (``GPConditioner.max_tracked_gain``). A ``Sequence`` is
+    already all there, so its rows (``Rows.of``) are scanned a period at a
+    time, each period's slice of the feature matrix tracked alongside the
     reference set, in one loop over the tracked variances
     (``first_tracked_hit``) that takes a gain only inside the guard band of
     the threshold's variance; each acceptance is the first tracked gain to
@@ -136,6 +136,14 @@ def periodic_secretary(
     roundoff: a point's tracked and one-point gains can differ in the last
     bits.
 
+    Tie rule: at slack 0 roundoff decides. A gain that ties the threshold
+    exactly (a repeat of a reference location, or a point whose kernel
+    underflows) can fall either side of it in float, on either scan. In 3000
+    random runs against a 60-digit transcription of the rule
+    (``tests/test_exact_oracle.py``), 80 of 984 at slack 0 (8%) picked
+    differently, each first within 2.7e-16 of the threshold variance; none
+    of the 2016 at a positive or infinite slack did.
+
     Under a modular utility every gain is a fixed weight, so the run is one
     scan at a fixed threshold and builds no evaluator (``_fixed_threshold_scan``).
 
@@ -148,17 +156,17 @@ def periodic_secretary(
         return _fixed_threshold_scan(stream, f.weights, cfg)
     T = cfg.period_T
     ev = f.evaluator()
+    cond = ev.conditioner  # tracks the pools and decides the rule off their variances
     listed = isinstance(stream, Sequence)
     if listed:
         rows = Rows.of(stream)
         _refuse_short(len(rows), T)
         reference = rows[:T]
-        ev.reserve(min(cfg.k, len(rows) - T), 2 * T)
+        cond.reserve(min(cfg.k, len(rows) - T), 2 * T)
     else:
         it = iter(stream)
-        reference = _reference_period(it, T)
-    ev.track(reference)
-    cond = ev._cond  # decides the rule off its tracked variances
+        reference = Rows.of(_reference_period(it, T))
+    cond.track(reference.features)
     threshold_gain = cond.max_tracked_gain(T) - cfg.threshold_slack
     chosen: list[int] = []
     trace: list[float] = []
@@ -182,7 +190,7 @@ def periodic_secretary(
     else:
         for start in range(T, len(rows), T):
             batch = rows[start : start + T]
-            ev.track(batch)
+            cond.track(batch.features)
             pos = T
             while len(chosen) < cfg.k:
                 hit = cond.first_tracked_hit(threshold_gain, pos)
@@ -320,8 +328,8 @@ def submodular_secretary(
         trace = _running_sums(w[picks])[1:]
     else:
         ev = f.evaluator()
-        ev.check(rows)
-        ev.reserve(k)
+        _check_dim(rows.features, f.hyper, "stream")  # once: ev.gain, per arrival, does not check
+        ev.conditioner.reserve(k)
         chosen, trace = [], []
         for j in range(k):
             segment = rows[(j * n) // k : ((j + 1) * n) // k]
@@ -373,12 +381,15 @@ def offline_greedy(
         trace = _running_sums(w[picks])[1:]
     else:
         ev = f.evaluator()
-        ev.reserve(k, len(rows))
-        ev.track(rows)
+        cond = ev.conditioner
+        cond.reserve(k, len(rows))
+        if len(rows):
+            cond.track(rows.features)
         taken = np.zeros(len(rows), dtype=bool)
         chosen, trace = [], []
         for _ in range(k):
-            pos = int(np.argmax(np.where(taken, -np.inf, ev.tracked_gains())))  # first max = lowest index
+            gains = np.where(taken, -np.inf, _entropy_of(cond.tracked_variances()))
+            pos = int(np.argmax(gains))  # first max = lowest index
             taken[pos] = True
             pick = rows[pos]
             ev.accept(pick, pos)

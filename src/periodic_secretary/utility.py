@@ -18,7 +18,6 @@ import numpy as np
 from .gp import (
     GPConditioner,
     GPHyperparams,
-    _check_dim,
     _cholesky,
     _clamped,
     _entropy_of,
@@ -83,67 +82,41 @@ def entropy_criterion(points: np.ndarray, hyper: GPHyperparams) -> float:
 
 
 class UtilityEvaluator:
-    """Stateful entropy marginal-gain accumulator for one selector run.
+    """Running entropy utility of one selector run.
 
-    Tracks the running utility value f(A) and answers gain queries against
-    the current set, either for given observations (``gain``, ``gains``) or
-    for a tracked pool of observations (``track``, ``tracked_gains``) whose
-    gains stay current as the set grows. ``accept`` is irrevocable:
-    re-adding an index raises.
-
-    Greedy reads the pool through ``tracked_gains``; the periodic secretary
-    decides in variance space through the ``GPConditioner`` it holds. A
-    modular utility has no evaluator: its gains are fixed weights, which
-    every selector reads directly.
+    Keeps f(A) of the set accepted so far (``value``) and answers one-off
+    gain queries against it (``gain``, ``gains``); ``accept`` is
+    irrevocable: re-adding an index raises. The set lives in the public
+    ``conditioner``, a ``GPConditioner``, which selectors drive directly for
+    capacity, tracked pools and the threshold rule. A modular utility has no
+    evaluator: its gains are fixed weights, read directly.
     """
 
     def __init__(self, hyper: GPHyperparams):
         self._value = 0.0
         self._indices: set[int] = set()
-        self._cond = GPConditioner(hyper)
+        self.conditioner = GPConditioner(hyper)
 
     @property
     def value(self) -> float:
         return self._value
 
-    def check(self, observations: Sequence[Observation]) -> None:
-        """Refuse observations of the wrong dimension with ValueError: once per
-        stream, as ``gain``, the per-arrival path, does not check."""
-        rows = Rows.of(observations)
-        if len(rows):
-            _check_dim(rows.features, self._cond.hyper, "stream")
-
-    def reserve(self, k: int, pool: int = 0) -> None:
-        """Make room for k accepted and ``pool`` tracked observations: a
-        capacity hint that changes no result."""
-        self._cond.reserve(k, pool)
-
     def gain(self, obs: Observation) -> float:
-        return self._cond.entropy(obs.features)
+        return self.conditioner.entropy(obs.features)
 
     def gains(self, observations: Sequence[Observation]) -> np.ndarray:
         rows = Rows.of(observations)
         if len(rows) == 0:
             return np.empty(0)
-        return self._cond.entropies(rows.features)
-
-    def track(self, observations: Sequence[Observation]) -> None:
-        """Append observations to the tracked pool."""
-        rows = Rows.of(observations)
-        if len(rows):
-            self._cond.track(rows.features)
-
-    def tracked_gains(self) -> np.ndarray:
-        """Marginal gain of each tracked observation against the current set, in pool order."""
-        return _entropy_of(self._cond.tracked_variances())
+        return self.conditioner.entropies(rows.features)
 
     def accept(self, obs: Observation, pos: int | None = None) -> float:
         """Add obs to the set irrevocably; return the utility after. ``pos``,
-        if given, is obs's position in the tracked pool, where its variance is
-        already kept."""
+        if given, is obs's position in the conditioner's tracked pool, where
+        its variance is already kept."""
         if obs.index in self._indices:
             raise ValueError(f"observation {obs.index} is already in the sample set")
-        self._value += float(_entropy_of(self._cond.extend(obs.features, pos)))
+        self._value += float(_entropy_of(self.conditioner.extend(obs.features, pos)))
         self._indices.add(obs.index)
         return self._value
 

@@ -17,6 +17,7 @@ from periodic_secretary import (
     Observation,
     PeriodicSecretaryConfig,
     PeriodicStreamSpec,
+    SelectionResult,
     UtilityFunction,
     attach_gp_qoi,
     check_submodular_monotone,
@@ -35,7 +36,9 @@ from periodic_secretary import (
     two_sine_waveform,
     validate_bounds,
 )
+from periodic_secretary import harness
 from periodic_secretary.cli import main as cli_main
+from periodic_secretary.selectors import utility_trace_for
 from periodic_secretary.utility import marginal_gain
 
 
@@ -163,6 +166,61 @@ def test_criterion_5_utility_lower_bound():
     bad = [c for c in rep.cells if c.utility_violation]
     assert not bad, f"utility-bound violations in cells {[(c.k, c.threshold_slack) for c in bad]}"
     report(5, "mean utility >= lower bound in all 9 non-vacuous cells with exact optima (200 runs)")
+
+
+def stand_in_selector(first: bool):
+    """A periodic-secretary stand-in that fills k without looking: the k
+    arrivals right after the reference period, or the last k of the stream."""
+    def run(stream, f, cfg):
+        T, k = cfg.period_T, cfg.k
+        picks = stream[T : T + k] if first else stream[-k:]
+        return SelectionResult(
+            chosen=tuple(picks.indices.tolist()),
+            utility_trace=utility_trace_for(f, picks),
+            terminated="filled_k",
+        )
+    return run
+
+
+def test_criterion_5_flags_blind_selectors(monkeypatch):
+    """Criterion 5's own check, run with two blind selectors in place of the
+    periodic secretary, must flag them in fixed cells, each with its mean
+    significantly below the bound (mean + 3 SE < bound): *last k* in all 9
+    cells, *first k* at k = 4 with slack 0 and 0.25. A bound check that
+    passed them would not tell the rule from no rule.
+
+    Criterion 4 has no such check yet: at N = 1000 every one of its utility
+    cells is informational (no exact optimum), so no selector can be
+    flagged there until a modular optimum counts as exact at any size.
+    """
+    spec = PeriodicStreamSpec(
+        period_T=6,
+        noise_cov=np.array([[0.35]]),
+        length_N=60,
+        base_waveform=two_sine_waveform(6),
+    )
+
+    def flagged(first: bool) -> set[tuple[int, float]]:
+        monkeypatch.setattr(harness, "periodic_secretary", stand_in_selector(first))
+        rep = validate_bounds(
+            spec,
+            modular_factory,
+            k_values=[2, 3, 4],
+            slack_values=[0.0, 0.25, 0.5],
+            runs=200,
+            seed=505,
+        )
+        assert len(rep.cells) == 9
+        return {
+            (c.k, c.threshold_slack)
+            for c in rep.cells
+            if c.utility_violation and c.mean_utility + 3 * c.se_utility < c.utility_bound
+        }
+
+    every_cell = {(k, slack) for k in (2, 3, 4) for slack in (0.0, 0.25, 0.5)}
+    assert flagged(first=False) == every_cell
+    assert {(4, 0.0), (4, 0.25)} <= flagged(first=True)
+    report(5, "last k flagged below the utility bound in all 9 cells, first k at k = 4, slack 0 and 0.25")
 
 
 def test_criterion_6_threshold_sweep_shape():

@@ -79,3 +79,54 @@ def test_tracer_install_binds_and_uninstall_restores(monkeypatch):
     for key, attrs in before.items():
         changed = [k for k, v in attrs.items() if after[key].get(k) is not v]
         assert not changed, f"not restored: {changed}"
+
+
+def test_tracer_counts_every_measured_call(monkeypatch):
+    # The benchmark's per-layer metrics count calls wherever a selector makes
+    # them: each entropy pick is one utility.accept and one gp.extend, on
+    # every path, and each observation the segment secretary scores is one
+    # utility.gain. A selector that moved one of these calls off the traced
+    # evaluator or conditioner would change the metrics without a trace.
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    from tracer import Tracer
+
+    from periodic_secretary import PeriodicSecretaryConfig, PeriodicStreamSpec, selectors, stream
+
+    T, n, k = 6, 60, 4
+    spec = PeriodicStreamSpec(
+        period_T=T, noise_cov=np.array([[0.05]]), length_N=n, base_waveform=stream.two_sine_waveform(T)
+    )
+    obs = stream.generate_periodic_stream(spec, seed=7).observations
+    hyper = GPHyperparams(lengthscales=np.array([0.5]), signal_variance=1.0, noise_variance=0.1)
+    f = UtilityFunction.entropy(hyper)
+    cfg = PeriodicSecretaryConfig(k=k, period_T=T, threshold_slack=0.0)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        tracer.begin_iteration()
+        tracer.enabled = True
+        runs = [
+            selectors.periodic_secretary(obs, f, cfg),
+            selectors.periodic_secretary(iter(obs), f, cfg),
+            selectors.offline_greedy(obs, f, k),
+            selectors.submodular_secretary(obs, f, k),
+        ]
+        sums, _digests, violations = tracer.end_iteration()
+    finally:
+        tracer.enabled = False
+        tracer.uninstall()
+        sys.modules.pop("tracer", None)
+    assert not violations
+    assert all(r.chosen for r in runs[:3])  # the segment secretary may take none
+    picks = sum(len(r.chosen) for r in runs)
+    assert sums["utility.accept.calls"] == picks
+    assert sums["gp.extend.calls"] == picks
+    # A segment's classical pick scores up to and including its pick, or the
+    # whole segment when nothing beats the observed prefix; indices are positions.
+    scored = 0
+    for j in range(k):
+        lo, hi = j * n // k, (j + 1) * n // k
+        picked = [i for i in runs[3].chosen if lo <= i < hi]
+        scored += picked[0] - lo + 1 if picked else hi - lo
+    assert sums["utility.gain.calls"] == scored

@@ -55,7 +55,7 @@ from periodic_secretary import (
     write_stream_csv,
 )
 from periodic_secretary.gp import (
-    GAUSSIAN_ENTROPY_CONST, _JITTER_LADDER, _factor, _se_point, _se_scaled,
+    GAUSSIAN_ENTROPY_CONST, _JITTER_LADDER, _entropy_of, _factor, _se_point, _se_scaled,
 )
 from periodic_secretary.selectors import utility_trace_for
 from periodic_secretary.utility import _chain_variances
@@ -322,8 +322,8 @@ def test_noise_estimate_equals_one_variance_per_phase_bit_for_bit(seed, T, perio
     else:
         f = UtilityFunction.entropy(random_hyper(rng, 1))
         ev = f.evaluator()
-        ev.track(stream.observations)
-        singles = ev.tracked_gains()
+        ev.conditioner.track(Rows.of(stream.observations).features)
+        singles = _entropy_of(ev.conditioner.tracked_variances())
     assert bits([estimate_utility_noise(stream, f)]) == bits([per_phase_noise(singles, T)])
 
 
@@ -502,7 +502,7 @@ def test_tracked_scans_match_gain_space_rule(seed, d, n, m, utility, data):
     # The periodic secretary's recalibration and first-hit scan
     # (GPConditioner.max_tracked_gain and first_tracked_hit), which read an
     # entropy pool's tracked variances directly, give the threshold and the
-    # index of np.max and np.flatnonzero over tracked_gains. Thresholds
+    # index of np.max and np.flatnonzero over the tracked gains. Thresholds
     # include gains taken from the pool itself, so exact ties are tried, and the
     # next float above the best gain still to scan, whose point lies inside
     # the variance guard band but misses the threshold. At zero noise the
@@ -519,12 +519,12 @@ def test_tracked_scans_match_gain_space_rule(seed, d, n, m, utility, data):
         f = UtilityFunction.entropy(GPHyperparams(rng.uniform(0.3, 2.0, size=d), 1.0, 0.0))
         obs[n:] = [Observation(n + j, obs[rng.integers(n)].features) for j in range(m)]
     ev = f.evaluator()
-    ev.track(obs[:n])
+    ev.conditioner.track(Rows.of(obs[:n]).features)
     for o in obs[n:]:
         ev.accept(o)
-    gains = ev.tracked_gains()
+    gains = _entropy_of(ev.conditioner.tracked_variances())
     stop = data.draw(st.integers(1, n))
-    assert ev._cond.max_tracked_gain(stop) == float(np.max(gains[:stop]))
+    assert ev.conditioner.max_tracked_gain(stop) == float(np.max(gains[:stop]))
     start = data.draw(st.integers(0, n))
     best_left = float(np.max(gains[start:], initial=-np.inf))
     threshold = data.draw(st.sampled_from([
@@ -537,13 +537,13 @@ def test_tracked_scans_match_gain_space_rule(seed, d, n, m, utility, data):
         -math.inf,
     ]))
     hits = np.flatnonzero(gains[start:] >= threshold)
-    assert ev._cond.first_tracked_hit(threshold, start) == (start + int(hits[0]) if hits.size else None)
+    assert ev.conditioner.first_tracked_hit(threshold, start) == (start + int(hits[0]) if hits.size else None)
     index = int(rng.integers(n + m))
     features = data.draw(st.sampled_from([obs[index].features, rng.normal(size=d)]))
     arrival = Observation(index, features)
     gain = ev.gain(arrival)
     for t in (gain, float(np.nextafter(gain, -np.inf)), float(np.nextafter(gain, np.inf)), threshold):
-        assert ev._cond.arrival_test(t)(arrival.features) == (ev.gain(arrival) >= t)
+        assert ev.conditioner.arrival_test(t)(arrival.features) == (ev.gain(arrival) >= t)
 
 
 def transcribed_tracked_rule(obs, hyper, k, T, slack):
@@ -553,20 +553,20 @@ def transcribed_tracked_rule(obs, hyper, k, T, slack):
     position, and the threshold is the largest reference gain less the
     slack, read again after every acceptance."""
     ev = UtilityFunction.entropy(hyper).evaluator()
-    cond = ev._cond
-    ev.track(obs[:T])
+    cond = ev.conditioner
+    cond.track(Rows.of(obs[:T]).features)
 
     def threshold():
-        return float(np.max(ev.tracked_gains()[:T])) - slack
+        return float(np.max(_entropy_of(cond.tracked_variances())[:T])) - slack
 
     value, chosen, trace, thresholds = 0.0, [], [], []
     gain = threshold()
     for start in range(T, len(obs), T):
         batch = obs[start : start + T]
-        ev.track(batch)
+        cond.track(Rows.of(batch).features)
         pos = T
         while len(chosen) < k:
-            hits = np.flatnonzero(ev.tracked_gains()[pos:] >= gain)
+            hits = np.flatnonzero(_entropy_of(cond.tracked_variances())[pos:] >= gain)
             if not hits.size:
                 break
             pos += int(hits[0])
@@ -745,7 +745,7 @@ def test_unit_signal_one_point_path_and_arrival_test(seed, d, noise, m, duplicat
     points = rng.normal(size=(m, d))
     for i, x in enumerate(points):
         ev.accept(Observation(i, x))
-    cond = ev._cond
+    cond = ev.conditioner
     queries = rng.normal(size=(6, d))
     if duplicate and m:
         queries[0] = points[-1]  # a point of the set itself
@@ -791,7 +791,7 @@ def test_arrival_test_answers_for_the_set_grown_after_it_was_built(seed, d, m, g
     arrival = Observation(m + 1, new + 0.3 * ls * rng.normal(size=d))
     gain = after.gain(arrival)
     thresholds = (gain, float(np.nextafter(gain, -np.inf)), float(np.nextafter(gain, np.inf)))
-    cond = ev._cond
+    cond = ev.conditioner
     tests = [cond.arrival_test(t) for t in thresholds]
     level, buffers = cond._level, (cond._Sbuf, cond._kbuf, cond._Wbuf)
     ev.accept(accepted[-1])

@@ -323,6 +323,11 @@ class TestOfflineGreedy:
         result = offline_greedy(obs, UtilityFunction.modular(weights), k=2)
         assert result.chosen == (0, 1)
 
+    def test_entropy_k_zero_on_empty_ground_set(self, unit_hyper):
+        # An empty ground set tracks no pool, so k = 0 still selects nothing.
+        result = offline_greedy([], UtilityFunction.entropy(unit_hyper), 0)
+        assert (result.chosen, result.utility_trace, result.terminated) == ((), (), "filled_k")
+
     def test_full_ground_set_order_irrelevant(self, unit_hyper):
         rng = np.random.default_rng(25)
         obs = make_observations(rng.normal(size=5))
