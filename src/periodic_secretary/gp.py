@@ -320,8 +320,8 @@ class GPConditioner:
     Guestrin, JMLR 2008). The periodic secretary's threshold rule reads the
     tracked variances (``max_tracked_gain``, ``first_tracked_hit``) or a
     point's own (``arrival_test``). Posterior prediction (``predict_many``,
-    ``prefix_means``) factors its training set through ``from_points`` too.
-    A conditioner belongs to a single selector run; it is not thread-safe.
+    ``prefix_means``) reads the same batch factor, ``_factor``, with no
+    conditioner. A conditioner belongs to a single run; it is not thread-safe.
     """
 
     def __init__(self, hyper: GPHyperparams):
@@ -607,9 +607,10 @@ def predict_many(
     train_x, train_y = _training_data(train_x, train_y, hyper)
     if train_x.shape[0] == 0:
         raise ValueError("predict_many requires a non-empty training set")
-    cond = GPConditioner.from_points(train_x, hyper)
-    Z = cond._solve(_check_dim(query_x, hyper, "query_x") / hyper.lengthscales)
-    return (cond._W @ train_y) @ Z, _clamped(_residual(Z, cond._prior), cond._prior)
+    Xs, Qs = train_x / hyper.lengthscales, _check_dim(query_x, hyper, "query_x") / hyper.lengthscales
+    W, _ = _factor(Xs, hyper)
+    Z, prior = W @ _se_scaled(Xs, Qs, hyper.signal_variance), hyper.prior_variance
+    return (W @ train_y) @ Z, _clamped(_residual(Z, prior), prior)
 
 
 def prefix_means(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, combinations, islice
+from itertools import combinations, islice
 from pathlib import Path
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
@@ -18,7 +18,7 @@ import numpy as np
 from .kv import write_columns
 from .stream import Observation, Rows
 from .gp import _check_dim, _entropy_of
-from .utility import UtilityFunction, _chain_variances, _weights_of
+from .utility import UtilityFunction, _chain_variances, _running_sums, _weights_of
 
 __all__ = [
     "SelectionResult",
@@ -263,13 +263,6 @@ def _fixed_threshold_scan(
         terminated="filled_k" if len(chosen) == cfg.k else "end_of_stream",
         threshold_trace=tuple(v + threshold_gain for v in values[:-1]),
     )
-
-
-def _running_sums(gains: np.ndarray) -> list[float]:
-    """0.0 and the sum after each of ``gains``, added one at a time from 0.0:
-    the utility before and after each acceptance of a modular run, down to
-    the sign of a zero."""
-    return list(accumulate(gains.tolist(), initial=0.0))
 
 
 def _refuse_repeats(indices: Iterable[int]) -> list[int]:

@@ -8,9 +8,8 @@ f(empty set) = 0 so marginal gains telescope cleanly.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import reduce
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,6 +44,13 @@ def _weights_of(weights: np.ndarray, indices: np.ndarray) -> np.ndarray:
     except IndexError:  # indices are non-negative: one lies past the weights
         past = indices[indices >= weights.shape[0]]
         raise ValueError(f"no weight for observation index {past[0]}") from None
+
+
+def _running_sums(gains: np.ndarray) -> list[float]:
+    """0.0 and the sum after each of ``gains``, added one at a time from 0.0:
+    the utility before and after each acceptance of a modular run, down to
+    the sign of a zero."""
+    return list(accumulate(gains.tolist(), initial=0.0))
 
 
 def _chain_variances(points: np.ndarray, hyper: GPHyperparams) -> np.ndarray:
@@ -163,7 +169,7 @@ class UtilityFunction:
         if self.kind == "entropy":
             return entropy_criterion(rows.features, self.hyper)
         # Added in order from 0.0, as a modular selector's trace adds them: no compensated sum.
-        return reduce(operator.add, _weights_of(self.weights, rows.indices).tolist(), 0.0)
+        return _running_sums(_weights_of(self.weights, rows.indices))[-1]
 
     __call__ = value
 

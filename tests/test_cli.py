@@ -66,6 +66,13 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
+    def test_zero_period_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("generate", "--period", 0, "--periods", 2, "--out", tmp_path / "out")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: --period must be >= 1, got 0\n"
+        assert not (tmp_path / "out").exists()
+
     def test_config_file_fills_missing_flags(self, tmp_path):
         cfg = tmp_path / "gen.cfg"
         cfg.write_text("period = 10\nperiods = 3\nseed = 5\n")
@@ -124,6 +131,24 @@ class TestSelect:
                     "--out", tmp_path)
         assert exc.value.code == 2
         assert "unknown algorithm" in capsys.readouterr().err
+
+    def test_unknown_utility_usage_error(self, stream_csv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("select", "--input", stream_csv, "--algo", "scheduled", "--k", 2,
+                    "--utility", "variance", "--out", tmp_path / "sel")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: unknown utility 'variance'\n"
+        assert not (tmp_path / "sel").exists()
+
+    def test_entropy_without_hyper_usage_error(self, stream_csv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("select", "--input", stream_csv, "--algo", "periodic", "--k", 2,
+                    "--period", 10, "--lambda", 0.5, "--out", tmp_path / "sel")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: --hyper config file is required for the entropy utility\n"
+        )
+        assert not (tmp_path / "sel").exists()
 
     def test_oversized_k_is_runtime_error(self, stream_csv, tmp_path, capsys):
         rc = run_cli("select", "--input", stream_csv, "--algo", "scheduled", "--k", 999,
@@ -337,6 +362,26 @@ class TestEvaluate:
             outs.append(out)
         for name in ("utility_curves.csv", "mse_curves.csv", "summary.txt"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_empty_algos_token_is_skipped(self, qoi_csv, hyper_file, tmp_path):
+        outs = []
+        for algos in ("scheduled, ,random,", "scheduled,random"):
+            out = tmp_path / str(len(outs))
+            assert run_cli("evaluate", "--input", qoi_csv, "--no-mse", "--algos", algos,
+                           "--k", 4, "--period", 8, "--runs", 2, "--hyper", hyper_file,
+                           "--out", out) == 0
+            outs.append(out)
+        assert read_kv_file(outs[0] / "summary.txt")["algorithms"] == "scheduled, random"
+        for name in ("utility_curves.csv", "summary.txt"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_algos_naming_nothing_usage_error(self, qoi_csv, hyper_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("evaluate", "--input", qoi_csv, "--no-mse", "--algos", " , ", "--k", 4,
+                    "--period", 8, "--runs", 2, "--hyper", hyper_file, "--out", tmp_path / "out")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: --algos named no algorithms\n"
+        assert not (tmp_path / "out").exists()
 
     def test_no_mse_skips_qoi_requirement(self, qoi_csv, hyper_file, tmp_path):
         out = tmp_path / "nomse"

@@ -19,10 +19,21 @@ A float run must make the exact decisions, or else its first divergent
 decision must be a tie that roundoff decides: there the exact margin, the
 relative distance of the arrival's exact variance (or weight) from the exact
 threshold, is at most ``MARGIN_BOUND``.
+
+The numbers a run reports are held to exact arithmetic too, on the run's own
+picks, so a threshold or a trace that is off passes no float comparison:
+
+- each entry of ``threshold_trace``: the exact utility of the earlier picks
+  (chain-rule entropies in ``decimal``, or the weight sum in ``Fraction``),
+  plus the best exact reference gain given them, minus the slack, to within
+  ``VALUE_BOUND`` times max(1, |exact|); an infinite slack gives -inf;
+- under entropy, each entry of ``utility_trace`` on both paths and of
+  ``utility_trace_for`` on the picks (one Cholesky factor): the exact
+  cumulative chain-rule entropy, to a relative error of ``VALUE_BOUND``.
 """
 
 import math
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -37,9 +48,74 @@ from periodic_secretary import (
     generate_periodic_stream,
     periodic_secretary,
 )
+from periodic_secretary.selectors import utility_trace_for
 
 DIGITS = 60
 MARGIN_BOUND = 1e-12
+VALUE_BOUND = 1e-12
+
+
+def exact_context() -> localcontext:
+    """The context every exact computation runs in: 60 significant digits."""
+    return localcontext(Context(prec=DIGITS))
+
+
+def exact_pi() -> Decimal:
+    """pi to the current precision: the series 3 + 3 (1/24) + 3 (1/24) (9/80)
+    + ..., each term the last times (2n - 1)^2 / (8n (2n + 1)), summed with two
+    guard digits until it stops changing."""
+    getcontext().prec += 2
+    total, term, n = Decimal(3), Decimal(3), 1
+    while True:
+        term = term * (2 * n - 1) ** 2 / (8 * n * (2 * n + 1))
+        if total + term == total:
+            break
+        total, n = total + term, n + 1
+    getcontext().prec -= 2
+    return +total
+
+
+class ExactGP:
+    """The noisy SE GP over the rows of X in exact arithmetic (use it inside
+    ``exact_context()``), conditioned on the rows that ``add`` has taken, in order."""
+
+    def __init__(self, X: np.ndarray, hyper: GPHyperparams):
+        ls = [Decimal(v) for v in hyper.lengthscales.tolist()]
+        self.Xs = [[Decimal(v) / s for v, s in zip(row, ls)] for row in X.tolist()]
+        self.signal = Decimal(hyper.signal_variance)
+        self.prior = self.signal + Decimal(hyper.noise_variance)
+        self.kernel: dict[tuple[int, int], Decimal] = {}
+        self.S: list[int] = []  # conditioning rows
+        self.L: list[list[Decimal]] = []  # rows of the lower Cholesky factor of S's noisy Gram matrix
+
+    def k(self, a: int, b: int) -> Decimal:
+        if (a, b) not in self.kernel:
+            sq = sum((p - q) ** 2 for p, q in zip(self.Xs[a], self.Xs[b]))
+            self.kernel[a, b] = self.signal * (sq / -2).exp()
+        return self.kernel[a, b]
+
+    def solve(self, x: int) -> list[Decimal]:
+        """a = L^-1 k(S, x), by forward substitution."""
+        a: list[Decimal] = []
+        for i, s in enumerate(self.S):
+            a.append((self.k(s, x) - sum(self.L[i][j] * a[j] for j in range(i))) / self.L[i][i])
+        return a
+
+    def variance(self, x: int) -> Decimal:
+        """v(x | S) = prior - |a|^2."""
+        return self.prior - sum(c * c for c in self.solve(x))
+
+    def add(self, x: int) -> Decimal:
+        """Condition on row x; return its variance given the rows before it."""
+        a = self.solve(x)
+        v = self.prior - sum(c * c for c in a)
+        self.L.append([*a, v.sqrt()])  # the factor gains the row [a, pivot]
+        self.S.append(x)
+        return v
+
+    def best_reference(self, T: int) -> Decimal:
+        """The largest variance among rows 0..T-1 given S."""
+        return max(self.variance(r) for r in range(T))
 
 
 def exact_entropy_scan(
@@ -48,47 +124,21 @@ def exact_entropy_scan(
     """The entropy rule on the rows of X in 60-digit arithmetic: the positions
     it picks, and for each arrival it decides (positions T, T + 1, ...) the
     margin v / v_thr - 1 of its variance against the threshold variance."""
-    with localcontext() as ctx:
-        ctx.prec = DIGITS
-        ls = [Decimal(v) for v in hyper.lengthscales.tolist()]
-        Xs = [[Decimal(v) / s for v, s in zip(row, ls)] for row in X.tolist()]
-        signal = Decimal(hyper.signal_variance)
-        prior = signal + Decimal(hyper.noise_variance)
+    with exact_context():
+        gp = ExactGP(X, hyper)
         factor = (Decimal(-2) * Decimal(slack)).exp() if math.isfinite(slack) else Decimal(0)
-        kernel: dict[tuple[int, int], Decimal] = {}
-
-        def k_of(a: int, b: int) -> Decimal:
-            if (a, b) not in kernel:
-                sq = sum((p - q) ** 2 for p, q in zip(Xs[a], Xs[b]))
-                kernel[a, b] = signal * (sq / -2).exp()
-            return kernel[a, b]
-
-        S: list[int] = []  # accepted positions
-        L: list[list[Decimal]] = []  # rows of the lower Cholesky factor of S's noisy Gram matrix
-
-        def variance(x: int) -> tuple[Decimal, list[Decimal]]:
-            """v(x | S) = prior - |a|^2 for a = L^-1 k(S, x), by forward substitution."""
-            a: list[Decimal] = []
-            for i, s in enumerate(S):
-                a.append((k_of(s, x) - sum(L[i][j] * a[j] for j in range(i))) / L[i][i])
-            return prior - sum(c * c for c in a), a
-
-        def threshold() -> Decimal:
-            return max(variance(r)[0] for r in range(T)) * factor
-
-        v_thr = threshold()
+        v_thr = gp.best_reference(T) * factor
         picks: list[int] = []
         margins: list[Decimal] = []
-        for t in range(T, len(Xs)):
+        for t in range(T, len(X)):
             if len(picks) == k:
                 break
-            v, a = variance(t)
+            v = gp.variance(t)
             margins.append(v / v_thr - 1 if v_thr else Decimal("Infinity"))
             if v >= v_thr:
-                L.append([*a, v.sqrt()])  # the factor gains the row [a, pivot]
-                S.append(t)
+                gp.add(t)
                 picks.append(t)
-                v_thr = threshold()
+                v_thr = gp.best_reference(T) * factor
         return picks, margins
 
 
@@ -114,6 +164,65 @@ def exact_modular_scan(
         if weights[t] >= threshold:
             picks.append(t)
     return picks, margins
+
+
+def exact_entropy_values(
+    X: np.ndarray, hyper: GPHyperparams, T: int, slack: float, picks: tuple[int, ...]
+) -> tuple[list[Decimal] | None, list[Decimal]]:
+    """Along ``picks`` in order, in 60-digit arithmetic: the threshold in
+    force at each pick (None for an infinite slack), which is the chain-rule
+    utility of the earlier picks plus the best reference gain
+    c + log(v_best) / 2 given them, minus the slack; and the chain-rule
+    utility after each pick."""
+    with exact_context():
+        gp = ExactGP(X, hyper)
+        c = (2 * exact_pi() * Decimal(1).exp()).ln() / 2  # entropy of a unit-variance Gaussian
+        utility = Decimal(0)
+        thresholds: list[Decimal] = []
+        utilities: list[Decimal] = []
+        for p in picks:
+            thresholds.append(utility + c + gp.best_reference(T).ln() / 2 - Decimal(slack))
+            utility += c + gp.add(p).ln() / 2
+            utilities.append(utility)
+    return (thresholds if math.isfinite(slack) else None), utilities
+
+
+def exact_modular_thresholds(
+    w: np.ndarray, T: int, slack: float, picks: tuple[int, ...]
+) -> list[Fraction] | None:
+    """Along ``picks`` in order, in exact rationals: the threshold in force at
+    each pick (None for an infinite slack), which is the sum of the earlier
+    picks' weights plus the largest reference weight, minus the slack."""
+    if not math.isfinite(slack):
+        return None
+    weights = [Fraction(v) for v in w.tolist()]
+    before, best = Fraction(0), max(weights[:T]) - Fraction(slack)
+    thresholds: list[Fraction] = []
+    for p in picks:
+        thresholds.append(before + best)
+        before += weights[p]
+    return thresholds
+
+
+def assert_values(what: str, got, exact: list, relative: bool = False) -> None:
+    """Each float in ``got`` within ``VALUE_BOUND`` of its exact value: times
+    |exact| when ``relative``, else times max(1, |exact|)."""
+    with exact_context():
+        for j, (value, e) in enumerate(zip(got, exact, strict=True)):
+            scale = abs(e) if relative else max(1, abs(e))
+            error = abs(type(e)(value) - e)
+            assert error <= type(e)(VALUE_BOUND) * scale, (
+                f"{what}[{j}] = {value!r} is {float(error):.3e} from the exact {float(e)!r}"
+            )
+
+
+def assert_thresholds(path: str, got: tuple[float, ...], exact: list | None) -> None:
+    """A run's threshold trace against the exact thresholds; -inf throughout
+    for an infinite slack."""
+    if exact is None:
+        assert all(t == -math.inf for t in got), f"{path} thresholds {got} at an infinite slack"
+    else:
+        assert_values(f"{path} threshold_trace", got, exact)
 
 
 def first_divergence(exact: list[int], picks: list[int]) -> int | None:
@@ -178,6 +287,19 @@ def test_entropy_decisions_are_exact_or_roundoff_ties(
     exact, margins = exact_entropy_scan(stream.feature_matrix, hyper, T, k, slack)
     runs = {"rows": periodic_secretary(rows, f, cfg), "iterator": periodic_secretary(iter(rows), f, cfg)}
     assert_exact_or_tie(exact, margins, T, runs)
+    # On each path's own picks: every threshold in force, every utility
+    # after a pick, and the trace utility_trace_for reads off one factor.
+    exact_for = {}  # the paths' picks, mostly the same
+    for path, result in runs.items():
+        if result.chosen not in exact_for:
+            exact_for[result.chosen] = exact_entropy_values(
+                stream.feature_matrix, hyper, T, slack, result.chosen
+            )
+        thresholds, utilities = exact_for[result.chosen]
+        assert_thresholds(path, result.threshold_trace, thresholds)
+        assert_values(f"{path} utility_trace", result.utility_trace, utilities, relative=True)
+        batch = utility_trace_for(f, rows[result.chosen])
+        assert_values(f"{path} utility_trace_for", batch, utilities, relative=True)
 
 
 @settings(max_examples=100, deadline=None)
@@ -196,3 +318,5 @@ def test_modular_decisions_are_exact_or_roundoff_ties(
     exact, margins = exact_modular_scan(w, T, k, slack)
     runs = {"rows": periodic_secretary(rows, f, cfg), "iterator": periodic_secretary(iter(rows), f, cfg)}
     assert_exact_or_tie(exact, margins, T, runs)
+    for path, result in runs.items():
+        assert_thresholds(path, result.threshold_trace, exact_modular_thresholds(w, T, slack, result.chosen))

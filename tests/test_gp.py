@@ -15,6 +15,8 @@ from periodic_secretary import (
 from periodic_secretary.gp import (
     GAUSSIAN_ENTROPY_CONST,
     VARIANCE_FLOOR,
+    FactorizationError,
+    _cholesky,
     _entropy_of,
     _variance_band,
     se_gram,
@@ -211,6 +213,8 @@ class TestPredict:
             (np.zeros((2, 1)), np.zeros(3), "2 training points but 3 values"),
             (np.array([[0.0], [np.inf]]), np.zeros(2), "non-finite"),
             (np.zeros((2, 1)), np.array([0.0, np.nan]), "non-finite"),
+            (np.zeros((2, 3, 1)), np.zeros((2, 4)),
+             r"^training points of shape \(2, 3\) but values of shape \(2, 4\)$"),
         ],
     )
     def test_bad_training_data_rejected(self, unit_hyper, fn, X, y, match):
@@ -396,3 +400,38 @@ class TestHyperparamsConfig:
 
 def test_entropy_constant_value():
     assert GAUSSIAN_ENTROPY_CONST == pytest.approx(1.4189385332046727, abs=1e-15)
+
+
+class TestRefusals:
+    """Each refusal of the GP layer, with its exact message."""
+
+    def test_unfactorizable_gram_matrix_names_its_condition(self):
+        # Indefinite: eigenvalues 3 and -1, so no jitter on the ladder helps.
+        with pytest.raises(FactorizationError) as exc:
+            _cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert str(exc.value) == (
+            "Gram matrix of 2 points is singular at maximum jitter 1e-06 of the prior variance"
+            " (condition estimate 3.000e+00)"
+        )
+        assert exc.value.condition_estimate == pytest.approx(3.0, rel=1e-12)
+
+    def test_empty_lengthscales(self):
+        with pytest.raises(ValueError) as exc:
+            GPHyperparams(lengthscales=np.array([]), signal_variance=1.0, noise_variance=0.1)
+        assert str(exc.value) == "lengthscales must be a non-empty vector"
+
+    @pytest.mark.parametrize("n", [-1, 3])
+    def test_untrack_outside_the_pool(self, unit_hyper, n):
+        cond = GPConditioner(unit_hyper)
+        cond.track(np.array([[0.0], [1.0]]))
+        with pytest.raises(ValueError) as exc:
+            cond.untrack(n)
+        assert str(exc.value) == f"cannot untrack {n} of 2 tracked points"
+        assert cond.tracked_variances().shape == (2,)
+
+    def test_extend_with_the_wrong_dimension(self, unit_hyper):
+        cond = GPConditioner(unit_hyper)
+        with pytest.raises(ValueError) as exc:
+            cond.extend(np.array([0.0, 1.0]))
+        assert str(exc.value) == "point dimension 2 != 1"
+        assert len(cond) == 0

@@ -534,3 +534,33 @@ class TestWriters:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "threshold_slack,mean_utility,sd_utility,mean_fill"
         assert len(lines) == 3
+
+
+class TestRefusals:
+    """Each refusal of the comparison protocol, with its exact message."""
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"algorithms": ()}, "need at least one algorithm"),
+            (
+                {"algorithms": (AlgorithmSpec("random"), AlgorithmSpec("random"))},
+                "duplicate algorithm labels: ['random', 'random']",
+            ),
+            ({"k": 0}, "k must be positive, got 0"),
+            ({"period_T": 0}, "period_T must be positive, got 0"),
+            ({"runs": 0}, "runs must be positive, got 0"),
+            ({"test_fraction": 1.0}, "test_fraction must be in (0, 1), got 1.0"),
+        ],
+    )
+    def test_experiment_config(self, change, message):
+        fields = dict(algorithms=(AlgorithmSpec("scheduled"),), k=2, period_T=8, runs=2, seed=0)
+        ExperimentConfig(**fields)  # valid as it stands
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig(**{**fields, **change})
+        assert str(exc.value) == message
+
+    def test_validate_bounds_needs_two_runs(self, small_spec):
+        with pytest.raises(ValueError) as exc:
+            validate_bounds(small_spec, modular_factory, [1], [0.0], runs=1, seed=0)
+        assert str(exc.value) == "bound validation needs runs >= 2 for standard errors"

@@ -9,6 +9,7 @@ from periodic_secretary import (
     Observation,
     PeriodicSecretaryConfig,
     PeriodicStreamSpec,
+    SelectionResult,
     UtilityFunction,
     estimate_utility_noise,
     exhaustive_optimum,
@@ -493,3 +494,49 @@ def test_selectors_are_deterministic(unit_hyper):
     assert submodular_secretary(stream.observations, f, 4) == submodular_secretary(
         stream.observations, f, 4
     )
+
+
+class TestRefusals:
+    """Each refusal of the selector types, with its exact message."""
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(chosen=(0,), utility_trace=(), terminated="stopped"),
+             "unknown termination reason 'stopped'"),
+            (dict(chosen=(0, 1), utility_trace=(1.0,), terminated="filled_k"),
+             "utility_trace length must match chosen"),
+            (dict(chosen=(0,), utility_trace=(), terminated="filled_k", threshold_trace=()),
+             "threshold_trace length must match chosen"),
+        ],
+    )
+    def test_selection_result(self, fields, message):
+        with pytest.raises(ValueError) as exc:
+            SelectionResult(**fields)
+        assert str(exc.value) == message
+
+    def test_final_utility_without_a_trace(self):
+        result = SelectionResult(chosen=(3,), utility_trace=(), terminated="filled_k")
+        with pytest.raises(ValueError) as exc:
+            result.final_utility
+        assert str(exc.value) == "selector recorded no utility trace"
+
+    @pytest.mark.parametrize(
+        "k, period, message",
+        [(0, 4, "k must be positive, got 0"), (2, 0, "period_T must be positive, got 0")],
+    )
+    def test_periodic_secretary_config(self, k, period, message):
+        with pytest.raises(ValueError) as exc:
+            PeriodicSecretaryConfig(k=k, period_T=period, threshold_slack=0.0)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "select, k, message",
+        [(submodular_secretary, 0, "k must be positive, got 0"),
+         (offline_greedy, -1, "k must be non-negative, got -1")],
+    )
+    def test_capacity_below_its_range(self, select, k, message):
+        obs = make_observations([0.0, 1.0, 2.0])
+        with pytest.raises(ValueError) as exc:
+            select(obs, UtilityFunction.modular(np.ones(3)), k)
+        assert str(exc.value) == message

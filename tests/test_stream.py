@@ -15,7 +15,7 @@ from periodic_secretary import (
     two_sine_waveform,
     write_stream_csv,
 )
-from periodic_secretary.kv import write_columns
+from periodic_secretary.kv import read_kv_file, write_columns
 
 
 def four_step_spec(noise=0.0, length=12):
@@ -447,3 +447,63 @@ class TestBlockPermute:
             block_permute(stream, block_len=0, seed=0)
         with pytest.raises(ValueError):
             block_permute(stream, block_len=13, seed=0)
+
+
+class TestRefusals:
+    """Each refusal of the stream types, with its exact message, and the two
+    shorthands a spec accepts."""
+
+    @staticmethod
+    def refused(build, message):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    def test_observation_negative_index(self):
+        self.refused(lambda: Observation(-1, np.array([0.0])),
+                     "observation index must be non-negative, got -1")
+
+    def test_observation_two_dimensional_features(self):
+        self.refused(lambda: Observation(0, np.zeros((2, 2))), "features must be a 1-d vector")
+
+    def test_spec_zero_period(self):
+        self.refused(lambda: PeriodicStreamSpec(0, np.array([[0.1]]), 4, np.zeros((1, 1))),
+                     "period_T must be positive, got 0")
+
+    def test_spec_waveform_rows_not_the_period(self):
+        self.refused(lambda: PeriodicStreamSpec(4, np.array([[0.1]]), 8, np.zeros((3, 1))),
+                     "base_waveform has 3 rows, expected period_T=4")
+
+    def test_spec_non_finite_waveform(self):
+        wave = np.array([[0.0], [np.nan], [1.0], [2.0]])
+        self.refused(lambda: PeriodicStreamSpec(4, np.array([[0.1]]), 8, wave),
+                     "base_waveform contains non-finite values")
+
+    def test_spec_covariance_of_the_wrong_shape(self):
+        self.refused(lambda: PeriodicStreamSpec(4, np.eye(3), 8, np.zeros((4, 2))),
+                     "noise_cov shape (3, 3) does not match feature dim 2")
+
+    def test_schema_without_feature_columns(self):
+        self.refused(lambda: CsvSchema(index_col="t", feature_cols=()),
+                     "schema needs at least one feature column")
+
+    def test_malformed_key_value_line(self, tmp_path):
+        path = tmp_path / "hyper.cfg"
+        path.write_text("signal_variance = 1\nlengthscales 0.3\n")
+        self.refused(lambda: read_kv_file(path),
+                     f"{path}: malformed line 'lengthscales 0.3', expected 'key = value'")
+
+    def test_one_row_waveform_is_a_column(self):
+        row = PeriodicStreamSpec(4, np.array([[0.2]]), 12, np.array([0.0, 3.0, 1.0, 2.0]))
+        column = PeriodicStreamSpec(4, np.array([[0.2]]), 12, np.array([[0.0], [3.0], [1.0], [2.0]]))
+        assert row.base_waveform.shape == (4, 1)
+        a, b = (generate_periodic_stream(spec, seed=3).feature_matrix for spec in (row, column))
+        assert a.tobytes() == b.tobytes()
+
+    def test_scalar_covariance_is_a_multiple_of_the_identity(self):
+        wave = np.arange(8.0).reshape(4, 2)
+        scalar = PeriodicStreamSpec(4, np.array([[0.2]]), 12, wave)
+        explicit = PeriodicStreamSpec(4, 0.2 * np.eye(2), 12, wave)
+        assert scalar.noise_cov.tobytes() == explicit.noise_cov.tobytes()
+        a, b = (generate_periodic_stream(spec, seed=3).feature_matrix for spec in (scalar, explicit))
+        assert a.tobytes() == b.tobytes()

@@ -20,6 +20,7 @@ from periodic_secretary import (
     submodular_secretary,
 )
 from periodic_secretary.selectors import utility_trace_for
+from periodic_secretary.utility import Counterexample
 
 from conftest import make_observations, random_hyper
 
@@ -269,3 +270,17 @@ def test_modular_index_without_weight_is_refused_by_name(run):
     obs = make_observations(np.zeros(6))
     with pytest.raises(ValueError, match=r"^no weight for observation index 5$"):
         run(f, obs)
+
+
+class TestEdges:
+    def test_gains_of_no_observations(self, unit_hyper):
+        gains = UtilityFunction.entropy(unit_hyper).evaluator().gains([])
+        assert gains.shape == (0,) and gains.dtype == np.float64
+
+    def test_check_stops_once_both_properties_fail(self):
+        # |S|^2 - 3|S|: gains 2|A| - 2 grow with A, and f({e}) = -2 < f({}) = 0.
+        report = check_submodular_monotone(
+            lambda obs: float(len(obs)) ** 2 - 3 * len(obs), make_observations(np.arange(3.0))
+        )
+        assert (report.submodular, report.monotone) == (False, False)
+        assert report.witness == Counterexample("submodularity", (), (0,), 1)
