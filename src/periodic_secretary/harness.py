@@ -95,13 +95,15 @@ def _final_utility(result: SelectionResult) -> float:
     return result.utility_trace[-1] if result.utility_trace else 0.0
 
 
-def _spread(runs: np.ndarray, ddof: int, axis: int = 0) -> np.ndarray:
-    """Standard deviation of ``runs`` along ``axis``, exactly 0 where every run is equal.
+def _spread(runs: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Sample standard deviation of ``runs`` along ``axis`` (ddof 1, or 0 for a
+    single run), exactly 0 where every run is equal.
 
     Deviations are taken from the first run, which leaves the spread
     unchanged in exact arithmetic; ``np.std``'s own mean subtraction leaves
     roundoff behind when the runs are identical.
     """
+    ddof = 1 if runs.shape[axis] > 1 else 0
     return np.std(runs - np.take(runs, [0], axis=axis), axis=axis, ddof=ddof)
 
 
@@ -211,18 +213,24 @@ def _seeded_trials(
 def _periodic_runs(
     streams: Sequence[ObservationStream],
     utilities: Sequence[UtilityFunction],
-    k: int,
+    ks: Sequence[int],
     period_T: int,
-    slack: float,
+    slacks: Sequence[float],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Final utility and fill of one periodic-secretary run per trial."""
-    cfg = PeriodicSecretaryConfig(k=k, period_T=period_T, threshold_slack=slack)
-    finals = np.empty(len(streams))
-    fills = np.empty(len(streams))
-    for r, (stream, f) in enumerate(zip(streams, utilities)):
-        result = periodic_secretary(stream.observations, f, cfg)
-        finals[r] = _final_utility(result)
-        fills[r] = len(result.chosen)
+    """Final utility and fill of one periodic-secretary run per (k, slack, trial).
+
+    Both arrays have shape ``(len(ks), len(slacks), len(streams))``; the runs
+    go over each k, then each slack, then each trial.
+    """
+    finals = np.empty((len(ks), len(slacks), len(streams)))
+    fills = np.empty_like(finals)
+    for i, k in enumerate(ks):
+        for j, slack in enumerate(slacks):
+            cfg = PeriodicSecretaryConfig(k=k, period_T=period_T, threshold_slack=slack)
+            for r, (stream, f) in enumerate(zip(streams, utilities)):
+                result = periodic_secretary(stream.observations, f, cfg)
+                finals[i, j, r] = _final_utility(result)
+                fills[i, j, r] = len(result.chosen)
     return finals, fills
 
 
@@ -250,19 +258,16 @@ def tune_threshold_slack(
         )
     slacks = tuple(sorted(float(s) for s in slack_grid))
     streams, utilities = _seeded_trials(spec, utility, seed, _TAG_TUNE, runs)
-    finals, fills = np.swapaxes(
-        [_periodic_runs(streams, utilities, k, spec.period_T, slack) for slack in slacks], 0, 1
-    )
+    (finals,), (fills,) = _periodic_runs(streams, utilities, [k], spec.period_T, slacks)
     mean_u = finals.mean(axis=1)
-    ddof = 1 if runs > 1 else 0
     best = int(np.argmax(mean_u))  # first max = smallest slack on ties
     return SlackTuningResult(
         best_slack=slacks[best],
         slacks=slacks,
         mean_utility=mean_u,
-        sd_utility=_spread(finals, ddof, axis=1),
+        sd_utility=_spread(finals, axis=1),
         mean_fill=fills.mean(axis=1),
-        sd_fill=_spread(fills, ddof, axis=1),
+        sd_fill=_spread(fills, axis=1),
         runs=runs,
     )
 
@@ -431,7 +436,6 @@ def run_comparison(
             )
             view = trial.observations[np.delete(np.arange(len(trial)), test_idx)]
         else:
-            test_idx = np.empty(0, dtype=int)
             view = trial.observations
 
         results = [algo.run(view, f, cfg.k, cfg.period_T, algo_seeds[lab][r])
@@ -446,18 +450,17 @@ def run_comparison(
             for lab, mse in zip(labels, _mse_curves(results, trial, test_idx, hyper)):
                 mse_runs[lab][r] = _pad_trace(mse, cfg.k + 1, mse[0])
 
-    ddof = 1 if cfg.runs > 1 else 0
     report = ComparisonReport(
         labels=labels,
         k=cfg.k,
         runs=cfg.runs,
         seed=cfg.seed,
         utility_mean={lab: utility_runs[lab].mean(axis=0) for lab in labels},
-        utility_sd={lab: _spread(utility_runs[lab], ddof) for lab in labels},
+        utility_sd={lab: _spread(utility_runs[lab]) for lab in labels},
         fill_mean={lab: float(fills[lab].mean()) for lab in labels},
         utility_runs=utility_runs,
         mse_mean={lab: mse_runs[lab].mean(axis=0) for lab in labels} if compute_mse else None,
-        mse_sd={lab: _spread(mse_runs[lab], ddof) for lab in labels} if compute_mse else None,
+        mse_sd={lab: _spread(mse_runs[lab]) for lab in labels} if compute_mse else None,
         mse_runs=mse_runs,
     )
     return report
@@ -541,16 +544,10 @@ def validate_bounds(
         offline_greedy(s.observations, f, max(inexact)).utility_trace
         for s, f in zip(streams, utilities)
     ] if inexact else []
-    # finals[i, j] and succ[i, j]: final utility and fill of each trial in the
-    # cell (ks[i], slack_values[j]).
-    finals = np.empty((len(ks), len(slack_values), runs))
-    succ = np.empty_like(finals)
-    for i, k in enumerate(ks):
-        for j, slack in enumerate(slack_values):
-            finals[i, j], succ[i, j] = _periodic_runs(streams, utilities, k, spec.period_T, slack)
+    finals, succ = _periodic_runs(streams, utilities, ks, spec.period_T, slack_values)
     mean_u, mean_s = finals.mean(axis=-1), succ.mean(axis=-1)
-    se_u = _spread(finals, 1, axis=-1) / math.sqrt(runs)
-    se_s = _spread(succ, 1, axis=-1) / math.sqrt(runs)
+    se_u = _spread(finals, axis=-1) / math.sqrt(runs)
+    se_s = _spread(succ, axis=-1) / math.sqrt(runs)
 
     cells: list[BoundValidationCell] = []
     for i, k in enumerate(ks):

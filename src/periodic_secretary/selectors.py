@@ -288,7 +288,9 @@ def _check_capacity(k: int, n: int, offline: bool = False) -> None:
 def _classical_pick(items: Sequence, score: Callable[..., float]) -> object | None:
     """Single-choice secretary rule: observe the first floor(n/e) items
     (observations, or positions of fixed scores), then take the first strict
-    improvement, or None if nothing beats them."""
+    improvement on the best score observed, or None if nothing beats it: an
+    item that only ties the best is passed over. Its guarantee assumes a
+    uniformly random arrival order."""
     it = iter(items)
     best = -math.inf
     for obs in islice(it, int(len(items) / math.e)):
@@ -305,9 +307,18 @@ def submodular_secretary(
     """k-segment secretary: one classical-secretary pass per contiguous segment.
 
     Items are scored by their marginal gain against the samples accumulated
-    in earlier segments; segment lengths differ by at most one. A modular
-    run gathers every weight first (a modular gain never depends on the
-    set), so an index with no weight is refused wherever it sits.
+    in earlier segments; segment lengths differ by at most one. Each segment
+    takes only a strict improvement on its observed best (``_classical_pick``).
+    So under a stationary entropy kernel, where every location has the same
+    gain H(prior) against the empty set, the first segment ties throughout
+    and picks nothing, the set stays empty, and so does every later segment:
+    an entropy run picks nothing. A modular run gathers every weight first
+    (a modular gain never depends on the set), so an index with no weight is
+    refused wherever it sits.
+
+    The guarantee of the segment rule assumes a uniformly random arrival
+    order (Bateni, Hajiaghayi & Zadimoghaddam, *Submodular secretary problem
+    and extensions*, APPROX 2010); a periodic stream does not arrive so.
     """
     rows = Rows.of(stream)
     n = len(rows)

@@ -1,4 +1,5 @@
-"""Each narrative demo script runs to completion against the current library."""
+"""Each narrative demo script runs to completion against the current library,
+with warnings as errors (as tier-1 runs its own tests)."""
 
 import os
 import subprocess
@@ -18,7 +19,7 @@ def test_demo_runs(script, tmp_path):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, "-W", "error", str(script)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

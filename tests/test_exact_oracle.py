@@ -37,11 +37,13 @@ from decimal import Context, Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periodic_secretary import (
     GPHyperparams,
+    ObservationStream,
     PeriodicSecretaryConfig,
     PeriodicStreamSpec,
     UtilityFunction,
@@ -320,3 +322,47 @@ def test_modular_decisions_are_exact_or_roundoff_ties(
     assert_exact_or_tie(exact, margins, T, runs)
     for path, result in runs.items():
         assert_thresholds(path, result.threshold_trace, exact_modular_thresholds(w, T, slack, result.chosen))
+
+
+GUARD_HYPER = GPHyperparams(lengthscales=np.array([1.0]), signal_variance=1.0, noise_variance=0.1)
+
+
+def guard_band_instance(slack: float, side: int) -> np.ndarray:
+    """Rows r, s, x in one dimension for T = 1 at a threshold slack: r is the
+    reference period, s the first arrival, which meets the threshold with
+    margin e^(2 slack) - 1 (a tie given the empty set at slack 0), and x is
+    placed by closed form so that v(x | {s}) = v(r | {s}) e^(-2 slack)
+    (1 + side 1e-10), inside the 1e-9 guard band around the threshold
+    variance: one relative step of 1e-10 below it (side -1) or above it
+    (side +1)."""
+    signal, ls = GUARD_HYPER.signal_variance, GUARD_HYPER.lengthscales[0]
+    prior = signal + GUARD_HYPER.noise_variance
+    r, s = 1.5, 0.0
+    v_r = prior - (signal * math.exp(-((r - s) / ls) ** 2 / 2)) ** 2 / prior
+    target = v_r * math.exp(-2 * slack) * (1 + side * 1e-10)
+    # v(x | {s}) = prior - k(s, x)^2 / prior, with k(s, x) = signal exp(-(x - s)^2 / (2 ls^2)).
+    k_sx = math.sqrt(prior * (prior - target))
+    x = s + ls * math.sqrt(-2 * math.log(k_sx / signal))
+    return np.array([[r], [s], [x]])
+
+
+
+@pytest.mark.parametrize("slack", [0.0, 0.3])
+@pytest.mark.parametrize("side", [-1, 1])
+def test_guard_band_instances_are_decided_exactly(slack, side):
+    # x sits 1e-10 from the threshold variance in relative terms: inside the
+    # guard band, so the float rule decides it by its exact gain, and a
+    # hundred times the tie margin away, so no roundoff may decide it.
+    X = guard_band_instance(slack, side)
+    f = UtilityFunction.entropy(GUARD_HYPER)
+    cfg = PeriodicSecretaryConfig(k=2, period_T=1, threshold_slack=slack)
+    rows = ObservationStream(X).observations
+    exact, margins = exact_entropy_scan(X, GUARD_HYPER, 1, 2, slack)
+    assert exact == ([1, 2] if side > 0 else [1])
+    assert 0.5e-10 < side * margins[1] < 2e-10
+    runs = {"rows": periodic_secretary(rows, f, cfg), "iterator": periodic_secretary(iter(rows), f, cfg)}
+    assert_exact_or_tie(exact, margins, 1, runs)
+    # s's tie at slack 0 is exact in floats too (its variance is the prior,
+    # the reference's), so both paths must take it: the picks are the exact ones.
+    for path, result in runs.items():
+        assert list(result.chosen) == exact, path

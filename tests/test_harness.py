@@ -71,7 +71,58 @@ class TestDeriveSeeds:
         assert a != derive_seeds(8, 1, 5)
 
 
+def per_cell_tune_threshold_slack(spec, utility, k, slack_grid, runs, seed):
+    """tune_threshold_slack as one periodic run per (slack, trial) in grid
+    order, each slack's statistics taken over its own runs. Returns the
+    statistics by field name and each run's (config, picks) in call order."""
+    seeds = derive_seeds(seed, periodic_secretary.harness._TAG_TUNE, runs)
+    streams = [generate_periodic_stream(spec, s) for s in seeds]
+    utilities = [utility if isinstance(utility, UtilityFunction) else utility(s) for s in streams]
+    slacks = sorted(float(s) for s in slack_grid)
+    ddof = 1 if runs > 1 else 0
+    calls, rows = [], []
+    for slack in slacks:
+        cfg = PeriodicSecretaryConfig(k=k, period_T=spec.period_T, threshold_slack=slack)
+        results = [selectors.periodic_secretary(s.observations, f, cfg)
+                   for s, f in zip(streams, utilities)]
+        calls += [(cfg, r.chosen) for r in results]
+        finals = np.array([r.utility_trace[-1] if r.chosen else 0.0 for r in results])
+        fills = np.array([len(r.chosen) for r in results], dtype=float)
+        rows.append((finals.mean(), np.std(finals - finals[0], ddof=ddof),
+                     fills.mean(), np.std(fills - fills[0], ddof=ddof)))
+    stats = dict(zip(("mean_utility", "sd_utility", "mean_fill", "sd_fill"), map(list, zip(*rows))))
+    means = stats["mean_utility"]
+    stats["best_slack"] = slacks[means.index(max(means))]  # the first maximum
+    return stats, calls
+
+
 class TestTuneThresholdSlack:
+    @pytest.mark.parametrize("runs", [1, 3, 4])
+    @pytest.mark.parametrize("entropy", [False, True])
+    def test_matches_per_cell_oracle(self, monkeypatch, small_spec, wide_hyper, entropy, runs):
+        utility = UtilityFunction.entropy(wide_hyper) if entropy else modular_factory
+        calls = []
+
+        def recorded(view, f, cfg):
+            result = selectors.periodic_secretary(view, f, cfg)
+            calls.append((cfg, result.chosen))
+            return result
+
+        monkeypatch.setattr(periodic_secretary.harness, "periodic_secretary", recorded)
+        hexes = lambda values: [float(v).hex() for v in values]
+        # k = 8 of 56 arrivals: the smallest slacks leave some runs short of
+        # k, so fills vary between runs and slacks, and the best slack is not
+        # the first.
+        for seed in range(3):
+            calls.clear()
+            args = (small_spec, utility, 8, [0.5, 0.0, 1.2, 0.1], runs, seed)
+            result = tune_threshold_slack(*args)
+            stats, expected_calls = per_cell_tune_threshold_slack(*args)
+            assert calls == expected_calls
+            assert result.best_slack == stats.pop("best_slack")
+            for name, values in stats.items():
+                assert hexes(getattr(result, name)) == hexes(values), name
+
     def test_singleton_grid_returned(self, small_spec, wide_hyper):
         result = tune_threshold_slack(
             small_spec, UtilityFunction.entropy(wide_hyper), k=4, slack_grid=[0.3], runs=3, seed=1
