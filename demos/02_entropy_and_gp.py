@@ -13,7 +13,6 @@ from periodic_secretary import (
     GPHyperparams,
     Observation,
     UtilityFunction,
-    check_submodular_monotone,
     entropy_criterion,
     predict_many,
 )
@@ -27,7 +26,9 @@ print(f"prior entropy at any location:   {GPConditioner(hyper).entropy(x):.6f}")
 # Conditioning on nearby locations shrinks variance and entropy; values of
 # the quantity of interest never enter.
 for locations in ([[2.0]], [[2.0], [0.5]], [[2.0], [0.5], [-0.2]]):
-    cond = GPConditioner.from_points(np.array(locations), hyper)
+    cond = GPConditioner(hyper)
+    for location in np.array(locations):
+        cond.extend(location)
     v, h = cond.conditional_variance(x), cond.entropy(x)
     print(f"  given {len(cond)} sample locations: variance {v:.4f}, entropy {h:+.4f}")
 
@@ -38,11 +39,13 @@ print(f"joint entropy of 3 spread locations:   {entropy_criterion(points, hyper)
 print(f"joint entropy of 3 bunched locations:  "
       f"{entropy_criterion(np.array([[0.0], [0.05], [0.1]]), hyper):.4f}  (lower: redundant)")
 
-# Diminishing returns, verified exhaustively on a small ground set.
-rng = np.random.default_rng(0)
-ground = [Observation(i, rng.normal(size=1)) for i in range(6)]
-report = check_submodular_monotone(UtilityFunction.entropy(hyper), ground)
-print(f"entropy utility is submodular: {report.submodular}, monotone: {report.monotone}")
+# Diminishing returns: a location adds less entropy to a larger set.
+f = UtilityFunction.entropy(hyper)
+A = [Observation(0, np.array([-1.0]))]
+B = [*A, Observation(1, np.array([0.5]))]
+e = Observation(2, np.array([0.2]))
+gain_A, gain_B = f.value([*A, e]) - f.value(A), f.value([*B, e]) - f.value(B)
+print(f"gain of 0.2 given {{-1.0}}: {gain_A:.4f}; given {{-1.0, 0.5}}: {gain_B:.4f}  (smaller)")
 
 # After the mission, the collected (location, value) pairs feed a standard
 # GP posterior for prediction at unsampled locations.

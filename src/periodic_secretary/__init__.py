@@ -24,8 +24,6 @@ from .gp import (
     load_hyperparams,
     predict_many,
     prefix_means,
-    save_hyperparams,
-    se_kernel,
 )
 from .harness import (
     AlgorithmSpec,
@@ -63,9 +61,7 @@ from .stream import (
 )
 from .utility import (
     UtilityFunction,
-    check_submodular_monotone,
     entropy_criterion,
-    marginal_gain,
 )
 
 __version__ = "0.1.0"

@@ -29,18 +29,16 @@ try:
 except ImportError:  # numpy < 2.0
     from numpy.core.multiarray import c_einsum as _c_einsum
 
-from .kv import format_value, parse_float_list, read_kv_file, write_kv_file
+from .kv import parse_float_list, read_kv_file
 
 __all__ = [
     "GPHyperparams",
     "FactorizationError",
     "GPConditioner",
-    "se_kernel",
     "se_gram",
     "predict_many",
     "prefix_means",
     "load_hyperparams",
-    "save_hyperparams",
     "VARIANCE_FLOOR",
     "GAUSSIAN_ENTROPY_CONST",
 ]
@@ -136,6 +134,11 @@ class GPHyperparams:
             raise ValueError(f"signal_variance must be strictly positive, got {self.signal_variance}")
         if not self.noise_variance >= 0:
             raise ValueError(f"noise_variance must be non-negative, got {self.noise_variance}")
+        # An inf would give inf entropies or a constant kernel, not an error.
+        for name, value in (("lengthscales", ls), ("signal_variance", self.signal_variance),
+                            ("noise_variance", self.noise_variance)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
         ls.flags.writeable = False
         object.__setattr__(self, "lengthscales", ls)
         object.__setattr__(self, "signal_variance", float(self.signal_variance))
@@ -156,16 +159,6 @@ def _check_dim(X: np.ndarray, hyper: GPHyperparams, what: str) -> np.ndarray:
     if X.shape[-1] != hyper.dim:
         raise ValueError(f"{what} has dimension {X.shape[-1]}, lengthscales have {hyper.dim}")
     return X
-
-
-def se_kernel(x: np.ndarray, x2: np.ndarray, hyper: GPHyperparams) -> float:
-    """Squared-exponential covariance between two feature vectors."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    if x.shape != x2.shape or x.shape[0] != hyper.dim:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {x2.shape} vs lengthscale dim {hyper.dim}")
-    z = (x - x2) / hyper.lengthscales
-    return hyper.signal_variance * math.exp(-0.5 * float(z @ z))
 
 
 def _se_scaled(A: np.ndarray, B: np.ndarray, signal_variance: float) -> np.ndarray:
@@ -352,18 +345,6 @@ class GPConditioner:
 
     def __len__(self) -> int:
         return self._S.shape[0]
-
-    @classmethod
-    def from_points(cls, X: np.ndarray, hyper: GPHyperparams) -> "GPConditioner":
-        """Conditioner on the rows of X, factored in one batch."""
-        cond = cls(hyper)
-        X = _check_dim(X, hyper, "conditioning set")
-        m = X.shape[0]
-        if m:
-            cond.reserve(m)
-            np.divide(X, hyper.lengthscales, out=cond._Sbuf[:m])
-            cond._refactor(m, 0)
-        return cond
 
     def reserve(self, m: int, p: int = 0) -> None:
         """Make room for m set points and p tracked points.
@@ -652,18 +633,6 @@ def prefix_means(
         Z = W @ _se_scaled(Xs, Q / hyper.lengthscales, hyper.signal_variance)
         means = np.cumsum(Z * (W @ train_y[:, :, None]), axis=1)
     return means if stacked else means[0]
-
-
-def save_hyperparams(hyper: GPHyperparams, path: "str | Path") -> None:
-    """Write hyperparameters as a key-value config file (12 significant digits)."""
-    write_kv_file(
-        {
-            "lengthscales": ", ".join(format_value(v) for v in hyper.lengthscales),
-            "signal_variance": hyper.signal_variance,
-            "noise_variance": hyper.noise_variance,
-        },
-        path,
-    )
 
 
 def load_hyperparams(path: "str | Path") -> GPHyperparams:

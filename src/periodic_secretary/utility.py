@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,14 +27,9 @@ from .stream import Observation, Rows
 __all__ = [
     "UtilityFunction",
     "UtilityEvaluator",
-    "SubmodularityReport",
-    "Counterexample",
     "entropy_criterion",
-    "marginal_gain",
-    "check_submodular_monotone",
 ]
 
-SetFunction = Callable[[Sequence[Observation]], float]
 
 def _weights_of(weights: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """The modular weights at an index array, as one gather; an index with no
@@ -179,87 +174,3 @@ class UtilityFunction:
             raise ValueError("a modular utility has no evaluator: its gains are its weights")
         return UtilityEvaluator(self.hyper)
 
-
-def marginal_gain(f: UtilityFunction, A: Sequence[Observation], x: Observation) -> float:
-    """f(A + {x}) - f(A); rejects re-adding an index already in A."""
-    if any(o.index == x.index for o in A):
-        raise ValueError(f"observation {x.index} is already in the sample set")
-    return f.value([*A, x]) - f.value(A)
-
-
-@dataclass(frozen=True)
-class Counterexample:
-    """Witness of a diminishing-returns or monotonicity violation.
-
-    Index tuples refer to observation indices; ``element`` is the added
-    observation for a submodularity violation, None for monotonicity.
-    """
-
-    property_violated: str
-    a_indices: tuple[int, ...]
-    b_indices: tuple[int, ...]
-    element: int | None = None
-
-
-@dataclass(frozen=True)
-class SubmodularityReport:
-    submodular: bool
-    monotone: bool
-    witness: Counterexample | None
-
-
-def check_submodular_monotone(
-    f: "UtilityFunction | SetFunction",
-    ground: Sequence[Observation],
-    tol: float = 1e-8,
-) -> SubmodularityReport:
-    """Exhaustively test diminishing returns and monotonicity on a small ground set.
-
-    Checks f(A + e) - f(A) >= f(B + e) - f(B) for every A subset of B and
-    e outside B, and f(A) <= f(B) for every nested pair, both to ``tol``.
-    The first violation found (in a fixed bitmask enumeration order) is
-    returned as a witness; ground sets above 12 elements are refused.
-    """
-    n = len(ground)
-    if n > 12:
-        raise ValueError(f"ground set of {n} elements is too large for exhaustive checking (max 12)")
-    fval: SetFunction = f.value if isinstance(f, UtilityFunction) else f
-
-    vals = np.empty(1 << n)
-    for mask in range(1 << n):
-        subset = [ground[i] for i in range(n) if mask >> i & 1]
-        vals[mask] = fval(subset)
-
-    def indices(mask: int) -> tuple[int, ...]:
-        return tuple(ground[i].index for i in range(n) if mask >> i & 1)
-
-    submodular = True
-    monotone = True
-    sub_witness: Counterexample | None = None
-    mono_witness: Counterexample | None = None
-    for B in range(1 << n):
-        outside = [e for e in range(n) if not (B >> e & 1)]
-        A = B
-        while True:
-            if monotone and vals[A] > vals[B] + tol:
-                monotone = False
-                mono_witness = Counterexample("monotonicity", indices(A), indices(B))
-            if submodular and A != B:
-                for e in outside:
-                    bit = 1 << e
-                    if vals[A | bit] - vals[A] < vals[B | bit] - vals[B] - tol:
-                        submodular = False
-                        sub_witness = Counterexample(
-                            "submodularity", indices(A), indices(B), ground[e].index
-                        )
-                        break
-            if A == 0 or not (submodular or monotone):
-                break
-            A = (A - 1) & B
-        if not (submodular or monotone):
-            break
-    return SubmodularityReport(
-        submodular=submodular,
-        monotone=monotone,
-        witness=sub_witness if sub_witness is not None else mono_witness,
-    )

@@ -1,12 +1,15 @@
-"""The public surface: exported names resolve, and the benchmark's bindings exist.
+"""The public surface: exported names resolve, the program names each one,
+and the benchmark's bindings exist.
 
 A deletion that leaves a stale ``__all__`` entry, or removes a name the
 benchmark tracer (``bench/tracer.py``) rebinds, fails here in well under a
 second instead of in a benchmark run.
 """
 
+import ast
 import importlib
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -17,7 +20,8 @@ from periodic_secretary import GPHyperparams, UtilityFunction
 
 from conftest import make_observations
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 MODULES = [
     importlib.import_module(f"periodic_secretary.{info.name}")
@@ -45,6 +49,39 @@ def test_package_exports_are_module_exports():
     for name, obj in exported.items():
         home = sys.modules[obj.__module__]
         assert name in getattr(home, "__all__", ()), f"{name} is not in {home.__name__}.__all__"
+
+
+def _without_all(path: Path) -> str:
+    """The source of ``path`` with its ``__all__`` list cut out."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            del lines[node.lineno - 1 : node.end_lineno]
+    return "\n".join(lines)
+
+
+def test_every_exported_callable_is_named_by_the_program():
+    # A class or function that only tests reach belongs in tests/reference.py,
+    # not in the library. The program names it somewhere in a src/ module
+    # other than __init__.py, or in a bench/ script (the tracer names what it
+    # wraps by string); its own def or class line and its __all__ entry do
+    # not count.
+    exported = sorted(
+        name for name, obj in vars(periodic_secretary).items() if not name.startswith("_") and callable(obj)
+    )
+    src = [p for p in (ROOT / "src" / "periodic_secretary").glob("*.py") if p.name != "__init__.py"]
+    texts = [_without_all(p) for p in [*src, *BENCH.glob("*.py")]]
+    assert exported
+    unnamed = [
+        name
+        for name in exported
+        if not any(
+            re.search(rf"\b{name}\b", re.sub(rf"(?m)^\s*(def|class) {name}\b.*$", "", text))
+            for text in texts
+        )
+    ]
+    assert not unnamed, f"exported, but named by no src/ module or bench/ script: {unnamed}"
 
 
 def _bindings():

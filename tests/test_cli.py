@@ -9,7 +9,7 @@ import pytest
 
 from periodic_secretary import cli
 from periodic_secretary.cli import build_parser, main
-from periodic_secretary.gp import load_hyperparams, save_hyperparams
+from periodic_secretary.gp import load_hyperparams
 from periodic_secretary import (
     CsvSchema,
     GPHyperparams,
@@ -29,10 +29,7 @@ from periodic_secretary.kv import read_kv_file
 @pytest.fixture
 def hyper_file(tmp_path):
     path = tmp_path / "hyper.cfg"
-    save_hyperparams(
-        GPHyperparams(lengthscales=np.array([0.5]), signal_variance=1.0, noise_variance=0.1),
-        path,
-    )
+    path.write_text("lengthscales = 0.5\nsignal_variance = 1\nnoise_variance = 0.1\n")
     return path
 
 
@@ -513,10 +510,7 @@ class TestNonMonotoneFlag:
     @pytest.mark.parametrize("noise, flagged", [(0.0, True), (0.05, True), (0.06, False), (0.1, False)])
     def test_flag_on_one_side_of_the_floor(self, data, tmp_path, capsys, subcommand, noise, flagged):
         hyper = tmp_path / "hyper.cfg"
-        save_hyperparams(
-            GPHyperparams(lengthscales=np.array([0.5]), signal_variance=1.0, noise_variance=noise),
-            hyper,
-        )
+        hyper.write_text(f"lengthscales = 0.5\nsignal_variance = 1\nnoise_variance = {noise}\n")
         out = tmp_path / "out"
         argv = {
             "select": ["--input", data, "--algo", "periodic", "--k", 3, "--period", 8,

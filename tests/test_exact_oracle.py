@@ -18,7 +18,14 @@ it:
 A float run must make the exact decisions, or else its first divergent
 decision must be a tie that roundoff decides: there the exact margin, the
 relative distance of the arrival's exact variance (or weight) from the exact
-threshold, is at most ``MARGIN_BOUND``.
+threshold, is at most ``MARGIN_BOUND``, and the float comparison is not
+exact. A float comparison is exact, so no departure is forgiven, where
+  - under entropy, the exact margin is 0 and the two variances the path
+    compares (the arrival's and the best reference's, replayed on a
+    ``GPConditioner`` as that path drives it) are bit-equal, such as every
+    prior variance given the empty set;
+  - under a modular utility, the float threshold max - slack equals the
+    exact one: the weights are exact, so then every comparison is.
 
 The numbers a run reports are held to exact arithmetic too, on the run's own
 picks, so a threshold or a trace that is off passes no float comparison:
@@ -42,6 +49,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from periodic_secretary import (
+    GPConditioner,
     GPHyperparams,
     ObservationStream,
     PeriodicSecretaryConfig,
@@ -239,15 +247,69 @@ def first_divergence(exact: list[int], picks: list[int]) -> int | None:
     return (exact if len(exact) > len(picks) else picks)[min(len(exact), len(picks))]
 
 
-def assert_exact_or_tie(exact: list[int], margins: list, T: int, runs: dict) -> None:
+def assert_exact_or_tie(exact: list[int], margins: list, T: int, runs: dict, exact_in_floats) -> None:
+    """Each run's picks are the exact ones, or depart first at a tie within
+    ``MARGIN_BOUND`` that the float comparison of that path, given the picks
+    before it, does not make exactly (``exact_in_floats(path, t, picks)``)."""
     for path, result in runs.items():
         t = first_divergence(exact, list(result.chosen))
         if t is not None:
             margin = abs(margins[t - T])
-            assert margin <= MARGIN_BOUND, (
+            before = [p for p in result.chosen if p < t]
+            assert margin <= MARGIN_BOUND and not exact_in_floats(path, t, before), (
                 f"{path} path departs from the exact picks {exact} at arrival {t}"
                 f" with exact margin {float(margin):.3e}: {result.chosen}"
             )
+
+
+def float_compared_variances(
+    path: str, X: np.ndarray, hyper: GPHyperparams, T: int, picks: list[int], t: int
+) -> tuple[float, float]:
+    """The two float variances that the ``path`` run compares at arrival t
+    given ``picks`` before it: the arrival's and the largest of the reference
+    period's. They are replayed on a ``GPConditioner`` driven as that path
+    drives it, which gives the run's bits: the iterator path tracks only the
+    reference period, extends by each pick's features and takes an arrival's
+    one-point variance; the rows path also tracks each period while it scans
+    it and extends by a pick's pool position."""
+    cond = GPConditioner(hyper)
+    cond.track(X[:T])
+    if path == "iterator":
+        for p in picks:
+            cond.extend(X[p])
+        return cond.conditional_variance(X[t]), cond.tracked_variances().max()
+    start = T
+    while True:
+        cond.track(X[start : start + T])
+        for p in picks:
+            if start <= p < start + T:
+                cond.extend(X[p], T + p - start)
+        if t < start + T:
+            v = cond.tracked_variances()
+            return v[T + t - start], v[:T].max()
+        cond.untrack(T)
+        start += T
+
+
+def entropy_exact_in_floats(X: np.ndarray, hyper: GPHyperparams, T: int, margins: list):
+    """Whether a path compares arrival t exactly: at an exact margin of 0 both
+    the exact and the float rule accept where the float variances are bit-equal."""
+
+    def exact_in_floats(path: str, t: int, picks: list[int]) -> bool:
+        if margins[t - T] != 0:
+            return False
+        arrival, best = float_compared_variances(path, X, hyper, T, picks, t)
+        return arrival == best
+
+    return exact_in_floats
+
+
+def modular_exact_in_floats(w: np.ndarray, T: int, slack: float):
+    """Whether a path compares an arrival exactly: wherever its float threshold
+    max(reference weights) - slack is the exact one."""
+    best = float(w[:T].max())
+    exact = math.isfinite(slack) and Fraction(best - slack) == Fraction(best) - Fraction(slack)
+    return lambda path, t, picks: exact
 
 
 def random_instance(seed, T, periods, d, stream_noise, slack_kind):
@@ -286,9 +348,10 @@ def test_entropy_decisions_are_exact_or_roundoff_ties(
     f = UtilityFunction.entropy(hyper)
     cfg = PeriodicSecretaryConfig(k=k, period_T=T, threshold_slack=slack)
     rows = stream.observations
-    exact, margins = exact_entropy_scan(stream.feature_matrix, hyper, T, k, slack)
+    X = stream.feature_matrix
+    exact, margins = exact_entropy_scan(X, hyper, T, k, slack)
     runs = {"rows": periodic_secretary(rows, f, cfg), "iterator": periodic_secretary(iter(rows), f, cfg)}
-    assert_exact_or_tie(exact, margins, T, runs)
+    assert_exact_or_tie(exact, margins, T, runs, entropy_exact_in_floats(X, hyper, T, margins))
     # On each path's own picks: every threshold in force, every utility
     # after a pick, and the trace utility_trace_for reads off one factor.
     exact_for = {}  # the paths' picks, mostly the same
@@ -319,7 +382,7 @@ def test_modular_decisions_are_exact_or_roundoff_ties(
     rows = stream.observations
     exact, margins = exact_modular_scan(w, T, k, slack)
     runs = {"rows": periodic_secretary(rows, f, cfg), "iterator": periodic_secretary(iter(rows), f, cfg)}
-    assert_exact_or_tie(exact, margins, T, runs)
+    assert_exact_or_tie(exact, margins, T, runs, modular_exact_in_floats(w, T, slack))
     for path, result in runs.items():
         assert_thresholds(path, result.threshold_trace, exact_modular_thresholds(w, T, slack, result.chosen))
 
@@ -361,7 +424,7 @@ def test_guard_band_instances_are_decided_exactly(slack, side):
     assert exact == ([1, 2] if side > 0 else [1])
     assert 0.5e-10 < side * margins[1] < 2e-10
     runs = {"rows": periodic_secretary(rows, f, cfg), "iterator": periodic_secretary(iter(rows), f, cfg)}
-    assert_exact_or_tie(exact, margins, 1, runs)
+    assert_exact_or_tie(exact, margins, 1, runs, entropy_exact_in_floats(X, GUARD_HYPER, 1, margins))
     # s's tie at slack 0 is exact in floats too (its variance is the prior,
     # the reference's), so both paths must take it: the picks are the exact ones.
     for path, result in runs.items():

@@ -9,8 +9,6 @@ from periodic_secretary import (
     load_hyperparams,
     predict_many,
     prefix_means,
-    save_hyperparams,
-    se_kernel,
 )
 from periodic_secretary.gp import (
     GAUSSIAN_ENTROPY_CONST,
@@ -24,6 +22,7 @@ from periodic_secretary.gp import (
 from periodic_secretary.utility import _chain_variances, entropy_criterion
 
 from conftest import random_hyper
+from reference import batch_conditioner, se_kernel
 
 
 def posterior_at(X, y, q, hyper):
@@ -73,20 +72,20 @@ class TestConditionalVariance:
 
     def test_conditioning_on_query_point_noiseless(self):
         hyper = GPHyperparams(lengthscales=np.array([1.0]), signal_variance=1.0, noise_variance=0.0)
-        cond = GPConditioner.from_points(np.array([[0.5]]), hyper)
+        cond = batch_conditioner(np.array([[0.5]]), hyper)
         v = cond.conditional_variance(np.array([0.5]))
         assert VARIANCE_FLOOR <= v < 1e-9
 
     def test_one_point_path_checks_dimension(self):
         hyper = GPHyperparams(lengthscales=np.array([0.5, 0.5]), signal_variance=1.0, noise_variance=0.1)
-        for cond in (GPConditioner(hyper), GPConditioner.from_points(np.array([[0.3, 0.3]]), hyper)):
+        for cond in (GPConditioner(hyper), batch_conditioner(np.array([[0.3, 0.3]]), hyper)):
             with pytest.raises(ValueError, match="query has dimension 1, lengthscales have 2"):
                 cond.conditional_variance(np.array([0.3]))
             with pytest.raises(ValueError, match="query has dimension 1, lengthscales have 2"):
                 cond.entropy(np.array([0.3]))
 
     def test_single_point_closed_form(self, unit_hyper):
-        cond = GPConditioner.from_points(np.array([[1.0]]), unit_hyper)
+        cond = batch_conditioner(np.array([[1.0]]), unit_hyper)
         v = cond.conditional_variance(np.array([0.0]))
         expected = 1.01 - math.exp(-0.5) ** 2 / 1.01
         assert v == pytest.approx(expected, abs=1e-12)
@@ -100,14 +99,14 @@ class TestConditionalVariance:
             m = rng.integers(1, 7)
             X = rng.normal(size=(m, d))
             x = rng.normal(size=d)
-            v = GPConditioner.from_points(X, hyper).conditional_variance(x)
+            v = batch_conditioner(X, hyper).conditional_variance(x)
             assert v == pytest.approx(direct_conditional_variance(x, X, hyper), abs=1e-9)
 
     def test_never_exceeds_prior(self):
         rng = np.random.default_rng(7)
         hyper = random_hyper(rng)
         X = rng.normal(size=(5, 1))
-        v = GPConditioner.from_points(X, hyper).conditional_variance(rng.normal(size=1))
+        v = batch_conditioner(X, hyper).conditional_variance(rng.normal(size=1))
         assert v <= hyper.prior_variance
 
     def test_monotone_shrinkage_under_supersets(self):
@@ -120,8 +119,8 @@ class TestConditionalVariance:
             na = rng.integers(1, nb)
             A = B[:na]
             x = rng.normal(size=d)
-            vb = GPConditioner.from_points(B, hyper).conditional_variance(x)
-            va = GPConditioner.from_points(A, hyper).conditional_variance(x)
+            vb = batch_conditioner(B, hyper).conditional_variance(x)
+            va = batch_conditioner(A, hyper).conditional_variance(x)
             assert vb <= va + 1e-8
 
 
@@ -141,8 +140,8 @@ class TestDifferentialEntropy:
     def test_monotone_in_conditioning(self, unit_hyper):
         x = np.array([0.0])
         h0 = GPConditioner(unit_hyper).entropy(x)
-        h1 = GPConditioner.from_points(np.array([[0.8]]), unit_hyper).entropy(x)
-        h2 = GPConditioner.from_points(np.array([[0.8], [0.4]]), unit_hyper).entropy(x)
+        h1 = batch_conditioner(np.array([[0.8]]), unit_hyper).entropy(x)
+        h2 = batch_conditioner(np.array([[0.8], [0.4]]), unit_hyper).entropy(x)
         assert h0 > h1 > h2
 
     @pytest.mark.parametrize("variance", [1e-14, VARIANCE_FLOOR, 1e-6, 0.37, 1.0, 1e300])
@@ -198,7 +197,7 @@ class TestPredict:
             for y in (rng.normal(size=6), rng.normal(size=6) * 100):
                 _, variance = posterior_at(X, y, q, hyper)
                 assert variance == pytest.approx(
-                    GPConditioner.from_points(X, hyper).conditional_variance(q), abs=1e-10
+                    batch_conditioner(X, hyper).conditional_variance(q), abs=1e-10
                 )
 
     def test_empty_training_set_rejected(self, unit_hyper):
@@ -239,7 +238,7 @@ class TestGramFactorization:
         inc = GPConditioner(hyper)
         for x in X:
             inc.extend(x)
-        batch = GPConditioner.from_points(X, hyper)
+        batch = batch_conditioner(X, hyper)
         Q = rng.normal(size=(5, 2))
         np.testing.assert_allclose(
             inc.conditional_variances(Q), batch.conditional_variances(Q), atol=1e-10
@@ -355,7 +354,7 @@ class TestGramFactorization:
             X = np.vstack([X, X[1]])
             y = rng.normal(size=4)
             Q = rng.normal(size=(5, 1))
-            assert GPConditioner.from_points(X, hyper)._level >= 1
+            assert batch_conditioner(X, hyper)._level >= 1
             expected, _ = predict_many(X, y, Q, hyper)
             np.testing.assert_allclose(
                 prefix_means(X, y, Q, hyper)[-1], expected, rtol=1e-9, atol=1e-12
@@ -363,18 +362,12 @@ class TestGramFactorization:
 
 
 class TestHyperparamsConfig:
-    def test_round_trip(self, tmp_path):
-        hyper = GPHyperparams(
-            lengthscales=np.array([0.123456789012, 4.5]),
-            signal_variance=2.25,
-            noise_variance=0.0625,
-        )
+    def test_reads_a_12_digit_config(self, tmp_path):
         path = tmp_path / "hyper.cfg"
-        save_hyperparams(hyper, path)
-        back = load_hyperparams(path)
-        np.testing.assert_allclose(back.lengthscales, hyper.lengthscales, rtol=1e-11)
-        assert back.signal_variance == pytest.approx(hyper.signal_variance, rel=1e-11)
-        assert back.noise_variance == pytest.approx(hyper.noise_variance, rel=1e-11)
+        path.write_text("lengthscales = 0.123456789012, 4.5\nsignal_variance = 2.25\nnoise_variance = 0.0625\n")
+        hyper = load_hyperparams(path)
+        assert hyper.lengthscales.tolist() == [0.123456789012, 4.5]
+        assert (hyper.signal_variance, hyper.noise_variance) == (2.25, 0.0625)
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "hyper.cfg"
@@ -396,6 +389,13 @@ class TestHyperparamsConfig:
         for noise in (-0.1, math.nan):
             with pytest.raises(ValueError, match="noise_variance must be non-negative"):
                 GPHyperparams(lengthscales=np.array([1.0]), signal_variance=1.0, noise_variance=noise)
+        for name, kwargs in [
+            ("lengthscales", dict(lengthscales=np.array([1.0, math.inf]), signal_variance=1.0, noise_variance=0.1)),
+            ("signal_variance", dict(lengthscales=np.array([1.0]), signal_variance=math.inf, noise_variance=0.1)),
+            ("noise_variance", dict(lengthscales=np.array([1.0]), signal_variance=1.0, noise_variance=math.inf)),
+        ]:
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+                GPHyperparams(**kwargs)
 
 
 def test_entropy_constant_value():

@@ -62,6 +62,7 @@ from periodic_secretary.utility import _chain_variances
 from periodic_secretary.kv import write_columns
 
 from conftest import random_hyper
+from reference import batch_conditioner
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -479,7 +480,7 @@ def test_tracked_acceptance_matches_untracked_and_fresh(seed, d, noise, kinds):
         assert cond._level == twin._level
         assert got == pytest.approx(expected, rel=0, abs=max(1e-12, roundoff()))
     assert noise > 0 or cond._level >= 1
-    fresh = GPConditioner.from_points(pool[order], hyper)
+    fresh = batch_conditioner(pool[order], hyper)
     assert fresh._level == cond._level
     np.testing.assert_allclose(
         cond.tracked_variances(),
@@ -636,7 +637,7 @@ def test_offline_greedy_matches_reference_argmax(seed, d, n, data):
     remaining = list(obs)
     chosen = []
     for pick in result.chosen:
-        cond = GPConditioner.from_points(np.array([o.features for o in chosen]).reshape(-1, d), hyper)
+        cond = batch_conditioner(np.array([o.features for o in chosen]).reshape(-1, d), hyper)
         gains = cond.entropies(np.array([o.features for o in remaining]))
         best = int(np.argmax(gains))
         pos = [o.index for o in remaining].index(pick)

@@ -9,20 +9,18 @@ from periodic_secretary import (
     PeriodicSecretaryConfig,
     PeriodicStreamSpec,
     UtilityFunction,
-    check_submodular_monotone,
     entropy_criterion,
     estimate_utility_noise,
     exhaustive_optimum,
     generate_periodic_stream,
-    marginal_gain,
     offline_greedy,
     periodic_secretary,
     submodular_secretary,
 )
 from periodic_secretary.selectors import utility_trace_for
-from periodic_secretary.utility import Counterexample
 
 from conftest import make_observations, random_hyper
+from reference import Counterexample, check_submodular_monotone
 
 
 def oracle_joint_entropy(points, hyper):
@@ -82,25 +80,19 @@ class TestMarginalGain:
         hyper = GPHyperparams(lengthscales=np.array([1.0]), signal_variance=0.9, noise_variance=0.1)
         f = UtilityFunction.entropy(hyper)
         obs = make_observations([0.5])
-        assert marginal_gain(f, [], obs[0]) == pytest.approx(1.4189385332046727, abs=1e-12)
+        assert f.value(obs[:1]) - f.value([]) == pytest.approx(1.4189385332046727, abs=1e-12)
 
     def test_modular_gain_ignores_context(self):
         f = UtilityFunction.modular(np.array([5.0, 1.0, 9.0]))
         obs = make_observations([0.0, 0.0, 0.0])
-        assert marginal_gain(f, [], obs[2]) == 9.0
-        assert marginal_gain(f, [obs[0]], obs[2]) == 9.0
-
-    def test_rejects_re_adding(self, unit_hyper):
-        f = UtilityFunction.entropy(unit_hyper)
-        obs = make_observations([0.0, 1.0])
-        with pytest.raises(ValueError, match="already"):
-            marginal_gain(f, [obs[0]], obs[0])
+        assert f.value([obs[2]]) - f.value([]) == 9.0
+        assert f.value([obs[0], obs[2]]) - f.value([obs[0]]) == 9.0
 
     def test_gain_plus_value_equals_joint(self, unit_hyper):
         rng = np.random.default_rng(21)
         f = UtilityFunction.entropy(unit_hyper)
         obs = make_observations(rng.normal(size=5))
-        g = marginal_gain(f, obs[:4], obs[4])
+        g = f.value(obs) - f.value(obs[:4])
         assert g + f.value(obs[:4]) == pytest.approx(f.value(obs), rel=1e-12)
 
     def test_diminishing_returns_sampled(self):
@@ -112,8 +104,8 @@ class TestMarginalGain:
             x = obs[-1]
             a = rng.integers(1, 4)
             b = rng.integers(a, 5)
-            gain_small = marginal_gain(f, obs[:a], x)
-            gain_large = marginal_gain(f, obs[:b], x)
+            gain_small = f.value([*obs[:a], x]) - f.value(obs[:a])
+            gain_large = f.value([*obs[:b], x]) - f.value(obs[:b])
             assert gain_small >= gain_large - 1e-8
 
     def test_incremental_evaluator_matches_joint_difference(self, unit_hyper):
@@ -253,14 +245,13 @@ _PERIODIC = PeriodicSecretaryConfig(k=10, period_T=2, threshold_slack=0.0)
 
 @pytest.mark.parametrize("run", [
     lambda f, obs: f.value(obs),
-    lambda f, obs: marginal_gain(f, obs[:-1], obs[-1]),
     lambda f, obs: exhaustive_optimum(obs, f, 2),
     lambda f, obs: check_submodular_monotone(f, obs),
     lambda f, obs: offline_greedy(obs, f, 2),
     lambda f, obs: utility_trace_for(f, obs),
     lambda f, obs: periodic_secretary(obs, f, _PERIODIC),
     lambda f, obs: periodic_secretary(iter(obs), f, _PERIODIC),
-], ids=["value", "marginal_gain", "exhaustive_optimum", "check_submodular_monotone",
+], ids=["value", "exhaustive_optimum", "check_submodular_monotone",
         "offline_greedy", "utility_trace_for", "periodic_secretary_list",
         "periodic_secretary_iterator"])
 def test_modular_index_without_weight_is_refused_by_name(run):
