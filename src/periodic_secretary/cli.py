@@ -2,8 +2,9 @@
 
 One subcommand per workflow stage: generate synthetic streams, run a single
 selector, tune the threshold slack, run the full comparison protocol, and
-evaluate the theoretical bounds. Options resolve in order flag > config file
-> built-in default, and every invocation writes a manifest of its resolved
+evaluate the theoretical bounds. Each option is declared once, in
+``_OPTIONS``. ``main`` resolves options in order flag > config file >
+built-in default, and every invocation writes a manifest of its resolved
 configuration and seed into the output directory so runs can be replayed
 exactly. Errors exit nonzero with a single ``error: ...`` line.
 """
@@ -15,6 +16,7 @@ import functools
 import platform
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,19 +55,69 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _resolve(parser: _Parser, args: argparse.Namespace, defaults: dict) -> argparse.Namespace:
-    """Fill unset options from the config file, then from built-in defaults."""
-    if getattr(args, "config", None) is not None:
+class _Option(NamedTuple):
+    """An option, keyed by its config name: its help (one per subcommand where
+    the meaning differs), argparse type (bool: a store_true flag), built-in
+    default, and flag if not the name with dashes."""
+
+    help: "str | dict[str, str]"
+    type: "type | None" = None
+    default: object = None
+    flag: "str | None" = None
+
+
+_OPTIONS = {
+    "out": _Option("output directory", default="."),
+    "config": _Option("key-value config file; flags override its values"),
+    "seed": _Option("random seed", int, 0),
+    "period": _Option("samples per period", int),
+    "periods": _Option("number of periods (N = periods * period)", int),
+    "noise": _Option("per-sample noise variance", float, 0.0),
+    "amplitude": _Option("waveform amplitude", float, 1.0),
+    "input": _Option("input stream CSV"),
+    "index_col": _Option("index/time column name", default="t"),
+    "feature_cols": _Option("comma-separated feature column names", default="x0"),
+    "qoi_col": _Option("optional qoi column name"),
+    "algo": _Option(" | ".join(ALGORITHM_NAMES)),
+    "algos": _Option(
+        "comma-separated algorithms; periodic takes a slack, e.g. periodic:0.5,scheduled"
+    ),
+    "k": _Option("sampling capacity", int),
+    "threshold_slack": _Option("threshold slack (>= 0)", float, flag="--lambda"),
+    "utility": _Option("entropy or modular (weights = first feature column)", default="entropy"),
+    "hyper": _Option("GP hyperparameter config file"),
+    "grid": _Option("comma-separated slack grid"),
+    "runs": _Option({"tune": "simulated streams per grid value", "evaluate": "trial count"}, int, 50),
+    "block_len": _Option("block length for trial permutations (default: period)", int),
+    "test_fraction": _Option("held-out fraction", float, 0.2),
+    "no_mse": _Option("skip held-out MSE evaluation", bool, False),
+    "sigma_u": _Option("utility noise standard deviation (squared internally)", float),
+    "N": _Option("stream length", int),
+    "T": _Option("period", int),
+    "f_opt": _Option("utility of the optimal set", float),
+}
+
+
+def _resolve(parser: _Parser, args: argparse.Namespace, names: tuple[str, ...]) -> None:
+    """Fill unset options from the config file, then from built-in defaults.
+
+    A config file carries text, so a bool option read from it must say
+    true or false (in any case)."""
+    if args.config is not None:
         for key, value in read_kv_file(args.config).items():
             dest = key.replace("-", "_")
             if not hasattr(args, dest):
                 parser.error(f"unknown config key {key!r} in {args.config}")
             if getattr(args, dest) is None:
                 setattr(args, dest, value)
-    for key, value in defaults.items():
-        if getattr(args, key) is None:
-            setattr(args, key, value)
-    return args
+    for name in names:
+        option, value = _OPTIONS[name], getattr(args, name)
+        if value is None:
+            setattr(args, name, option.default)
+        elif option.type is bool and isinstance(value, str):
+            if value.lower() not in ("true", "false"):
+                parser.error(f"{name} must be true or false, got {value!r}")
+            setattr(args, name, value.lower() == "true")
 
 
 def _require(parser: _Parser, args: argparse.Namespace, *names: str) -> None:
@@ -144,23 +196,14 @@ def _two_sine_spec(parser: _Parser, args: argparse.Namespace) -> PeriodicStreamS
     )
 
 
-def _cmd_generate(parser: _Parser, args: argparse.Namespace) -> int:
-    args = _resolve(parser, args, {"noise": 0.0, "amplitude": 1.0, "seed": 0, "out": "."})
-    _require(parser, args, "period", "periods")
+def _cmd_generate(parser: _Parser, args: argparse.Namespace) -> None:
     stream = generate_periodic_stream(_two_sine_spec(parser, args), int(args.seed))
     out = _outdir(args)
     write_stream_csv(stream, out / "stream.csv")
-    _write_manifest(out, "generate", args)
     print(f"wrote {out / 'stream.csv'} ({len(stream)} rows)")
-    return 0
 
 
-def _cmd_select(parser: _Parser, args: argparse.Namespace) -> int:
-    args = _resolve(
-        parser, args,
-        {"seed": 0, "out": ".", "utility": "entropy", "index_col": "t", "feature_cols": "x0"},
-    )
-    _require(parser, args, "input", "algo", "k")
+def _cmd_select(parser: _Parser, args: argparse.Namespace) -> None:
     slack = float(args.threshold_slack) if args.threshold_slack is not None else None
     try:
         algo = AlgorithmSpec(args.algo, threshold_slack=slack)
@@ -204,17 +247,10 @@ def _cmd_select(parser: _Parser, args: argparse.Namespace) -> int:
         },
         out / "summary.txt",
     )
-    _write_manifest(out, "select", args)
     print(f"selected {len(result.chosen)}/{k} samples; final utility {final}; {result.terminated}")
-    return 0
 
 
-def _cmd_tune(parser: _Parser, args: argparse.Namespace) -> int:
-    args = _resolve(
-        parser, args,
-        {"noise": 0.0, "amplitude": 1.0, "runs": 50, "seed": 0, "out": "."},
-    )
-    _require(parser, args, "period", "periods", "k", "grid", "hyper")
+def _cmd_tune(parser: _Parser, args: argparse.Namespace) -> None:
     k = _capacity(parser, args)
     spec = _two_sine_spec(parser, args)
     grid = parse_float_list(args.grid)
@@ -228,12 +264,10 @@ def _cmd_tune(parser: _Parser, args: argparse.Namespace) -> int:
     out = _outdir(args)
     write_tuning_csv(result, out / "tuning.csv")
     write_kv_file({"best_lambda": result.best_slack, **flag}, out / "summary.txt")
-    _write_manifest(out, "tune", args)
     print(
         f"best lambda {result.best_slack:g} "
         f"(mean utility {result.mean_utility[result.best_index]:.6g})"
     )
-    return 0
 
 
 def _parse_algos(parser: _Parser, raw: str) -> list[AlgorithmSpec]:
@@ -255,20 +289,8 @@ def _parse_algos(parser: _Parser, raw: str) -> list[AlgorithmSpec]:
     return specs
 
 
-def _cmd_evaluate(parser: _Parser, args: argparse.Namespace) -> int:
-    args = _resolve(
-        parser, args,
-        {
-            "runs": 50, "seed": 0, "out": ".", "test_fraction": 0.2,
-            "index_col": "t", "feature_cols": "x0", "no_mse": False,
-        },
-    )
-    _require(parser, args, "input", "k", "period", "algos", "hyper")
+def _cmd_evaluate(parser: _Parser, args: argparse.Namespace) -> None:
     k = _capacity(parser, args)
-    no_mse = str(args.no_mse).lower()  # a flag, or true/false from a config file
-    if no_mse not in ("true", "false"):
-        parser.error(f"no_mse must be true or false, got {args.no_mse!r}")
-    args.no_mse = no_mse == "true"
     mse = not args.no_mse
     if mse and args.qoi_col is None:
         parser.error("MSE evaluation requested but no --qoi-col names the qoi column")
@@ -291,14 +313,10 @@ def _cmd_evaluate(parser: _Parser, args: argparse.Namespace) -> int:
     if flag:
         with (out / "summary.txt").open("a", encoding="utf-8") as fh:
             fh.write(format_kv(flag))
-    _write_manifest(out, "evaluate", args)
     print(f"wrote {', '.join(str(p) for p in paths)}")
-    return 0
 
 
-def _cmd_bounds(parser: _Parser, args: argparse.Namespace) -> int:
-    args = _resolve(parser, args, {"seed": 0, "out": "."})
-    _require(parser, args, "k", "threshold_slack", "sigma_u", "N", "T", "f_opt")
+def _cmd_bounds(parser: _Parser, args: argparse.Namespace) -> None:
     k = _capacity(parser, args)
     slack, sigma_u = float(args.threshold_slack), float(args.sigma_u)
     if not slack >= 0:
@@ -316,88 +334,51 @@ def _cmd_bounds(parser: _Parser, args: argparse.Namespace) -> int:
     report = bound_report(inputs)
     out = _outdir(args)
     write_bound_report(report, out / "bounds.txt")
-    _write_manifest(out, "bounds", args)
     print(format_bound_report(report), end="")
-    return 0
 
 
-def _add_common(p: _Parser) -> None:
-    p.add_argument("--out", default=None, help="output directory (default: current directory)")
-    p.add_argument("--config", default=None, help="key-value config file; flags override its values")
-    p.add_argument("--seed", default=None, type=int, help="random seed (default 0)")
+class _Command(NamedTuple):
+    run: Callable[[_Parser, argparse.Namespace], None]
+    help: str
+    options: tuple[str, ...]  # in help order
+    required: tuple[str, ...]  # in the order they are checked
 
 
-def _add_schema_flags(p: _Parser) -> None:
-    p.add_argument("--input", default=None, help="input stream CSV")
-    p.add_argument("--index-col", default=None, help="index/time column name (default t)")
-    p.add_argument("--feature-cols", default=None, help="comma-separated feature column names (default x0)")
-    p.add_argument("--qoi-col", default=None, help="optional qoi column name")
+_COMMON = ("out", "config", "seed")
+_STREAM = ("period", "periods", "noise", "amplitude")
+_SCHEMA = ("input", "index_col", "feature_cols", "qoi_col")
+_COMMANDS = {
+    "generate": _Command(_cmd_generate, "synthesize an approximately periodic stream CSV",
+                         (*_STREAM, *_COMMON), ("period", "periods")),
+    "select": _Command(_cmd_select, "run one selector over an ingested stream",
+                       (*_SCHEMA, "algo", "k", "period", "threshold_slack", "utility", "hyper",
+                        *_COMMON), ("input", "algo", "k")),
+    "tune": _Command(_cmd_tune, "tune the threshold slack by simulation",
+                     (*_STREAM, "k", "grid", "runs", "hyper", *_COMMON),
+                     ("period", "periods", "k", "grid", "hyper")),
+    "evaluate": _Command(_cmd_evaluate, "multi-algorithm comparison with repeated trials",
+                         (*_SCHEMA, "algos", "k", "period", "runs", "block_len", "test_fraction",
+                          "no_mse", "hyper", *_COMMON), ("input", "k", "period", "algos", "hyper")),
+    "bounds": _Command(_cmd_bounds, "evaluate the theoretical guarantees",
+                       ("k", "threshold_slack", "sigma_u", "N", "T", "f_opt", *_COMMON),
+                       ("k", "threshold_slack", "sigma_u", "N", "T", "f_opt")),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="periodic-secretary", description="streaming sample selection toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("generate", help="synthesize an approximately periodic stream CSV")
-    p.add_argument("--period", default=None, type=int, help="samples per period")
-    p.add_argument("--periods", default=None, type=int, help="number of periods (N = periods * period)")
-    p.add_argument("--noise", default=None, type=float, help="per-sample noise variance (default 0)")
-    p.add_argument("--amplitude", default=None, type=float, help="waveform amplitude (default 1)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_generate)
-
-    p = sub.add_parser("select", help="run one selector over an ingested stream")
-    _add_schema_flags(p)
-    p.add_argument("--algo", default=None, help=" | ".join(ALGORITHM_NAMES))
-    p.add_argument("--k", default=None, type=int, help="sampling capacity")
-    p.add_argument("--period", default=None, type=int, help="data period (periodic algorithm)")
-    p.add_argument("--lambda", dest="threshold_slack", default=None, type=float,
-                   help="threshold slack (periodic algorithm, >= 0)")
-    p.add_argument("--utility", default=None,
-                   help="entropy (default) or modular (weights = first feature column)")
-    p.add_argument("--hyper", default=None, help="GP hyperparameter config file (entropy utility)")
-    _add_common(p)
-    p.set_defaults(func=_cmd_select)
-
-    p = sub.add_parser("tune", help="tune the threshold slack by simulation")
-    p.add_argument("--period", default=None, type=int)
-    p.add_argument("--periods", default=None, type=int)
-    p.add_argument("--noise", default=None, type=float, help="per-sample noise variance (default 0)")
-    p.add_argument("--amplitude", default=None, type=float)
-    p.add_argument("--k", default=None, type=int)
-    p.add_argument("--grid", default=None, help="comma-separated slack grid")
-    p.add_argument("--runs", default=None, type=int, help="simulated streams per grid value (default 50)")
-    p.add_argument("--hyper", default=None, help="GP hyperparameter config file")
-    _add_common(p)
-    p.set_defaults(func=_cmd_tune)
-
-    p = sub.add_parser("evaluate", help="multi-algorithm comparison with repeated trials")
-    _add_schema_flags(p)
-    p.add_argument("--algos", default=None,
-                   help="comma-separated algorithms; periodic takes a slack, e.g. periodic:0.5,scheduled")
-    p.add_argument("--k", default=None, type=int)
-    p.add_argument("--period", default=None, type=int, help="data period")
-    p.add_argument("--runs", default=None, type=int, help="trial count (default 50)")
-    p.add_argument("--block-len", default=None, type=int,
-                   help="block length for trial permutations (default: period)")
-    p.add_argument("--test-fraction", default=None, type=float, help="held-out fraction (default 0.2)")
-    p.add_argument("--no-mse", action="store_true", default=None,
-                   help="skip held-out MSE evaluation")
-    p.add_argument("--hyper", default=None, help="GP hyperparameter config file")
-    _add_common(p)
-    p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("bounds", help="evaluate the theoretical guarantees")
-    p.add_argument("--k", default=None, type=int)
-    p.add_argument("--lambda", dest="threshold_slack", default=None, type=float)
-    p.add_argument("--sigma-u", default=None, type=float,
-                   help="utility noise standard deviation (squared internally)")
-    p.add_argument("--N", default=None, type=int, help="stream length")
-    p.add_argument("--T", default=None, type=int, help="period")
-    p.add_argument("--f-opt", default=None, type=float, help="utility of the optimal set")
-    _add_common(p)
-    p.set_defaults(func=_cmd_bounds)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for dest in command.options:
+            option = _OPTIONS[dest]
+            text = option.help[name] if isinstance(option.help, dict) else option.help
+            if option.default is not None:
+                text = f"{text} (default {option.default})"
+            kind = {"action": "store_true"} if option.type is bool else {"type": option.type}
+            flag = option.flag or f"--{dest.replace('_', '-')}"
+            p.add_argument(flag, dest=dest, default=None, help=text, **kind)
+        p.set_defaults(func=command.run)
     return parser
 
 
@@ -410,8 +391,13 @@ def _parser() -> _Parser:
 def main(argv: "list[str] | None" = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
+    command = _COMMANDS[args.subcommand]
     try:
-        return args.func(parser, args)
+        _resolve(parser, args, command.options)
+        _require(parser, args, *command.required)
+        args.func(parser, args)
+        _write_manifest(Path(args.out), args.subcommand, args)
+        return 0
     except SystemExit:
         raise
     except Exception as exc:  # single-line machine-parsable failure

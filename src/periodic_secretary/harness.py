@@ -509,8 +509,9 @@ def validate_bounds(
     compare mean final utility and mean acceptance count against the
     theoretical lower bounds of ``bounds.bound_report``, flagging any
     non-vacuous bound the empirical mean (minus three standard errors) falls
-    below. The optimum f(A*) is exact (full enumeration) when k <= 4 and
-    C(N, k) <= 10**6; otherwise the greedy value substitutes as a lower
+    below. The optimum f(A*) is exact when k <= 4 and C(N, k) <= 10**6
+    (``exhaustive_optimum``: every k-subset under entropy, one stable sort
+    under a modular utility); otherwise the greedy value substitutes as a lower
     estimate and the utility check is reported as informational rather than
     pass/fail. A k below 1, and an entropy utility with noise_variance below
     1/(2*pi*e) (its gains can be negative), are refused before any run.

@@ -121,13 +121,9 @@ def read_columns(path: "str | Path", names: Iterable[str]) -> np.ndarray:
 
         def values():
             for row in filter(None, rows):
-                try:
-                    yield [float(row[j]) for j in positions]
-                except (ValueError, IndexError):
-                    line = header_lines + rows.line_num
-                    for col, j in zip(cols, positions):
-                        _cell(path, line, col, row[j] if j < len(row) else None)
-                    raise
+                line = header_lines + rows.line_num
+                yield [_cell(path, line, col, row[j] if j < len(row) else None)
+                       for col, j in zip(cols, positions)]
 
         table = np.fromiter(chain.from_iterable(values()), dtype=float).reshape(-1, len(cols))
     if not len(table):

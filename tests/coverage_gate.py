@@ -33,8 +33,6 @@ ALLOWED = {
         "the import fallback for numpy < 2; the tests run on numpy 2",
     ("cli.py", "<module>", "raise SystemExit(main())"):
         "the __main__ guard; tests call main() in process, and subprocesses are not traced",
-    ("kv.py", "values", "raise"):
-        "unreachable: _cell raises first on the cell that made float() fail",
 }
 
 

@@ -625,3 +625,46 @@ def test_main_builds_its_parser_once_per_process(monkeypatch, tmp_path):
         cli._parser.cache_clear()
     assert len(built) == 1
     assert build_parser() is not build_parser()
+
+
+# Each subcommand run with only the options it requires (and, for evaluate,
+# the --qoi-col that MSE needs): every other key of its manifest is the
+# built-in default's text.
+_DEFAULT_MANIFEST = {
+    "generate": {"noise": "0.0", "amplitude": "1.0"},
+    "select": {"index_col": "t", "feature_cols": "x0", "utility": "entropy"},
+    "tune": {"noise": "0.0", "amplitude": "1.0", "runs": "50"},
+    "evaluate": {"index_col": "t", "feature_cols": "x0", "runs": "50", "test_fraction": "0.2",
+                 "no_mse": "False"},
+    "bounds": {},
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_DEFAULT_MANIFEST))
+def test_required_options_alone_write_the_built_in_defaults(subcommand, hyper_file, tmp_path,
+                                                            monkeypatch):
+    from periodic_secretary import PeriodicStreamSpec, attach_gp_qoi, generate_periodic_stream
+    from periodic_secretary import two_sine_waveform, write_stream_csv
+
+    spec = PeriodicStreamSpec(period_T=8, noise_cov=np.array([[0.3]]), length_N=24,
+                              base_waveform=two_sine_waveform(8))
+    stream = attach_gp_qoi(generate_periodic_stream(spec, seed=4), load_hyperparams(hyper_file),
+                           seed=9)
+    write_stream_csv(stream, tmp_path / "data.csv")
+    argv = {
+        "generate": {"period": 8, "periods": 2},
+        "select": {"input": tmp_path / "data.csv", "algo": "scheduled", "k": 2},
+        "tune": {"period": 8, "periods": 2, "k": 2, "grid": "0", "hyper": hyper_file},
+        "evaluate": {"input": tmp_path / "data.csv", "qoi-col": "qoi", "k": 2, "period": 8,
+                     "algos": "scheduled", "hyper": hyper_file},
+        "bounds": {"k": 2, "lambda": 0.1, "sigma-u": 1.0, "N": 24, "T": 8, "f-opt": 1},
+    }[subcommand]
+    run = tmp_path / "run"
+    run.mkdir()
+    monkeypatch.chdir(run)
+    assert run_cli(subcommand, *[a for flag, value in argv.items() for a in (f"--{flag}", value)]) == 0
+    manifest = read_kv_file(run / "manifest.txt")
+    defaults = {"subcommand": subcommand, "seed": "0", "out": ".", **_DEFAULT_MANIFEST[subcommand]}
+    given = {"threshold_slack" if flag == "lambda" else flag.replace("-", "_") for flag in argv}
+    assert sorted(manifest) == sorted({*defaults, *given})
+    assert {key: manifest[key] for key in defaults} == defaults
