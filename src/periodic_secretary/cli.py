@@ -3,10 +3,12 @@
 One subcommand per workflow stage: generate synthetic streams, run a single
 selector, tune the threshold slack, run the full comparison protocol, and
 evaluate the theoretical bounds. Each option is declared once, in
-``_OPTIONS``. ``main`` resolves options in order flag > config file >
-built-in default, and every invocation writes a manifest of its resolved
-configuration and seed into the output directory so runs can be replayed
-exactly. Errors exit nonzero with a single ``error: ...`` line.
+``_OPTIONS``, with its type, built-in default and least value. ``main`` reads
+a config file's entries as flags put before the command line's own, so
+argparse types both and a flag overrides the file, and every invocation
+writes a manifest of its typed configuration and seed into the output
+directory so runs can be replayed exactly. Errors exit nonzero with a single
+``error: ...`` line.
 """
 
 from __future__ import annotations
@@ -58,21 +60,22 @@ class _Parser(argparse.ArgumentParser):
 class _Option(NamedTuple):
     """An option, keyed by its config name: its help (one per subcommand where
     the meaning differs), argparse type (bool: a store_true flag), built-in
-    default, and flag if not the name with dashes."""
+    default, flag if not the name with dashes, and least accepted value."""
 
     help: "str | dict[str, str]"
     type: "type | None" = None
     default: object = None
     flag: "str | None" = None
+    low: "int | None" = None
 
 
 _OPTIONS = {
     "out": _Option("output directory", default="."),
     "config": _Option("key-value config file; flags override its values"),
-    "seed": _Option("random seed", int, 0),
-    "period": _Option("samples per period", int),
-    "periods": _Option("number of periods (N = periods * period)", int),
-    "noise": _Option("per-sample noise variance", float, 0.0),
+    "seed": _Option("random seed", int, 0, low=0),
+    "period": _Option("samples per period", int, low=1),
+    "periods": _Option("number of periods (N = periods * period)", int, low=1),
+    "noise": _Option("per-sample noise variance", float, 0.0, low=0),
     "amplitude": _Option("waveform amplitude", float, 1.0),
     "input": _Option("input stream CSV"),
     "index_col": _Option("index/time column name", default="t"),
@@ -82,8 +85,8 @@ _OPTIONS = {
     "algos": _Option(
         "comma-separated algorithms; periodic takes a slack, e.g. periodic:0.5,scheduled"
     ),
-    "k": _Option("sampling capacity", int),
-    "threshold_slack": _Option("threshold slack (>= 0)", float, flag="--lambda"),
+    "k": _Option("sampling capacity", int, low=1),
+    "threshold_slack": _Option("threshold slack (>= 0)", float, flag="--lambda", low=0),
     "utility": _Option("entropy or modular (weights = first feature column)", default="entropy"),
     "hyper": _Option("GP hyperparameter config file"),
     "grid": _Option("comma-separated slack grid"),
@@ -91,39 +94,48 @@ _OPTIONS = {
     "block_len": _Option("block length for trial permutations (default: period)", int),
     "test_fraction": _Option("held-out fraction", float, 0.2),
     "no_mse": _Option("skip held-out MSE evaluation", bool, False),
-    "sigma_u": _Option("utility noise standard deviation (squared internally)", float),
+    "sigma_u": _Option("utility noise standard deviation (squared internally)", float, low=0),
     "N": _Option("stream length", int),
     "T": _Option("period", int),
     "f_opt": _Option("utility of the optimal set", float),
 }
 
 
-def _resolve(parser: _Parser, args: argparse.Namespace, names: tuple[str, ...]) -> None:
-    """Fill unset options from the config file, then from built-in defaults.
+def _flag(name: str) -> str:
+    return _OPTIONS[name].flag or f"--{name.replace('_', '-')}"
 
-    A config file carries text, so a bool option read from it must say
-    true or false (in any case)."""
-    if args.config is not None:
-        for key, value in read_kv_file(args.config).items():
-            dest = key.replace("-", "_")
-            if not hasattr(args, dest):
-                parser.error(f"unknown config key {key!r} in {args.config}")
-            if getattr(args, dest) is None:
-                setattr(args, dest, value)
-    for name in names:
-        option, value = _OPTIONS[name], getattr(args, name)
-        if value is None:
-            setattr(args, name, option.default)
-        elif option.type is bool and isinstance(value, str):
-            if value.lower() not in ("true", "false"):
-                parser.error(f"{name} must be true or false, got {value!r}")
-            setattr(args, name, value.lower() == "true")
+
+def _config_flags(parser: _Parser, config: str, names: tuple[str, ...]) -> list[str]:
+    """The config file's entries as flags. A bool entry must say true or
+    false (in any case) and gives its flag when true; a manifest's
+    ``subcommand`` key is skipped."""
+    flags = []
+    for key, value in read_kv_file(config).items():
+        name = key.replace("-", "_")
+        if name == "subcommand":
+            continue
+        if name not in names:
+            parser.error(f"unknown config key {key!r} in {config}")
+        if _OPTIONS[name].type is not bool:
+            flags.append(f"{_flag(name)}={value}")
+        elif value.lower() not in ("true", "false"):
+            parser.error(f"{name} must be true or false, got {value!r}")
+        elif value.lower() == "true":
+            flags.append(_flag(name))
+    return flags
 
 
 def _require(parser: _Parser, args: argparse.Namespace, *names: str) -> None:
     for name in names:
         if getattr(args, name) is None:
-            parser.error(f"missing required option --{name.replace('_', '-')}")
+            parser.error(f"missing required option {_flag(name)}")
+
+
+def _check_least(parser: _Parser, args: argparse.Namespace, names: tuple[str, ...]) -> None:
+    for name in names:
+        low, value = _OPTIONS[name].low, getattr(args, name)
+        if low is not None and value is not None and not value >= low:
+            parser.error(f"{_flag(name)} must be >= {low}, got {value}")
 
 
 def _write_manifest(outdir: Path, subcommand: str, args: argparse.Namespace) -> None:
@@ -149,7 +161,7 @@ def _outdir(args: argparse.Namespace) -> Path:
 
 
 def _schema_from_args(args: argparse.Namespace) -> CsvSchema:
-    features = tuple(c.strip() for c in str(args.feature_cols).split(",") if c.strip())
+    features = tuple(c.strip() for c in args.feature_cols.split(",") if c.strip())
     return CsvSchema(index_col=args.index_col, feature_cols=features, qoi_col=args.qoi_col)
 
 
@@ -171,47 +183,30 @@ def _non_monotone_flag(hyper: GPHyperparams) -> dict[str, str]:
     return {"non_monotone": note}
 
 
-def _capacity(parser: _Parser, args: argparse.Namespace) -> int:
-    """The checked sampling capacity --k."""
-    k = int(args.k)
-    if k < 1:
-        parser.error(f"--k must be >= 1, got {k}")
-    return k
-
-
-def _two_sine_spec(parser: _Parser, args: argparse.Namespace) -> PeriodicStreamSpec:
-    """The synthetic stream that generate and tune share, from checked options."""
-    period, periods, noise = int(args.period), int(args.periods), float(args.noise)
-    if period < 1:
-        parser.error(f"--period must be >= 1, got {period}")
-    if periods < 1:
-        parser.error(f"--periods must be >= 1, got {periods}")
-    if not noise >= 0:
-        parser.error(f"--noise must be >= 0, got {noise}")
+def _two_sine_spec(args: argparse.Namespace) -> PeriodicStreamSpec:
+    """The synthetic stream that generate and tune share."""
     return PeriodicStreamSpec(
-        period_T=period,
-        noise_cov=np.array([[noise]]),
-        length_N=period * periods,
-        base_waveform=two_sine_waveform(period, amplitude=float(args.amplitude)),
+        period_T=args.period,
+        noise_cov=np.array([[args.noise]]),
+        length_N=args.period * args.periods,
+        base_waveform=two_sine_waveform(args.period, amplitude=args.amplitude),
     )
 
 
 def _cmd_generate(parser: _Parser, args: argparse.Namespace) -> None:
-    stream = generate_periodic_stream(_two_sine_spec(parser, args), int(args.seed))
+    stream = generate_periodic_stream(_two_sine_spec(args), args.seed)
     out = _outdir(args)
     write_stream_csv(stream, out / "stream.csv")
     print(f"wrote {out / 'stream.csv'} ({len(stream)} rows)")
 
 
 def _cmd_select(parser: _Parser, args: argparse.Namespace) -> None:
-    slack = float(args.threshold_slack) if args.threshold_slack is not None else None
     try:
-        algo = AlgorithmSpec(args.algo, threshold_slack=slack)
+        algo = AlgorithmSpec(args.algo, threshold_slack=args.threshold_slack)
     except ValueError as exc:
         parser.error(str(exc))
     if args.utility not in ("entropy", "modular"):
         parser.error(f"unknown utility {args.utility!r}")
-    k = _capacity(parser, args)
     if algo.needs_period:
         _require(parser, args, "period")
     stream = ingest_csv(args.input, _schema_from_args(args))
@@ -227,8 +222,7 @@ def _cmd_select(parser: _Parser, args: argparse.Namespace) -> None:
             f = UtilityFunction.entropy(load_hyperparams(args.hyper))
             flag = _non_monotone_flag(f.hyper)
 
-    period = int(args.period) if args.period is not None else None
-    result = algo.run(stream.observations, f, k, period, int(args.seed))
+    result = algo.run(stream.observations, f, args.k, args.period, args.seed)
     trace = result.utility_trace
     if not trace and f is not None and result.chosen:
         trace = utility_trace_for(f, stream.observations[result.chosen])
@@ -240,26 +234,24 @@ def _cmd_select(parser: _Parser, args: argparse.Namespace) -> None:
         {
             "algorithm": args.algo,
             "selected": len(result.chosen),
-            "k": k,
+            "k": args.k,
             "final_utility": final,
             "terminated": result.terminated,
             **flag,
         },
         out / "summary.txt",
     )
-    print(f"selected {len(result.chosen)}/{k} samples; final utility {final}; {result.terminated}")
+    print(f"selected {len(result.chosen)}/{args.k} samples; final utility {final}; {result.terminated}")
 
 
 def _cmd_tune(parser: _Parser, args: argparse.Namespace) -> None:
-    k = _capacity(parser, args)
-    spec = _two_sine_spec(parser, args)
     grid = parse_float_list(args.grid)
     if any(not s >= 0 for s in grid):
         parser.error("slack grid values must be >= 0")
     utility = UtilityFunction.entropy(load_hyperparams(args.hyper))
     flag = _non_monotone_flag(utility.hyper)
     result = tune_threshold_slack(
-        spec, utility, k, grid, runs=int(args.runs), seed=int(args.seed)
+        _two_sine_spec(args), utility, args.k, grid, runs=args.runs, seed=args.seed
     )
     out = _outdir(args)
     write_tuning_csv(result, out / "tuning.csv")
@@ -272,7 +264,7 @@ def _cmd_tune(parser: _Parser, args: argparse.Namespace) -> None:
 
 def _parse_algos(parser: _Parser, raw: str) -> list[AlgorithmSpec]:
     specs = []
-    for token in str(raw).split(","):
+    for token in raw.split(","):
         token = token.strip()
         if not token:
             continue
@@ -290,7 +282,6 @@ def _parse_algos(parser: _Parser, raw: str) -> list[AlgorithmSpec]:
 
 
 def _cmd_evaluate(parser: _Parser, args: argparse.Namespace) -> None:
-    k = _capacity(parser, args)
     mse = not args.no_mse
     if mse and args.qoi_col is None:
         parser.error("MSE evaluation requested but no --qoi-col names the qoi column")
@@ -300,14 +291,13 @@ def _cmd_evaluate(parser: _Parser, args: argparse.Namespace) -> None:
     flag = _non_monotone_flag(hyper)
     cfg = ExperimentConfig(
         algorithms=algorithms,
-        k=k,
-        period_T=int(args.period),
-        runs=int(args.runs),
-        seed=int(args.seed),
-        test_fraction=float(args.test_fraction),
+        k=args.k,
+        period_T=args.period,
+        runs=args.runs,
+        seed=args.seed,
+        test_fraction=args.test_fraction,
     )
-    block_len = int(args.block_len) if args.block_len is not None else int(args.period)
-    report = run_comparison(stream, cfg, hyper, block_len=block_len, compute_mse=mse)
+    report = run_comparison(stream, cfg, hyper, block_len=args.block_len, compute_mse=mse)
     out = _outdir(args)
     paths = write_comparison_report(report, out)
     if flag:
@@ -317,19 +307,13 @@ def _cmd_evaluate(parser: _Parser, args: argparse.Namespace) -> None:
 
 
 def _cmd_bounds(parser: _Parser, args: argparse.Namespace) -> None:
-    k = _capacity(parser, args)
-    slack, sigma_u = float(args.threshold_slack), float(args.sigma_u)
-    if not slack >= 0:
-        parser.error(f"--lambda must be >= 0, got {slack}")
-    if not sigma_u >= 0:
-        parser.error(f"--sigma-u must be >= 0, got {sigma_u}")
     inputs = BoundInputs(
-        k=k,
-        threshold_slack=slack,
-        utility_noise=sigma_u**2,
-        stream_len_N=int(args.N),
-        period_T=int(args.T),
-        f_opt=float(args.f_opt),
+        k=args.k,
+        threshold_slack=args.threshold_slack,
+        utility_noise=args.sigma_u**2,
+        stream_len_N=args.N,
+        period_T=args.T,
+        f_opt=args.f_opt,
     )
     report = bound_report(inputs)
     out = _outdir(args)
@@ -376,8 +360,7 @@ def build_parser() -> _Parser:
             if option.default is not None:
                 text = f"{text} (default {option.default})"
             kind = {"action": "store_true"} if option.type is bool else {"type": option.type}
-            flag = option.flag or f"--{dest.replace('_', '-')}"
-            p.add_argument(flag, dest=dest, default=None, help=text, **kind)
+            p.add_argument(_flag(dest), dest=dest, default=option.default, help=text, **kind)
         p.set_defaults(func=command.run)
     return parser
 
@@ -390,11 +373,16 @@ def _parser() -> _Parser:
 
 def main(argv: "list[str] | None" = None) -> int:
     parser = _parser()
+    argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)
     command = _COMMANDS[args.subcommand]
     try:
-        _resolve(parser, args, command.options)
+        if args.config is not None:  # parse again, the file's entries before the flags
+            rest = argv[argv.index(args.subcommand) + 1:]
+            flags = _config_flags(parser, args.config, command.options)
+            args = parser.parse_args([args.subcommand, *flags, *rest])
         _require(parser, args, *command.required)
+        _check_least(parser, args, command.options)
         args.func(parser, args)
         _write_manifest(Path(args.out), args.subcommand, args)
         return 0

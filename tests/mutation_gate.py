@@ -54,6 +54,7 @@ ENTROPY_ORACLE = ORACLE + "test_entropy_decisions_are_exact_or_roundoff_ties"
 MODULAR_ORACLE = ORACLE + "test_modular_decisions_are_exact_or_roundoff_ties"
 GUARD_BAND = ORACLE + "test_guard_band_instances_are_decided_exactly"
 DEFAULTS_TEST = "tests/test_cli.py::test_required_options_alone_write_the_built_in_defaults"
+TUNE_ORACLE = "tests/test_harness.py::TestTuneThresholdSlack::test_matches_per_cell_oracle"
 
 MUTANTS = (
     Mutant(
@@ -105,6 +106,37 @@ MUTANTS = (
         "built-in --runs default 49", "cli.py",
         (('"trial count"}, int, 50', '"trial count"}, int, 49'),),
         (DEFAULTS_TEST + "[tune]", DEFAULTS_TEST + "[evaluate]"),
+    ),
+    Mutant(
+        "declared least --k of 0", "cli.py",
+        (('"k": _Option("sampling capacity", int, low=1)',
+          '"k": _Option("sampling capacity", int, low=0)'),),
+        ("tests/test_cli.py::TestSelect::test_k_below_one_usage_error",
+         "tests/test_cli.py::test_k_below_one_is_same_usage_error_as_select"),
+    ),
+    Mutant(
+        "a config entry left out of the second parse", "cli.py",
+        (("for key, value in read_kv_file(config).items():",
+          "for key, value in list(read_kv_file(config).items())[1:]:"),),
+        ("tests/test_cli.py::TestGenerate::test_config_file_fills_missing_flags",
+         "tests/test_cli.py::test_config_file_and_flags_write_the_same_run"),
+    ),
+    Mutant(
+        "_spread with ddof 1 for a single trial", "harness.py",
+        (("ddof = 1 if runs.shape[axis] > 1 else 0", "ddof = 1"),),
+        (TUNE_ORACLE + "[False-1]", TUNE_ORACLE + "[True-1]"),
+    ),
+    Mutant(
+        "offline_greedy tracks an empty ground set", "selectors.py",
+        (("        if len(rows):\n            cond.track(rows.features)\n",
+          "        cond.track(rows.features)\n"),),
+        ("tests/test_selectors.py::TestOfflineGreedy::test_entropy_k_zero_on_empty_ground_set",),
+    ),
+    Mutant(
+        "periodic runs stored at the previous slack", "harness.py",
+        (("finals[i, j, r] = _final_utility(result)", "finals[i, j - 1, r] = _final_utility(result)"),
+         ("fills[i, j, r] = len(result.chosen)", "fills[i, j - 1, r] = len(result.chosen)")),
+        (TUNE_ORACLE, "tests/test_harness.py::TestValidateBounds::test_matches_per_cell_oracle"),
     ),
 )
 

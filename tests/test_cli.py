@@ -591,6 +591,78 @@ def test_missing_required_option_reports_single_line(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_missing_option_is_named_by_its_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("bounds", "--k", 5, "--sigma-u", 1.0, "--N", 100, "--T", 10, "--f-opt", 1,
+                "--out", tmp_path)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: missing required option --lambda\n"
+
+
+def test_bad_config_number_is_the_flags_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text("k = 2.5\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("bounds", "--config", cfg, "--lambda", 0.1, "--sigma-u", 1.0, "--N", 100,
+                "--T", 10, "--f-opt", 1, "--out", tmp_path / "out")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: argument --k: invalid int value: '2.5'\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("subcommand, options, output", [
+    ("generate", {"period": 10, "periods": 3, "noise": "1e-3", "seed": "07"}, "stream.csv"),
+    ("bounds", {"k": 5, "threshold_slack": 0, "sigma_u": "1e-3", "N": 1000, "T": 100,
+                "f_opt": 10, "seed": "07"}, "bounds.txt"),
+])
+def test_config_file_and_flags_write_the_same_run(subcommand, options, output, tmp_path):
+    # A config file's text is typed as its flag's is, so the manifest holds
+    # the same canonical text (noise = 0.001, seed = 7) either way.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in options.items()))
+    flag = {"threshold_slack": "--lambda", "sigma_u": "--sigma-u", "f_opt": "--f-opt"}
+    flags = [a for key, value in options.items() for a in (flag.get(key, f"--{key}"), value)]
+    by_flags, by_file = tmp_path / "flags", tmp_path / "file"
+    assert run_cli(subcommand, *flags, "--out", by_flags) == 0
+    assert run_cli(subcommand, "--config", cfg, "--out", by_file) == 0
+    assert (by_flags / output).read_bytes() == (by_file / output).read_bytes()
+    manifests = [[line for line in (out / "manifest.txt").read_text().splitlines()
+                  if not line.startswith("out = ")] for out in (by_flags, by_file)]
+    assert manifests[0] == manifests[1]
+    assert "seed = 7" in manifests[0]
+
+
+# The options each subcommand requires (and the --qoi-col that evaluate's MSE
+# needs). The files they name do not exist: a usage error comes before either is read.
+_REQUIRED_ONLY = {
+    "generate": ["--period", 8, "--periods", 2],
+    "select": ["--input", "missing.csv", "--algo", "scheduled", "--k", 2],
+    "tune": ["--period", 8, "--periods", 2, "--k", 2, "--grid", "0", "--hyper", "missing.cfg"],
+    "evaluate": ["--input", "missing.csv", "--qoi-col", "qoi", "--k", 2, "--period", 8,
+                 "--algos", "scheduled", "--hyper", "missing.cfg"],
+    "bounds": ["--k", 2, "--lambda", 0.1, "--sigma-u", 1.0, "--N", 24, "--T", 8, "--f-opt", 1],
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_REQUIRED_ONLY))
+def test_negative_seed_is_usage_error(subcommand, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(subcommand, *_REQUIRED_ONLY[subcommand], "--seed", -1, "--out", tmp_path / "out")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("subcommand", ["select", "evaluate"])
+def test_zero_period_is_usage_error(subcommand, tmp_path, capsys):
+    # select's scheduled rule reads no period; evaluate used to fail at run time.
+    with pytest.raises(SystemExit) as exc:
+        run_cli(subcommand, *_REQUIRED_ONLY[subcommand], "--period", 0, "--out", tmp_path / "out")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: --period must be >= 1, got 0\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_runtime_imports_no_scipy():
     # The library and its command line run on numpy alone; scipy is a test
     # dependency only.
