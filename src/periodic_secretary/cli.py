@@ -90,13 +90,14 @@ _OPTIONS = {
     "utility": _Option("entropy or modular (weights = first feature column)", default="entropy"),
     "hyper": _Option("GP hyperparameter config file"),
     "grid": _Option("comma-separated slack grid"),
-    "runs": _Option({"tune": "simulated streams per grid value", "evaluate": "trial count"}, int, 50),
-    "block_len": _Option("block length for trial permutations (default: period)", int),
+    "runs": _Option({"tune": "simulated streams per grid value", "evaluate": "trial count"}, int, 50,
+                    low=1),
+    "block_len": _Option("block length for trial permutations (default: period)", int, low=1),
     "test_fraction": _Option("held-out fraction", float, 0.2),
     "no_mse": _Option("skip held-out MSE evaluation", bool, False),
     "sigma_u": _Option("utility noise standard deviation (squared internally)", float, low=0),
-    "N": _Option("stream length", int),
-    "T": _Option("period", int),
+    "N": _Option("stream length", int, low=1),
+    "T": _Option("period", int, low=1),
     "f_opt": _Option("utility of the optimal set", float),
 }
 

@@ -7,10 +7,10 @@ variance plus the observation noise, so the prior variance is
 signal_variance + noise_variance and entropies stay finite whenever
 noise_variance > 0.
 
-The entropy threshold rule is decided here in variance space: ``_entropy_of``
-and ``_variance_of`` map between a variance and its entropy, and
-``GPConditioner`` compares tracked and one-point variances with
-``_variance_band``, the guard band around a threshold's variance.
+The entropy threshold rule is decided here in variance space: ``GPConditioner``
+compares tracked and one-point variances with ``_variance_band``, the guard
+band around a threshold's variance, and ``_candidate_meets`` decides each
+variance at or above the band's lower edge.
 """
 
 from __future__ import annotations
@@ -70,17 +70,10 @@ def _entropy_of(variance):
     return GAUSSIAN_ENTROPY_CONST + 0.5 * np.log(variance)
 
 
-def _variance_of(entropy: float) -> float:
-    """The variance whose differential entropy is ``entropy``: inverse of
-    ``_entropy_of`` to the roundoff of exp, and inf past the float range."""
-    try:
-        return math.exp(2.0 * (entropy - GAUSSIAN_ENTROPY_CONST))
-    except OverflowError:
-        return math.inf
-
-
 def _variance_band(threshold: float) -> tuple[float, float]:
-    """The guard band (lo, hi) around the variance whose entropy is ``threshold``.
+    """The guard band (lo, hi) around the variance whose entropy is ``threshold``
+    (inverse of ``_entropy_of`` to the roundoff of exp, and inf past the
+    float range).
 
     Entropy increases with variance, so a variance below lo has a gain
     below the threshold and one at or above hi meets it; one inside the
@@ -89,9 +82,19 @@ def _variance_band(threshold: float) -> tuple[float, float]:
     lower edge at or below ``VARIANCE_FLOOR`` is -inf: every clamped
     variance meets it.
     """
-    at = _variance_of(threshold)
+    try:
+        at = math.exp(2.0 * (threshold - GAUSSIAN_ENTROPY_CONST))
+    except OverflowError:
+        at = math.inf
     lo, hi = at * (1.0 - _GUARD_RTOL), at * (1.0 + _GUARD_RTOL)
     return (-math.inf if lo <= VARIANCE_FLOOR else lo), hi
+
+
+def _candidate_meets(variance: float, hi: float, threshold: float, prior: float) -> bool:
+    """Whether a variance at or above its band's lower edge meets ``threshold``:
+    clamped, at or above the upper edge ``hi``, or inside the band by its exact gain."""
+    variance = min(max(variance, VARIANCE_FLOOR), prior)
+    return bool(variance >= hi or _entropy_of(variance) >= threshold)
 
 
 def _clamped(variances: np.ndarray, prior: float) -> np.ndarray:
@@ -459,38 +462,31 @@ class GPConditioner:
         """First pool position at or after ``start`` whose tracked gain is at
         least ``threshold``, or None.
 
-        Each tracked variance is compared with the threshold's guard band
-        (``_variance_band``, one exp per call), and a candidate inside it is
-        confirmed with its exact gain: the answer is the gain-space rule's on
-        the same bits. A raw variance never exceeds the prior and clamping is
-        monotone, so only a candidate is clamped."""
+        Each raw tracked variance is compared with the lower edge of the
+        threshold's guard band (``_variance_band``, one exp per call); clamping
+        is monotone, so only a candidate is clamped and decided
+        (``_candidate_meets``), with the gain-space rule's answer."""
         lo, hi = _variance_band(threshold)
         v = self._v
         for pos in range(start, self._p):
             variance = v.item(pos)
-            if variance >= lo:
-                variance = min(max(variance, VARIANCE_FLOOR), self._prior)
-                if variance >= hi or _entropy_of(variance) >= threshold:
-                    return pos
+            if variance >= lo and _candidate_meets(variance, hi, threshold, self._prior):
+                return pos
         return None
 
     def arrival_test(self, threshold: float) -> Callable[[np.ndarray], bool]:
         """The per-arrival decision for one threshold: a callable that says,
         as ``entropy(x) >= threshold`` on the same bits, whether a (d,) point
         meets ``threshold`` given the set as it is when called, so only a new
-        threshold needs a new test. The point's one-point variance is
-        compared with the threshold's guard band, taken once, and one inside
-        it is confirmed with its exact gain."""
+        threshold needs a new test. The one-point variance is compared with
+        the lower edge of the threshold's guard band, taken once, and only a
+        candidate is decided (``_candidate_meets``)."""
         lo, hi = _variance_band(threshold)
-        conditional_variance = self.conditional_variance
+        conditional_variance, prior = self.conditional_variance, self._prior
 
         def test(x: np.ndarray) -> bool:
             variance = conditional_variance(x)
-            if variance < lo:
-                return False
-            if variance >= hi:
-                return True
-            return bool(_entropy_of(variance) >= threshold)
+            return variance >= lo and _candidate_meets(variance, hi, threshold, prior)
 
         return test
 

@@ -166,18 +166,21 @@ def periodic_secretary(
     else:
         it = iter(stream)
         reference = Rows.of(_reference_period(it, T))
-    cond.track(reference.features)
-    threshold_gain = cond.max_tracked_gain(T) - cfg.threshold_slack
-    chosen: list[int] = []
-    trace: list[float] = []
-    thresholds: list[float] = []
+    chosen, trace, thresholds = [], [], []
+
+    def calibrated() -> float:
+        """The threshold gain: the best tracked reference gain against the set, less the slack."""
+        return cond.max_tracked_gain(T) - cfg.threshold_slack
 
     def accept(obs: Observation, threshold_gain: float, pos: int | None = None) -> float:
         """Take obs; return the threshold recalibrated against the grown set."""
         thresholds.append(ev.value + threshold_gain)
         trace.append(ev.accept(obs, pos))
         chosen.append(obs.index)
-        return cond.max_tracked_gain(T) - cfg.threshold_slack
+        return calibrated()
+
+    cond.track(reference.features)
+    threshold_gain = calibrated()
 
     if not listed:
         meets = cond.arrival_test(threshold_gain)

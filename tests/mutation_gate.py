@@ -55,14 +55,13 @@ MODULAR_ORACLE = ORACLE + "test_modular_decisions_are_exact_or_roundoff_ties"
 GUARD_BAND = ORACLE + "test_guard_band_instances_are_decided_exactly"
 DEFAULTS_TEST = "tests/test_cli.py::test_required_options_alone_write_the_built_in_defaults"
 TUNE_ORACLE = "tests/test_harness.py::TestTuneThresholdSlack::test_matches_per_cell_oracle"
+IN_BAND_RULE = "variance >= hi or _entropy_of(variance) >= threshold"
 
 MUTANTS = (
     Mutant(
         "entropy threshold slack scaled by 1.01", "selectors.py",
-        (("threshold_gain = cond.max_tracked_gain(T) - cfg.threshold_slack\n",
-          "threshold_gain = cond.max_tracked_gain(T) - cfg.threshold_slack * 1.01\n"),
-         ("return cond.max_tracked_gain(T) - cfg.threshold_slack\n",
-          "return cond.max_tracked_gain(T) - cfg.threshold_slack * 1.01\n")),
+        (("return cond.max_tracked_gain(T) - cfg.threshold_slack\n",
+          "return cond.max_tracked_gain(T) - cfg.threshold_slack * 1.01\n"),),
         (ENTROPY_ORACLE,),
     ),
     Mutant(
@@ -74,27 +73,36 @@ MUTANTS = (
           " - cfg.threshold_slack * 1.01\n")),
         (MODULAR_ORACLE,),
     ),
+    # The in-band rule is one definition that both scans call, and the two
+    # oracle tests run both scans on each instance.
     Mutant(
-        "first_tracked_hit rejects inside the guard band", "gp.py",
-        (("if variance >= hi or _entropy_of(variance) >= threshold:", "if variance >= hi:"),),
-        (ENTROPY_ORACLE, GUARD_BAND),
-    ),
-    Mutant(
-        "arrival_test rejects inside the guard band", "gp.py",
-        (("return bool(_entropy_of(variance) >= threshold)", "return False"),),
+        "both scans reject inside the guard band", "gp.py",
+        ((IN_BAND_RULE, "variance >= hi"),),
         (ENTROPY_ORACLE, GUARD_BAND),
     ),
     # Accepting inside the band moves too few decisions for the property's
     # example budget; the hand-built instances at the band's edges catch it.
     Mutant(
-        "first_tracked_hit accepts inside the guard band", "gp.py",
-        (("if variance >= hi or _entropy_of(variance) >= threshold:", "if True:"),),
+        "both scans accept inside the guard band", "gp.py",
+        ((IN_BAND_RULE, "True"),),
         (GUARD_BAND,),
     ),
     Mutant(
-        "arrival_test accepts inside the guard band", "gp.py",
-        (("return bool(_entropy_of(variance) >= threshold)", "return True"),),
-        (GUARD_BAND,),
+        "max_tracked_gain takes the reference minimum", "gp.py",
+        (("v.item(v[:stop].argmax())", "v.item(v[:stop].argmin())"),),
+        (ENTROPY_ORACLE, "tests/test_properties.py::test_tracked_scans_match_gain_space_rule"),
+    ),
+    Mutant(
+        "first_tracked_hit skips a pool position", "gp.py",
+        (("for pos in range(start, self._p):", "for pos in range(start + 1, self._p):"),),
+        (ENTROPY_ORACLE, GUARD_BAND,
+         "tests/test_properties.py::test_list_and_generator_inputs_select_alike"),
+    ),
+    Mutant(
+        "modular threshold drops a reference weight", "selectors.py",
+        (("float(w[:T].max())", "float(w[1:T].max())"),
+         ("_weights_of(weights, reference).max()", "_weights_of(weights, reference[1:]).max()")),
+        (MODULAR_ORACLE,),
     ),
     Mutant(
         "fixed-threshold scan takes > for >=", "selectors.py",
@@ -106,6 +114,13 @@ MUTANTS = (
         "built-in --runs default 49", "cli.py",
         (('"trial count"}, int, 50', '"trial count"}, int, 49'),),
         (DEFAULTS_TEST + "[tune]", DEFAULTS_TEST + "[evaluate]"),
+    ),
+    Mutant(
+        "declared least --runs of 0", "cli.py",
+        (('"trial count"}, int, 50,\n                    low=1)',
+          '"trial count"}, int, 50,\n                    low=0)'),),
+        ("tests/test_cli.py::test_zero_count_is_usage_error[tune---runs]",
+         "tests/test_cli.py::TestTune::test_zero_runs_is_error"),
     ),
     Mutant(
         "declared least --k of 0", "cli.py",

@@ -258,8 +258,10 @@ def test_k_below_one_is_same_usage_error_as_select(subcommand, k, hyper_file, tm
 class TestTune:
     def test_zero_runs_is_error(self, hyper_file, tmp_path, capsys):
         out = tmp_path / "tune"
-        rc = run_cli("tune", "--period", 8, "--periods", 2, "--k", 2, "--grid", "0,0.5",
-                     "--runs", 0, "--hyper", hyper_file, "--out", out)
+        with pytest.raises(SystemExit) as exc:  # a usage error, as every declared least value
+            run_cli("tune", "--period", 8, "--periods", 2, "--k", 2, "--grid", "0,0.5",
+                    "--runs", 0, "--hyper", hyper_file, "--out", out)
+        rc = exc.value.code
         assert rc != 0
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
@@ -660,6 +662,18 @@ def test_zero_period_is_usage_error(subcommand, tmp_path, capsys):
         run_cli(subcommand, *_REQUIRED_ONLY[subcommand], "--period", 0, "--out", tmp_path / "out")
     assert exc.value.code == 2
     assert capsys.readouterr().err == "error: --period must be >= 1, got 0\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("subcommand, flag", [
+    ("tune", "--runs"), ("evaluate", "--block-len"), ("bounds", "--N"), ("bounds", "--T"),
+])
+def test_zero_count_is_usage_error(subcommand, flag, tmp_path, capsys):
+    # Refused by the flag's declared least value before any input is read.
+    with pytest.raises(SystemExit) as exc:
+        run_cli(subcommand, *_REQUIRED_ONLY[subcommand], flag, 0, "--out", tmp_path / "out")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: {flag} must be >= 1, got 0\n"
     assert not (tmp_path / "out").exists()
 
 
