@@ -10,13 +10,11 @@ full-selection bound, and an expected-success factor.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gp import GPConditioner, _entropy_of
-from .kv import format_kv, write_kv_file
 from .stream import ObservationStream
 from .utility import UtilityFunction, _weights_of
 
@@ -30,8 +28,6 @@ __all__ = [
     "full_selection_bound",
     "utility_lower_bound",
     "bound_report",
-    "format_bound_report",
-    "write_bound_report",
     "estimate_utility_noise",
 ]
 
@@ -165,15 +161,6 @@ def bound_report(inputs: BoundInputs) -> BoundReport:
         utility_lower_bound=lower,
         vacuous=lower <= 0,
     )
-
-
-def format_bound_report(report: BoundReport) -> str:
-    """Key-value text block (consumed by the CLI bounds subcommand)."""
-    return format_kv(asdict(report))
-
-
-def write_bound_report(report: BoundReport, path: "str | Path") -> None:
-    write_kv_file(asdict(report), path)
 
 
 def estimate_utility_noise(stream: ObservationStream, f: UtilityFunction) -> float:

@@ -17,12 +17,13 @@ import argparse
 import functools
 import platform
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bounds import BoundInputs, bound_report, format_bound_report, write_bound_report
+from .bounds import BoundInputs, bound_report
 from .gp import GPHyperparams, load_hyperparams
 from .harness import (
     _MONOTONE_NOISE_FLOOR,
@@ -316,10 +317,9 @@ def _cmd_bounds(parser: _Parser, args: argparse.Namespace) -> None:
         period_T=args.T,
         f_opt=args.f_opt,
     )
-    report = bound_report(inputs)
-    out = _outdir(args)
-    write_bound_report(report, out / "bounds.txt")
-    print(format_bound_report(report), end="")
+    report = asdict(bound_report(inputs))
+    write_kv_file(report, _outdir(args) / "bounds.txt")
+    print(format_kv(report), end="")
 
 
 class _Command(NamedTuple):
@@ -327,6 +327,8 @@ class _Command(NamedTuple):
     help: str
     options: tuple[str, ...]  # in help order
     required: tuple[str, ...]  # in the order they are checked
+    # The usage error of options that break a relation between them, or None.
+    relation: Callable[[argparse.Namespace], "str | None"] = lambda args: None
 
 
 _COMMON = ("out", "config", "seed")
@@ -340,13 +342,17 @@ _COMMANDS = {
                         *_COMMON), ("input", "algo", "k")),
     "tune": _Command(_cmd_tune, "tune the threshold slack by simulation",
                      (*_STREAM, "k", "grid", "runs", "hyper", *_COMMON),
-                     ("period", "periods", "k", "grid", "hyper")),
+                     ("period", "periods", "k", "grid", "hyper"),
+                     lambda a: None if a.periods >= 2 else (
+                         "--periods must be >= 2 so the stream outlasts its reference period"
+                         f" (--period), got {a.periods}")),
     "evaluate": _Command(_cmd_evaluate, "multi-algorithm comparison with repeated trials",
                          (*_SCHEMA, "algos", "k", "period", "runs", "block_len", "test_fraction",
                           "no_mse", "hyper", *_COMMON), ("input", "k", "period", "algos", "hyper")),
     "bounds": _Command(_cmd_bounds, "evaluate the theoretical guarantees",
                        ("k", "threshold_slack", "sigma_u", "N", "T", "f_opt", *_COMMON),
-                       ("k", "threshold_slack", "sigma_u", "N", "T", "f_opt")),
+                       ("k", "threshold_slack", "sigma_u", "N", "T", "f_opt"),
+                       lambda a: None if a.T <= a.N else f"--T ({a.T}) must be <= --N ({a.N})"),
 }
 
 
@@ -384,6 +390,8 @@ def main(argv: "list[str] | None" = None) -> int:
             args = parser.parse_args([args.subcommand, *flags, *rest])
         _require(parser, args, *command.required)
         _check_least(parser, args, command.options)
+        if problem := command.relation(args):
+            parser.error(problem)
         args.func(parser, args)
         _write_manifest(Path(args.out), args.subcommand, args)
         return 0

@@ -35,7 +35,6 @@ __all__ = [
     "GPHyperparams",
     "FactorizationError",
     "GPConditioner",
-    "se_gram",
     "predict_many",
     "prefix_means",
     "load_hyperparams",
@@ -222,12 +221,6 @@ def _se_of_sq(sq: np.ndarray, signal_variance: float) -> np.ndarray:
     return sq
 
 
-def se_gram(X: np.ndarray, hyper: GPHyperparams) -> np.ndarray:
-    """Noisy SE Gram matrix of X: noise_variance on the diagonal."""
-    Xs = _check_dim(X, hyper, "X") / hyper.lengthscales
-    return _se_scaled(Xs, Xs, hyper.signal_variance) + hyper.noise_variance * np.eye(len(Xs))
-
-
 def _jittered(K: np.ndarray, diag: np.ndarray, level: int) -> np.ndarray:
     """K with jitter level ``level`` added to its diagonal ``diag``; K itself at level 0."""
     if level == 0:
@@ -278,15 +271,23 @@ def _cholesky(K: np.ndarray, start_level: int = 0) -> tuple[np.ndarray, "int | n
     )
 
 
+def _noisy_cholesky(
+    Xs: np.ndarray, hyper: GPHyperparams, start_level: int = 0
+) -> tuple[np.ndarray, "int | np.ndarray"]:
+    """The one batch factorisation: the lower Cholesky factor L of the noisy
+    Gram matrix of the scaled rows Xs, an (m, d) set or a (g, m, d) stack,
+    and its jitter level (``_cholesky``)."""
+    K = _se_scaled(Xs, Xs, hyper.signal_variance)
+    np.einsum("...ii->...i", K)[...] += hyper.noise_variance  # K's diagonal, in place
+    return _cholesky(K, start_level)
+
+
 def _factor(
     Xs: np.ndarray, hyper: GPHyperparams, start_level: int = 0
 ) -> tuple[np.ndarray, "int | np.ndarray"]:
-    """The one batch factorisation: W = L^-1 (kept lower-triangular) for the
-    lower Cholesky factor L of the noisy Gram matrix of the scaled rows Xs,
-    an (m, d) set or a (g, m, d) stack, and the jitter level."""
-    K = _se_scaled(Xs, Xs, hyper.signal_variance)
-    np.einsum("...ii->...i", K)[...] += hyper.noise_variance  # K's diagonal, in place
-    L, level = _cholesky(K, start_level)
+    """W = L^-1 (kept lower-triangular) for the factor L of ``_noisy_cholesky``,
+    and the jitter level."""
+    L, level = _noisy_cholesky(Xs, hyper, start_level)
     return np.tril(np.linalg.inv(L)), level
 
 

@@ -85,12 +85,6 @@ def derive_seeds(seed: int, tag: int, n: int) -> list[int]:
     return [int(s) for s in ss.generate_state(n, dtype=np.uint64)]
 
 
-def _resolve_utility(utility: UtilityOrFactory, stream: ObservationStream) -> UtilityFunction:
-    if isinstance(utility, UtilityFunction):
-        return utility
-    return utility(stream)
-
-
 def _final_utility(result: SelectionResult) -> float:
     return result.utility_trace[-1] if result.utility_trace else 0.0
 
@@ -205,9 +199,10 @@ class SlackTuningResult:
 def _seeded_trials(
     spec: PeriodicStreamSpec, utility: UtilityOrFactory, seed: int, tag: int, runs: int
 ) -> tuple[list[ObservationStream], list[UtilityFunction]]:
-    """``runs`` seeded synthetic streams and the utility resolved on each."""
+    """``runs`` seeded synthetic streams and the utility on each: ``utility``
+    itself, or a factory called on the stream."""
     streams = [generate_periodic_stream(spec, s) for s in derive_seeds(seed, tag, runs)]
-    return streams, [_resolve_utility(utility, s) for s in streams]
+    return streams, [utility if isinstance(utility, UtilityFunction) else utility(s) for s in streams]
 
 
 def _periodic_runs(
@@ -275,7 +270,7 @@ def tune_threshold_slack(
 def attach_gp_qoi(stream: ObservationStream, hyper: GPHyperparams, seed: int) -> ObservationStream:
     """Attach a qoi series drawn from the noisy GP prior over the stream's features."""
     X = stream.feature_matrix
-    L, _ = gp._cholesky(gp.se_gram(X, hyper))
+    L, _ = gp._noisy_cholesky(gp._check_dim(X, hyper, "X") / hyper.lengthscales, hyper)
     y = L @ np.random.default_rng(seed).standard_normal(len(stream))
     return ObservationStream(X, y, stream.spec)
 

@@ -242,18 +242,21 @@ def _fixed_threshold_scan(
     accepting them one at a time.
     """
     T = cfg.period_T
-    if isinstance(stream, Sequence):
+    listed = isinstance(stream, Sequence)
+    if listed:
         rows = Rows.of(stream)
         _refuse_short(len(rows), T)
         w = _weights_of(weights, rows.indices)
-        threshold_gain = float(w[:T].max()) - cfg.threshold_slack
+        reference = w[:T]
+    else:
+        it = iter(stream)
+        reference = _weights_of(weights, np.array([o.index for o in _reference_period(it, T)]))
+    threshold_gain = float(reference.max()) - cfg.threshold_slack
+    if listed:
         picks = (w[T:] >= threshold_gain).nonzero()[0][: cfg.k] + T
         chosen = _refuse_repeats(rows.indices[picks].tolist())
         gains = w[picks]
     else:
-        it = iter(stream)
-        reference = np.array([o.index for o in _reference_period(it, T)])
-        threshold_gain = float(_weights_of(weights, reference).max()) - cfg.threshold_slack
         meets = (
             o.index for o in it if _weights_of(weights, np.array([o.index])).item() >= threshold_gain
         )
@@ -351,7 +354,7 @@ def submodular_secretary(
 
 def scheduled_sampler(stream: Sequence[Observation], k: int) -> SelectionResult:
     """Evenly spaced sampling: positions floor(j*N/k) for j = 0..k-1."""
-    indices = Rows.of(stream).indices
+    indices = Rows.indices_of(stream)
     n = len(indices)
     _check_capacity(k, n)
     chosen = tuple(indices[np.arange(k) * n // k].tolist())
@@ -360,7 +363,7 @@ def scheduled_sampler(stream: Sequence[Observation], k: int) -> SelectionResult:
 
 def random_sampler(stream: Sequence[Observation], k: int, seed: int) -> SelectionResult:
     """k positions drawn uniformly without replacement, returned in stream order."""
-    indices = Rows.of(stream).indices
+    indices = Rows.indices_of(stream)
     n = len(indices)
     _check_capacity(k, n)
     positions = np.sort(np.random.default_rng(seed).choice(n, size=k, replace=False))
@@ -468,11 +471,10 @@ def utility_trace_for(f: UtilityFunction, observations: Sequence[Observation]) -
     utility an index with no weight is refused first, wherever it sits.
     """
     rows = Rows.of(observations)
-    if f.kind != "entropy":
-        w = _weights_of(f.weights, rows.indices)
-        _refuse_repeats(rows.indices.tolist())
-        return tuple(_running_sums(w)[1:])
+    w = _weights_of(f.weights, rows.indices) if f.kind == "modular_sum" else None
     _refuse_repeats(rows.indices.tolist())
+    if w is not None:
+        return tuple(_running_sums(w)[1:])
     if not len(rows):
         return ()
     entropies = _entropy_of(_chain_variances(rows.features, f.hyper))

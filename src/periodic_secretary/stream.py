@@ -77,9 +77,10 @@ class Rows(Sequence[Observation]):
     or an integer array of positions gives ``Rows`` again, and iteration
     builds the observations a bounded chunk at a time. Selectors read the
     two arrays, so a stream's observations exist only while a caller holds
-    one. ``Rows.of`` turns any sequence of observations into rows; the
-    constructor takes a checked matrix and its index column as they are,
-    keeping read-only views of both.
+    one. ``Rows.of`` turns any sequence of observations into rows, and
+    ``Rows.indices_of`` reads just its index column; the constructor takes
+    a checked matrix and its index column as they are, keeping read-only
+    views of both.
     """
 
     __slots__ = ("features", "indices")
@@ -101,15 +102,22 @@ class Rows(Sequence[Observation]):
             return observations
         if not isinstance(observations, Sequence):
             observations = tuple(observations)
-        n = len(observations)
-        indices = np.fromiter(map(_INDEX, observations), dtype=np.intp, count=n)
-        if not n:
+        indices = cls.indices_of(observations)
+        if not len(indices):
             return cls(np.empty((0, 0)), indices)
         try:
             features = np.array([o.features for o in observations], dtype=float)
         except ValueError:  # ragged rows
             raise ValueError("observations have features of unequal dimension") from None
         return cls(features, indices)
+
+    @staticmethod
+    def indices_of(observations: Sequence[Observation]) -> np.ndarray:
+        """The index column of ``observations``: the rows' own, or read from
+        any other sequence once, in order, without gathering its features."""
+        if isinstance(observations, Rows):
+            return observations.indices
+        return np.fromiter(map(_INDEX, observations), dtype=np.intp, count=len(observations))
 
     def __len__(self) -> int:
         return self.indices.shape[0]

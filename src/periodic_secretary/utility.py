@@ -14,14 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gp import (
-    GPConditioner,
-    GPHyperparams,
-    _cholesky,
-    _clamped,
-    _entropy_of,
-    se_gram,
-)
+from .gp import GPConditioner, GPHyperparams, _check_dim, _clamped, _entropy_of, _noisy_cholesky
 from .stream import Observation, Rows
 
 __all__ = [
@@ -58,7 +51,7 @@ def _chain_variances(points: np.ndarray, hyper: GPHyperparams) -> np.ndarray:
     jitter (at zero noise, an exact duplicate), they are ``extend``'s, one
     point at a time, so both paths give such a duplicate ``VARIANCE_FLOOR``.
     """
-    L, level = _cholesky(se_gram(points, hyper))
+    L, level = _noisy_cholesky(_check_dim(points, hyper, "X") / hyper.lengthscales, hyper)
     if level:
         cond = GPConditioner(hyper)
         cond.reserve(len(points))
@@ -127,8 +120,9 @@ class UtilityFunction:
     """A monotone set utility over observations, evaluated by kind.
 
     Use the factories: ``UtilityFunction.entropy(hyper)``,
-    ``UtilityFunction.modular(weights)``. Modular weights must be finite:
-    ``exhaustive_optimum`` ranks them with a sort, and a NaN has no rank.
+    ``UtilityFunction.modular(weights)``. Modular weights must be a finite
+    vector, weight i for observation index i: ``exhaustive_optimum`` ranks
+    them with a sort, and a NaN has no rank.
     """
 
     kind: str
@@ -143,7 +137,9 @@ class UtilityFunction:
         if self.kind == "modular_sum":
             if self.weights is None:
                 raise ValueError("modular_sum utility requires per-index weights")
-            w = np.asarray(self.weights, dtype=float).ravel()
+            w = np.asarray(self.weights, dtype=float).view()  # the caller's array stays writeable
+            if w.ndim != 1:
+                raise ValueError(f"modular weights must be a vector, got shape {w.shape}")
             bad = np.flatnonzero(~np.isfinite(w))
             if bad.size:
                 raise ValueError(f"modular weights must be finite; weight {bad[0]} is {w[bad[0]]}")

@@ -66,11 +66,8 @@ MUTANTS = (
     ),
     Mutant(
         "modular threshold slack scaled by 1.01", "selectors.py",
-        (("threshold_gain = float(w[:T].max()) - cfg.threshold_slack\n",
-          "threshold_gain = float(w[:T].max()) - cfg.threshold_slack * 1.01\n"),
-         ("threshold_gain = float(_weights_of(weights, reference).max()) - cfg.threshold_slack\n",
-          "threshold_gain = float(_weights_of(weights, reference).max())"
-          " - cfg.threshold_slack * 1.01\n")),
+        (("threshold_gain = float(reference.max()) - cfg.threshold_slack\n",
+          "threshold_gain = float(reference.max()) - cfg.threshold_slack * 1.01\n"),),
         (MODULAR_ORACLE,),
     ),
     # The in-band rule is one definition that both scans call, and the two
@@ -100,9 +97,24 @@ MUTANTS = (
     ),
     Mutant(
         "modular threshold drops a reference weight", "selectors.py",
-        (("float(w[:T].max())", "float(w[1:T].max())"),
-         ("_weights_of(weights, reference).max()", "_weights_of(weights, reference[1:]).max()")),
+        (("float(reference.max())", "float(reference[1:].max())"),),
         (MODULAR_ORACLE,),
+    ),
+    Mutant(
+        "modular weights flattened, not refused", "utility.py",
+        (("            if w.ndim != 1:\n", "            if False:\n"),),
+        ("tests/test_utility.py::TestUtilityFunctionValidation"
+         "::test_modular_refuses_weights_that_are_not_a_vector",),
+    ),
+    # The shared factorisation serves the chain-rule entropies, posterior
+    # prediction and the qoi draw; a test of each fails without the noise.
+    Mutant(
+        "noise left off the Gram matrix's diagonal", "gp.py",
+        (("[...] += hyper.noise_variance", "[...] += 0.0"),),
+        ("tests/test_utility.py::TestEntropyCriterion"
+         "::test_chain_rule_matches_determinant_up_to_eight_points",
+         "tests/test_gp.py::TestPredict::test_two_point_system_against_hand_solve",
+         "tests/test_harness.py::TestAttachQoi::test_draws_from_the_noisy_prior"),
     ),
     Mutant(
         "fixed-threshold scan takes > for >=", "selectors.py",
@@ -128,6 +140,12 @@ MUTANTS = (
           '"k": _Option("sampling capacity", int, low=0)'),),
         ("tests/test_cli.py::TestSelect::test_k_below_one_usage_error",
          "tests/test_cli.py::test_k_below_one_is_same_usage_error_as_select"),
+    ),
+    Mutant(
+        "relations between options left unchecked", "cli.py",
+        (("if problem := command.relation(args):", "if problem := None:"),),
+        ("tests/test_cli.py::TestTune::test_single_period_is_refused",
+         "tests/test_cli.py::TestBounds::test_period_past_the_stream_is_usage_error"),
     ),
     Mutant(
         "a config entry left out of the second parse", "cli.py",

@@ -21,7 +21,6 @@ from periodic_secretary import (
     per_step_gap,
     utility_lower_bound,
 )
-from periodic_secretary.bounds import format_bound_report, write_bound_report
 
 
 def quad_tail(x):
@@ -179,20 +178,6 @@ class TestBoundInputsValidation:
         fields[field] = math.nan
         with pytest.raises(ValueError, match=f"{field} must be non-negative, got nan"):
             BoundInputs(**fields)
-
-
-class TestReportSerialization:
-    def test_key_value_block(self, tmp_path):
-        inputs = BoundInputs(
-            k=5, threshold_slack=0.1, utility_noise=0.0, stream_len_N=1000, period_T=100, f_opt=10.0
-        )
-        report = bound_report(inputs)
-        text = format_bound_report(report)
-        assert "utility_lower_bound = 6.00514530887" in text
-        assert "vacuous = false" in text
-        path = tmp_path / "bounds.txt"
-        write_bound_report(report, path)
-        assert path.read_text() == text
 
 
 class TestEstimateUtilityNoise:

@@ -290,12 +290,14 @@ class TestTune:
 
     def test_single_period_is_refused(self, hyper_file, tmp_path, capsys):
         out = tmp_path / "tune"
-        rc = run_cli("tune", "--period", 8, "--periods", 1, "--k", 2, "--grid", "0,0.5",
-                     "--runs", 2, "--hyper", hyper_file, "--out", out)
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: the stream has no observation after the reference period")
-        assert len(err.splitlines()) == 1
+        with pytest.raises(SystemExit) as exc:
+            run_cli("tune", "--period", 8, "--periods", 1, "--k", 2, "--grid", "0,0.5",
+                    "--runs", 2, "--hyper", hyper_file, "--out", out)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: --periods must be >= 2 so the stream outlasts its reference period"
+            " (--period), got 1\n"
+        )
         assert not out.exists()
 
     def test_nan_grid_value_is_usage_error(self, hyper_file, tmp_path, capsys):
@@ -568,6 +570,22 @@ class TestBounds:
             run_cli("bounds", "--k", 5, "--lambda", 0.1, "--sigma-u", -1.0,
                     "--N", 1000, "--T", 100, "--f-opt", 10, "--out", tmp_path)
         assert exc.value.code == 2
+
+    def test_key_value_block(self, tmp_path, capsys):
+        assert run_cli("bounds", "--k", 5, "--lambda", 0.1, "--sigma-u", 0, "--N", 1000,
+                       "--T", 100, "--f-opt", 10, "--out", tmp_path) == 0
+        text = capsys.readouterr().out
+        assert "utility_lower_bound = 6.00514530887" in text
+        assert "vacuous = false" in text
+        assert (tmp_path / "bounds.txt").read_text() == text
+
+    def test_period_past_the_stream_is_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bounds", "--k", 1, "--lambda", 0.1, "--sigma-u", 1.0, "--N", 5, "--T", 8,
+                    "--f-opt", 1, "--out", tmp_path / "out")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: --T (8) must be <= --N (5)\n"
+        assert not (tmp_path / "out").exists()
 
     def test_options_are_the_bound_inputs(self):
         args = build_parser().parse_args(["bounds"])

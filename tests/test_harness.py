@@ -38,6 +38,8 @@ from periodic_secretary.harness import (
 from periodic_secretary import selectors
 from periodic_secretary.stream import two_sine_waveform
 
+from reference import se_kernel
+
 
 @pytest.fixture
 def small_spec():
@@ -205,6 +207,18 @@ class TestAttachQoi:
         assert not np.array_equal(
             a.qoi, attach_gp_qoi(stream, wide_hyper, seed=3).qoi
         )
+
+    def test_draws_from_the_noisy_prior(self, small_spec, wide_hyper):
+        # qoi = L z for the Cholesky factor L of K + noise I and the seed's
+        # standard normals z; the features are kept as they are.
+        stream = generate_periodic_stream(small_spec, seed=1)
+        X = stream.feature_matrix
+        K = np.array([[se_kernel(a, b, wide_hyper) for b in X] for a in X])
+        L = np.linalg.cholesky(K + wide_hyper.noise_variance * np.eye(len(X)))
+        z = np.random.default_rng(2).standard_normal(len(X))
+        drawn = attach_gp_qoi(stream, wide_hyper, seed=2)
+        np.testing.assert_allclose(drawn.qoi, L @ z, rtol=1e-9, atol=1e-12)
+        assert np.array_equal(drawn.feature_matrix, X)
 
 
 class TestEvaluatePrediction:

@@ -7,6 +7,7 @@ import pytest
 from periodic_secretary import (
     GPHyperparams,
     Observation,
+    ObservationStream,
     PeriodicSecretaryConfig,
     PeriodicStreamSpec,
     SelectionResult,
@@ -308,6 +309,27 @@ class TestRandomSampler:
         obs = make_observations(np.zeros(3))
         with pytest.raises(ValueError, match="exceeds"):
             random_sampler(obs, 4, seed=0)
+
+
+@pytest.mark.parametrize(
+    "sampler", [lambda s: scheduled_sampler(s, 10), lambda s: random_sampler(s, 10, 3)],
+    ids=["scheduled", "random"],
+)
+def test_samplers_read_a_lists_index_column_alone(sampler):
+    # A sampler reads no feature: on a plain list of observations it gathers
+    # the index column only, not an (n, d) copy of the features.
+    n, d = 20_000, 4
+    rows = ObservationStream(np.random.default_rng(0).normal(size=(n, d))).observations
+    expected = sampler(rows)
+    obs = list(rows)
+    tracemalloc.start()
+    try:
+        result = sampler(obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == expected
+    assert peak < n * d * 8
 
 
 class TestOfflineGreedy:

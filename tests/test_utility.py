@@ -209,6 +209,14 @@ class TestUtilityFunctionValidation:
         with pytest.raises(ValueError, match="weight 2 is"):
             UtilityFunction.modular(np.array([1.0, 2.0, bad, bad]))
 
+    @pytest.mark.parametrize("weights, shape", [(np.arange(10.0).reshape(5, 2), "(5, 2)"),
+                                                (np.float64(3.0), "()")])
+    def test_modular_refuses_weights_that_are_not_a_vector(self, weights, shape):
+        # Flattened, the (5, 2) weights would score observation 7 of a 5-row stream.
+        with pytest.raises(ValueError) as exc:
+            UtilityFunction.modular(weights)
+        assert str(exc.value) == f"modular weights must be a vector, got shape {shape}"
+
 
 class TestModularWeights:
     @pytest.mark.parametrize("run", [offline_greedy, exhaustive_optimum])
