@@ -211,18 +211,17 @@ def _cmd_select(parser: _Parser, args: argparse.Namespace) -> None:
         parser.error(f"unknown utility {args.utility!r}")
     if algo.needs_period:
         _require(parser, args, "period")
+    if algo.reads_utility and args.utility == "entropy" and args.hyper is None:
+        parser.error("--hyper config file is required for the entropy utility")
     stream = ingest_csv(args.input, _schema_from_args(args))
 
     f = None
     flag = {}
-    if algo.reads_utility or args.utility == "modular" or args.hyper is not None:
-        if args.utility == "modular":
-            f = UtilityFunction.modular(stream.feature_matrix[:, 0])
-        else:
-            if args.hyper is None:
-                parser.error("--hyper config file is required for the entropy utility")
-            f = UtilityFunction.entropy(load_hyperparams(args.hyper))
-            flag = _non_monotone_flag(f.hyper)
+    if args.utility == "modular":
+        f = UtilityFunction.modular(stream.feature_matrix[:, 0])
+    elif algo.reads_utility or args.hyper is not None:
+        f = UtilityFunction.entropy(load_hyperparams(args.hyper))
+        flag = _non_monotone_flag(f.hyper)
 
     result = algo.run(stream.observations, f, args.k, args.period, args.seed)
     trace = result.utility_trace
@@ -247,7 +246,12 @@ def _cmd_select(parser: _Parser, args: argparse.Namespace) -> None:
 
 
 def _cmd_tune(parser: _Parser, args: argparse.Namespace) -> None:
-    grid = parse_float_list(args.grid)
+    try:
+        grid = parse_float_list(args.grid)
+    except ValueError as exc:
+        parser.error(f"--grid: {exc}")
+    if not grid:
+        parser.error("--grid named no slacks")
     if any(not s >= 0 for s in grid):
         parser.error("slack grid values must be >= 0")
     utility = UtilityFunction.entropy(load_hyperparams(args.hyper))
@@ -277,7 +281,7 @@ def _parse_algos(parser: _Parser, raw: str) -> list[AlgorithmSpec]:
             else:
                 specs.append(AlgorithmSpec(name=token))
         except ValueError as exc:
-            parser.error(str(exc))
+            parser.error(f"--algos {token!r}: {exc}")
     if not specs:
         parser.error("--algos named no algorithms")
     return specs

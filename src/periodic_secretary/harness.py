@@ -85,10 +85,6 @@ def derive_seeds(seed: int, tag: int, n: int) -> list[int]:
     return [int(s) for s in ss.generate_state(n, dtype=np.uint64)]
 
 
-def _final_utility(result: SelectionResult) -> float:
-    return result.utility_trace[-1] if result.utility_trace else 0.0
-
-
 def _spread(runs: np.ndarray, axis: int = 0) -> np.ndarray:
     """Sample standard deviation of ``runs`` along ``axis`` (ddof 1, or 0 for a
     single run), exactly 0 where every run is equal.
@@ -224,7 +220,7 @@ def _periodic_runs(
             cfg = PeriodicSecretaryConfig(k=k, period_T=period_T, threshold_slack=slack)
             for r, (stream, f) in enumerate(zip(streams, utilities)):
                 result = periodic_secretary(stream.observations, f, cfg)
-                finals[i, j, r] = _final_utility(result)
+                finals[i, j, r] = result.final_utility
                 fills[i, j, r] = len(result.chosen)
     return finals, fills
 
@@ -363,9 +359,10 @@ class ComparisonReport:
     mse_runs: dict[str, np.ndarray] | None = None
 
 
-def _pad_trace(values: Sequence[float], length: int, initial: float) -> np.ndarray:
-    """Right-pad by carrying the last value (the set stops changing)."""
-    out = np.full(length, initial if len(values) == 0 else values[-1])
+def _pad_trace(values: Sequence[float], length: int) -> np.ndarray:
+    """Right-pad by carrying the last value (the set stops changing); an
+    empty utility trace pads with f(empty set) = 0."""
+    out = np.full(length, values[-1] if len(values) else 0.0)
     out[: len(values)] = values
     return out
 
@@ -439,11 +436,11 @@ def run_comparison(
             trace = result.utility_trace
             if not trace:
                 trace = utility_trace_for(f, trial.observations[result.chosen])
-            utility_runs[lab][r] = _pad_trace(trace, cfg.k, 0.0)
+            utility_runs[lab][r] = _pad_trace(trace, cfg.k)
             fills[lab][r] = len(result.chosen)
         if compute_mse:
             for lab, mse in zip(labels, _mse_curves(results, trial, test_idx, hyper)):
-                mse_runs[lab][r] = _pad_trace(mse, cfg.k + 1, mse[0])
+                mse_runs[lab][r] = _pad_trace(mse, cfg.k + 1)
 
     report = ComparisonReport(
         labels=labels,
@@ -548,7 +545,7 @@ def validate_bounds(
     cells: list[BoundValidationCell] = []
     for i, k in enumerate(ks):
         if exact[i]:
-            opt = [_final_utility(exhaustive_optimum(s.observations, f, k))
+            opt = [exhaustive_optimum(s.observations, f, k).final_utility
                    for s, f in zip(streams, utilities)]
         else:
             opt = [trace[k - 1] for trace in greedy]

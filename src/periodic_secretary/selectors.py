@@ -74,6 +74,10 @@ class SelectionResult:
 
     @property
     def final_utility(self) -> float:
+        """The utility of the selected set: f(empty set) = 0 for an empty
+        selection, else the last trace entry; picks with no trace are refused."""
+        if not self.chosen:
+            return 0.0
         if not self.utility_trace:
             raise ValueError("selector recorded no utility trace")
         return self.utility_trace[-1]
@@ -204,12 +208,25 @@ def periodic_secretary(
             if len(chosen) == cfg.k:
                 break
             cond.untrack(len(batch))
-    return SelectionResult(
-        chosen=tuple(chosen),
-        utility_trace=tuple(trace),
-        terminated="filled_k" if len(chosen) == cfg.k else "end_of_stream",
-        threshold_trace=tuple(thresholds),
-    )
+    return _result(chosen, trace, cfg.k, thresholds)
+
+
+def _result(chosen: Sequence[int], trace: Sequence[float], k: int,
+            thresholds: Sequence[float] | None = None) -> SelectionResult:
+    """Every selector's result, under the one stopping rule: a run with k
+    picks filled k, and any other ran to the end of its stream."""
+    return SelectionResult(chosen, trace, "filled_k" if len(chosen) == k else "end_of_stream", thresholds)
+
+
+def _modular_result(chosen: Iterable[int], gains: np.ndarray, k: int,
+                    threshold_gain: float | None = None) -> SelectionResult:
+    """A modular run's result from its picks and their weights, in pick order,
+    refusing a repeated pick. The trace is the running sum of the weights, the
+    bits of accepting them one at a time; a periodic run's threshold at each
+    pick is the utility before it plus its fixed ``threshold_gain``."""
+    chosen, values = _refuse_repeats(chosen), _running_sums(gains)  # values[j]: utility before pick j
+    thresholds = None if threshold_gain is None else [v + threshold_gain for v in values[:-1]]
+    return _result(chosen, values[1:], k, thresholds)
 
 
 def _reference_period(it: Iterator[Observation], T: int) -> list[Observation]:
@@ -237,9 +254,8 @@ def _fixed_threshold_scan(
     column in one go (an index with no weight is refused wherever it sits)
     and finds its picks in one scan. Any other iterable is read lazily, one
     weight per arrival, and nothing past the k-th pick; a repeated pick is
-    refused when it arrives. The utility trace is the running sum of the picks' weights,
-    added in pick order as acceptance adds them, so it has the bits of
-    accepting them one at a time.
+    refused when it arrives. The trace is the picks' running sum
+    (``_modular_result``).
     """
     T = cfg.period_T
     listed = isinstance(stream, Sequence)
@@ -254,21 +270,14 @@ def _fixed_threshold_scan(
     threshold_gain = float(reference.max()) - cfg.threshold_slack
     if listed:
         picks = (w[T:] >= threshold_gain).nonzero()[0][: cfg.k] + T
-        chosen = _refuse_repeats(rows.indices[picks].tolist())
-        gains = w[picks]
+        chosen, gains = rows.indices[picks].tolist(), w[picks]
     else:
         meets = (
             o.index for o in it if _weights_of(weights, np.array([o.index])).item() >= threshold_gain
         )
-        chosen = _refuse_repeats(islice(meets, cfg.k))
+        chosen = _refuse_repeats(islice(meets, cfg.k))  # before reading past a repeat
         gains = weights[chosen]
-    values = _running_sums(gains)  # values[j] is the utility before pick j
-    return SelectionResult(
-        chosen=tuple(chosen),
-        utility_trace=tuple(values[1:]),
-        terminated="filled_k" if len(chosen) == cfg.k else "end_of_stream",
-        threshold_trace=tuple(v + threshold_gain for v in values[:-1]),
-    )
+    return _modular_result(chosen, gains, cfg.k, threshold_gain)
 
 
 def _refuse_repeats(indices: Iterable[int]) -> list[int]:
@@ -334,22 +343,18 @@ def submodular_secretary(
         score = w.tolist().__getitem__
         picks = [_classical_pick(range((j * n) // k, ((j + 1) * n) // k), score) for j in range(k)]
         picks = [p for p in picks if p is not None]
-        chosen = _refuse_repeats(rows.indices[picks].tolist())
-        trace = _running_sums(w[picks])[1:]
-    else:
-        ev = f.evaluator()
-        _check_dim(rows.features, f.hyper, "stream")  # once: ev.gain, per arrival, does not check
-        ev.conditioner.reserve(k)
-        chosen, trace = [], []
-        for j in range(k):
-            segment = rows[(j * n) // k : ((j + 1) * n) // k]
-            pick = _classical_pick(segment, ev.gain)
-            if pick is not None:
-                ev.accept(pick)
-                chosen.append(pick.index)
-                trace.append(ev.value)
-    terminated = "filled_k" if len(chosen) == k else "end_of_stream"
-    return SelectionResult(chosen=tuple(chosen), utility_trace=tuple(trace), terminated=terminated)
+        return _modular_result(rows.indices[picks].tolist(), w[picks], k)
+    ev = f.evaluator()
+    _check_dim(rows.features, f.hyper, "stream")  # once: ev.gain, per arrival, does not check
+    ev.conditioner.reserve(k)
+    chosen, trace = [], []
+    for j in range(k):
+        segment = rows[(j * n) // k : ((j + 1) * n) // k]
+        pick = _classical_pick(segment, ev.gain)
+        if pick is not None:
+            trace.append(ev.accept(pick))
+            chosen.append(pick.index)
+    return _result(chosen, trace, k)
 
 
 def scheduled_sampler(stream: Sequence[Observation], k: int) -> SelectionResult:
@@ -357,8 +362,7 @@ def scheduled_sampler(stream: Sequence[Observation], k: int) -> SelectionResult:
     indices = Rows.indices_of(stream)
     n = len(indices)
     _check_capacity(k, n)
-    chosen = tuple(indices[np.arange(k) * n // k].tolist())
-    return SelectionResult(chosen=chosen, utility_trace=(), terminated="filled_k")
+    return _result(indices[np.arange(k) * n // k].tolist(), (), k)
 
 
 def random_sampler(stream: Sequence[Observation], k: int, seed: int) -> SelectionResult:
@@ -367,8 +371,7 @@ def random_sampler(stream: Sequence[Observation], k: int, seed: int) -> Selectio
     n = len(indices)
     _check_capacity(k, n)
     positions = np.sort(np.random.default_rng(seed).choice(n, size=k, replace=False))
-    chosen = tuple(indices[positions].tolist())
-    return SelectionResult(chosen=chosen, utility_trace=(), terminated="filled_k")
+    return _result(indices[positions].tolist(), (), k)
 
 
 def offline_greedy(
@@ -387,25 +390,22 @@ def offline_greedy(
     if f.kind == "modular_sum":
         w = _weights_of(f.weights, rows.indices)
         picks = _top_k(w, k)
-        chosen = _refuse_repeats(rows.indices[picks].tolist())
-        trace = _running_sums(w[picks])[1:]
-    else:
-        ev = f.evaluator()
-        cond = ev.conditioner
-        cond.reserve(k, len(rows))
-        if len(rows):
-            cond.track(rows.features)
-        taken = np.zeros(len(rows), dtype=bool)
-        chosen, trace = [], []
-        for _ in range(k):
-            gains = np.where(taken, -np.inf, _entropy_of(cond.tracked_variances()))
-            pos = int(np.argmax(gains))  # first max = lowest index
-            taken[pos] = True
-            pick = rows[pos]
-            ev.accept(pick, pos)
-            chosen.append(pick.index)
-            trace.append(ev.value)
-    return SelectionResult(chosen=tuple(chosen), utility_trace=tuple(trace), terminated="filled_k")
+        return _modular_result(rows.indices[picks].tolist(), w[picks], k)
+    ev = f.evaluator()
+    cond = ev.conditioner
+    cond.reserve(k, len(rows))
+    if len(rows):
+        cond.track(rows.features)
+    taken = np.zeros(len(rows), dtype=bool)
+    chosen, trace = [], []
+    for _ in range(k):
+        gains = np.where(taken, -np.inf, _entropy_of(cond.tracked_variances()))
+        pos = int(np.argmax(gains))  # first max = lowest index
+        taken[pos] = True
+        pick = rows[pos]
+        trace.append(ev.accept(pick, pos))
+        chosen.append(pick.index)
+    return _result(chosen, trace, k)
 
 
 def exhaustive_optimum(
@@ -432,18 +432,16 @@ def exhaustive_optimum(
             f" {EXACT_MAX_SUBSETS}"
         )
     if f.kind == "modular_sum":
-        best = rows[sorted(_top_k(_weights_of(f.weights, rows.indices), k))]
-    else:  # k = 0 has one combination, the empty one, of value 0
-        best, best_val = None, -math.inf
-        for combo in combinations(range(n), k):
-            subset = rows[combo]
-            val = f.value(subset)
-            if val > best_val:
-                best, best_val = subset, val
-    trace = utility_trace_for(f, best)
-    return SelectionResult(
-        chosen=tuple(best.indices.tolist()), utility_trace=trace, terminated="filled_k"
-    )
+        w = _weights_of(f.weights, rows.indices)
+        picks = sorted(_top_k(w, k))
+        return _modular_result(rows.indices[picks].tolist(), w[picks], k)
+    best, best_val = None, -math.inf  # k = 0 has one combination, the empty one, of value 0
+    for combo in combinations(range(n), k):
+        subset = rows[combo]
+        val = f.value(subset)
+        if val > best_val:
+            best, best_val = subset, val
+    return _result(best.indices.tolist(), utility_trace_for(f, best), k)
 
 
 def _by_index(ground: Sequence[Observation]) -> Rows:

@@ -161,15 +161,28 @@ MUTANTS = (
     ),
     Mutant(
         "offline_greedy tracks an empty ground set", "selectors.py",
-        (("        if len(rows):\n            cond.track(rows.features)\n",
-          "        cond.track(rows.features)\n"),),
+        (("    if len(rows):\n        cond.track(rows.features)\n",
+          "    cond.track(rows.features)\n"),),
         ("tests/test_selectors.py::TestOfflineGreedy::test_entropy_k_zero_on_empty_ground_set",),
     ),
     Mutant(
         "periodic runs stored at the previous slack", "harness.py",
-        (("finals[i, j, r] = _final_utility(result)", "finals[i, j - 1, r] = _final_utility(result)"),
+        (("finals[i, j, r] = result.final_utility", "finals[i, j - 1, r] = result.final_utility"),
          ("fills[i, j, r] = len(result.chosen)", "fills[i, j - 1, r] = len(result.chosen)")),
         (TUNE_ORACLE, "tests/test_harness.py::TestValidateBounds::test_matches_per_cell_oracle"),
+    ),
+    # Every selector returns through one builder, which alone applies the stopping rule.
+    Mutant(
+        "every result says filled_k", "selectors.py",
+        (('"filled_k" if len(chosen) == k else "end_of_stream"', '"filled_k"'),),
+        ("tests/test_selectors.py::TestPeriodicSecretary::test_partial_fill_reports_end_of_stream",
+         "tests/test_cli.py::TestSelect::test_registry_selector_matches_library"),
+    ),
+    Mutant(
+        "an empty selection's final utility refused, not 0.0", "selectors.py",
+        (("        if not self.chosen:\n            return 0.0\n", ""),),
+        ("tests/test_selectors.py::TestPeriodicSecretary::test_zero_pick_run_has_final_utility_zero",
+         "tests/test_properties.py::test_periodic_picks_lie_after_the_reference_period"),
     ),
 )
 

@@ -147,6 +147,17 @@ class TestSelect:
         )
         assert not (tmp_path / "sel").exists()
 
+    def test_entropy_without_hyper_is_found_before_the_input(self, tmp_path, capsys):
+        # The input file does not exist: the usage error comes before it is read.
+        with pytest.raises(SystemExit) as exc:
+            run_cli("select", "--input", "missing.csv", "--algo", "periodic", "--k", 2,
+                    "--period", 10, "--lambda", 0.5, "--out", tmp_path / "sel")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: --hyper config file is required for the entropy utility\n"
+        )
+        assert not (tmp_path / "sel").exists()
+
     def test_oversized_k_is_runtime_error(self, stream_csv, tmp_path, capsys):
         rc = run_cli("select", "--input", stream_csv, "--algo", "scheduled", "--k", 999,
                      "--out", tmp_path)
@@ -191,6 +202,11 @@ class TestSelect:
             "greedy": lambda: offline_greedy(obs, f, k),
         }[name]()
         assert [int(r.split(",")[1]) for r in rows] == list(direct.chosen)
+        # Every selector stops by the one rule; the segment runs here pick nothing.
+        assert direct.terminated == ("filled_k" if len(direct.chosen) == k else "end_of_stream")
+        assert read_kv_file(out / "summary.txt")["terminated"] == direct.terminated
+        if name == "submodular":
+            assert direct.terminated == "end_of_stream"
 
     def test_modular_utility_uses_first_feature(self, stream_csv, tmp_path):
         out = tmp_path / "sel"
@@ -307,6 +323,18 @@ class TestTune:
         assert exc.value.code == 2
         assert capsys.readouterr().err == "error: slack grid values must be >= 0\n"
 
+    @pytest.mark.parametrize("grid, message", [
+        ("0,abc", "--grid: could not convert string to float: 'abc'"),
+        (",", "--grid named no slacks"),
+    ], ids=["not-a-number", "empty"])
+    def test_unreadable_grid_is_usage_error(self, grid, message, tmp_path, capsys):
+        # The hyperparameter file does not exist: the grid is refused before it is read.
+        with pytest.raises(SystemExit) as exc:
+            run_cli("tune", *_REQUIRED_ONLY["tune"], "--grid", grid, "--out", tmp_path / "tune")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "tune").exists()
+
 
 class TestEvaluate:
     @pytest.fixture
@@ -382,6 +410,19 @@ class TestEvaluate:
                     "--period", 8, "--runs", 2, "--hyper", hyper_file, "--out", tmp_path / "out")
         assert exc.value.code == 2
         assert capsys.readouterr().err == "error: --algos named no algorithms\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("token, message", [
+        ("periodic:abc", "could not convert string to float: 'abc'"),
+        ("simulated", f"unknown algorithm 'simulated'; known: {ALGORITHM_NAMES}"),
+    ], ids=["bad-slack", "unknown-name"])
+    def test_bad_algos_token_is_named(self, token, message, tmp_path, capsys):
+        # The input files do not exist: the token is refused before they are read.
+        with pytest.raises(SystemExit) as exc:
+            run_cli("evaluate", *_REQUIRED_ONLY["evaluate"], "--algos", f"scheduled,{token}",
+                    "--out", tmp_path / "out")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: --algos {token!r}: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_no_mse_skips_qoi_requirement(self, qoi_csv, hyper_file, tmp_path):

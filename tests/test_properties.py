@@ -946,6 +946,7 @@ def test_periodic_picks_lie_after_the_reference_period(seed, d, T, extra, k, sla
     assert len(result.chosen) <= k
     assert list(result.chosen) == sorted(set(result.chosen))
     assert (result.terminated == "filled_k") == (len(result.chosen) == k)
+    assert result.final_utility == (result.utility_trace[-1] if result.chosen else 0.0)
 
 
 @SETTINGS

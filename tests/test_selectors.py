@@ -99,6 +99,15 @@ class TestPeriodicSecretary:
         assert result.chosen == (5, 9)
         assert result.terminated == "end_of_stream"
 
+    def test_zero_pick_run_has_final_utility_zero(self):
+        # The reference period holds the largest weight, so nothing after it
+        # meets the threshold at slack 0: the empty set's utility is 0.
+        obs = make_observations(np.zeros(6))
+        f = UtilityFunction.modular(np.array([5.0, 1.0, 2.0, 3.0, 4.0, 4.5]))
+        result = periodic_secretary(obs, f, PeriodicSecretaryConfig(k=2, period_T=2, threshold_slack=0.0))
+        assert (result.chosen, result.utility_trace, result.terminated) == ((), (), "end_of_stream")
+        assert result.final_utility == 0.0
+
     def test_first_acceptance_matches_reference_maximum(self):
         stream = noiseless_stream()
         f = value_utility(stream)
